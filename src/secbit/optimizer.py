@@ -15,13 +15,22 @@ bit-output filter pairs directly.  Two searches are provided:
   as a cross-check; a lower bound whose gap shrinks with the grid
   resolution.
 
+Both searches spend their time in :func:`_coordinate_polish`.  It tries
+its moves in a fixed order and keeps the first candidate that improves,
+as a one-at-a-time hill climber would, but it scores candidates in
+batches, one numpy call per batch (:func:`_lambda_raw`), and rebuilds only
+the candidates behind an accepted one.  The trajectory, and so every
+reported value and witness, is that of the one-at-a-time climber.
+
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +43,10 @@ from .measures import MeasureResult, mesbf_reversible, secret_bit_fraction
 DEFAULT_SEED = 1729
 
 _CHUNK = 1 << 17
+# Moves scored by the polish's first batch after an acceptance; batches
+# double while nothing is accepted.  Acceptances come in runs, so a small
+# first batch wastes little scoring on moves that must be rebuilt.
+_BASE_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -49,17 +62,27 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1 or self.grid_points < 2:
             raise InvalidParamsError("restarts, iterations and grid_points must be >= 1 (grid >= 2)")
-        if not self.entry_floor > 0.0:
-            raise InvalidParamsError("entry_floor must be strictly positive")
+        if not 0.0 < self.entry_floor < 1.0:
+            raise InvalidParamsError(f"entry_floor must lie strictly between 0 and 1, got {self.entry_floor}")
 
 
-def _lambda_raw(d_a: np.ndarray, j_b: np.ndarray, table: np.ndarray) -> float:
-    """Secret-bit fraction after filtering, ndarray fast path."""
-    filtered = np.einsum("ia,jb,abe->ije", d_a, j_b, table)
-    total = filtered.sum()
-    if not total > 0.0:
-        return 0.0
-    return float(2.0 * np.minimum(filtered[0, 0, :], filtered[1, 1, :]).sum() / total)
+def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Secret-bit fractions after filtering, one per row of flattened filter pairs.
+
+    Row ``c`` of ``cands`` is Alice's ``2 x d_a`` filter followed by Bob's
+    ``2 x d_b`` filter, both raveled; zero-mass rows score 0.
+    """
+    d_a, d_b, _ = table.shape
+    c = len(cands)
+    filtered = np.einsum(
+        "cia,cjb,abe->cije",
+        cands[:, : 2 * d_a].reshape(c, 2, d_a),
+        cands[:, 2 * d_a :].reshape(c, 2, d_b),
+        table,
+    )
+    total = np.add.reduce(filtered.reshape(c, -1), axis=1)
+    num = 2.0 * np.add.reduce(np.minimum(filtered[:, 0, 0], filtered[:, 1, 1]), axis=1)
+    return np.divide(num, total, out=np.zeros(c), where=total > 0.0)
 
 
 def _certified_lambda(d_a: np.ndarray, j_b: np.ndarray, p: TripartiteDistribution) -> float:
@@ -242,6 +265,70 @@ _CHEAP_SPANS = (10.0, 2.0, 1.3)
 _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 
+def _first_improvement(
+    table: np.ndarray,
+    theta: np.ndarray,
+    best: float,
+    evals: int,
+    limit: float,
+    total: int,
+    starts: Sequence[int],
+    build: Callable[[int, int], np.ndarray],
+    overwrite: bool = False,
+) -> tuple[float, int, bool]:
+    """Try moves ``0..total-1`` in order, keeping every one that beats ``best``.
+
+    ``build(lo, hi)`` returns the candidates of moves ``lo..hi-1`` built
+    from the current ``theta``.  Moves come in groups opening at the sorted
+    positions ``starts``; a group opens only while ``evals`` is below
+    ``limit``.  Batches are scored speculatively and, after an acceptance,
+    the moves behind it are rebuilt and scored again, so the trajectory and
+    the evaluation count are those of trying the moves one at a time.  A
+    batch never holds more moves than the budget has evaluations left, so
+    no group inside it can open past the budget.  Batches start at
+    ``_BASE_BATCH`` moves and double while nothing is accepted, up to
+    ``_CHUNK`` cells of candidates and filtered tables.
+
+    With ``overwrite``, a move sets the coordinates it changes: a candidate
+    equal to ``theta`` is skipped and not counted, and an acceptance leaves
+    the rest of its group unchanged, so their scores are kept.
+    """
+    cap = max(1, _CHUNK // (theta.size + 4 * table.shape[2]))
+    size, lo, improved = _BASE_BATCH, 0, False
+    while lo < total:
+        room = limit - evals
+        if room > 0:
+            hi = min(total, lo + min(size, cap, room))
+        else:
+            nxt = bisect.bisect_right(starts, lo)
+            if starts[nxt - 1] == lo:
+                break
+            hi = min(total, starts[nxt]) if nxt < len(starts) else total
+        cands = build(lo, hi)
+        lam = _lambda_raw(cands, table)
+        counted = (cands != theta).any(axis=1) if overwrite else np.ones(len(lam), dtype=bool)
+        pos, size = 0, 2 * size
+        while pos < len(lam):
+            better = (lam[pos:] > best) & counted[pos:]
+            k = pos + int(better.argmax())
+            if not better[k - pos]:
+                evals += int(np.count_nonzero(counted[pos:]))
+                break
+            theta[:] = cands[k]
+            best, improved, size = lam[k], True, _BASE_BATCH
+            evals += int(np.count_nonzero(counted[pos : k + 1]))
+            pos = k + 1
+            if overwrite:
+                nxt = bisect.bisect_right(starts, lo + k)
+                end = min(hi, starts[nxt]) - lo if nxt < len(starts) else len(lam)
+                lam, cands = lam[:end], cands[:end]
+                counted = (cands != theta).any(axis=1)
+            else:
+                lam = lam[:pos]
+        lo += len(lam)
+    return best, evals, improved
+
+
 def _coordinate_polish(
     table: np.ndarray,
     d_a_mat: np.ndarray,
@@ -253,23 +340,33 @@ def _coordinate_polish(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Local grid refinement of a filter pair, windows shrinking per pass.
 
-    Two move families: single entries swept over a local log grid (plus
-    the floor, so entries can switch off, and 1.0, so dead entries can
-    revive), and coordinated entry pairs moved by a factor and its
-    inverse.  The pair moves matter: the objective has ridges along which
-    the two diagonal products must stay balanced, and no single-entry
-    move can follow them.  Each matrix is re-gauged to peak entry one
-    every cycle (the objective is scale invariant per matrix), otherwise
-    the scale drifts toward the floor and the windows lose resolution.
-    Deterministic; relies on the caller to supply candidates in the right
-    bases of attraction.
+    Three move families, tried in a fixed order with first improvement:
+    single entries swept over a local log grid (plus the floor, so
+    entries can switch off, and 1.0, so dead entries can revive), whole
+    rows of one matrix rescaled against rows of the other, and
+    coordinated entry pairs, switched off jointly or moved by a factor
+    and its inverse.  The pair moves matter: the objective has ridges
+    along which the two diagonal products must stay balanced, and no
+    single-entry move can follow them.  Each family's candidates are
+    scored in batches by one kernel call (:func:`_first_improvement`),
+    with the trajectory and the evaluation count of trying them one at a
+    time; ``max_evals`` is checked before each entry, row pair and
+    pair-move anchor.  Each matrix is re-gauged to peak entry one every
+    cycle (the objective is scale invariant per matrix), otherwise the
+    scale drifts toward the floor and the windows lose resolution.
+    Deterministic; relies on the caller to supply candidates in the
+    right bases of attraction.
     """
     n_a = d_a_mat.size
     theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
     n = theta.size
+    limit = math.inf if max_evals is None else max_evals
+    eye = np.eye(n, dtype=bool)
+    w_a, w_b = d_a_mat.shape[1], j_b.shape[1]
+    rows = np.repeat(np.eye(4, dtype=bool), [w_a, w_a, w_b, w_b], axis=1)
 
     def lam_of(vec: np.ndarray) -> float:
-        return _lambda_raw(vec[:n_a].reshape(d_a_mat.shape), vec[n_a:].reshape(j_b.shape), table)
+        return float(_lambda_raw(vec[None, :], table)[0])
 
     def regauge() -> None:
         for block in (slice(0, n_a), slice(n_a, n)):
@@ -277,87 +374,64 @@ def _coordinate_polish(
             if top > 0.0:
                 theta[block] = np.maximum(theta[block] / top, floor)
 
-    evals = 0
-
-    def try_update(candidate: np.ndarray, best: float) -> tuple[float, bool]:
-        nonlocal evals
-        evals += 1
-        trial = lam_of(candidate)
-        if trial > best:
-            theta[:] = candidate
-            return trial, True
-        return best, False
-
-    def exhausted() -> bool:
-        return max_evals is not None and evals >= max_evals
-
-    row_groups = [
-        np.arange(0, d_a_mat.shape[1]),
-        np.arange(d_a_mat.shape[1], n_a),
-        n_a + np.arange(0, j_b.shape[1]),
-        n_a + np.arange(j_b.shape[1], n - n_a),
-    ]
+    def scaled(mask_x, f_x, mask_y, f_y) -> np.ndarray:
+        cand = np.where(mask_x, np.minimum(np.maximum(theta * f_x[:, None], floor), 1.0), theta)
+        return np.where(mask_y, np.minimum(np.maximum(theta * f_y[:, None], floor), 1.0), cand)
 
     regauge()
     best = lam_of(theta)
+    evals = 0
     for span in spans:
         factors = np.geomspace(1.0 / span, span, points)
+        factors = factors[factors != 1.0]
+        # Moves by f and 1/f, then by f and f; the pair family first
+        # switches both entries off (factor 0 clips to the floor).
+        f_a = np.repeat(factors, 2)
+        f_b = np.stack([1.0 / factors, factors], axis=1).ravel()
+        f_i, f_j = np.append(0.0, f_a), np.append(0.0, f_b)
         for _ in range(2):
-            if exhausted():
+            if evals >= limit:
                 break
             regauge()
             best = lam_of(theta)
-            improved = False
-            for i in range(n):
-                if exhausted():
-                    break
-                center = max(theta[i], floor)
-                grid = np.geomspace(
-                    max(center / span, floor), min(center * span, 1.0), points
-                )
-                for value in (*grid, floor, 1.0):
-                    if value == theta[i]:
-                        continue
-                    cand = theta.copy()
-                    cand[i] = value
-                    best, moved = try_update(cand, best)
-                    improved |= moved
+            center = np.maximum(theta, floor)
+            grid = np.geomspace(
+                np.maximum(center / span, floor), np.minimum(center * span, 1.0), points, axis=1
+            )
+            grid = np.hstack([grid, np.full((n, 1), floor), np.ones((n, 1))])
+            width = grid.shape[1]
+
+            def single(lo: int, hi: int) -> np.ndarray:
+                i, r = np.divmod(np.arange(lo, hi), width)
+                return np.where(eye[i], grid[i, r][:, None], theta)
+
             # Whole-row rescalings of one matrix against the other track the
             # balance ridges exactly when rows are sparse.
-            for row_a in row_groups[:2]:
-                for row_b in row_groups[2:]:
-                    if exhausted():
-                        break
-                    for f in factors:
-                        if f == 1.0:
-                            continue
-                        for g in (1.0 / f, f):
-                            cand = theta.copy()
-                            cand[row_a] = np.clip(cand[row_a] * f, floor, 1.0)
-                            cand[row_b] = np.clip(cand[row_b] * g, floor, 1.0)
-                            best, moved = try_update(cand, best)
-                            improved |= moved
-            live = [i for i in range(n) if theta[i] > 10.0 * floor]
-            for pos, i in enumerate(live):
-                if exhausted():
-                    break
-                for j in live[pos + 1 :]:
-                    # Joint switch-off first: small entries can stabilize each
-                    # other so that neither can be floored alone.
-                    cand = theta.copy()
-                    cand[i] = cand[j] = floor
-                    best, moved = try_update(cand, best)
-                    improved |= moved
-                    for f in factors:
-                        if f == 1.0:
-                            continue
-                        for g in (1.0 / f, f):
-                            cand = theta.copy()
-                            cand[i] = min(max(cand[i] * f, floor), 1.0)
-                            cand[j] = min(max(cand[j] * g, floor), 1.0)
-                            best, moved = try_update(cand, best)
-                            improved |= moved
-            if not improved:
+            def rescale(lo: int, hi: int) -> np.ndarray:
+                pair, r = np.divmod(np.arange(lo, hi), len(f_a))
+                return scaled(rows[pair // 2], f_a[r], rows[2 + pair % 2], f_b[r])
+
+            best, evals, moved_single = _first_improvement(
+                table, theta, best, evals, limit, n * width, range(0, n * width, width), single, True
+            )
+            best, evals, moved_rows = _first_improvement(
+                table, theta, best, evals, limit, 4 * len(f_a), range(0, 4 * len(f_a), len(f_a)), rescale
+            )
+            # Joint switch-off first: small entries can stabilize each other
+            # so that neither can be floored alone.
+            live = np.flatnonzero(theta > 10.0 * floor)
+            first, second = np.triu_indices(len(live), 1)
+            at_i, at_j = eye[live[first]], eye[live[second]]
+            anchors = (len(f_i) * np.searchsorted(first, np.arange(len(live)))).tolist()
+
+            def pairs(lo: int, hi: int) -> np.ndarray:
+                p, r = np.divmod(np.arange(lo, hi), len(f_i))
+                return scaled(at_i[p], f_i[r], at_j[p], f_j[r])
+
+            best, evals, moved_pairs = _first_improvement(
+                table, theta, best, evals, limit, len(f_i) * len(first), anchors, pairs
+            )
+            if not (moved_single or moved_rows or moved_pairs):
                 break
     regauge()
     return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,22 @@ from secbit import (
     mesbf_decoupled,
     point_mass_eve,
     product_with_eve,
+    randomization_example,
+    satellite_scenario,
     secret_bit_fraction,
     shared_bit,
 )
 from secbit.errors import InvalidParamsError, TooLargeError
+from secbit.optimizer import (
+    _CHEAP_SPANS,
+    _FINE_SPANS,
+    _MICRO_SPANS,
+    _coordinate_polish,
+    _identity_projection,
+    _selecting_seeds,
+)
+
+from oracles import _coordinate_polish as scalar_polish
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
 
@@ -23,8 +38,82 @@ FAST = SearchConfig(restarts=8, iterations=600, seed=7)
 def test_config_validation():
     with pytest.raises(InvalidParamsError):
         SearchConfig(restarts=0)
-    with pytest.raises(InvalidParamsError):
-        SearchConfig(entry_floor=0.0)
+    for floor in (0.0, 1.0, 2.0, math.inf, math.nan):
+        with pytest.raises(InvalidParamsError):
+            SearchConfig(entry_floor=floor)
+
+
+def _decoupled_table(d: int) -> np.ndarray:
+    m = np.random.default_rng([2026, d]).uniform(0.1, 1.0, size=(d, d))
+    return point_mass_eve(BipartiteDistribution(m / m.sum())).table
+
+
+POLISH_TABLES = {
+    "lemur": lambda: randomization_example().table,
+    "satellite": lambda: satellite_scenario(0.2, 0.2, 0.15).table,
+    "decoupled-3x3": lambda: _decoupled_table(3),
+    "decoupled-4x4": lambda: _decoupled_table(4),
+}
+POLISH_SETTINGS = (
+    [("micro", 6, _MICRO_SPANS, None)]
+    + [(f"cheap-{cap}", 8, _CHEAP_SPANS, cap) for cap in (1, 37, 600, 2000)]
+    + [("fine", 24, _FINE_SPANS, None)]
+)
+
+
+class TestBatchedPolish:
+    """The batched polish retraces the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("instance", list(POLISH_TABLES))
+    def test_matches_the_scalar_reference(self, instance):
+        table = POLISH_TABLES[instance]()
+        d_a, d_b, _ = table.shape
+        floor = 1e-9
+        rng = np.random.default_rng([31, d_a, d_b])
+        random_start = np.exp(rng.uniform(math.log(floor), 0.0, size=2 * (d_a + d_b)))
+        starts = [
+            (random_start[: 2 * d_a].reshape(2, d_a), random_start[2 * d_a :].reshape(2, d_b)),
+            _selecting_seeds(d_a, d_b, floor)[-1][1:],
+        ]
+        for m_a, m_b in starts:
+            for name, points, spans, cap in POLISH_SETTINGS:
+                expected = scalar_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
+                found = _coordinate_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
+                assert found[0] == expected[0], name
+                assert np.array_equal(found[1], expected[1]), name
+                assert np.array_equal(found[2], expected[2]), name
+
+    @pytest.mark.parametrize("instance", ["lemur", "satellite"])
+    def test_stops_at_every_budget_boundary(self, instance):
+        # Caps 1..120 cover the first sweeps' entry, row-pair and pair
+        # boundaries one by one.  The sparse start has entries at 1 and at
+        # the floor, whose sweeps skip grid values equal to the entry;
+        # skipped values must not count toward the cap.
+        table = POLISH_TABLES[instance]()
+        d_a, d_b, _ = table.shape
+        m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
+        m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
+        for cap in range(1, 121):
+            expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
+            found = _coordinate_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
+            assert found[0] == expected[0], cap
+            assert np.array_equal(found[1], expected[1]), cap
+            assert np.array_equal(found[2], expected[2]), cap
+
+    def test_candidate_batches_have_bounded_memory(self):
+        # Unbounded, the pair moves of one pass at 1000 grid points would
+        # hold ~240k candidates of 16 entries (~30 MB per copy).
+        table = _decoupled_table(4)
+        rng = np.random.default_rng(5)
+        m_a, m_b = rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4))
+        tracemalloc.start()
+        try:
+            value, _, _ = _coordinate_polish(table, m_a, m_b, 1000, 1e-9, _MICRO_SPANS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= value <= 1.0
+        assert peak < 16 * 2**20
 
 
 class TestEstimate:
