@@ -16,24 +16,31 @@ the enlarged-space monotonicity arguments.
 Every optimum that is attained comes with an explicit witness pair of
 filtrations; optima that are only approached come with a one-parameter
 witness family ("quasi-distillability").
+
+Every measure is scale invariant, for tables scaled anywhere from 1e-300
+to 1e300.  The secret-bit fraction is a ratio of sums and needs nothing
+more; every measure built on products of entries first divides the table
+by its largest entry, so no product underflows or overflows.  The
+decoupled measures share one cross-ratio kernel over all outcome pairs,
+and the three exact-or-limiting witnesses share one balancing rule.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .distributions import BipartiteDistribution, TripartiteDistribution
+from .distributions import BipartiteDistribution, TripartiteDistribution, point_mass_eve
 from .errors import (
     IndexOutOfRangeError,
     InvalidParamsError,
     NotBinaryError,
     OutOfRangeError,
+    TooLargeError,
 )
 from .filtration import Filtration
 
@@ -43,6 +50,10 @@ WitnessFamily = Callable[[float], WitnessPair]
 #: Default parameter at which a limiting witness family is sampled for
 #: the representative pair stored on the result.
 FAMILY_SAMPLE = 1e-6
+
+# Most outcome pairs a cross-ratio scan takes on: about 60 MB of arrays.
+# 32 x 32 alphabets have about half as many.
+_MAX_OUTCOME_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,8 @@ def secret_bit_fraction_oracle(p: TripartiteDistribution) -> float:
     normalized distribution.  Exists purely so the closed form has a
     second, formula-free route to compare against.
     """
+    from scipy.optimize import linprog  # imported here: it is slow to import
+
     _require_binary(p.dims[:2])
     t = p.table / p.table.sum()
     d_e = p.dims[2]
@@ -118,46 +131,31 @@ def _diag_pair(q: float, phi: float) -> WitnessPair:
     return d_a, j_b
 
 
-def _diag_witness(
-    phi: float, cross01: float, cross10: float
-) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
-    """Diagonal filter pair realizing ratio ``phi`` between the diagonal cells.
-
-    The free weight ``q`` balances the two cross terms; when one cross
-    cell is structurally zero the optimum is only approached as ``q``
-    degenerates, giving a limiting family.
-    """
-    if cross01 > 0.0 and cross10 > 0.0:
-        q = math.sqrt(phi * cross01 / cross10)
-        return _diag_pair(q, phi), "exact", None
-    if cross01 == 0.0 and cross10 == 0.0:
-        return _diag_pair(1.0, phi), "exact", None
-    if cross10 == 0.0:
-        family: WitnessFamily = lambda delta: _diag_pair(1.0 / delta, phi)
-    else:
-        family = lambda delta: _diag_pair(delta, phi)
-    return family(FAMILY_SAMPLE), "limiting", family
-
-
 def _anti_pair(s: float, psi: float) -> WitnessPair:
     d_a = Filtration(np.array([[0.0, s], [1.0, 0.0]])).as_proper()
     j_b = Filtration.diagonal([psi / s, 1.0]).as_proper()
     return d_a, j_b
 
 
-def _anti_witness(
-    psi: float, diag00: float, diag11: float
+def _balanced_witness(
+    build: Callable[[float], WitnessPair], ratio: float, cell0: float, cell1: float
 ) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
-    """Bit-swapping filter pair; the mirror image of :func:`_diag_witness`."""
-    if diag00 > 0.0 and diag11 > 0.0:
-        s = math.sqrt(psi * diag00 / diag11)
-        return _anti_pair(s, psi), "exact", None
-    if diag00 == 0.0 and diag11 == 0.0:
-        return _anti_pair(1.0, psi), "exact", None
-    if diag11 == 0.0:
-        family: WitnessFamily = lambda delta: _anti_pair(1.0 / delta, psi)
+    """The witness ``build(q)`` whose free weight ``q`` balances two cells.
+
+    ``build(q)`` keeps two cells at ``ratio`` to each other and weights the
+    two balancing cells ``cell0`` and ``cell1`` against each other by
+    ``q``; the optimum sits at ``q = sqrt(ratio * cell0 / cell1)``.  When
+    exactly one balancing cell is structurally zero the optimum is only
+    approached as ``q`` degenerates, giving a limiting family.
+    """
+    if cell0 > 0.0 and cell1 > 0.0:
+        return build(math.sqrt(ratio * cell0 / cell1)), "exact", None
+    if cell0 == 0.0 and cell1 == 0.0:
+        return build(1.0), "exact", None
+    if cell1 == 0.0:
+        family: WitnessFamily = lambda delta: build(1.0 / delta)
     else:
-        family = lambda delta: _anti_pair(delta, psi)
+        family = build
     return family(FAMILY_SAMPLE), "limiting", family
 
 
@@ -168,39 +166,31 @@ def mesbf_reversible(p: TripartiteDistribution) -> MeasureResult:
     matrices, and for each branch the optimum sits at a ratio between two
     of Eve's cells, so the supremum reduces to a finite scan: over Eve
     symbols where both diagonal cells are nonzero (diagonal branch) and
-    where both off-diagonal cells are nonzero (antidiagonal branch).  An
-    empty branch contributes zero; membership uses structural zeros, not
-    a tolerance.
+    where both off-diagonal cells are nonzero (antidiagonal branch).  The
+    antidiagonal branch is the diagonal branch of the table with Bob's
+    outcomes swapped, so both are scored in one pass; only their
+    witnesses differ.  An empty branch contributes zero; membership uses
+    structural zeros, not a tolerance.
     """
     _require_binary(p.dims[:2])
-    t = p.table
-    pab = t.sum(axis=2)
-    m00, m01, m10, m11 = pab[0, 0], pab[0, 1], pab[1, 0], pab[1, 1]
-
-    candidates: list[tuple[float, str, int, float]] = []
-    for e in range(p.dims[2]):
-        if t[0, 0, e] != 0.0 and t[1, 1, e] != 0.0:
-            phi = float(t[0, 0, e] / t[1, 1, e])
-            num = 2.0 * np.minimum(t[0, 0, :], phi * t[1, 1, :]).sum()
-            den = m00 + phi * m11 + 2.0 * math.sqrt(phi * m01 * m10)
-            candidates.append((float(num / den), "diagonal", e, phi))
-    for e in range(p.dims[2]):
-        if t[0, 1, e] != 0.0 and t[1, 0, e] != 0.0:
-            psi = float(t[0, 1, e] / t[1, 0, e])
-            num = 2.0 * np.minimum(t[0, 1, :], psi * t[1, 0, :]).sum()
-            den = m01 + psi * m10 + 2.0 * math.sqrt(psi * m00 * m11)
-            candidates.append((float(num / den), "antidiagonal", e, psi))
-
-    if not candidates:
+    t = p.table / p.table.max()
+    s = np.stack([t, t[:, ::-1]])  # axis 0: diagonal branch, then antidiagonal
+    m = s.sum(axis=3)
+    live = (s[:, 0, 0] != 0.0) & (s[:, 1, 1] != 0.0)
+    ratios = np.divide(s[:, 0, 0], s[:, 1, 1], out=np.ones(live.shape), where=live)
+    num = 2.0 * np.minimum(s[:, 0, 0, None, :], ratios[:, :, None] * s[:, 1, 1, None, :]).sum(axis=2)
+    cross = np.sqrt(ratios * m[:, 0, 1, None] * m[:, 1, 0, None])
+    den = m[:, 0, 0, None] + ratios * m[:, 1, 1, None] + 2.0 * cross
+    values = np.divide(num, den, out=np.full(live.shape, -1.0), where=live)
+    # Row-major argmax: the diagonal branch wins ties, then the lower symbol.
+    b, e = divmod(int(values.argmax()), live.shape[1])
+    if not live[b, e]:
         return MeasureResult(0.0, None, "none", {"branch": None})
-
-    value, branch, symbol, ratio = max(candidates, key=lambda c: c[0])
-    if branch == "diagonal":
-        witness, kind, family = _diag_witness(ratio, m01, m10)
-    else:
-        witness, kind, family = _anti_witness(ratio, m00, m11)
-    detail = {"branch": branch, "eve_symbol": symbol, "ratio": ratio}
-    return MeasureResult(value, witness, kind, detail, family)
+    ratio = float(ratios[b, e])
+    witness_at = (_diag_pair, _anti_pair)[b]
+    witness, kind, family = _balanced_witness(lambda q: witness_at(q, ratio), ratio, m[b, 0, 1], m[b, 1, 0])
+    detail = {"branch": ("diagonal", "antidiagonal")[b], "eve_symbol": e, "ratio": ratio}
+    return MeasureResult(float(values[b, e]), witness, kind, detail, family)
 
 
 def mesbf_reversible_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
@@ -210,40 +200,54 @@ def mesbf_reversible_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     ``1 / (1 + sqrt(P01 P10 / P00 P11))`` and its reciprocal-ratio twin,
     a vanishing product inside the square root being read as the limit
     (that branch then evaluates to 1, approached by a limiting family).
+    This is :func:`mesbf_reversible` with a single Eve symbol.
     """
-    _require_binary(p_ab.dims)
-    m = p_ab.table
-    w = float(m[0, 0] * m[1, 1])
-    x = float(m[0, 1] * m[1, 0])
-    if w == 0.0 and x == 0.0:
-        return MeasureResult(0.0, None, "none", {"branch": None})
+    result = mesbf_reversible(point_mass_eve(p_ab))
+    detail = {key: value for key, value in result.detail.items() if key != "eve_symbol"}
+    return replace(result, detail=detail)
 
-    candidates: list[tuple[float, str]] = []
-    if w > 0.0:
-        candidates.append((1.0 / (1.0 + math.sqrt(x / w)), "diagonal"))
-    if x > 0.0:
-        candidates.append((1.0 / (1.0 + math.sqrt(w / x)), "antidiagonal"))
-    value, branch = max(candidates, key=lambda c: c[0])
 
-    if branch == "diagonal":
-        phi = float(m[0, 0] / m[1, 1])
-        witness, kind, family = _diag_witness(phi, float(m[0, 1]), float(m[1, 0]))
-        ratio = phi
-    else:
-        psi = float(m[0, 1] / m[1, 0])
-        witness, kind, family = _anti_witness(psi, float(m[0, 0]), float(m[1, 1]))
-        ratio = psi
-    return MeasureResult(value, witness, kind, {"branch": branch, "ratio": ratio}, family)
+def _outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays ``(a0, a1, b0, b1)`` of all outcome pairs ``a0 < a1``, ``b0 != b1``.
+
+    In the order of nested loops over ``a0``, ``a1``, ``b0`` and ``b1``.
+    Callers hold several arrays of this length at once, so more than
+    ``_MAX_OUTCOME_PAIRS`` pairs are refused rather than allocated.
+    """
+    count = d_a * (d_a - 1) // 2 * d_b * (d_b - 1)
+    if count > _MAX_OUTCOME_PAIRS:
+        raise TooLargeError(f"{d_a} x {d_b} alphabets have {count} outcome pairs, above {_MAX_OUTCOME_PAIRS}")
+    rows, cols = np.arange(d_a), np.arange(d_b)
+    a0, a1 = np.nonzero(np.less.outer(rows, rows))
+    b0, b1 = np.nonzero(np.not_equal.outer(cols, cols))
+    return np.repeat(a0, len(b0)), np.repeat(a1, len(b0)), np.tile(b0, len(a0)), np.tile(b1, len(a0))
+
+
+def _cross_ratios(
+    table: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Cross ratio of every outcome pair, with the pairs' index arrays.
+
+    ``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)`` on the table divided by its
+    largest entry, for the pairs of :func:`_outcome_pairs`.  A zero
+    denominator is a structural zero and gives ``inf``, so the pair never
+    beats the 1/2 floor.
+    """
+    m = table / table.max()
+    pairs = _outcome_pairs(*m.shape)
+    a0, a1, b0, b1 = pairs
+    den = m[a0, b0] * m[a1, b1]
+    ratio = np.divide(m[a0, b1] * m[a1, b0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
+    return ratio, pairs
 
 
 def _selecting_witness(
-    m: np.ndarray, pair: tuple[int, int, int, int]
+    table: np.ndarray, pair: tuple[int, int, int, int]
 ) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
     """Filters keeping only outcomes ``a0, a1`` / ``b0, b1`` with tuned weights."""
+    m = table / table.max()
     a0, a1, b0, b1 = pair
-    w00, w01 = float(m[a0, b0]), float(m[a0, b1])
-    w10, w11 = float(m[a1, b0]), float(m[a1, b1])
-    phi = w00 / w11
+    phi = float(m[a0, b0]) / float(m[a1, b1])
     d_a, d_b = m.shape
 
     def build(q: float) -> WitnessPair:
@@ -255,19 +259,7 @@ def _selecting_witness(
         right[1, b1] = phi / q
         return Filtration(left).as_proper(), Filtration(right).as_proper()
 
-    if w01 > 0.0 and w10 > 0.0:
-        return build(math.sqrt(phi * w01 / w10)), "exact", None
-    if w01 == 0.0 and w10 == 0.0:
-        return build(1.0), "exact", None
-    if w10 == 0.0:
-        family: WitnessFamily = lambda delta: build(1.0 / delta)
-    else:
-        family = lambda delta: build(delta)
-    return family(FAMILY_SAMPLE), "limiting", family
-
-
-def _coin_toss_witness(d_a: int, d_b: int) -> WitnessPair:
-    return Filtration.coin_toss(d_a), Filtration.coin_toss(d_b)
+    return _balanced_witness(build, phi, float(m[a0, b1]), float(m[a1, b0]))
 
 
 def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
@@ -278,41 +270,20 @@ def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     pairs at once): 1/2 when both cell products vanish, otherwise
     ``1 / (1 + sqrt(P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)))``.  Discarding
     everything and tossing coins always achieves 1/2, which is therefore
-    the floor.
+    the floor.  Raises :class:`TooLargeError` beyond 2^20 outcome pairs.
     """
-    m = p_ab.table
-    d_a, d_b = p_ab.dims
-    best_value = 0.5
-    best_pair: Optional[tuple[int, int, int, int]] = None
-    best_branch = "coin-toss"
-    for a0 in range(d_a):
-        for a1 in range(a0 + 1, d_a):
-            for b0 in range(d_b):
-                for b1 in range(d_b):
-                    if b1 == b0:
-                        continue
-                    w = float(m[a0, b0] * m[a1, b1])
-                    x = float(m[a0, b1] * m[a1, b0])
-                    if w == 0.0:
-                        continue  # both-zero ties the 1/2 floor; cross-only gives 0
-                    value = 1.0 / (1.0 + math.sqrt(x / w))
-                    if value > best_value:
-                        best_value = value
-                        best_pair = (a0, a1, b0, b1)
-                        best_branch = "cross-ratio"
-
-    if best_pair is None:
-        witness, kind, family = _coin_toss_witness(d_a, d_b), "exact", None
-        detail = {"branch": best_branch, "pair": None}
-    else:
-        witness, kind, family = _selecting_witness(m, best_pair)
-        a0, a1, b0, b1 = best_pair
-        detail = {
-            "branch": best_branch,
-            "pair": best_pair,
-            "omega": float(m[a0, b1] * m[a1, b0] / (m[a0, b0] * m[a1, b1])),
-        }
-    return MeasureResult(best_value, witness, kind, detail, family)
+    ratio, pairs = _cross_ratios(p_ab.table)
+    # The floor comes first, so a pair must beat it strictly; ties keep
+    # the first pair in loop order.
+    values = np.append(0.5, 1.0 / (1.0 + np.sqrt(ratio)))
+    k = int(values.argmax())
+    if k == 0:
+        coins = (Filtration.coin_toss(p_ab.dims[0]), Filtration.coin_toss(p_ab.dims[1]))
+        return MeasureResult(0.5, coins, "exact", {"branch": "coin-toss", "pair": None})
+    best_pair = tuple(int(index[k - 1]) for index in pairs)
+    witness, kind, family = _selecting_witness(p_ab.table, best_pair)
+    detail = {"branch": "cross-ratio", "pair": best_pair, "omega": float(ratio[k - 1])}
+    return MeasureResult(float(values[k]), witness, kind, detail, family)
 
 
 def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureResult:
@@ -325,29 +296,13 @@ def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureRe
     """
     if copies < 1:
         raise OutOfRangeError(f"copies must be >= 1, got {copies}")
-    m = p_ab.table
-    d_a, d_b = p_ab.dims
-    omega_min: Optional[float] = None
-    best_pair: Optional[tuple[int, int, int, int]] = None
-    for a0 in range(d_a):
-        for a1 in range(a0 + 1, d_a):
-            for b0 in range(d_b):
-                for b1 in range(d_b):
-                    if b1 == b0:
-                        continue
-                    w = float(m[a0, b0] * m[a1, b1])
-                    if w == 0.0:
-                        continue
-                    ratio = float(m[a0, b1] * m[a1, b0]) / w
-                    if omega_min is None or ratio < omega_min:
-                        omega_min = ratio
-                        best_pair = (a0, a1, b0, b1)
-
-    detail = {"copies": copies, "omega_min": omega_min, "pair": best_pair}
-    if omega_min is None:
-        return MeasureResult(0.5, None, "none", detail)
-    value = max(0.5, 1.0 / (1.0 + omega_min ** (copies / 2.0)))
-    return MeasureResult(value, None, "none", detail)
+    ratio, pairs = _cross_ratios(p_ab.table)
+    if not ratio.min(initial=math.inf) < math.inf:
+        return MeasureResult(0.5, None, "none", {"copies": copies, "omega_min": None, "pair": None})
+    k = int(ratio.argmin())
+    omega_min = float(ratio[k])
+    detail = {"copies": copies, "omega_min": omega_min, "pair": tuple(int(index[k]) for index in pairs)}
+    return MeasureResult(max(0.5, 1.0 / (1.0 + omega_min ** (copies / 2.0))), None, "none", detail)
 
 
 def omega(
@@ -364,7 +319,7 @@ def omega(
             raise IndexOutOfRangeError(f"index {idx} outside alphabet of size {bound}")
     if a0 == a1 or b0 == b1:
         raise InvalidParamsError("outcome pairs must be distinct")
-    m = p_ab.table
+    m = p_ab.table / p_ab.table.max()
     num = float(m[a0, b1] * m[a1, b0])
     den = float(m[a0, b0] * m[a1, b1])
     if den > 0.0:
@@ -379,19 +334,5 @@ def vartheta(p_ab: BipartiteDistribution) -> float:
     two rows and columns need not be zero; scale invariant.  Coincident
     index pairs always realize exactly 1/2, hence the floor.
     """
-    m = p_ab.table
-    d_a, d_b = p_ab.dims
-    best = 0.5
-    for a0 in range(d_a):
-        for a1 in range(a0 + 1, d_a):
-            for b0 in range(d_b):
-                for b1 in range(d_b):
-                    if b1 == b0:
-                        continue
-                    w = float(m[a0, b0] * m[a1, b1])
-                    if w == 0.0:
-                        continue
-                    value = 1.0 / (1.0 + math.sqrt(float(m[a0, b1] * m[a1, b0]) / w))
-                    if value > best:
-                        best = value
-    return best
+    ratio, _ = _cross_ratios(p_ab.table)
+    return max(0.5, 1.0 / (1.0 + math.sqrt(ratio.min(initial=math.inf))))

@@ -38,7 +38,7 @@ import numpy as np
 from .distributions import TripartiteDistribution, randomization_example
 from .errors import InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
-from .measures import MeasureResult, mesbf_reversible, secret_bit_fraction
+from .measures import MeasureResult, _outcome_pairs, mesbf_reversible, secret_bit_fraction
 
 DEFAULT_SEED = 1729
 
@@ -458,20 +458,15 @@ def _selecting_seeds(
     else:
         weights = ((1.0, 1.0),)
     seeds = []
-    for a0 in range(d_a):
-        for a1 in range(a0 + 1, d_a):
-            for b0 in range(d_b):
-                for b1 in range(d_b):
-                    if b1 == b0:
-                        continue
-                    for w_a, w_b in weights:
-                        m_a = np.full((2, d_a), floor)
-                        m_b = np.full((2, d_b), floor)
-                        m_a[0, a0] = 1.0
-                        m_a[1, a1] = w_a
-                        m_b[0, b0] = 1.0
-                        m_b[1, b1] = w_b
-                        seeds.append((0.0, m_a, m_b))
+    for a0, a1, b0, b1 in zip(*_outcome_pairs(d_a, d_b)):
+        for w_a, w_b in weights:
+            m_a = np.full((2, d_a), floor)
+            m_b = np.full((2, d_b), floor)
+            m_a[0, a0] = 1.0
+            m_a[1, a1] = w_a
+            m_b[0, b0] = 1.0
+            m_b[1, b1] = w_b
+            seeds.append((0.0, m_a, m_b))
     return seeds
 
 

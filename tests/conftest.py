@@ -1,6 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from secbit import randomization_example
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants it reads from the source tree while
+    # collecting tests; keep that cache out of the checkout.
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "secbit-hypothesis")
 
 
 @pytest.fixture

@@ -2,13 +2,28 @@
 
 These deliberately avoid the library's closed-form branch logic: values
 are computed by dense grid evaluation of the secret-bit fraction after
-explicitly parameterized filter pairs.  The scalar coordinate polish at
-the end is the one-candidate-at-a-time reference for the optimizer's
-batched polish, which must follow it bit for bit.
+explicitly parameterized filter pairs.  The scalar coordinate polish
+is the one-candidate-at-a-time reference for the optimizer's batched
+polish, which must follow it bit for bit.  The loop forms of the
+closed-form measures at the end are the reference for the library's
+vectorized ones.
 """
+
+import math
+from typing import Optional
 
 import numpy as np
 
+from secbit.distributions import BipartiteDistribution, TripartiteDistribution
+from secbit.errors import OutOfRangeError
+from secbit.filtration import Filtration
+from secbit.measures import (
+    FAMILY_SAMPLE,
+    MeasureResult,
+    WitnessFamily,
+    WitnessPair,
+    _require_binary,
+)
 from secbit.optimizer import _FINE_SPANS
 
 
@@ -195,3 +210,271 @@ def _coordinate_polish(
                 break
     regauge()
     return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+
+
+# Closed-form measures as nested loops over outcome pairs and Eve symbols
+# on the raw table, with one witness helper per branch.  The library's
+# vectorized kernels on the normalized table must agree with these.
+
+
+def _diag_pair(q: float, phi: float) -> WitnessPair:
+    d_a = Filtration.diagonal([1.0, q]).as_proper()
+    j_b = Filtration.diagonal([1.0, phi / q]).as_proper()
+    return d_a, j_b
+
+
+def _diag_witness(
+    phi: float, cross01: float, cross10: float
+) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
+    """Diagonal filter pair realizing ratio ``phi`` between the diagonal cells.
+
+    The free weight ``q`` balances the two cross terms; when one cross
+    cell is structurally zero the optimum is only approached as ``q``
+    degenerates, giving a limiting family.
+    """
+    if cross01 > 0.0 and cross10 > 0.0:
+        q = math.sqrt(phi * cross01 / cross10)
+        return _diag_pair(q, phi), "exact", None
+    if cross01 == 0.0 and cross10 == 0.0:
+        return _diag_pair(1.0, phi), "exact", None
+    if cross10 == 0.0:
+        family: WitnessFamily = lambda delta: _diag_pair(1.0 / delta, phi)
+    else:
+        family = lambda delta: _diag_pair(delta, phi)
+    return family(FAMILY_SAMPLE), "limiting", family
+
+
+def _anti_pair(s: float, psi: float) -> WitnessPair:
+    d_a = Filtration(np.array([[0.0, s], [1.0, 0.0]])).as_proper()
+    j_b = Filtration.diagonal([psi / s, 1.0]).as_proper()
+    return d_a, j_b
+
+
+def _anti_witness(
+    psi: float, diag00: float, diag11: float
+) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
+    """Bit-swapping filter pair; the mirror image of :func:`_diag_witness`."""
+    if diag00 > 0.0 and diag11 > 0.0:
+        s = math.sqrt(psi * diag00 / diag11)
+        return _anti_pair(s, psi), "exact", None
+    if diag00 == 0.0 and diag11 == 0.0:
+        return _anti_pair(1.0, psi), "exact", None
+    if diag11 == 0.0:
+        family: WitnessFamily = lambda delta: _anti_pair(1.0 / delta, psi)
+    else:
+        family = lambda delta: _anti_pair(delta, psi)
+    return family(FAMILY_SAMPLE), "limiting", family
+
+
+def mesbf_reversible(p: TripartiteDistribution) -> MeasureResult:
+    """Best secret-bit fraction reachable with reversible local filters.
+
+    Reversible 2x2 filters are exactly the diagonal and antidiagonal
+    matrices, and for each branch the optimum sits at a ratio between two
+    of Eve's cells, so the supremum reduces to a finite scan: over Eve
+    symbols where both diagonal cells are nonzero (diagonal branch) and
+    where both off-diagonal cells are nonzero (antidiagonal branch).  An
+    empty branch contributes zero; membership uses structural zeros, not
+    a tolerance.
+    """
+    _require_binary(p.dims[:2])
+    t = p.table
+    pab = t.sum(axis=2)
+    m00, m01, m10, m11 = pab[0, 0], pab[0, 1], pab[1, 0], pab[1, 1]
+
+    candidates: list[tuple[float, str, int, float]] = []
+    for e in range(p.dims[2]):
+        if t[0, 0, e] != 0.0 and t[1, 1, e] != 0.0:
+            phi = float(t[0, 0, e] / t[1, 1, e])
+            num = 2.0 * np.minimum(t[0, 0, :], phi * t[1, 1, :]).sum()
+            den = m00 + phi * m11 + 2.0 * math.sqrt(phi * m01 * m10)
+            candidates.append((float(num / den), "diagonal", e, phi))
+    for e in range(p.dims[2]):
+        if t[0, 1, e] != 0.0 and t[1, 0, e] != 0.0:
+            psi = float(t[0, 1, e] / t[1, 0, e])
+            num = 2.0 * np.minimum(t[0, 1, :], psi * t[1, 0, :]).sum()
+            den = m01 + psi * m10 + 2.0 * math.sqrt(psi * m00 * m11)
+            candidates.append((float(num / den), "antidiagonal", e, psi))
+
+    if not candidates:
+        return MeasureResult(0.0, None, "none", {"branch": None})
+
+    value, branch, symbol, ratio = max(candidates, key=lambda c: c[0])
+    if branch == "diagonal":
+        witness, kind, family = _diag_witness(ratio, m01, m10)
+    else:
+        witness, kind, family = _anti_witness(ratio, m00, m11)
+    detail = {"branch": branch, "eve_symbol": symbol, "ratio": ratio}
+    return MeasureResult(value, witness, kind, detail, family)
+
+
+def mesbf_reversible_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
+    """Reversible-filter MESBF of a 2x2 distribution with Eve decoupled.
+
+    Zero when both cell products vanish; otherwise the larger of
+    ``1 / (1 + sqrt(P01 P10 / P00 P11))`` and its reciprocal-ratio twin,
+    a vanishing product inside the square root being read as the limit
+    (that branch then evaluates to 1, approached by a limiting family).
+    """
+    _require_binary(p_ab.dims)
+    m = p_ab.table
+    w = float(m[0, 0] * m[1, 1])
+    x = float(m[0, 1] * m[1, 0])
+    if w == 0.0 and x == 0.0:
+        return MeasureResult(0.0, None, "none", {"branch": None})
+
+    candidates: list[tuple[float, str]] = []
+    if w > 0.0:
+        candidates.append((1.0 / (1.0 + math.sqrt(x / w)), "diagonal"))
+    if x > 0.0:
+        candidates.append((1.0 / (1.0 + math.sqrt(w / x)), "antidiagonal"))
+    value, branch = max(candidates, key=lambda c: c[0])
+
+    if branch == "diagonal":
+        phi = float(m[0, 0] / m[1, 1])
+        witness, kind, family = _diag_witness(phi, float(m[0, 1]), float(m[1, 0]))
+        ratio = phi
+    else:
+        psi = float(m[0, 1] / m[1, 0])
+        witness, kind, family = _anti_witness(psi, float(m[0, 0]), float(m[1, 1]))
+        ratio = psi
+    return MeasureResult(value, witness, kind, {"branch": branch, "ratio": ratio}, family)
+
+
+def _selecting_witness(
+    m: np.ndarray, pair: tuple[int, int, int, int]
+) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
+    """Filters keeping only outcomes ``a0, a1`` / ``b0, b1`` with tuned weights."""
+    a0, a1, b0, b1 = pair
+    w00, w01 = float(m[a0, b0]), float(m[a0, b1])
+    w10, w11 = float(m[a1, b0]), float(m[a1, b1])
+    phi = w00 / w11
+    d_a, d_b = m.shape
+
+    def build(q: float) -> WitnessPair:
+        left = np.zeros((2, d_a))
+        right = np.zeros((2, d_b))
+        left[0, a0] = 1.0
+        left[1, a1] = q
+        right[0, b0] = 1.0
+        right[1, b1] = phi / q
+        return Filtration(left).as_proper(), Filtration(right).as_proper()
+
+    if w01 > 0.0 and w10 > 0.0:
+        return build(math.sqrt(phi * w01 / w10)), "exact", None
+    if w01 == 0.0 and w10 == 0.0:
+        return build(1.0), "exact", None
+    if w10 == 0.0:
+        family: WitnessFamily = lambda delta: build(1.0 / delta)
+    else:
+        family = lambda delta: build(delta)
+    return family(FAMILY_SAMPLE), "limiting", family
+
+
+def _coin_toss_witness(d_a: int, d_b: int) -> WitnessPair:
+    return Filtration.coin_toss(d_a), Filtration.coin_toss(d_b)
+
+
+def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
+    """Exact MESBF when Eve is decoupled, any alphabet sizes.
+
+    Maximizes over ordered outcome pairs ``a0 < a1``, ``b0 != b1`` (both
+    orders of ``b``; the expression is invariant under swapping both
+    pairs at once): 1/2 when both cell products vanish, otherwise
+    ``1 / (1 + sqrt(P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)))``.  Discarding
+    everything and tossing coins always achieves 1/2, which is therefore
+    the floor.
+    """
+    m = p_ab.table
+    d_a, d_b = p_ab.dims
+    best_value = 0.5
+    best_pair: Optional[tuple[int, int, int, int]] = None
+    best_branch = "coin-toss"
+    for a0 in range(d_a):
+        for a1 in range(a0 + 1, d_a):
+            for b0 in range(d_b):
+                for b1 in range(d_b):
+                    if b1 == b0:
+                        continue
+                    w = float(m[a0, b0] * m[a1, b1])
+                    x = float(m[a0, b1] * m[a1, b0])
+                    if w == 0.0:
+                        continue  # both-zero ties the 1/2 floor; cross-only gives 0
+                    value = 1.0 / (1.0 + math.sqrt(x / w))
+                    if value > best_value:
+                        best_value = value
+                        best_pair = (a0, a1, b0, b1)
+                        best_branch = "cross-ratio"
+
+    if best_pair is None:
+        witness, kind, family = _coin_toss_witness(d_a, d_b), "exact", None
+        detail = {"branch": best_branch, "pair": None}
+    else:
+        witness, kind, family = _selecting_witness(m, best_pair)
+        a0, a1, b0, b1 = best_pair
+        detail = {
+            "branch": best_branch,
+            "pair": best_pair,
+            "omega": float(m[a0, b1] * m[a1, b0] / (m[a0, b0] * m[a1, b1])),
+        }
+    return MeasureResult(best_value, witness, kind, detail, family)
+
+
+def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureResult:
+    """MESBF of ``copies`` independent samples of a decoupled distribution.
+
+    The optimal outcome pair of a single copy repeats across copies, so
+    the N-copy value is ``1 / (1 + omega_min^(N/2))`` with ``omega_min``
+    the minimal cross ratio of one copy (1/2 floor as before); no tensor
+    power is ever materialized.
+    """
+    if copies < 1:
+        raise OutOfRangeError(f"copies must be >= 1, got {copies}")
+    m = p_ab.table
+    d_a, d_b = p_ab.dims
+    omega_min: Optional[float] = None
+    best_pair: Optional[tuple[int, int, int, int]] = None
+    for a0 in range(d_a):
+        for a1 in range(a0 + 1, d_a):
+            for b0 in range(d_b):
+                for b1 in range(d_b):
+                    if b1 == b0:
+                        continue
+                    w = float(m[a0, b0] * m[a1, b1])
+                    if w == 0.0:
+                        continue
+                    ratio = float(m[a0, b1] * m[a1, b0]) / w
+                    if omega_min is None or ratio < omega_min:
+                        omega_min = ratio
+                        best_pair = (a0, a1, b0, b1)
+
+    detail = {"copies": copies, "omega_min": omega_min, "pair": best_pair}
+    if omega_min is None:
+        return MeasureResult(0.5, None, "none", detail)
+    value = max(0.5, 1.0 / (1.0 + omega_min ** (copies / 2.0)))
+    return MeasureResult(value, None, "none", detail)
+
+
+def vartheta(p_ab: BipartiteDistribution) -> float:
+    """The decoupled-MESBF maximization on an arbitrary nonnegative matrix.
+
+    Defined for any shape, including enlarged-space matrices whose first
+    two rows and columns need not be zero; scale invariant.  Coincident
+    index pairs always realize exactly 1/2, hence the floor.
+    """
+    m = p_ab.table
+    d_a, d_b = p_ab.dims
+    best = 0.5
+    for a0 in range(d_a):
+        for a1 in range(a0 + 1, d_a):
+            for b0 in range(d_b):
+                for b1 in range(d_b):
+                    if b1 == b0:
+                        continue
+                    w = float(m[a0, b0] * m[a1, b1])
+                    if w == 0.0:
+                        continue
+                    value = 1.0 / (1.0 + math.sqrt(float(m[a0, b1] * m[a1, b0]) / w))
+                    if value > best:
+                        best = value
+    return best

@@ -1,8 +1,18 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
+import secbit
 from conftest import random_binary_tripartite, random_stochastic
 from oracles import grid_reversible_oracle
 from secbit import (
@@ -16,6 +26,7 @@ from secbit import (
     embed,
     from_entries,
     lower_shear,
+    marginal_ab,
     mesbf_decoupled,
     mesbf_decoupled_power,
     mesbf_reversible,
@@ -30,7 +41,7 @@ from secbit import (
     tensor_power,
     vartheta,
 )
-from secbit.errors import IndexOutOfRangeError, NotBinaryError, OutOfRangeError
+from secbit.errors import IndexOutOfRangeError, NotBinaryError, OutOfRangeError, TooLargeError
 
 
 class TestSecretBitFraction:
@@ -66,6 +77,15 @@ class TestSecretBitFraction:
             assert secret_bit_fraction_oracle(p) == pytest.approx(
                 secret_bit_fraction(p), abs=1e-12
             )
+
+    def test_import_leaves_scipy_unloaded(self):
+        # Only the LP oracle needs scipy, and importing it dominates start-up.
+        env = dict(os.environ, PYTHONPATH=str(Path(secbit.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import secbit, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_oracle_degenerate_cases(self):
         assert secret_bit_fraction_oracle(point_mass_eve(shared_bit())) == pytest.approx(
@@ -233,18 +253,19 @@ class TestDecoupledMesbf:
             achieved = secret_bit_fraction(apply(*result.witness, point_mass_eve(p)))
             assert achieved == pytest.approx(result.value, abs=1e-9)
 
+    def test_refuses_alphabets_beyond_the_pair_cap(self):
+        # 46 x 46 alphabets have about 2 million outcome pairs, twice the
+        # cap; the scan refuses before it allocates anything.
+        p = BipartiteDistribution(np.ones((46, 46)))
+        for measure in (mesbf_decoupled, lambda q: mesbf_decoupled_power(q, 2), vartheta):
+            with pytest.raises(TooLargeError):
+                measure(p)
+
     def test_single_row_alphabet_falls_back_to_coins(self):
         p = BipartiteDistribution(np.array([[0.2, 0.3, 0.5]]))
         result = mesbf_decoupled(p)
         assert result.value == 0.5
         assert result.detail["branch"] == "coin-toss"
-
-    def test_value_is_scale_invariant(self):
-        rng = np.random.default_rng(139)
-        p = BipartiteDistribution(rng.uniform(0.05, 1.0, size=(3, 4)))
-        value = mesbf_decoupled(p).value
-        scaled = BipartiteDistribution(5.5 * p.table)
-        assert mesbf_decoupled(scaled).value == pytest.approx(value, abs=1e-12)
 
 
 class TestDecoupledPower:
@@ -315,13 +336,6 @@ class TestVartheta:
                 mesbf_decoupled(p).value, abs=1e-12
             )
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(163)
-        p = BipartiteDistribution(rng.uniform(0.05, 1.0, size=(4, 4)))
-        for alpha in (0.2, 3.0, 11.0):
-            scaled = BipartiteDistribution(alpha * p.table)
-            assert vartheta(scaled) == pytest.approx(vartheta(p), abs=1e-12)
-
     def test_shared_bit(self):
         assert vartheta(shared_bit()) == 1.0
 
@@ -379,3 +393,120 @@ class TestCrossRatioMonotonicity:
                 p,
             )
             assert vartheta(glued) <= vartheta(p) + 1e-12
+
+
+# Entries are 0 or at least 1e-6, so every rescaled entry stays a normal float.
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+_FACTORS = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+_SCALE_SETTINGS = settings(derandomize=True, max_examples=150, database=None, deadline=None)
+
+
+def _tables(shapes):
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=_ENTRIES)).filter(
+        lambda table: table.sum() > 0.0
+    )
+
+
+class TestScaleInvariance:
+    """Every measure is unchanged when the whole table is rescaled."""
+
+    @given(
+        table=_tables(st.tuples(st.integers(1, 4), st.integers(1, 4))),
+        factor=_FACTORS,
+    )
+    @example(table=np.array([[1.0, 1e-30], [1e-30, 1.0]]), factor=1e-170)
+    @example(table=np.array([[0.7, 0.2, 0.4], [0.3, 0.9, 0.5], [0.1, 0.6, 0.8]]), factor=1e-300)
+    @example(table=np.array([[0.6, 0.3], [0.2, 0.5]]), factor=1e160)
+    @example(table=np.random.default_rng(139).uniform(0.05, 1.0, size=(3, 4)), factor=5.5)
+    @example(table=np.random.default_rng(163).uniform(0.05, 1.0, size=(4, 4)), factor=0.2)
+    @example(table=np.random.default_rng(163).uniform(0.05, 1.0, size=(4, 4)), factor=3.0)
+    @example(table=np.random.default_rng(163).uniform(0.05, 1.0, size=(4, 4)), factor=11.0)
+    @_SCALE_SETTINGS
+    def test_bipartite_measures(self, table, factor):
+        p, scaled = BipartiteDistribution(table), BipartiteDistribution(factor * table)
+        assert mesbf_decoupled(scaled).value == pytest.approx(mesbf_decoupled(p).value, abs=1e-12)
+        for copies in range(1, 9):
+            assert mesbf_decoupled_power(scaled, copies).value == pytest.approx(
+                mesbf_decoupled_power(p, copies).value, abs=1e-12
+            )
+        assert vartheta(scaled) == pytest.approx(vartheta(p), abs=1e-12)
+        d_a, d_b = table.shape
+        for (a0, a1), (b0, b1) in itertools.product(
+            itertools.combinations(range(d_a), 2), itertools.permutations(range(d_b), 2)
+        ):
+            assert omega(scaled, a0, a1, b0, b1) == pytest.approx(
+                omega(p, a0, a1, b0, b1), rel=1e-12, nan_ok=True
+            )
+        if table.shape == (2, 2):
+            assert mesbf_reversible_decoupled(scaled).value == pytest.approx(
+                mesbf_reversible_decoupled(p).value, abs=1e-12
+            )
+
+    @given(table=_tables(st.integers(1, 4).map(lambda d_e: (2, 2, d_e))), factor=_FACTORS)
+    @example(
+        table=np.array([[[0.67, 0.34, 0.14], [0.11, 0.83, 0.92]], [[0.65, 0.76, 0.59], [0.94, 0.83, 0.1]]]),
+        factor=1e-300,
+    )
+    @example(
+        table=np.array([[[0.67, 0.34, 0.14], [0.11, 0.83, 0.92]], [[0.65, 0.76, 0.59], [0.94, 0.83, 0.1]]]),
+        factor=1e160,
+    )
+    @_SCALE_SETTINGS
+    def test_binary_measures(self, table, factor):
+        p, scaled = TripartiteDistribution(table), TripartiteDistribution(factor * table)
+        assert secret_bit_fraction(scaled) == pytest.approx(secret_bit_fraction(p), abs=1e-12)
+        assert mesbf_reversible(scaled).value == pytest.approx(mesbf_reversible(p).value, abs=1e-12)
+        assert mesbf_reversible_decoupled(marginal_ab(scaled)).value == pytest.approx(
+            mesbf_reversible_decoupled(marginal_ab(p)).value, abs=1e-12
+        )
+
+
+def _assert_same_result(got, ref, tol):
+    assert got.value == pytest.approx(ref.value, abs=tol)
+    assert got.witness_kind == ref.witness_kind
+    assert got.detail.keys() == ref.detail.keys()
+    for key, expected in ref.detail.items():
+        if isinstance(expected, float):
+            assert got.detail[key] == pytest.approx(expected, rel=1e-12)
+        else:
+            assert got.detail[key] == expected
+    pairs = [(got.witness, ref.witness)]
+    if ref.witness_family is not None:
+        pairs.append((got.witness_family(1e-3), ref.witness_family(1e-3)))
+    for got_pair, ref_pair in pairs:
+        assert (got_pair is None) == (ref_pair is None)
+        for got_filter, ref_filter in zip(got_pair or (), ref_pair or ()):
+            np.testing.assert_allclose(got_filter.matrix, ref_filter.matrix, rtol=0.0, atol=1e-12)
+
+
+class TestLoopReference:
+    """The vectorized closed forms against their loop forms in ``oracles``."""
+
+    @staticmethod
+    def _table(rng, shape):
+        table = rng.uniform(0.0, 1.0, size=shape)
+        table[rng.random(size=shape) < 0.3] = 0.0
+        if not table.sum() > 0.0:
+            table.flat[0] = 1.0
+        return table
+
+    def test_decoupled_forms(self):
+        rng = np.random.default_rng(191)
+        for _ in range(600):
+            p = BipartiteDistribution(self._table(rng, tuple(rng.integers(1, 7, size=2))))
+            _assert_same_result(mesbf_decoupled(p), oracles.mesbf_decoupled(p), 1e-14)
+            copies = int(rng.integers(1, 9))
+            _assert_same_result(
+                mesbf_decoupled_power(p, copies), oracles.mesbf_decoupled_power(p, copies), 1e-12
+            )
+            assert vartheta(p) == pytest.approx(oracles.vartheta(p), abs=1e-14)
+
+    def test_reversible_forms(self):
+        rng = np.random.default_rng(193)
+        for _ in range(600):
+            p = TripartiteDistribution(self._table(rng, (2, 2, int(rng.integers(1, 5)))))
+            _assert_same_result(mesbf_reversible(p), oracles.mesbf_reversible(p), 1e-14)
+            p_ab = BipartiteDistribution(self._table(rng, (2, 2)))
+            _assert_same_result(
+                mesbf_reversible_decoupled(p_ab), oracles.mesbf_reversible_decoupled(p_ab), 1e-14
+            )
