@@ -72,6 +72,8 @@ def emit_report(result: CommandResult, fmt: str, out: Optional[str]) -> None:
         doc = dict(result.report)
         if result.rows is not None:
             doc["rows"] = result.rows
+        # Strict JSON has no NaN or Infinity: an undefined value is written as null.
+        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
         if not result.rows:
@@ -191,19 +193,8 @@ def _cmd_decompose(args) -> CommandResult:
 def _cmd_distill(args) -> CommandResult:
     params = CanonicalParams(args.mu, _parse_eta(args.eta))
     if args.sweep:
-        rows = []
-        for n in range(1, args.sweep + 1):
-            rep = distill.protocol_report(params, n)
-            rows.append(
-                {
-                    "N": n,
-                    "epsilon": rep.epsilon,
-                    "block_error_rate": rep.block_error_rate,
-                    "bob_uncertainty": rep.bob_uncertainty,
-                    "eve_uncertainty": rep.eve_uncertainty,
-                    "satisfied": rep.satisfied,
-                }
-            )
+        docs = (_protocol_report_doc(distill.protocol_report(params, n)) for n in range(1, args.sweep + 1))
+        rows = [{k: v for k, v in doc.items() if k not in ("mu", "eta")} for doc in docs]
         return CommandResult({"mu": params.mu, "epsilon": params.epsilon, "sweep": args.sweep}, rows=rows)
     if args.block_length is not None:
         rep = distill.protocol_report(params, args.block_length)
@@ -238,11 +229,6 @@ def _cmd_distill_sim(args) -> CommandResult:
     exact = distill.exact_block_statistics(p, args.block_length)
     pab = p.table.sum(axis=2) / p.mass
     eps = float(pab[0, 1] + pab[1, 0])
-    if 0.0 < eps < 0.5:
-        gap = args.block_length * (np.log1p(-eps) - np.log(eps))
-        formula = float(np.exp(-np.logaddexp(0.0, gap)))
-    else:
-        formula = 0.0 if eps == 0.0 else 0.5
     report = {
         "N": args.block_length,
         "samples": args.samples,
@@ -252,7 +238,7 @@ def _cmd_distill_sim(args) -> CommandResult:
         "analytic_acceptance_rate": exact["acceptance_rate"],
         "empirical_disagreement_rate": sim.disagreement_rate,
         "analytic_disagreement_rate": exact["disagreement_rate"],
-        "formula_block_error_rate": formula,
+        "formula_block_error_rate": distill._alternating_ratio(eps, eps, args.block_length),
         "empirical_eve_blank_rate": sim.eve_blank_rate,
         "analytic_eve_blank_rate": exact["eve_blank_rate"],
     }

@@ -13,8 +13,11 @@ entropy.  The second step (information reconciliation plus privacy
 amplification) succeeds exactly when ``H(a'|b') < H(a'|e)``; only that
 entropy condition is evaluated here, never the coding itself.
 
-All N-th power ratios are computed in log space: plain ``eps**N``
-underflows near ``N ~ 500``.
+All N-th powers are computed in log space (plain ``eps**N`` underflows
+near ``N ~ 500``), the exact statistics of any binary input included:
+they have a closed form, since an accepted string pair is fixed by its
+two starting bits.  The simulator draws at most ``_SIM_CELLS`` symbols at
+a time, so its memory does not grow with ``N``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
 STRICTNESS_MARGIN = 1e-12
 
 _SIM_CHUNK = 1 << 16
+_SIM_CELLS = 1 << 20  # symbols per draw; about 26 bytes each at the peak
 
 
 def binary_entropy(r: float) -> float:
@@ -56,18 +60,27 @@ def binary_entropy(r: float) -> float:
     return float(-r * math.log2(r) - (1.0 - r) * math.log2(1.0 - r))
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _alternating_ratio(base: float, eps: float, n: int) -> float:
+    """``base^N / (eps^N + (1-eps)^N)`` in log space, with ``log 0 = -inf``.
+
+    The one denominator of the block error (``base = eps``) and the
+    blind-Eve ratio (``base = mu``).
+    """
+    log_den = np.logaddexp(n * _log(eps), n * _log(1.0 - eps))
+    return math.exp(n * _log(base) - log_den)
+
+
 def block_error_rate(params: CanonicalParams, block_length: int) -> float:
     """Probability the kept bits differ, conditioned on both accepting.
 
-    Equals ``eps^N / (eps^N + (1-eps)^N)``, evaluated as
-    ``1 / (1 + ((1-eps)/eps)^N)`` in log space.
+    Equals ``eps^N / (eps^N + (1-eps)^N)``, evaluated in log space.
     """
     _require_block(block_length)
-    eps = params.epsilon
-    if eps == 0.0:
-        return 0.0
-    gap = block_length * (math.log1p(-eps) - math.log(eps))
-    return float(math.exp(-np.logaddexp(0.0, gap)))
+    return _alternating_ratio(params.epsilon, params.epsilon, block_length)
 
 
 def bob_uncertainty(params: CanonicalParams, block_length: int) -> float:
@@ -84,13 +97,7 @@ def eve_uncertainty(params: CanonicalParams, block_length: int) -> float:
     ``mu <= 1 - eps``); a defensive check reports corruption otherwise.
     """
     _require_block(block_length)
-    eps = params.epsilon
-    n = block_length
-    if eps == 0.0:
-        ratio = params.mu**n
-    else:
-        log_den = np.logaddexp(n * math.log(eps), n * math.log1p(-eps))
-        ratio = math.exp(n * math.log(params.mu) - log_den)
+    ratio = _alternating_ratio(params.mu, params.epsilon, block_length)
     if ratio > 1.0 + 1e-12:
         raise RatioOutOfRangeError(f"blind-Eve ratio {ratio} exceeds 1; corrupt parameters")
     return binary_entropy(min(ratio, 1.0))
@@ -194,7 +201,8 @@ def simulate_advantage_distillation(
     and the fraction of accepted blocks in which every Eve symbol was 0
     (for canonical-form inputs: the blocks where Eve knows nothing).
     Deterministic given the seed; samples are drawn in fixed-size chunks
-    with one generator per chunk, so aggregates are order-independent.
+    with one generator per chunk, so aggregates are order-independent,
+    and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.
     """
     if p.dims[0] != 2 or p.dims[1] != 2:
         raise NotBinaryError(f"simulation needs binary honest alphabets, got {p.dims}")
@@ -204,31 +212,26 @@ def simulate_advantage_distillation(
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
     _require_block(block_length)
 
-    d_a, d_b, d_e = p.dims
+    d_e = p.dims[2]
     flat = p.table.ravel()
     flat = flat / flat.sum()
-    pattern = np.arange(block_length) % 2
+    rows_per_draw = max(1, _SIM_CELLS // block_length)
 
     accepted = disagreements = eve_blank = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(_SIM_CHUNK, samples - done)
+    for chunk_index, start in enumerate(range(0, samples, _SIM_CHUNK)):
         rng = np.random.default_rng([seed, chunk_index])
-        draws = rng.choice(len(flat), size=(count, block_length), p=flat)
-        e_sym = draws % d_e
-        ab = draws // d_e
-        b_sym = ab % d_b
-        a_sym = ab // d_b
-
-        accept_a = ((a_sym == pattern).all(axis=1)) | ((a_sym == 1 - pattern).all(axis=1))
-        accept_b = ((b_sym == pattern).all(axis=1)) | ((b_sym == 1 - pattern).all(axis=1))
-        ok = accept_a & accept_b
-        accepted += int(ok.sum())
-        disagreements += int((a_sym[ok, -1] != b_sym[ok, -1]).sum())
-        eve_blank += int((e_sym[ok] == 0).all(axis=1).sum())
-        done += count
-        chunk_index += 1
+        count = min(_SIM_CHUNK, samples - start)
+        # Consecutive draws from one generator continue its stream, so
+        # the sub-blocks reproduce the chunk's single (count, N) draw.
+        for done in range(0, count, rows_per_draw):
+            draws = rng.choice(flat.size, size=(min(rows_per_draw, count - done), block_length), p=flat)
+            a_sym = draws >= 2 * d_e
+            b_sym = draws % (2 * d_e) >= d_e
+            # A bit string alternates exactly when every adjacent pair differs.
+            ok = np.diff(a_sym, axis=1).all(axis=1) & np.diff(b_sym, axis=1).all(axis=1)
+            accepted += int(ok.sum())
+            disagreements += int((a_sym[ok, -1] != b_sym[ok, -1]).sum())
+            eve_blank += int((draws[ok] % d_e == 0).all(axis=1).sum())
 
     return SimulationReport(
         block_length=block_length,
@@ -243,39 +246,44 @@ def simulate_advantage_distillation(
     )
 
 
+@np.errstate(divide="ignore")
+def _alternating_log_probs(cells: np.ndarray, n: int) -> np.ndarray:
+    """Log-probabilities of the four alternating string pairs, by starting bits.
+
+    The pair starting at ``(x, y)`` visits cell ``(x, y)`` ``ceil(N/2)``
+    times and ``(1-x, 1-y)`` ``floor(N/2)`` times; a cell visited zero
+    times adds nothing (not ``0 * log 0``).
+    """
+    logs = np.log(cells)
+    head = (n - n // 2) * logs
+    return head + (n // 2) * logs[::-1, ::-1] if n > 1 else head
+
+
 def exact_block_statistics(
     p: TripartiteDistribution, block_length: int
 ) -> dict[str, float]:
     """Exact accept/disagree/blank-Eve probabilities for any binary input.
 
-    Computed by direct products over the two alternating patterns, with no
-    symmetry assumptions; serves as the simulator's analytic column.
+    An accepted string pair is fixed by its two starting bits, so the four
+    pairs have closed-form probabilities, summed in log space with no
+    symmetry assumptions: O(1) in ``N``, and finite at any ``N`` unless no
+    pair can be accepted (then the two conditional rates are ``nan``).
+    Serves as the simulator's analytic column.
     """
     if p.dims[0] != 2 or p.dims[1] != 2:
         raise NotBinaryError(f"exact statistics need binary honest alphabets, got {p.dims}")
     _require_block(block_length)
     t = p.table / p.table.sum()
-    pab = t.sum(axis=2)
-    blank = t[:, :, 0]
-    pattern = np.arange(block_length) % 2
-
-    def product(cells: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> float:
-        return float(np.prod(cells[alice, bob]))
-
-    same = product(pab, pattern, pattern) + product(pab, 1 - pattern, 1 - pattern)
-    diff = product(pab, pattern, 1 - pattern) + product(pab, 1 - pattern, pattern)
-    blank_mass = (
-        product(blank, pattern, pattern)
-        + product(blank, 1 - pattern, 1 - pattern)
-        + product(blank, pattern, 1 - pattern)
-        + product(blank, 1 - pattern, pattern)
-    )
-    accept = same + diff
-    return {
-        "acceptance_rate": accept,
-        "disagreement_rate": diff / accept if accept > 0.0 else math.nan,
-        "eve_blank_rate": blank_mass / accept if accept > 0.0 else math.nan,
-    }
+    pairs = _alternating_log_probs(t.sum(axis=2), block_length)
+    log_accept = np.logaddexp.reduce(pairs.ravel())
+    log_diff = np.logaddexp(pairs[0, 1], pairs[1, 0])
+    log_blank = np.logaddexp.reduce(_alternating_log_probs(t[:, :, 0], block_length).ravel())
+    with np.errstate(invalid="ignore"):  # -inf - -inf is nan: nothing can be accepted
+        return {
+            "acceptance_rate": float(np.exp(min(log_accept, 0.0))),  # rounding can pass 1 at N = 1
+            "disagreement_rate": float(np.exp(log_diff - log_accept)),
+            "eve_blank_rate": float(np.exp(log_blank - log_accept)),
+        }
 
 
 def _require_block(block_length: int) -> None:

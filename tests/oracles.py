@@ -5,8 +5,10 @@ are computed by dense grid evaluation of the secret-bit fraction after
 explicitly parameterized filter pairs.  The scalar coordinate polish
 is the one-candidate-at-a-time reference for the optimizer's batched
 polish, which must follow it bit for bit.  The loop forms of the
-closed-form measures at the end are the reference for the library's
-vectorized ones.
+closed-form measures are the reference for the library's vectorized
+ones.  The direct-product block statistics and the one-draw-per-chunk
+simulator at the end are the reference for the protocol layer's
+closed form and cell-bounded sampling.
 """
 
 import math
@@ -14,8 +16,14 @@ from typing import Optional
 
 import numpy as np
 
+from secbit.distill import _SIM_CHUNK, SimulationReport, _require_block
 from secbit.distributions import BipartiteDistribution, TripartiteDistribution
-from secbit.errors import OutOfRangeError
+from secbit.errors import (
+    InvalidParamsError,
+    NotBinaryError,
+    NotNormalizedError,
+    OutOfRangeError,
+)
 from secbit.filtration import Filtration
 from secbit.measures import (
     FAMILY_SAMPLE,
@@ -478,3 +486,101 @@ def vartheta(p_ab: BipartiteDistribution) -> float:
                     if value > best:
                         best = value
     return best
+
+
+def simulate_advantage_distillation(
+    p: TripartiteDistribution,
+    block_length: int,
+    samples: int,
+    seed: int,
+) -> SimulationReport:
+    """Sample the first protocol step from a normalized binary distribution.
+
+    Draws ``samples`` blocks of ``block_length`` iid triples, filters
+    Alice's and Bob's strings independently, and reports the acceptance
+    rate, the disagreement rate of the kept bits among accepted blocks,
+    and the fraction of accepted blocks in which every Eve symbol was 0
+    (for canonical-form inputs: the blocks where Eve knows nothing).
+    Deterministic given the seed; samples are drawn in fixed-size chunks
+    with one generator per chunk, so aggregates are order-independent.
+    """
+    if p.dims[0] != 2 or p.dims[1] != 2:
+        raise NotBinaryError(f"simulation needs binary honest alphabets, got {p.dims}")
+    if abs(p.mass - 1.0) > 1e-9:
+        raise NotNormalizedError(f"distribution mass {p.mass} is not 1")
+    if samples < 1:
+        raise InvalidParamsError(f"samples must be >= 1, got {samples}")
+    _require_block(block_length)
+
+    d_a, d_b, d_e = p.dims
+    flat = p.table.ravel()
+    flat = flat / flat.sum()
+    pattern = np.arange(block_length) % 2
+
+    accepted = disagreements = eve_blank = 0
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        count = min(_SIM_CHUNK, samples - done)
+        rng = np.random.default_rng([seed, chunk_index])
+        draws = rng.choice(len(flat), size=(count, block_length), p=flat)
+        e_sym = draws % d_e
+        ab = draws // d_e
+        b_sym = ab % d_b
+        a_sym = ab // d_b
+
+        accept_a = ((a_sym == pattern).all(axis=1)) | ((a_sym == 1 - pattern).all(axis=1))
+        accept_b = ((b_sym == pattern).all(axis=1)) | ((b_sym == 1 - pattern).all(axis=1))
+        ok = accept_a & accept_b
+        accepted += int(ok.sum())
+        disagreements += int((a_sym[ok, -1] != b_sym[ok, -1]).sum())
+        eve_blank += int((e_sym[ok] == 0).all(axis=1).sum())
+        done += count
+        chunk_index += 1
+
+    return SimulationReport(
+        block_length=block_length,
+        samples=samples,
+        seed=seed,
+        accepted=accepted,
+        acceptance_rate=accepted / samples,
+        disagreements=disagreements,
+        disagreement_rate=disagreements / accepted if accepted else math.nan,
+        eve_blank_blocks=eve_blank,
+        eve_blank_rate=eve_blank / accepted if accepted else math.nan,
+    )
+
+
+def exact_block_statistics(
+    p: TripartiteDistribution, block_length: int
+) -> dict[str, float]:
+    """Exact accept/disagree/blank-Eve probabilities for any binary input.
+
+    Computed by direct products over the two alternating patterns, with no
+    symmetry assumptions; serves as the simulator's analytic column.
+    """
+    if p.dims[0] != 2 or p.dims[1] != 2:
+        raise NotBinaryError(f"exact statistics need binary honest alphabets, got {p.dims}")
+    _require_block(block_length)
+    t = p.table / p.table.sum()
+    pab = t.sum(axis=2)
+    blank = t[:, :, 0]
+    pattern = np.arange(block_length) % 2
+
+    def product(cells: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> float:
+        return float(np.prod(cells[alice, bob]))
+
+    same = product(pab, pattern, pattern) + product(pab, 1 - pattern, 1 - pattern)
+    diff = product(pab, pattern, 1 - pattern) + product(pab, 1 - pattern, pattern)
+    blank_mass = (
+        product(blank, pattern, pattern)
+        + product(blank, 1 - pattern, 1 - pattern)
+        + product(blank, pattern, 1 - pattern)
+        + product(blank, 1 - pattern, pattern)
+    )
+    accept = same + diff
+    return {
+        "acceptance_rate": accept,
+        "disagreement_rate": diff / accept if accept > 0.0 else math.nan,
+        "eve_blank_rate": blank_mass / accept if accept > 0.0 else math.nan,
+    }

@@ -7,7 +7,7 @@ import pytest
 
 from secbit.cli import main
 from secbit.fileio import read_tripartite, write_bipartite, write_filtration, write_tripartite
-from secbit import Filtration, shared_bit
+from secbit import Filtration, TripartiteDistribution, shared_bit
 from secbit.measures import secret_bit_fraction
 
 
@@ -166,7 +166,7 @@ def test_distill_sweep_csv(capsys):
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "N"
+    assert rows[0] == ["N", "epsilon", "block_error_rate", "bob_uncertainty", "eve_uncertainty", "satisfied"]
     assert len(rows) == 51  # header plus one row per block length
 
 
@@ -199,6 +199,38 @@ def test_distill_sim(capsys, tmp_path):
     doc = json.loads(out)
     assert abs(doc["empirical_disagreement_rate"] - doc["analytic_disagreement_rate"]) < 0.01
     assert doc["formula_block_error_rate"] == pytest.approx(0.2**3 / (0.2**3 + 0.8**3), abs=1e-12)
+
+
+def test_distill_sim_formula_above_one_half(capsys, tmp_path):
+    # Per-sample disagreement 0.8: the formula eps^N / (eps^N + (1-eps)^N)
+    # is the block's disagreement rate for any symmetric file.
+    table = np.array([[0.1, 0.4], [0.4, 0.1]]).reshape(2, 2, 1)
+    write_tripartite(TripartiteDistribution(table), tmp_path / "noisy.json")
+    code, out, _ = run(
+        capsys, "distill-sim", str(tmp_path / "noisy.json"), "--N", "3", "--samples", "2000", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["formula_block_error_rate"] == pytest.approx(0.8**3 / (0.8**3 + 0.2**3), abs=1e-12)
+    assert doc["formula_block_error_rate"] == pytest.approx(doc["analytic_disagreement_rate"], abs=1e-12)
+
+
+def test_distill_sim_json_is_strict_at_long_blocks(capsys, tmp_path):
+    path = str(tmp_path / "canon.json")
+    code, _, _ = run(capsys, "gen-canonical", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--out", path)
+    assert code == 0
+    code, out, _ = run(capsys, "distill-sim", path, "--N", "2000", "--samples", "500", "--format", "json")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["accepted"] == 0
+    assert doc["empirical_disagreement_rate"] is None and doc["empirical_eve_blank_rate"] is None
+    assert doc["analytic_disagreement_rate"] == 0.0  # below the smallest double
+    assert 0.0 < doc["analytic_eve_blank_rate"] < 1e-240
+    assert doc["formula_block_error_rate"] == doc["analytic_disagreement_rate"]
 
 
 def test_demo_randomization(capsys):

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
+from conftest import random_binary_tripartite
 
 from secbit import (
     CanonicalParams,
+    TripartiteDistribution,
     binary_entropy,
     block_error_rate,
     bob_uncertainty,
@@ -12,12 +16,15 @@ from secbit import (
     eve_uncertainty,
     exact_block_statistics,
     minimal_block_length,
+    point_mass_eve,
     protocol_report,
     satellite_scenario,
     secret_bit_fraction,
+    shared_bit,
     simulate_advantage_distillation,
     string_filter,
 )
+from secbit import distill
 from secbit.errors import (
     EmptyBlockError,
     InvalidParamsError,
@@ -27,6 +34,8 @@ from secbit.errors import (
 )
 
 UNIFORM = CanonicalParams(0.6, (0.25, 0.25, 0.25, 0.25))
+# The two parameter sets of the benchmark's protocol sweep.
+SWEEP_PARAMS = (UNIFORM, CanonicalParams(0.8, (0.35, 0.15, 0.15, 0.35)))
 
 
 def h2(r):
@@ -244,3 +253,82 @@ def test_protocol_report_fields():
     assert report.epsilon == pytest.approx(0.2)
     assert report.block_error_rate == pytest.approx(0.2**3 / (0.2**3 + 0.8**3), abs=1e-12)
     assert report.satisfied
+
+
+class TestExactStatistics:
+    @pytest.mark.parametrize("params", SWEEP_PARAMS, ids=("mu0.6", "mu0.8"))
+    @pytest.mark.parametrize("n", (300, 377, 400, 610, 987, 1597, 2000))
+    def test_long_blocks_match_the_closed_forms(self, params, n):
+        stats = exact_block_statistics(canonical_distribution(params), n)
+        assert all(math.isfinite(value) for value in stats.values())
+        assert math.isclose(stats["disagreement_rate"], block_error_rate(params, n), rel_tol=1e-9, abs_tol=0.0)
+        eps = params.epsilon
+        blind = math.exp(n * math.log(params.mu) - np.logaddexp(n * math.log(eps), n * math.log1p(-eps)))
+        assert math.isclose(stats["eve_blank_rate"], blind, rel_tol=1e-9, abs_tol=0.0)
+
+    def test_matches_direct_products(self):
+        rng = np.random.default_rng(4040)
+        impossible = 0
+        for _ in range(400):
+            d_e, n = int(rng.integers(1, 5)), int(rng.integers(1, 61))
+            p = TripartiteDistribution(random_binary_tripartite(rng, d_e, zero_fraction=0.3))
+            ours, ref = exact_block_statistics(p, n), oracles.exact_block_statistics(p, n)
+            assert 0.0 <= ours["acceptance_rate"] <= 1.0
+            if ref["acceptance_rate"] == 0.0:
+                impossible += 1
+                assert ours["acceptance_rate"] == 0.0
+                assert math.isnan(ours["disagreement_rate"]) and math.isnan(ours["eve_blank_rate"])
+                continue
+            for key, expected in ref.items():
+                if expected == 0.0:
+                    assert ours[key] == 0.0, (key, n)
+                else:
+                    assert ours[key] == pytest.approx(expected, rel=1e-12, abs=0.0), (key, n)
+        assert 0 < impossible < 100
+
+    def test_structural_zeros_at_one_sample(self):
+        stats = exact_block_statistics(point_mass_eve(shared_bit()), 1)
+        assert stats == {"acceptance_rate": 1.0, "disagreement_rate": 0.0, "eve_blank_rate": 1.0}
+
+    def test_nan_only_when_nothing_can_be_accepted(self):
+        table = np.zeros((2, 2, 1))
+        table[0, 1, 0] = 1.0
+        p = TripartiteDistribution(table)
+        assert exact_block_statistics(p, 1)["disagreement_rate"] == 1.0
+        stats = exact_block_statistics(p, 2)
+        assert stats["acceptance_rate"] == 0.0
+        assert math.isnan(stats["disagreement_rate"]) and math.isnan(stats["eve_blank_rate"])
+
+
+class TestCellBoundedSimulation:
+    @pytest.mark.parametrize(
+        "n,samples,seed",
+        [(1, 3000, 2), (3, 70_000, 1), (17, (1 << 16) + 1000, 3), (100, 1 << 16, 4), (1000, 2500, 5)],
+    )
+    def test_matches_one_draw_per_chunk(self, n, samples, seed):
+        # At N = 17 and 1000 the row cap (2^20 // N) does not divide 2^16.
+        p = satellite_scenario(0.2, 0.2, 0.15)
+        ours = simulate_advantage_distillation(p, n, samples, seed)
+        assert ours == oracles.simulate_advantage_distillation(p, n, samples, seed)
+
+    @pytest.mark.parametrize("cells", (7, 1000, 50_000))
+    def test_small_cell_caps_keep_every_draw(self, monkeypatch, cells):
+        # A tiny cap splits short blocks, where many are accepted, into
+        # many sub-draws; the counts must not change.
+        monkeypatch.setattr(distill, "_SIM_CELLS", cells)
+        for p, n in ((canonical_distribution(UNIFORM), 3), (satellite_scenario(0.2, 0.2, 0.15), 2)):
+            ours = simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
+            assert ours.accepted > 1000
+            assert ours == oracles.simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
+
+    def test_long_blocks_have_bounded_memory(self):
+        # Under tracemalloc, one draw per chunk (the oracle) peaks at about
+        # 134 MB on this call; the cell cap holds it near 27 MB.
+        p = canonical_distribution(UNIFORM)
+        tracemalloc.start()
+        try:
+            simulate_advantage_distillation(p, 200, 1 << 14, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
