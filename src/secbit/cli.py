@@ -126,7 +126,7 @@ def _cmd_mesbf_r(args) -> CommandResult:
 
 def _cmd_mesbf_decoupled(args) -> CommandResult:
     p = fileio.read_bipartite(args.file)
-    if args.power > 1:
+    if args.power != 1:
         result = mesbf_decoupled_power(p, args.power)
         report = {"Lambda": result.value, "copies": args.power}
     else:
@@ -192,7 +192,8 @@ def _cmd_decompose(args) -> CommandResult:
 
 def _cmd_distill(args) -> CommandResult:
     params = CanonicalParams(args.mu, _parse_eta(args.eta))
-    if args.sweep:
+    if args.sweep is not None:
+        distill._require_block(args.sweep)
         docs = (_protocol_report_doc(distill.protocol_report(params, n)) for n in range(1, args.sweep + 1))
         rows = [{k: v for k, v in doc.items() if k not in ("mu", "eta")} for doc in docs]
         return CommandResult({"mu": params.mu, "epsilon": params.epsilon, "sweep": args.sweep}, rows=rows)

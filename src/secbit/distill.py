@@ -125,13 +125,14 @@ class ProtocolReport:
 
 def protocol_report(params: CanonicalParams, block_length: int) -> ProtocolReport:
     """Evaluate all analytic quantities at a fixed block length."""
-    bob = bob_uncertainty(params, block_length)
+    error_rate = block_error_rate(params, block_length)
+    bob = binary_entropy(error_rate)
     eve = eve_uncertainty(params, block_length)
     return ProtocolReport(
         params=params,
         block_length=block_length,
         epsilon=params.epsilon,
-        block_error_rate=block_error_rate(params, block_length),
+        block_error_rate=error_rate,
         bob_uncertainty=bob,
         eve_uncertainty=eve,
         satisfied=eve - bob > STRICTNESS_MARGIN,

@@ -8,8 +8,10 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -30,65 +32,57 @@ def _freeze(values, ndim: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise BadShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidParamsError(f"{what} contains non-finite entries")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise NegativeEntryError(f"{what} contains a negative entry")
     arr.setflags(write=False)
     return arr
 
 
+_Table_T = TypeVar("_Table_T", bound="_Table")
+
+
 @dataclass(frozen=True)
-class TripartiteDistribution:
-    """Joint distribution ``P(a, b, e)`` of Alice, Bob and Eve's symbols."""
+class _Table:
+    """A frozen, finite, nonnegative table of positive total mass."""
 
     table: np.ndarray
+    _ndim: ClassVar[int]
 
     def __post_init__(self) -> None:
-        table = _freeze(self.table, 3, "distribution table")
+        table = _freeze(self.table, self._ndim, "distribution table")
         if not table.sum() > 0.0:
             raise ZeroMassError("distribution has zero total mass")
         object.__setattr__(self, "table", table)
 
     @property
-    def dims(self) -> tuple[int, int, int]:
+    def dims(self) -> tuple[int, ...]:
         return self.table.shape
 
     @property
     def mass(self) -> float:
         return float(self.table.sum())
+
+    def normalized(self: _Table_T) -> _Table_T:
+        return type(self)(self.table / self.mass)
+
+
+class TripartiteDistribution(_Table):
+    """Joint distribution ``P(a, b, e)`` of Alice, Bob and Eve's symbols."""
+
+    _ndim = 3
 
     @property
     def is_binary(self) -> bool:
         """True when both honest parties hold a bit."""
         return self.table.shape[0] == 2 and self.table.shape[1] == 2
 
-    def normalized(self) -> "TripartiteDistribution":
-        return TripartiteDistribution(self.table / self.mass)
 
-
-@dataclass(frozen=True)
-class BipartiteDistribution:
+class BipartiteDistribution(_Table):
     """Joint distribution ``P(a, b)`` of the honest parties, Eve decoupled."""
 
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = _freeze(self.table, 2, "distribution table")
-        if not table.sum() > 0.0:
-            raise ZeroMassError("distribution has zero total mass")
-        object.__setattr__(self, "table", table)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.table.shape
-
-    @property
-    def mass(self) -> float:
-        return float(self.table.sum())
-
-    def normalized(self) -> "BipartiteDistribution":
-        return BipartiteDistribution(self.table / self.mass)
+    _ndim = 2
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,30 @@ class CanonicalParams:
         return (1.0 - self.mu) * (self.eta[1] + self.eta[2])
 
 
+def _from_cells(cls: type[_Table_T], dims: tuple[int, ...], cells: Mapping[tuple, float]) -> _Table_T:
+    """Dense table of type ``cls`` from a sparse cell mapping; unlisted cells are zero.
+
+    The size cap is checked before allocating.  Negative and short indices are
+    caught in one pass per axis, indices past the end and long keys by numpy.
+    """
+    dims = tuple(dims)
+    if len(dims) != cls._ndim or min(dims) < 1:
+        raise BadShapeError(f"dims must be {cls._ndim} alphabet sizes of at least one symbol, got {dims}")
+    if math.prod(dims) > DEFAULT_TENSOR_CELL_CAP:
+        raise DimensionOverflowError(f"dims {dims} exceed the cap of {DEFAULT_TENSOR_CELL_CAP} cells")
+    axes = tuple(zip(*cells))
+    if cells and (len(axes) != len(dims) or min(map(min, axes)) < 0):
+        bad = next(index for index in cells if len(index) != len(dims) or min(index) < 0)
+        raise IndexOutOfRangeError(f"cell {bad} outside dims {dims}")
+    table = np.zeros(dims)
+    try:
+        for index, p in cells.items():
+            table[index] = p
+    except IndexError:
+        raise IndexOutOfRangeError(f"cell {index} outside dims {dims}") from None
+    return cls(table)
+
+
 def from_entries(
     dims: tuple[int, int, int],
     cells: Mapping[tuple[int, int, int], float],
@@ -130,19 +148,10 @@ def from_entries(
     """Build a dense distribution from a sparse cell mapping.
 
     Unlisted cells are zero.  Raises on negative probabilities, indices
-    outside ``dims``, and an entirely massless table.
+    outside ``dims`` or of the wrong length, an entirely massless table,
+    and ``dims`` of more than ``DEFAULT_TENSOR_CELL_CAP`` cells.
     """
-    d_a, d_b, d_e = dims
-    if min(d_a, d_b, d_e) < 1:
-        raise BadShapeError("every alphabet must have at least one symbol")
-    table = np.zeros((d_a, d_b, d_e))
-    for (a, b, e), p in cells.items():
-        if not (0 <= a < d_a and 0 <= b < d_b and 0 <= e < d_e):
-            raise IndexOutOfRangeError(f"cell ({a},{b},{e}) outside dims {dims}")
-        if p < 0.0:
-            raise NegativeEntryError(f"cell ({a},{b},{e}) has negative probability {p}")
-        table[a, b, e] = p
-    return TripartiteDistribution(table)
+    return _from_cells(TripartiteDistribution, dims, cells)
 
 
 def bipartite_from_entries(
@@ -150,17 +159,7 @@ def bipartite_from_entries(
     cells: Mapping[tuple[int, int], float],
 ) -> BipartiteDistribution:
     """Bipartite counterpart of :func:`from_entries`."""
-    d_a, d_b = dims
-    if min(d_a, d_b) < 1:
-        raise BadShapeError("every alphabet must have at least one symbol")
-    table = np.zeros((d_a, d_b))
-    for (a, b), p in cells.items():
-        if not (0 <= a < d_a and 0 <= b < d_b):
-            raise IndexOutOfRangeError(f"cell ({a},{b}) outside dims {dims}")
-        if p < 0.0:
-            raise NegativeEntryError(f"cell ({a},{b}) has negative probability {p}")
-        table[a, b] = p
-    return BipartiteDistribution(table)
+    return _from_cells(BipartiteDistribution, dims, cells)
 
 
 def marginal_ab(p: TripartiteDistribution) -> BipartiteDistribution:

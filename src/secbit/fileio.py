@@ -7,7 +7,9 @@ Distribution files::
 
 Omitted cells are zero.  Bipartite files omit the ``e`` key in both
 ``dims`` and ``entries``.  Parsing rejects negative probabilities,
-duplicate cells and out-of-range indices.
+duplicate cells, out-of-range indices and, before allocating anything,
+``dims`` of more than ``DEFAULT_TENSOR_CELL_CAP`` cells (see
+:mod:`secbit.distributions`).
 
 Filtration files::
 
@@ -27,7 +29,7 @@ from .distributions import (
     bipartite_from_entries,
     from_entries,
 )
-from .errors import FileFormatError, IndexOutOfRangeError, NegativeEntryError
+from .errors import FileFormatError, NegativeEntryError
 from .filtration import Filtration
 
 
@@ -49,19 +51,21 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _prob_field(obj: dict, where: str) -> float:
-    value = obj.get("p")
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{where}: field 'p' must be a number")
+        raise FileFormatError(f"{where} must be a number")
     if value < 0:
-        raise NegativeEntryError(f"{where}: negative probability {value}")
+        raise NegativeEntryError(f"{where} is negative ({value})")
     return float(value)
 
 
-def _read_cells(doc: dict, path, keys: tuple[str, ...]) -> tuple[tuple, dict]:
+def _read_table(path, arity: int | None = None) -> TripartiteDistribution | BipartiteDistribution:
+    """Parse a distribution file; ``arity=None`` dispatches on the ``e`` dimension."""
+    doc = _load_json(path)
     dims_obj = doc.get("dims")
     if not isinstance(dims_obj, dict):
         raise FileFormatError(f"{path}: missing 'dims' object")
+    keys = ("a", "b", "e")[: arity or (3 if "e" in dims_obj else 2)]
     unexpected = set(dims_obj) - set(keys)
     if unexpected:
         raise FileFormatError(f"{path}: unexpected dims keys {sorted(unexpected)}")
@@ -75,81 +79,58 @@ def _read_cells(doc: dict, path, keys: tuple[str, ...]) -> tuple[tuple, dict]:
         if not isinstance(entry, dict):
             raise FileFormatError(f"{where}: must be an object")
         index = tuple(_int_field(entry, key, where) for key in keys)
-        for idx, bound, key in zip(index, dims, keys):
-            if not (0 <= idx < bound):
-                raise IndexOutOfRangeError(f"{where}: {key}={idx} outside [0, {bound})")
         if index in cells:
             raise FileFormatError(f"{where}: duplicate cell {index}")
-        cells[index] = _prob_field(entry, where)
-    return dims, cells
+        cells[index] = _number(entry.get("p"), f"{where}: field 'p'")
+    # Looked up at call time, so a profiler that rebinds these names sees every read.
+    build = from_entries if len(keys) == 3 else bipartite_from_entries
+    return build(dims, cells)
 
 
 def read_tripartite(path) -> TripartiteDistribution:
-    dims, cells = _read_cells(_load_json(path), path, ("a", "b", "e"))
-    return from_entries(dims, cells)
+    return _read_table(path, 3)
 
 
 def read_bipartite(path) -> BipartiteDistribution:
-    dims, cells = _read_cells(_load_json(path), path, ("a", "b"))
-    return bipartite_from_entries(dims, cells)
+    return _read_table(path, 2)
 
 
 def read_distribution(path) -> TripartiteDistribution | BipartiteDistribution:
     """Dispatch on the presence of the ``e`` dimension."""
-    doc = _load_json(path)
-    dims_obj = doc.get("dims")
-    if not isinstance(dims_obj, dict):
-        raise FileFormatError(f"{path}: missing 'dims' object")
-    if "e" in dims_obj:
-        dims, cells = _read_cells(doc, path, ("a", "b", "e"))
-        return from_entries(dims, cells)
-    dims, cells = _read_cells(doc, path, ("a", "b"))
-    return bipartite_from_entries(dims, cells)
+    return _read_table(path)
 
 
-def write_tripartite(p: TripartiteDistribution, path) -> None:
-    d_a, d_b, d_e = p.dims
+def _write_table(p: TripartiteDistribution | BipartiteDistribution, path) -> None:
+    """Write the nonzero cells in row-major order."""
+    keys = ("a", "b", "e")[: p.table.ndim]
+    nonzero = np.nonzero(p.table)
     entries = [
-        {"a": a, "b": b, "e": e, "p": float(p.table[a, b, e])}
-        for a in range(d_a)
-        for b in range(d_b)
-        for e in range(d_e)
-        if p.table[a, b, e] != 0.0
+        {**dict(zip(keys, map(int, index))), "p": float(value)}
+        for index, value in zip(zip(*nonzero), p.table[nonzero])
     ]
-    doc = {"dims": {"a": d_a, "b": d_b, "e": d_e}, "entries": entries}
+    doc = {"dims": dict(zip(keys, p.dims)), "entries": entries}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def write_bipartite(p: BipartiteDistribution, path) -> None:
-    d_a, d_b = p.dims
-    entries = [
-        {"a": a, "b": b, "p": float(p.table[a, b])}
-        for a in range(d_a)
-        for b in range(d_b)
-        if p.table[a, b] != 0.0
-    ]
-    doc = {"dims": {"a": d_a, "b": d_b}, "entries": entries}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+write_tripartite = write_bipartite = _write_table
 
 
 def read_filtration(path) -> Filtration:
+    """Every field is validated before the matrix is allocated."""
     doc = _load_json(path)
     rows = _int_field(doc, "rows", str(path))
     cols = _int_field(doc, "cols", str(path))
+    if rows < 0 or cols < 0:
+        raise FileFormatError(f"{path}: 'rows' and 'cols' must be nonnegative")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"{path}: 'entries' must be a list of {rows} rows")
-    matrix = np.empty((rows, cols))
+    matrix = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"{path}: row {i} must be a list of {cols} numbers")
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FileFormatError(f"{path}: entry ({i},{j}) must be a number")
-            if value < 0:
-                raise NegativeEntryError(f"{path}: entry ({i},{j}) is negative")
-            matrix[i, j] = float(value)
-    return Filtration(matrix)
+        matrix.append([_number(value, f"{path}: entry ({i},{j})") for j, value in enumerate(row)])
+    return Filtration(np.array(matrix).reshape(rows, cols))
 
 
 def write_filtration(f: Filtration, path) -> None:

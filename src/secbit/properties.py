@@ -1,18 +1,20 @@
 """Randomized invariant suites runnable against a user-supplied distribution.
 
-Each check draws `trials` random operations (seeded), applies them to the
-given distribution, and counts violations of the corresponding invariant
-beyond its tolerance.  The CLI's ``check-properties`` command is a thin
-wrapper around :func:`run_checks`.
+Each check draws `trials` (at least one) random operations (seeded),
+applies them to the given distribution, and counts violations of the
+corresponding invariant beyond its tolerance.  The CLI's
+``check-properties`` command is a thin wrapper around :func:`run_checks`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import BipartiteDistribution, TripartiteDistribution, marginal_ab
+from .errors import InvalidParamsError
 from .filtration import (
     Filtration,
     apply,
@@ -53,45 +55,49 @@ def _random_filter(rng: np.random.Generator, cols: int) -> Filtration:
     return Filtration(matrix / sums * rng.uniform(0.2, 1.0, size=cols))
 
 
-def check_scale_invariance(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
-    """lambda(alpha * P) == lambda(P) for positive alpha."""
-    tol = 1e-12
-    base = secret_bit_fraction(p)
+def _suite(
+    name: str, tol: float, salt: int, trials: int, seed: int, trial: Callable[[np.random.Generator], float]
+) -> CheckOutcome:
+    """Run ``trial`` on the streams ``[seed, salt, k]``; a gap above ``tol`` is a violation."""
+    if trials < 1:
+        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     worst = 0.0
     violations = 0
     for k in range(trials):
-        rng = np.random.default_rng([seed, 11, k])
-        alpha = rng.uniform(0.05, 10.0)
-        gap = abs(secret_bit_fraction(TripartiteDistribution(alpha * p.table)) - base)
+        gap = trial(np.random.default_rng([seed, salt, k]))
         worst = max(worst, gap)
         violations += gap > tol
-    return CheckOutcome("lambda-scale-invariance", trials, violations, worst, tol)
+    return CheckOutcome(name, trials, violations, worst, tol)
+
+
+def check_scale_invariance(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """lambda(alpha * P) == lambda(P) for positive alpha."""
+    base = secret_bit_fraction(p)
+
+    def trial(rng: np.random.Generator) -> float:
+        alpha = rng.uniform(0.05, 10.0)
+        return abs(secret_bit_fraction(TripartiteDistribution(alpha * p.table)) - base)
+
+    return _suite("lambda-scale-invariance", 1e-12, 11, trials, seed, trial)
 
 
 def check_eve_monotonicity(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """Eve degrading her own data never lowers lambda."""
-    tol = 1e-12
     base = secret_bit_fraction(p)
     d_e = p.dims[2]
-    worst = 0.0
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 13, k])
+
+    def trial(rng: np.random.Generator) -> float:
         y_e = _random_stochastic(rng, int(rng.integers(1, d_e + 2)), d_e)
-        drop = base - secret_bit_fraction(apply_eve(y_e, p))
-        worst = max(worst, drop)
-        violations += drop > tol
-    return CheckOutcome("eve-monotonicity", trials, violations, worst, tol)
+        return base - secret_bit_fraction(apply_eve(y_e, p))
+
+    return _suite("eve-monotonicity", 1e-12, 13, trials, seed, trial)
 
 
 def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """apply is bilinear in P and composes with matrix products."""
-    tol = 1e-12
     d_a, d_b, _ = p.dims
-    worst = 0.0
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 17, k])
+
+    def trial(rng: np.random.Generator) -> float:
         f1, g1 = _random_filter(rng, d_a), _random_filter(rng, d_b)
         f2, g2 = _random_filter(rng, 2), _random_filter(rng, 2)
         once = apply(f2, g2, apply(f1, g1, p))
@@ -100,20 +106,17 @@ def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> Ch
         alpha, beta = rng.uniform(0.1, 2.0, size=2)
         mixed = apply(f1, g1, TripartiteDistribution(alpha * p.table + beta * p.table))
         linear = (alpha + beta) * apply(f1, g1, p).table
-        gap = max(gap, float(np.abs(mixed.table - linear).max()))
-        worst = max(worst, gap)
-        violations += gap > tol
-    return CheckOutcome("apply-bilinear-composition", trials, violations, worst, tol)
+        return max(gap, float(np.abs(mixed.table - linear).max()))
+
+    return _suite("apply-bilinear-composition", 1e-12, 17, trials, seed, trial)
 
 
 def check_reversible_undo(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """A reversible filter followed by its inverse rescales P."""
-    tol = 1e-10
     d_a = p.dims[0]
-    worst = 0.0
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 19, k])
+    identity = Filtration.identity(p.dims[1])
+
+    def trial(rng: np.random.Generator) -> float:
         perm = rng.permutation(d_a)
         scale = rng.uniform(0.2, 1.0, size=d_a)
         matrix = np.zeros((d_a, d_a))
@@ -121,42 +124,33 @@ def check_reversible_undo(p: TripartiteDistribution, trials: int, seed: int) -> 
         filt = Filtration(matrix)
         inverse = reversible_inverse(filt)
         assert inverse is not None
-        back = apply(inverse, Filtration.identity(p.dims[1]), apply(filt, Filtration.identity(p.dims[1]), p))
-        gap = float(np.abs(back.table - p.table).max())
-        worst = max(worst, gap)
-        violations += gap > tol
-    return CheckOutcome("reversible-undo", trials, violations, worst, tol)
+        back = apply(inverse, identity, apply(filt, identity, p))
+        return float(np.abs(back.table - p.table).max())
+
+    return _suite("reversible-undo", 1e-10, 19, trials, seed, trial)
 
 
 def check_decompose_roundtrip(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """decompose then recompose reproduces random filters on Alice's alphabet."""
-    tol = 1e-12
     d_a = p.dims[0]
-    worst = 0.0
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 23, k])
+
+    def trial(rng: np.random.Generator) -> float:
         filt = _random_filter(rng, d_a)
-        rebuilt = recompose(decompose(filt))
-        gap = float(np.abs(rebuilt.matrix - filt.matrix).max())
-        worst = max(worst, gap)
-        violations += gap > tol
-    return CheckOutcome("decompose-roundtrip", trials, violations, worst, tol)
+        return float(np.abs(recompose(decompose(filt)).matrix - filt.matrix).max())
+
+    return _suite("decompose-roundtrip", 1e-12, 23, trials, seed, trial)
 
 
 def check_cross_ratio_monotonicity(
     p_ab: BipartiteDistribution, trials: int, seed: int
 ) -> CheckOutcome:
     """vartheta invariance/monotonicity on the enlarged marginal."""
-    tol = 1e-12
     enlarged = embed(p_ab)
     size = enlarged.dims[0]
     base = vartheta(enlarged)
-    worst = 0.0
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 29, k])
-        identity = Filtration.identity(enlarged.dims[1])
+    identity = Filtration.identity(enlarged.dims[1])
+
+    def trial(rng: np.random.Generator) -> float:
         perm = Filtration.permutation(rng.permutation(size))
         scale = Filtration.diagonal(rng.uniform(0.05, 1.0, size=size))
         gap = abs(vartheta(apply_bipartite(perm, identity, enlarged)) - base)
@@ -167,25 +161,18 @@ def check_cross_ratio_monotonicity(
             vartheta(apply_bipartite(shear, identity, enlarged)) - base,
             vartheta(apply_bipartite(glue, identity, enlarged)) - base,
         )
-        gap = max(gap, rise)
-        worst = max(worst, gap)
-        violations += gap > tol
-    return CheckOutcome("cross-ratio-monotonicity", trials, violations, worst, tol)
+        return max(gap, rise)
+
+    return _suite("cross-ratio-monotonicity", 1e-12, 29, trials, seed, trial)
 
 
 def run_checks(
     dist: TripartiteDistribution | BipartiteDistribution, trials: int, seed: int
 ) -> list[CheckOutcome]:
     """Run every applicable suite against the given distribution."""
-    outcomes: list[CheckOutcome] = []
-    if isinstance(dist, TripartiteDistribution):
-        if dist.is_binary:
-            outcomes.append(check_scale_invariance(dist, trials, seed))
-            outcomes.append(check_eve_monotonicity(dist, trials, seed))
-        outcomes.append(check_apply_algebra(dist, trials, seed))
-        outcomes.append(check_reversible_undo(dist, trials, seed))
-        outcomes.append(check_decompose_roundtrip(dist, trials, seed))
-        outcomes.append(check_cross_ratio_monotonicity(marginal_ab(dist), trials, seed))
-    else:
-        outcomes.append(check_cross_ratio_monotonicity(dist, trials, seed))
-    return outcomes
+    if isinstance(dist, BipartiteDistribution):
+        return [check_cross_ratio_monotonicity(dist, trials, seed)]
+    suites = [check_scale_invariance, check_eve_monotonicity] if dist.is_binary else []
+    suites += [check_apply_algebra, check_reversible_undo, check_decompose_roundtrip]
+    outcomes = [suite(dist, trials, seed) for suite in suites]
+    return outcomes + [check_cross_ratio_monotonicity(marginal_ab(dist), trials, seed)]

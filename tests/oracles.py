@@ -8,7 +8,9 @@ polish, which must follow it bit for bit.  The loop forms of the
 closed-form measures are the reference for the library's vectorized
 ones.  The direct-product block statistics and the one-draw-per-chunk
 simulator at the end are the reference for the protocol layer's
-closed form and cell-bounded sampling.
+closed form and cell-bounded sampling.  The seeded property suites at
+the very end, with the per-suite trial loops they had before sharing one,
+are the reference for ``secbit.properties``.
 """
 
 import math
@@ -17,22 +19,36 @@ from typing import Optional
 import numpy as np
 
 from secbit.distill import _SIM_CHUNK, SimulationReport, _require_block
-from secbit.distributions import BipartiteDistribution, TripartiteDistribution
+from secbit.distributions import BipartiteDistribution, TripartiteDistribution, marginal_ab
 from secbit.errors import (
     InvalidParamsError,
     NotBinaryError,
     NotNormalizedError,
     OutOfRangeError,
 )
-from secbit.filtration import Filtration
+from secbit.filtration import (
+    Filtration,
+    apply,
+    apply_bipartite,
+    apply_eve,
+    decompose,
+    embed,
+    lower_shear,
+    recompose,
+    reversible_inverse,
+    row_gluing,
+)
 from secbit.measures import (
     FAMILY_SAMPLE,
     MeasureResult,
     WitnessFamily,
     WitnessPair,
     _require_binary,
+    secret_bit_fraction,
 )
+from secbit.measures import vartheta as library_vartheta
 from secbit.optimizer import _FINE_SPANS
+from secbit.properties import CheckOutcome
 
 
 def _diag_branch_best(table, grid_u, grid_v):
@@ -584,3 +600,158 @@ def exact_block_statistics(
         "disagreement_rate": diff / accept if accept > 0.0 else math.nan,
         "eve_blank_rate": blank_mass / accept if accept > 0.0 else math.nan,
     }
+
+
+# The property suites, one trial loop each, with their random helpers.
+# The library's ``vartheta`` is called as ``library_vartheta`` because this
+# module's own ``vartheta`` is the loop oracle above.
+
+
+def _random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> Filtration:
+    matrix = rng.uniform(0.05, 1.0, size=(rows, cols))
+    return Filtration(matrix / matrix.sum(axis=0, keepdims=True))
+
+
+def _random_filter(rng: np.random.Generator, cols: int) -> Filtration:
+    matrix = rng.uniform(0.0, 1.0, size=(2, cols))
+    sums = matrix.sum(axis=0)
+    sums[sums == 0.0] = 1.0
+    return Filtration(matrix / sums * rng.uniform(0.2, 1.0, size=cols))
+
+
+def check_scale_invariance(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """lambda(alpha * P) == lambda(P) for positive alpha."""
+    tol = 1e-12
+    base = secret_bit_fraction(p)
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 11, k])
+        alpha = rng.uniform(0.05, 10.0)
+        gap = abs(secret_bit_fraction(TripartiteDistribution(alpha * p.table)) - base)
+        worst = max(worst, gap)
+        violations += gap > tol
+    return CheckOutcome("lambda-scale-invariance", trials, violations, worst, tol)
+
+
+def check_eve_monotonicity(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """Eve degrading her own data never lowers lambda."""
+    tol = 1e-12
+    base = secret_bit_fraction(p)
+    d_e = p.dims[2]
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 13, k])
+        y_e = _random_stochastic(rng, int(rng.integers(1, d_e + 2)), d_e)
+        drop = base - secret_bit_fraction(apply_eve(y_e, p))
+        worst = max(worst, drop)
+        violations += drop > tol
+    return CheckOutcome("eve-monotonicity", trials, violations, worst, tol)
+
+
+def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """apply is bilinear in P and composes with matrix products."""
+    tol = 1e-12
+    d_a, d_b, _ = p.dims
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 17, k])
+        f1, g1 = _random_filter(rng, d_a), _random_filter(rng, d_b)
+        f2, g2 = _random_filter(rng, 2), _random_filter(rng, 2)
+        once = apply(f2, g2, apply(f1, g1, p))
+        composed = apply(f2.compose(f1), g2.compose(g1), p)
+        gap = float(np.abs(once.table - composed.table).max())
+        alpha, beta = rng.uniform(0.1, 2.0, size=2)
+        mixed = apply(f1, g1, TripartiteDistribution(alpha * p.table + beta * p.table))
+        linear = (alpha + beta) * apply(f1, g1, p).table
+        gap = max(gap, float(np.abs(mixed.table - linear).max()))
+        worst = max(worst, gap)
+        violations += gap > tol
+    return CheckOutcome("apply-bilinear-composition", trials, violations, worst, tol)
+
+
+def check_reversible_undo(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """A reversible filter followed by its inverse rescales P."""
+    tol = 1e-10
+    d_a = p.dims[0]
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 19, k])
+        perm = rng.permutation(d_a)
+        scale = rng.uniform(0.2, 1.0, size=d_a)
+        matrix = np.zeros((d_a, d_a))
+        matrix[np.arange(d_a), perm] = scale
+        filt = Filtration(matrix)
+        inverse = reversible_inverse(filt)
+        assert inverse is not None
+        back = apply(inverse, Filtration.identity(p.dims[1]), apply(filt, Filtration.identity(p.dims[1]), p))
+        gap = float(np.abs(back.table - p.table).max())
+        worst = max(worst, gap)
+        violations += gap > tol
+    return CheckOutcome("reversible-undo", trials, violations, worst, tol)
+
+
+def check_decompose_roundtrip(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
+    """decompose then recompose reproduces random filters on Alice's alphabet."""
+    tol = 1e-12
+    d_a = p.dims[0]
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 23, k])
+        filt = _random_filter(rng, d_a)
+        rebuilt = recompose(decompose(filt))
+        gap = float(np.abs(rebuilt.matrix - filt.matrix).max())
+        worst = max(worst, gap)
+        violations += gap > tol
+    return CheckOutcome("decompose-roundtrip", trials, violations, worst, tol)
+
+
+def check_cross_ratio_monotonicity(
+    p_ab: BipartiteDistribution, trials: int, seed: int
+) -> CheckOutcome:
+    """vartheta invariance/monotonicity on the enlarged marginal."""
+    tol = 1e-12
+    enlarged = embed(p_ab)
+    size = enlarged.dims[0]
+    base = library_vartheta(enlarged)
+    worst = 0.0
+    violations = 0
+    for k in range(trials):
+        rng = np.random.default_rng([seed, 29, k])
+        identity = Filtration.identity(enlarged.dims[1])
+        perm = Filtration.permutation(rng.permutation(size))
+        scale = Filtration.diagonal(rng.uniform(0.05, 1.0, size=size))
+        gap = abs(library_vartheta(apply_bipartite(perm, identity, enlarged)) - base)
+        gap = max(gap, abs(library_vartheta(apply_bipartite(scale, identity, enlarged)) - base))
+        shear = lower_shear(float(rng.uniform(0.1, 5.0)), size)
+        glue = row_gluing(float(rng.uniform(0.1, 5.0)), int(rng.integers(2, size)), size)
+        rise = max(
+            library_vartheta(apply_bipartite(shear, identity, enlarged)) - base,
+            library_vartheta(apply_bipartite(glue, identity, enlarged)) - base,
+        )
+        gap = max(gap, rise)
+        worst = max(worst, gap)
+        violations += gap > tol
+    return CheckOutcome("cross-ratio-monotonicity", trials, violations, worst, tol)
+
+
+def run_checks(
+    dist: TripartiteDistribution | BipartiteDistribution, trials: int, seed: int
+) -> list[CheckOutcome]:
+    """Run every applicable suite against the given distribution."""
+    outcomes: list[CheckOutcome] = []
+    if isinstance(dist, TripartiteDistribution):
+        if dist.is_binary:
+            outcomes.append(check_scale_invariance(dist, trials, seed))
+            outcomes.append(check_eve_monotonicity(dist, trials, seed))
+        outcomes.append(check_apply_algebra(dist, trials, seed))
+        outcomes.append(check_reversible_undo(dist, trials, seed))
+        outcomes.append(check_decompose_roundtrip(dist, trials, seed))
+        outcomes.append(check_cross_ratio_monotonicity(marginal_ab(dist), trials, seed))
+    else:
+        outcomes.append(check_cross_ratio_monotonicity(dist, trials, seed))
+    return outcomes

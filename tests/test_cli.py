@@ -93,6 +93,31 @@ def test_mesbf_decoupled_power(capsys, tmp_path):
     assert json.loads(out)["Lambda"] == pytest.approx(16 / 17, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mesbf-decoupled", "{file}", "--power", "0"),
+        ("mesbf-decoupled", "{file}", "--power", "-3"),
+        ("distill", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--sweep", "0"),
+        ("distill", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--sweep", "-2"),
+        ("check-properties", "{file}", "--trials", "-1"),
+        ("check-properties", "{file}", "--trials", "0"),
+    ],
+)
+def test_count_arguments_below_one_rejected(capsys, tmp_path, argv):
+    from secbit import bipartite_from_entries
+
+    path = tmp_path / "p.json"
+    write_bipartite(
+        bipartite_from_entries((2, 2), {(0, 0): 0.4, (1, 1): 0.4, (0, 1): 0.1, (1, 0): 0.1}),
+        path,
+    )
+    code, out, err = run(capsys, *(arg.format(file=path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_mesbf_opt_runs(capsys, lemur_file):
     code, out, _ = run(
         capsys,
@@ -122,6 +147,18 @@ def test_decompose_command(capsys, tmp_path):
     assert doc["roundtrip_max_error"] < 1e-12
     assert doc["elementary_product_max_error"] < 1e-12
     assert len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize(
+    "doc", [{"rows": 0, "cols": -1, "entries": []}, {"rows": 1, "cols": 10**13, "entries": [[1.0]]}]
+)
+def test_decompose_rejects_malformed_sizes(capsys, tmp_path, doc):
+    path = tmp_path / "filt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_distill_fixed_block(capsys):

@@ -49,6 +49,27 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRangeError):
             from_entries((2, 2, 1), {(0, 0, 1): 0.5})
 
+    @pytest.mark.parametrize(
+        "build,dims,key",
+        [
+            # A short key would otherwise fill a whole row of the last axis.
+            (from_entries, (2, 2, 3), (0, 0)),
+            (from_entries, (2, 2, 3), (0, 0, 0, 0)),
+            (from_entries, (2, 2, 3), (0, -1, 0)),
+            (bipartite_from_entries, (2, 2), (1,)),
+            (bipartite_from_entries, (2, 2), (-1, 0)),
+        ],
+    )
+    def test_index_of_wrong_length_or_negative_rejected(self, build, dims, key):
+        with pytest.raises(IndexOutOfRangeError):
+            build(dims, {(1,) * len(dims): 0.5, key: 0.5})
+
+    def test_declared_size_over_the_cell_cap_rejected(self):
+        with pytest.raises(DimensionOverflowError):
+            from_entries((400, 400, 100), {(0, 0, 0): 1.0})
+        with pytest.raises(DimensionOverflowError):
+            bipartite_from_entries((10**6, 10**6), {(0, 0): 1.0})
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ZeroMassError):
             from_entries((2, 2, 1), {(0, 0, 0): 0.0})

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from secbit import Filtration, randomization_example, shared_bit
+from secbit import BipartiteDistribution, Filtration, TripartiteDistribution, randomization_example, shared_bit
 from secbit.errors import (
+    DimensionOverflowError,
     FileFormatError,
     IndexOutOfRangeError,
     NegativeEntryError,
@@ -32,6 +34,38 @@ def test_bipartite_roundtrip(tmp_path):
     write_bipartite(shared_bit(), path)
     back = read_bipartite(path)
     np.testing.assert_array_equal(back.table, shared_bit().table)
+
+
+def test_written_text_is_pinned(tmp_path):
+    tri = np.zeros((2, 1, 2))
+    tri[0, 0, 1] = 0.25
+    tri[1, 0, 0] = 0.75
+    path = tmp_path / "tri.json"
+    write_tripartite(TripartiteDistribution(tri), path)
+    assert path.read_text() == (
+        '{\n  "dims": {\n    "a": 2,\n    "b": 1,\n    "e": 2\n  },\n  "entries": [\n'
+        '    {\n      "a": 0,\n      "b": 0,\n      "e": 1,\n      "p": 0.25\n    },\n'
+        '    {\n      "a": 1,\n      "b": 0,\n      "e": 0,\n      "p": 0.75\n    }\n  ]\n}\n'
+    )
+    write_bipartite(BipartiteDistribution(np.array([[0.0, 0.1], [1.0, 0.0]])), path)
+    assert path.read_text() == (
+        '{\n  "dims": {\n    "a": 2,\n    "b": 2\n  },\n  "entries": [\n'
+        '    {\n      "a": 0,\n      "b": 1,\n      "p": 0.1\n    },\n'
+        '    {\n      "a": 1,\n      "b": 0,\n      "p": 1.0\n    }\n  ]\n}\n'
+    )
+
+
+def test_declared_dims_over_the_cell_cap_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": {"a": 400, "b": 400, "e": 100}, "entries": []}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError):
+            read_tripartite(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_omitted_cells_are_zero(tmp_path):
@@ -115,4 +149,19 @@ def test_filtration_file_guards(tmp_path):
         read_filtration(path)
     path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [[1.0, -0.5]]}))
     with pytest.raises(NegativeEntryError):
+        read_filtration(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rows": 0, "cols": -1, "entries": []},
+        {"rows": 1, "cols": 10**13, "entries": [[1.0]]},
+        {"rows": -1, "cols": 2, "entries": []},
+    ],
+)
+def test_filtration_sizes_checked_before_allocating(tmp_path, doc):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError):
         read_filtration(path)
