@@ -17,7 +17,10 @@ All N-th powers are computed in log space (plain ``eps**N`` underflows
 near ``N ~ 500``), the exact statistics of any binary input included:
 they have a closed form, since an accepted string pair is fixed by its
 two starting bits.  The simulator draws at most ``_SIM_CELLS`` symbols at
-a time, so its memory does not grow with ``N``.
+a time, so its memory does not grow with ``N``.  It never materializes
+the symbols: it keeps the uniform draws behind them and reads the honest
+bits off by comparing each draw with three cdf thresholds, and Eve's
+symbols only for the accepted blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
 STRICTNESS_MARGIN = 1e-12
 
 _SIM_CHUNK = 1 << 16
-_SIM_CELLS = 1 << 20  # symbols per draw; about 26 bytes each at the peak
+_SIM_CELLS = 1 << 20  # symbols per draw; about 10 bytes each at the peak
 
 
 def binary_entropy(r: float) -> float:
@@ -204,6 +207,14 @@ def simulate_advantage_distillation(
     Deterministic given the seed; samples are drawn in fixed-size chunks
     with one generator per chunk, so aggregates are order-independent,
     and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.
+
+    The blocks are those of ``Generator.choice`` over the flattened table,
+    but filtered from its uniform draws ``u``: the symbol is at least
+    ``k`` exactly when ``u >= cdf[k-1]``, so Alice's bit is
+    ``u >= cdf[2 d_e - 1]`` and Bob's is the parity of the three tests at
+    ``d_e``, ``2 d_e`` and ``3 d_e``.  Bob's bits are tested only in the
+    blocks where Alice's alternate, and Eve's symbols are looked up only
+    in the blocks both accept.
     """
     if p.dims[0] != 2 or p.dims[1] != 2:
         raise NotBinaryError(f"simulation needs binary honest alphabets, got {p.dims}")
@@ -216,6 +227,11 @@ def simulate_advantage_distillation(
     d_e = p.dims[2]
     flat = p.table.ravel()
     flat = flat / flat.sum()
+    # ``Generator.choice``'s cdf, computed as it computes it, so that the
+    # thresholds split the uniform draws exactly as its ``searchsorted`` does.
+    cdf = flat.cumsum()
+    cdf /= cdf[-1]
+    alice_cut, low_cut, high_cut = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
     rows_per_draw = max(1, _SIM_CELLS // block_length)
 
     accepted = disagreements = eve_blank = 0
@@ -225,14 +241,17 @@ def simulate_advantage_distillation(
         # Consecutive draws from one generator continue its stream, so
         # the sub-blocks reproduce the chunk's single (count, N) draw.
         for done in range(0, count, rows_per_draw):
-            draws = rng.choice(flat.size, size=(min(rows_per_draw, count - done), block_length), p=flat)
-            a_sym = draws >= 2 * d_e
-            b_sym = draws % (2 * d_e) >= d_e
-            # A bit string alternates exactly when every adjacent pair differs.
-            ok = np.diff(a_sym, axis=1).all(axis=1) & np.diff(b_sym, axis=1).all(axis=1)
+            u = rng.random((min(rows_per_draw, count - done), block_length))
+            # A bit string alternates exactly when every adjacent pair
+            # differs; Bob's bits are needed only where Alice's alternate.
+            a_bits = u >= alice_cut
+            keep = np.diff(a_bits, axis=1).all(axis=1)
+            u, a_bits = u[keep], a_bits[keep]
+            b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
+            ok = np.diff(b_bits, axis=1).all(axis=1)
             accepted += int(ok.sum())
-            disagreements += int((a_sym[ok, -1] != b_sym[ok, -1]).sum())
-            eve_blank += int((draws[ok] % d_e == 0).all(axis=1).sum())
+            disagreements += int((a_bits[ok, -1] != b_bits[ok, -1]).sum())
+            eve_blank += int((cdf.searchsorted(u[ok], side="right") % d_e == 0).all(axis=1).sum())
 
     return SimulationReport(
         block_length=block_length,

@@ -9,8 +9,9 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar, TypeVar
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 DEFAULT_TENSOR_CELL_CAP = 10_000_000
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _freeze(values, ndim: int, what: str) -> np.ndarray:
@@ -117,11 +119,16 @@ class CanonicalParams:
         return (1.0 - self.mu) * (self.eta[1] + self.eta[2])
 
 
+def _has_bool(values: Iterable) -> bool:
+    return not _BOOLS.isdisjoint(map(type, values))
+
+
 def _from_cells(cls: type[_Table_T], dims: tuple[int, ...], cells: Mapping[tuple, float]) -> _Table_T:
     """Dense table of type ``cls`` from a sparse cell mapping; unlisted cells are zero.
 
-    The size cap is checked before allocating.  Negative and short indices are
-    caught in one pass per axis, indices past the end and long keys by numpy.
+    The size cap is checked before allocating.  Negative, short and boolean
+    indices are caught in one pass per axis (numpy would read a boolean as
+    a mask), indices past the end and long keys by numpy.
     """
     dims = tuple(dims)
     if len(dims) != cls._ndim or min(dims) < 1:
@@ -129,8 +136,8 @@ def _from_cells(cls: type[_Table_T], dims: tuple[int, ...], cells: Mapping[tuple
     if math.prod(dims) > DEFAULT_TENSOR_CELL_CAP:
         raise DimensionOverflowError(f"dims {dims} exceed the cap of {DEFAULT_TENSOR_CELL_CAP} cells")
     axes = tuple(zip(*cells))
-    if cells and (len(axes) != len(dims) or min(map(min, axes)) < 0):
-        bad = next(index for index in cells if len(index) != len(dims) or min(index) < 0)
+    if cells and (len(axes) != len(dims) or min(map(min, axes)) < 0 or _has_bool(chain(*axes))):
+        bad = next(index for index in cells if len(index) != len(dims) or min(index) < 0 or _has_bool(index))
         raise IndexOutOfRangeError(f"cell {bad} outside dims {dims}")
     table = np.zeros(dims)
     try:

@@ -27,6 +27,7 @@ and the three exact-or-limiting witnesses share one balancing rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -54,6 +55,9 @@ FAMILY_SAMPLE = 1e-6
 # Most outcome pairs a cross-ratio scan takes on: about 60 MB of arrays.
 # 32 x 32 alphabets have about half as many.
 _MAX_OUTCOME_PAIRS = 1 << 20
+# Shapes with at most this many pairs are served from a cache of 64
+# entries: four int64 arrays each, about 8 MB in all.
+_CACHED_OUTCOME_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -212,11 +216,26 @@ def _outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     In the order of nested loops over ``a0``, ``a1``, ``b0`` and ``b1``.
     Callers hold several arrays of this length at once, so more than
-    ``_MAX_OUTCOME_PAIRS`` pairs are refused rather than allocated.
+    ``_MAX_OUTCOME_PAIRS`` pairs are refused rather than allocated.  Small
+    shapes come from a cache, as read-only arrays.
     """
     count = d_a * (d_a - 1) // 2 * d_b * (d_b - 1)
     if count > _MAX_OUTCOME_PAIRS:
         raise TooLargeError(f"{d_a} x {d_b} alphabets have {count} outcome pairs, above {_MAX_OUTCOME_PAIRS}")
+    if count <= _CACHED_OUTCOME_PAIRS:
+        return _cached_outcome_pairs(d_a, d_b)
+    return _build_outcome_pairs(d_a, d_b)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    pairs = _build_outcome_pairs(d_a, d_b)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _build_outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = np.arange(d_a), np.arange(d_b)
     a0, a1 = np.nonzero(np.less.outer(rows, rows))
     b0, b1 = np.nonzero(np.not_equal.outer(cols, cols))

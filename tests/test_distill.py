@@ -321,9 +321,55 @@ class TestCellBoundedSimulation:
             assert ours.accepted > 1000
             assert ours == oracles.simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
 
+    @pytest.mark.parametrize("d_e", (1, 3, 5))
+    def test_matches_oracle_across_eve_alphabets(self, d_e):
+        rng = np.random.default_rng(40 + d_e)
+        for zero_fraction in (0.0, 0.3):
+            p = TripartiteDistribution(random_binary_tripartite(rng, d_e, zero_fraction))
+            for n, samples in ((1, 3000), (2, 5000), (3, 5000), (8, 20_000), (100, 3000)):
+                for seed in (1, 2):
+                    ours = simulate_advantage_distillation(p, n, samples, seed)
+                    assert ours == oracles.simulate_advantage_distillation(p, n, samples, seed)
+
+    @pytest.mark.parametrize(
+        "zero",
+        [
+            # Bob's bit thresholds coincide with Alice's (no (0, 1) cells)
+            # or with the top of the cdf (no (1, 1) cells); Eve's symbol 0
+            # is never drawn, so no accepted block is blank.
+            (0, 1, slice(None)),
+            (1, 1, slice(None)),
+            (slice(None), slice(None), 0),
+        ],
+    )
+    def test_zero_cells_that_make_thresholds_coincide(self, zero):
+        rng = np.random.default_rng(7)
+        for d_e in (1, 2, 3):
+            table = random_binary_tripartite(rng, d_e, low=0.05)
+            table[zero] = 0.0
+            if not table.sum() > 0.0:
+                continue
+            p = TripartiteDistribution(table / table.sum())
+            for n in (1, 2, 3, 8):
+                ours = simulate_advantage_distillation(p, n, 20_000, 5)
+                assert ours == oracles.simulate_advantage_distillation(p, n, 20_000, 5)
+                if zero[2] == 0:
+                    assert ours.eve_blank_blocks == 0
+
+    def test_nothing_accepted(self):
+        # Alice's bit is always 0, so no string of two or more bits alternates.
+        p = TripartiteDistribution(np.array([[[0.3, 0.2], [0.4, 0.1]], [[0.0, 0.0], [0.0, 0.0]]]))
+        for n in (2, 3, 50):
+            ours = simulate_advantage_distillation(p, n, 4000, 9)
+            assert ours.accepted == 0
+            assert math.isnan(ours.disagreement_rate) and math.isnan(ours.eve_blank_rate)
+            assert ours == oracles.simulate_advantage_distillation(p, n, 4000, 9)
+
     def test_long_blocks_have_bounded_memory(self):
         # Under tracemalloc, one draw per chunk (the oracle) peaks at about
-        # 134 MB on this call; the cell cap holds it near 27 MB.
+        # 134 MB on this call, and a cap of 2^20 symbols on the symbols
+        # themselves at about 28 MB; the uniform draws, with Bob's bits
+        # kept only where Alice's alternate, hold it near 10.5 MB.
         p = canonical_distribution(UNIFORM)
         tracemalloc.start()
         try:
@@ -331,4 +377,4 @@ class TestCellBoundedSimulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 24e6

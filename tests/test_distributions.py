@@ -64,6 +64,27 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRangeError):
             build(dims, {(1,) * len(dims): 0.5, key: 0.5})
 
+    @pytest.mark.parametrize(
+        "build,dims,key",
+        [
+            # numpy reads a boolean in an index as a mask: (1, 1, True)
+            # would fill the whole row table[1, 1, :].
+            (from_entries, (2, 2, 3), (1, 1, True)),
+            (from_entries, (2, 2, 3), (0, np.bool_(False), 2)),
+            (bipartite_from_entries, (2, 2), (False, 1)),
+            (bipartite_from_entries, (2, 2), (1, np.bool_(True))),
+        ],
+    )
+    def test_boolean_index_rejected(self, build, dims, key):
+        with pytest.raises(IndexOutOfRangeError):
+            build(dims, {(0,) * len(dims): 0.5, key: 0.5})
+
+    def test_numpy_integer_index_accepted(self):
+        p = from_entries((2, 2, 3), {(np.int64(1), np.int64(1), np.int64(2)): 0.5, (0, 0, 0): 0.5})
+        assert p.table[1, 1].tolist() == [0.0, 0.0, 0.5]
+        q = bipartite_from_entries((2, 3), {(np.int32(1), np.intp(2)): 1.0})
+        assert q.table.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
     def test_declared_size_over_the_cell_cap_rejected(self):
         with pytest.raises(DimensionOverflowError):
             from_entries((400, 400, 100), {(0, 0, 0): 1.0})

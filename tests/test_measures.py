@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import secbit
+from secbit import measures
 from conftest import random_binary_tripartite, random_stochastic
 from oracles import grid_reversible_oracle
 from secbit import (
@@ -520,3 +522,76 @@ class TestLoopReference:
             _assert_same_result(
                 mesbf_reversible_decoupled(p_ab), oracles.mesbf_reversible_decoupled(p_ab), 1e-14
             )
+
+
+class TestOutcomePairCache:
+    """Small shapes' outcome pairs come from a bounded cache of read-only arrays."""
+
+    def test_cached_arrays_equal_a_fresh_build(self):
+        for d_a, d_b in itertools.product(range(1, 17), repeat=2):
+            expected = [
+                (a0, a1, b0, b1)
+                for a0, a1 in itertools.combinations(range(d_a), 2)
+                for b0, b1 in itertools.permutations(range(d_b), 2)
+            ]
+            got = measures._outcome_pairs(d_a, d_b)
+            assert list(zip(*(index.tolist() for index in got))) == expected
+            for index in got:
+                assert index.dtype == np.intp and index.shape == (len(expected),)
+
+    def test_returned_arrays_are_read_only(self):
+        for index in measures._outcome_pairs(3, 4):
+            with pytest.raises(ValueError):
+                index[0] = 1
+        assert measures._outcome_pairs(3, 4)[0][0] == 0
+
+    def test_large_shapes_are_not_retained(self):
+        measures._cached_outcome_pairs.cache_clear()
+        # 12 x 8 alphabets have 66 * 56 = 3696 pairs, 65 x 2 have 4160
+        # and 16 x 16 have 28800.
+        measures._outcome_pairs(12, 8)
+        assert measures._cached_outcome_pairs.cache_info().currsize == 1
+        measures._outcome_pairs(65, 2)
+        measures._outcome_pairs(16, 16)
+        assert measures._cached_outcome_pairs.cache_info().currsize == 1
+        assert measures._outcome_pairs(16, 16)[0].flags.writeable
+
+    def test_cache_is_bounded(self):
+        measures._cached_outcome_pairs.cache_clear()
+        for d_a, d_b in itertools.product(range(1, 17), repeat=2):
+            measures._outcome_pairs(d_a, d_b)
+        assert measures._cached_outcome_pairs.cache_info().currsize == 64
+
+    def test_pair_cap_raises_before_allocating(self):
+        # 46 x 46 alphabets have about 2 million pairs: 64 MB of indices.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError):
+                measures._outcome_pairs(46, 46)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_measures_identical_without_the_cache(self, monkeypatch):
+        def seeded(cls, seed, shape_of):
+            rng = np.random.default_rng(seed)
+            return [cls(TestLoopReference._table(rng, shape_of(rng))) for _ in range(200)]
+
+        bipartite = seeded(BipartiteDistribution, 191, lambda rng: tuple(rng.integers(1, 7, size=2)))
+        binary = seeded(TripartiteDistribution, 193, lambda rng: (2, 2, int(rng.integers(1, 5))))
+
+        def run():
+            results = [(mesbf_decoupled(p), mesbf_decoupled_power(p, 3)) for p in bipartite]
+            results += [(mesbf_reversible(p),) for p in binary]
+            return results, [vartheta(p) for p in bipartite]
+
+        cached_results, cached_theta = run()
+        monkeypatch.setattr(measures, "_CACHED_OUTCOME_PAIRS", 0)
+        fresh_results, fresh_theta = run()
+        assert cached_theta == fresh_theta
+        for got, ref in zip(itertools.chain(*cached_results), itertools.chain(*fresh_results)):
+            assert (got.value, got.witness_kind, got.detail) == (ref.value, ref.witness_kind, ref.detail)
+            assert (got.witness is None) == (ref.witness is None)
+            for got_filter, ref_filter in zip(got.witness or (), ref.witness or ()):
+                assert np.array_equal(got_filter.matrix, ref_filter.matrix)
