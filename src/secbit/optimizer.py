@@ -15,12 +15,16 @@ bit-output filter pairs directly.  Two searches are provided:
   as a cross-check; a lower bound whose gap shrinks with the grid
   resolution.
 
-Both searches spend their time in :func:`_coordinate_polish`.  It tries
-its moves in a fixed order and keeps the first candidate that improves,
-as a one-at-a-time hill climber would, but it scores candidates in
-batches, one numpy call per batch (:func:`_lambda_raw`), and rebuilds only
-the candidates behind an accepted one.  The trajectory, and so every
-reported value and witness, is that of the one-at-a-time climber.
+Both searches spend their time polishing starts.  A polish tries its
+moves in a fixed order and keeps the first candidate that improves, as a
+one-at-a-time hill climber would, but it scores candidates in batches and
+rebuilds only the candidates behind an accepted one.  Each search stage
+polishes its starts in lockstep (:func:`_polish_all`): every live polish
+hands over its pending batch, and one call of the candidate-major kernel
+:func:`_lambda_raw` scores the batches of all of them.  A row's score does
+not depend on the other rows of its call, so each polish follows the
+trajectory it follows alone, which is that of the one-at-a-time climber;
+so is every reported value and witness.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
@@ -30,13 +34,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import TripartiteDistribution, randomization_example
-from .errors import InvalidParamsError, TooLargeError, ZeroMassError
+from .errors import DimensionMismatchError, InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
 from .measures import MeasureResult, _outcome_pairs, mesbf_reversible, secret_bit_fraction
 
@@ -47,6 +52,9 @@ _CHUNK = 1 << 17
 # double while nothing is accepted.  Acceptances come in runs, so a small
 # first batch wastes little scoring on moves that must be rebuilt.
 _BASE_BATCH = 16
+# Polishes that :func:`_polish_all` runs at once.  More lanes mean fewer,
+# larger kernel calls, but each lane holds its own grids and batch.
+_LIVE = 32
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,31 @@ def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     Row ``c`` of ``cands`` is Alice's ``2 x d_a`` filter followed by Bob's
     ``2 x d_b`` filter, both raveled; zero-mass rows score 0.
+
+    Summation order is part of the contract.  The stack is transposed so
+    that the candidate axis is innermost, and each filtered entry sums
+    ``(alice[i, a] * bob[j, b]) * table[a, b, e]`` over ``(a, b)`` in the
+    order that the one-pair ``einsum("ia,jb,abe->ije")`` uses: row-major,
+    except that for ``d_a == 2`` and ``d_e == 1`` it sums Bob's outcomes
+    for each of Alice's outcomes apart and adds the two partial sums.  The
+    total and the min-sum then reduce each row on its own.  So every row's
+    score is its one-pair score bit for bit, whatever else is in the stack.
     """
-    d_a, d_b, _ = table.shape
+    d_a, d_b, d_e = table.shape
     c = len(cands)
-    filtered = np.einsum(
-        "cia,cjb,abe->cije",
-        cands[:, : 2 * d_a].reshape(c, 2, d_a),
-        cands[:, 2 * d_a :].reshape(c, 2, d_b),
-        table,
-    )
+    cols = np.ascontiguousarray(cands.T)
+    alice = cols[: 2 * d_a].reshape(2, d_a, c)
+    bob = cols[2 * d_a :].reshape(2, d_b, c)
+    if d_a == 2 and d_e == 1:
+        # For this shape the one-pair einsum adds up one partial sum over
+        # Bob's outcomes per outcome of Alice; one einsum each mirrors it.
+        filtered = (
+            np.einsum("ic,jbc,b->ijc", alice[:, 0], bob, table[0, :, 0])
+            + np.einsum("ic,jbc,b->ijc", alice[:, 1], bob, table[1, :, 0])
+        )[:, :, None]
+    else:
+        filtered = np.einsum("iac,jbc,abe->ijec", alice, bob, table)
+    filtered = np.ascontiguousarray(filtered.transpose(3, 0, 1, 2))
     total = np.add.reduce(filtered.reshape(c, -1), axis=1)
     num = 2.0 * np.add.reduce(np.minimum(filtered[:, 0, 0], filtered[:, 1, 1]), axis=1)
     return np.divide(num, total, out=np.zeros(c), where=total > 0.0)
@@ -132,6 +156,11 @@ def estimate_mesbf(
     for idx, (_, m_a, m_b) in enumerate(_selecting_seeds(d_a, d_b, floor)):
         starts.append((f"projection-{idx}", m_a, m_b))
     for k, (left, right) in enumerate(extra_starts):
+        if left.matrix.shape != (2, d_a) or right.matrix.shape != (2, d_b):
+            raise DimensionMismatchError(
+                f"extra start {k} has filters of shape {left.matrix.shape} and "
+                f"{right.matrix.shape}, expected (2, {d_a}) and (2, {d_b})"
+            )
         starts.append((f"seeded-{k}", left.matrix, right.matrix))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
@@ -140,19 +169,21 @@ def estimate_mesbf(
             (f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b))
         )
 
-    refined: list[tuple[float, np.ndarray, np.ndarray, str]] = []
-    for source, m_a, m_b in starts:
-        m_a = np.clip(np.asarray(m_a, dtype=float), floor, 1.0)
-        m_b = np.clip(np.asarray(m_b, dtype=float), floor, 1.0)
-        value, m_a, m_b = _coordinate_polish(
-            table, m_a, m_b, 8, floor, _CHEAP_SPANS, max_evals=cfg.iterations
-        )
-        refined.append((value, m_a, m_b, source))
+    cheap = _polish_all(
+        table,
+        [
+            (np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0), 8, _CHEAP_SPANS, cfg.iterations)
+            for _, m_a, m_b in starts
+        ],
+        floor,
+    )
+    refined = [(*polished, source) for polished, (source, _, _) in zip(cheap, starts)]
     refined.sort(key=lambda item: -item[0])
 
+    leaders = refined[:5]
+    fine = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None) for _, m_a, m_b, _ in leaders], floor)
     best = (-1.0, refined[0][1], refined[0][2], "")
-    for _, m_a, m_b, source in refined[:5]:
-        value, m_a, m_b = _coordinate_polish(table, m_a, m_b, 24, floor, _FINE_SPANS)
+    for (value, m_a, m_b), (*_, source) in zip(fine, leaders):
         if value > best[0]:
             best = (value, m_a, m_b, source)
     _, m_a, m_b, source = best
@@ -265,8 +296,12 @@ _CHEAP_SPANS = (10.0, 2.0, 1.3)
 _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 
+# A polish in progress: it yields candidate stacks, is sent their scores
+# and returns ``(value, d_a_mat, j_b)``.
+_Polish = Generator[np.ndarray, np.ndarray, tuple[float, np.ndarray, np.ndarray]]
+
+
 def _first_improvement(
-    table: np.ndarray,
     theta: np.ndarray,
     best: float,
     evals: int,
@@ -274,26 +309,27 @@ def _first_improvement(
     total: int,
     starts: Sequence[int],
     build: Callable[[int, int], np.ndarray],
+    cap: int,
     overwrite: bool = False,
-) -> tuple[float, int, bool]:
+) -> Generator[np.ndarray, np.ndarray, tuple[float, int, bool]]:
     """Try moves ``0..total-1`` in order, keeping every one that beats ``best``.
 
     ``build(lo, hi)`` returns the candidates of moves ``lo..hi-1`` built
-    from the current ``theta``.  Moves come in groups opening at the sorted
-    positions ``starts``; a group opens only while ``evals`` is below
-    ``limit``.  Batches are scored speculatively and, after an acceptance,
-    the moves behind it are rebuilt and scored again, so the trajectory and
-    the evaluation count are those of trying the moves one at a time.  A
-    batch never holds more moves than the budget has evaluations left, so
-    no group inside it can open past the budget.  Batches start at
+    from the current ``theta``; each such stack is yielded and its scores
+    are sent back.  Moves come in groups opening at the sorted positions
+    ``starts``; a group opens only while ``evals`` is below ``limit``.
+    Batches are scored speculatively and, after an acceptance, the moves
+    behind it are rebuilt and scored again, so the trajectory and the
+    evaluation count are those of trying the moves one at a time.  A batch
+    never holds more moves than the budget has evaluations left, so no
+    group inside it can open past the budget.  Batches start at
     ``_BASE_BATCH`` moves and double while nothing is accepted, up to
-    ``_CHUNK`` cells of candidates and filtered tables.
+    ``cap`` moves.
 
     With ``overwrite``, a move sets the coordinates it changes: a candidate
     equal to ``theta`` is skipped and not counted, and an acceptance leaves
     the rest of its group unchanged, so their scores are kept.
     """
-    cap = max(1, _CHUNK // (theta.size + 4 * table.shape[2]))
     size, lo, improved = _BASE_BATCH, 0, False
     while lo < total:
         room = limit - evals
@@ -303,9 +339,9 @@ def _first_improvement(
             nxt = bisect.bisect_right(starts, lo)
             if starts[nxt - 1] == lo:
                 break
-            hi = min(total, starts[nxt]) if nxt < len(starts) else total
+            hi = min(total, starts[nxt] if nxt < len(starts) else total, lo + cap)
         cands = build(lo, hi)
-        lam = _lambda_raw(cands, table)
+        lam = yield cands
         counted = (cands != theta).any(axis=1) if overwrite else np.ones(len(lam), dtype=bool)
         pos, size = 0, 2 * size
         while pos < len(lam):
@@ -327,6 +363,139 @@ def _first_improvement(
                 lam = lam[:pos]
         lo += len(lam)
     return best, evals, improved
+
+
+def _polish(
+    d_a_mat: np.ndarray,
+    j_b: np.ndarray,
+    points: int,
+    floor: float,
+    spans: tuple[float, ...],
+    max_evals: int | None,
+    cap: int,
+) -> _Polish:
+    """The body of :func:`_coordinate_polish`, yielding each stack to score.
+
+    Batches hold at most ``cap`` candidates.  Returns what
+    :func:`_coordinate_polish` returns.
+    """
+    n_a = d_a_mat.size
+    theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
+    n = theta.size
+    limit = math.inf if max_evals is None else max_evals
+    eye = np.eye(n, dtype=bool)
+    w_a, w_b = d_a_mat.shape[1], j_b.shape[1]
+    rows = np.repeat(np.eye(4, dtype=bool), [w_a, w_a, w_b, w_b], axis=1)
+
+    def regauge() -> None:
+        for block in (slice(0, n_a), slice(n_a, n)):
+            top = theta[block].max()
+            if top > 0.0:
+                theta[block] = np.maximum(theta[block] / top, floor)
+
+    def scaled(mask_x, f_x, mask_y, f_y) -> np.ndarray:
+        cand = np.where(mask_x, np.minimum(np.maximum(theta * f_x[:, None], floor), 1.0), theta)
+        return np.where(mask_y, np.minimum(np.maximum(theta * f_y[:, None], floor), 1.0), cand)
+
+    evals = 0
+    for span in spans:
+        factors = np.geomspace(1.0 / span, span, points)
+        factors = factors[factors != 1.0]
+        # Moves by f and 1/f, then by f and f; the pair family first
+        # switches both entries off (factor 0 clips to the floor).
+        f_a = np.repeat(factors, 2)
+        f_b = np.stack([1.0 / factors, factors], axis=1).ravel()
+        f_i, f_j = np.append(0.0, f_a), np.append(0.0, f_b)
+        for _ in range(2):
+            if evals >= limit:
+                break
+            regauge()
+            best = float((yield theta[None, :])[0])
+            center = np.maximum(theta, floor)
+            grid = np.geomspace(
+                np.maximum(center / span, floor), np.minimum(center * span, 1.0), points, axis=1
+            )
+            grid = np.hstack([grid, np.full((n, 1), floor), np.ones((n, 1))])
+            width = grid.shape[1]
+
+            def single(lo: int, hi: int) -> np.ndarray:
+                i, r = np.divmod(np.arange(lo, hi), width)
+                return np.where(eye[i], grid[i, r][:, None], theta)
+
+            # Whole-row rescalings of one matrix against the other track the
+            # balance ridges exactly when rows are sparse.
+            def rescale(lo: int, hi: int) -> np.ndarray:
+                pair, r = np.divmod(np.arange(lo, hi), len(f_a))
+                return scaled(rows[pair // 2], f_a[r], rows[2 + pair % 2], f_b[r])
+
+            best, evals, moved_single = yield from _first_improvement(
+                theta, best, evals, limit, n * width, range(0, n * width, width), single, cap, True
+            )
+            best, evals, moved_rows = yield from _first_improvement(
+                theta, best, evals, limit, 4 * len(f_a), range(0, 4 * len(f_a), len(f_a)), rescale, cap
+            )
+            # Joint switch-off first: small entries can stabilize each other
+            # so that neither can be floored alone.
+            live = np.flatnonzero(theta > 10.0 * floor)
+            first, second = np.triu_indices(len(live), 1)
+            at_i, at_j = eye[live[first]], eye[live[second]]
+            anchors = (len(f_i) * np.searchsorted(first, np.arange(len(live)))).tolist()
+
+            def pairs(lo: int, hi: int) -> np.ndarray:
+                p, r = np.divmod(np.arange(lo, hi), len(f_i))
+                return scaled(at_i[p], f_i[r], at_j[p], f_j[r])
+
+            best, evals, moved_pairs = yield from _first_improvement(
+                theta, best, evals, limit, len(f_i) * len(first), anchors, pairs, cap
+            )
+            if not (moved_single or moved_rows or moved_pairs):
+                break
+    regauge()
+    value = float((yield theta[None, :])[0])
+    return value, theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+
+
+def _polish_all(
+    table: np.ndarray,
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]],
+    floor: float,
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """:func:`_coordinate_polish` of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
+
+    At most ``_LIVE`` polishes run at once, in lockstep: one
+    :func:`_lambda_raw` call scores the pending stacks of all of them, and
+    each polish gets its own slice of the scores.  When a polish finishes,
+    the next job takes its place.  Each batch is capped so that one call
+    holds at most ``_CHUNK`` cells of candidates and filtered tables.  A
+    row's score does not depend on the rest of its call, so every result
+    is the one its job reaches alone.  Results come in input order.
+    """
+    d_a, d_b, d_e = table.shape
+    lanes = min(_LIVE, len(jobs))
+    cap = max(1, _CHUNK // (lanes * (2 * (d_a + d_b) + 4 * d_e)))
+    waiting = deque(enumerate(jobs))
+    results: list = [None] * len(jobs)
+    live: list[tuple[int, _Polish, np.ndarray]] = []
+
+    def admit() -> None:
+        if waiting:
+            k, (m_a, m_b, points, spans, max_evals) = waiting.popleft()
+            polish = _polish(m_a, m_b, points, floor, spans, max_evals, cap)
+            live.append((k, polish, next(polish)))
+
+    for _ in range(lanes):
+        admit()
+    while live:
+        lam = _lambda_raw(np.concatenate([stack for _, _, stack in live]), table)
+        running, live, pos = live, [], 0
+        for k, polish, stack in running:
+            try:
+                live.append((k, polish, polish.send(lam[pos : pos + len(stack)])))
+            except StopIteration as done:
+                results[k] = done.value
+                admit()
+            pos += len(stack)
+    return results
 
 
 def _coordinate_polish(
@@ -355,86 +524,10 @@ def _coordinate_polish(
     cycle (the objective is scale invariant per matrix), otherwise the
     scale drifts toward the floor and the windows lose resolution.
     Deterministic; relies on the caller to supply candidates in the
-    right bases of attraction.
+    right bases of attraction.  Polishes of many starts go through
+    :func:`_polish_all` instead, with the same results.
     """
-    n_a = d_a_mat.size
-    theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
-    n = theta.size
-    limit = math.inf if max_evals is None else max_evals
-    eye = np.eye(n, dtype=bool)
-    w_a, w_b = d_a_mat.shape[1], j_b.shape[1]
-    rows = np.repeat(np.eye(4, dtype=bool), [w_a, w_a, w_b, w_b], axis=1)
-
-    def lam_of(vec: np.ndarray) -> float:
-        return float(_lambda_raw(vec[None, :], table)[0])
-
-    def regauge() -> None:
-        for block in (slice(0, n_a), slice(n_a, n)):
-            top = theta[block].max()
-            if top > 0.0:
-                theta[block] = np.maximum(theta[block] / top, floor)
-
-    def scaled(mask_x, f_x, mask_y, f_y) -> np.ndarray:
-        cand = np.where(mask_x, np.minimum(np.maximum(theta * f_x[:, None], floor), 1.0), theta)
-        return np.where(mask_y, np.minimum(np.maximum(theta * f_y[:, None], floor), 1.0), cand)
-
-    regauge()
-    best = lam_of(theta)
-    evals = 0
-    for span in spans:
-        factors = np.geomspace(1.0 / span, span, points)
-        factors = factors[factors != 1.0]
-        # Moves by f and 1/f, then by f and f; the pair family first
-        # switches both entries off (factor 0 clips to the floor).
-        f_a = np.repeat(factors, 2)
-        f_b = np.stack([1.0 / factors, factors], axis=1).ravel()
-        f_i, f_j = np.append(0.0, f_a), np.append(0.0, f_b)
-        for _ in range(2):
-            if evals >= limit:
-                break
-            regauge()
-            best = lam_of(theta)
-            center = np.maximum(theta, floor)
-            grid = np.geomspace(
-                np.maximum(center / span, floor), np.minimum(center * span, 1.0), points, axis=1
-            )
-            grid = np.hstack([grid, np.full((n, 1), floor), np.ones((n, 1))])
-            width = grid.shape[1]
-
-            def single(lo: int, hi: int) -> np.ndarray:
-                i, r = np.divmod(np.arange(lo, hi), width)
-                return np.where(eye[i], grid[i, r][:, None], theta)
-
-            # Whole-row rescalings of one matrix against the other track the
-            # balance ridges exactly when rows are sparse.
-            def rescale(lo: int, hi: int) -> np.ndarray:
-                pair, r = np.divmod(np.arange(lo, hi), len(f_a))
-                return scaled(rows[pair // 2], f_a[r], rows[2 + pair % 2], f_b[r])
-
-            best, evals, moved_single = _first_improvement(
-                table, theta, best, evals, limit, n * width, range(0, n * width, width), single, True
-            )
-            best, evals, moved_rows = _first_improvement(
-                table, theta, best, evals, limit, 4 * len(f_a), range(0, 4 * len(f_a), len(f_a)), rescale
-            )
-            # Joint switch-off first: small entries can stabilize each other
-            # so that neither can be floored alone.
-            live = np.flatnonzero(theta > 10.0 * floor)
-            first, second = np.triu_indices(len(live), 1)
-            at_i, at_j = eye[live[first]], eye[live[second]]
-            anchors = (len(f_i) * np.searchsorted(first, np.arange(len(live)))).tolist()
-
-            def pairs(lo: int, hi: int) -> np.ndarray:
-                p, r = np.divmod(np.arange(lo, hi), len(f_i))
-                return scaled(at_i[p], f_i[r], at_j[p], f_j[r])
-
-            best, evals, moved_pairs = _first_improvement(
-                table, theta, best, evals, limit, len(f_i) * len(first), anchors, pairs
-            )
-            if not (moved_single or moved_rows or moved_pairs):
-                break
-    regauge()
-    return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+    return _polish_all(table, [(d_a_mat, j_b, points, spans, max_evals)], floor)[0]
 
 
 def _selecting_seeds(
@@ -506,21 +599,20 @@ def brute_force_mesbf(
     # leaders (coarse values misorder nearby basins).  Ranking passes can
     # walk a matrix into a worse basin, so only their values are kept;
     # the fine pass always restarts from the original seed.
-    micro = [
-        (_coordinate_polish(table, m_a, m_b, min(cfg.grid_points, 6), floor, _MICRO_SPANS)[0], m_a, m_b)
-        for _, m_a, m_b in seeds
-    ]
-    micro.sort(key=lambda item: -item[0])
-    cheap = [
-        (_coordinate_polish(table, m_a, m_b, min(cfg.grid_points, 12), floor, _CHEAP_SPANS)[0], m_a, m_b)
-        for _, m_a, m_b in micro[:8]
-    ]
-    cheap.sort(key=lambda item: -item[0])
+    def ranked(pool, points: int, spans: tuple[float, ...]) -> list:
+        polished = _polish_all(table, [(m_a, m_b, points, spans, None) for _, m_a, m_b in pool], floor)
+        return sorted(
+            ((value, m_a, m_b) for (value, _, _), (_, m_a, m_b) in zip(polished, pool)),
+            key=lambda item: -item[0],
+        )
+
+    micro = ranked(seeds, min(cfg.grid_points, 6), _MICRO_SPANS)
+    cheap = ranked(micro[:8], min(cfg.grid_points, 12), _CHEAP_SPANS)
     finalists = [item for item in cheap if item[0] >= cheap[0][0] - 3e-2][:4]
 
     best = (-1.0, None, None)
-    for _, m_a, m_b in finalists:
-        value, m_a, m_b = _coordinate_polish(table, m_a, m_b, cfg.grid_points, floor)
+    fine = [(m_a, m_b, cfg.grid_points, _FINE_SPANS, None) for _, m_a, m_b in finalists]
+    for value, m_a, m_b in _polish_all(table, fine, floor):
         if value > best[0]:
             best = (value, m_a, m_b)
 

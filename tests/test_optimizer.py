@@ -20,17 +20,22 @@ from secbit import (
     secret_bit_fraction,
     shared_bit,
 )
-from secbit.errors import InvalidParamsError, TooLargeError
+from secbit import optimizer
+from secbit.errors import DimensionMismatchError, InvalidParamsError, TooLargeError
 from secbit.optimizer import (
     _CHEAP_SPANS,
     _FINE_SPANS,
+    _LIVE,
     _MICRO_SPANS,
     _coordinate_polish,
     _identity_projection,
+    _lambda_raw,
+    _polish_all,
     _selecting_seeds,
 )
 
 from oracles import _coordinate_polish as scalar_polish
+from oracles import _lambda_raw as scalar_lambda
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
 
@@ -115,6 +120,93 @@ class TestBatchedPolish:
         assert 0.5 <= value <= 1.0
         assert peak < 16 * 2**20
 
+    def test_lockstep_batches_have_bounded_memory(self):
+        # Only _LIVE polishes hold grids and batches at once; with every
+        # one of the 200 starts live, the grids alone take ~25 MB.
+        table = _decoupled_table(4)
+        rng = np.random.default_rng(5)
+        jobs = [
+            (rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4)), 1000, _MICRO_SPANS, 2000)
+            for _ in range(200)
+        ]
+        tracemalloc.start()
+        try:
+            results = _polish_all(table, jobs, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0.0 <= value <= 1.0 for value, _, _ in results)
+        assert peak < 16 * 2**20
+
+
+def _kernel_case(d_a: int, d_b: int, d_e: int, rows: int, zeros: float) -> tuple[np.ndarray, np.ndarray]:
+    """A table with a share of structural zeros, and a stack with entries at the floor, at 1 and at 0."""
+    rng = np.random.default_rng([41, d_a, d_b, d_e, rows])
+    table = rng.uniform(0.0, 1.0, size=(d_a, d_b, d_e))
+    table[rng.random(size=table.shape) < zeros] = 0.0
+    table[0, 0, 0] += 0.1
+    table /= table.sum()
+    cands = np.exp(rng.uniform(math.log(1e-9), 0.0, size=(rows, 2 * (d_a + d_b))))
+    cands[rng.random(size=cands.shape) < 0.1] = 1e-9
+    cands[rng.random(size=cands.shape) < 0.1] = 1.0
+    cands[::97] = 0.0
+    return table, cands
+
+
+class TestLockstep:
+    """One kernel call for many candidates, and many polishes per call."""
+
+    @pytest.mark.parametrize("d_a", range(1, 6))
+    def test_kernel_matches_the_scalar_reference(self, d_a):
+        misses = {}
+        for d_b in range(1, 6):
+            for d_e in range(1, 6):
+                for rows, zeros in [(1, 0.3), (1000, 0.0), (1000, 0.3)]:
+                    table, cands = _kernel_case(d_a, d_b, d_e, rows, zeros)
+                    expected = [
+                        scalar_lambda(row[: 2 * d_a].reshape(2, d_a), row[2 * d_a :].reshape(2, d_b), table)
+                        for row in cands
+                    ]
+                    found = _lambda_raw(cands, table)
+                    if not np.array_equal(found, expected):
+                        misses[(d_b, d_e, rows, zeros)] = int(np.count_nonzero(found != expected))
+        assert not misses
+
+    @pytest.mark.parametrize("instance", ["lemur", "satellite", "coupled-2x3x4"])
+    def test_matches_one_polish_at_a_time(self, instance):
+        if instance == "coupled-2x3x4":
+            table = _kernel_case(2, 3, 4, 1, 0.3)[0]
+        else:
+            table = POLISH_TABLES[instance]()
+        d_a, d_b, _ = table.shape
+        floor = 1e-9
+        rng = np.random.default_rng([37, d_a, d_b])
+        starts = [
+            (np.full((2, d_a), 0.5), np.full((2, d_b), 0.5)),
+            (np.clip(_identity_projection(d_a), floor, 1.0), np.clip(_identity_projection(d_b), floor, 1.0)),
+        ]
+        starts += [seed[1:] for seed in _selecting_seeds(d_a, d_b, floor)][:12]
+        while len(starts) < 45:
+            sample = np.exp(rng.uniform(math.log(floor), 0.0, size=2 * (d_a + d_b)))
+            starts.append((sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
+        settings = [
+            (6, _MICRO_SPANS, None),
+            (8, _CHEAP_SPANS, 1),
+            (8, _CHEAP_SPANS, 37),
+            (8, _CHEAP_SPANS, 2000),
+            (24, _FINE_SPANS, 2000),
+            (24, _FINE_SPANS, None),
+        ]
+        jobs = [(m_a, m_b, *settings[k % len(settings)]) for k, (m_a, m_b) in enumerate(starts)]
+        assert len(jobs) > _LIVE
+        found = _polish_all(table, jobs, floor)
+        assert len(found) == len(jobs)
+        for k, (m_a, m_b, points, spans, cap) in enumerate(jobs):
+            expected = _coordinate_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
+            assert found[k][0] == expected[0], k
+            assert np.array_equal(found[k][1], expected[1]), k
+            assert np.array_equal(found[k][2], expected[2]), k
+
 
 class TestEstimate:
     def test_example_distribution_beats_half(self, lemur):
@@ -183,6 +275,18 @@ class TestEstimate:
         )
         original = estimate_mesbf(lemur, FAST, extra_starts=(composed,))
         assert filtered_result.value <= original.value + 1e-9
+
+    def test_extra_starts_of_the_wrong_shape_rejected(self, lemur, monkeypatch):
+        def no_polish(*args):
+            raise AssertionError("a polish ran before the starts were checked")
+
+        monkeypatch.setattr(optimizer, "_polish_all", no_polish)
+        good = (Filtration(np.eye(2)), Filtration(np.eye(2)))
+        wide = Filtration(np.full((2, 3), 0.5))
+        tall = Filtration(np.full((3, 2), 0.5))
+        for bad in [(wide, good[1]), (tall, good[1]), (good[0], wide), (good[0], tall)]:
+            with pytest.raises(DimensionMismatchError, match="extra start 1 "):
+                estimate_mesbf(lemur, FAST, extra_starts=(good, bad))
 
 
 class TestBruteForce:
