@@ -276,7 +276,8 @@ def _selecting_witness(
         left[1, a1] = q
         right[0, b0] = 1.0
         right[1, b1] = phi / q
-        return Filtration(left).as_proper(), Filtration(right).as_proper()
+        # Scaled as ``as_proper`` scales them, with one construction each.
+        return Filtration(left / left.sum(axis=0).max()), Filtration(right / right.sum(axis=0).max())
 
     return _balanced_witness(build, phi, float(m[a0, b1]), float(m[a1, b0]))
 

@@ -16,15 +16,14 @@ bit-output filter pairs directly.  Two searches are provided:
   resolution.
 
 Both searches spend their time polishing starts.  A polish tries its
-moves in a fixed order and keeps the first candidate that improves, as a
-one-at-a-time hill climber would, but it scores candidates in batches and
-rebuilds only the candidates behind an accepted one.  Each search stage
-polishes its starts in lockstep (:func:`_polish_all`): every live polish
-hands over its pending batch, and one call of the candidate-major kernel
-:func:`_lambda_raw` scores the batches of all of them.  A row's score does
-not depend on the other rows of its call, so each polish follows the
-trajectory it follows alone, which is that of the one-at-a-time climber;
-so is every reported value and witness.
+moves in a fixed order and keeps each one that improves, as a one-at-a-time
+hill climber would.  Each search stage runs its polishes in lockstep
+(:func:`_polish_all`): a polish only chooses the moves to try next, and
+each step builds the candidates of all polishes at once, scores them with
+one call of the candidate-major kernel :func:`_lambda_raw` and finds every
+polish's acceptances with one segmented scan.  A row's score does not
+depend on the other rows of its call, so each polish, and so every reported
+value and witness, follows the trajectory of the one-at-a-time climber.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
@@ -35,7 +34,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Generator, Sequence
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +68,9 @@ class SearchConfig:
     grid_points: int = 12
 
     def __post_init__(self) -> None:
+        counts = (self.restarts, self.iterations, self.grid_points)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise InvalidParamsError(f"restarts, iterations and grid_points must be integers, got {counts}")
         if self.restarts < 1 or self.iterations < 1 or self.grid_points < 2:
             raise InvalidParamsError("restarts, iterations and grid_points must be >= 1 (grid >= 2)")
         if not 0.0 < self.entry_floor < 1.0:
@@ -165,18 +168,10 @@ def estimate_mesbf(
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         sample = np.exp(rng.uniform(log_floor, 0.0, size=2 * (d_a + d_b)))
-        starts.append(
-            (f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b))
-        )
+        starts.append((f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
 
-    cheap = _polish_all(
-        table,
-        [
-            (np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0), 8, _CHEAP_SPANS, cfg.iterations)
-            for _, m_a, m_b in starts
-        ],
-        floor,
-    )
+    clipped = [(np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0)) for _, m_a, m_b in starts]
+    cheap = _polish_all(table, [(*pair, 8, _CHEAP_SPANS, cfg.iterations) for pair in clipped], floor)
     refined = [(*polished, source) for polished, (source, _, _) in zip(cheap, starts)]
     refined.sort(key=lambda item: -item[0])
 
@@ -221,12 +216,8 @@ def _support_signature(d_a_mat: np.ndarray, j_b: np.ndarray, floor: float) -> tu
     Swapping both output bits leaves the objective unchanged, so the
     signature is canonicalized over that mirror symmetry.
     """
-    direct = tuple(
-        np.concatenate([d_a_mat.ravel(), j_b.ravel()]) > 10.0 * floor
-    )
-    mirrored = tuple(
-        np.concatenate([d_a_mat[::-1].ravel(), j_b[::-1].ravel()]) > 10.0 * floor
-    )
+    direct = tuple(np.concatenate([d_a_mat.ravel(), j_b.ravel()]) > 10.0 * floor)
+    mirrored = tuple(np.concatenate([d_a_mat[::-1].ravel(), j_b[::-1].ravel()]) > 10.0 * floor)
     return min(direct, mirrored)
 
 
@@ -296,96 +287,56 @@ _CHEAP_SPANS = (10.0, 2.0, 1.3)
 _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 
-# A polish in progress: it yields candidate stacks, is sent their scores
-# and returns ``(value, d_a_mat, j_b)``.
-_Polish = Generator[np.ndarray, np.ndarray, tuple[float, np.ndarray, np.ndarray]]
+# A polish in progress: it yields requests ``(family, lo, hi, width)`` for
+# its moves ``lo..hi-1`` and is sent ``(accepted, counted, used)`` for each.
+# Families 1, 2 and 3 are single-entry, row-rescaling and pair moves (``width``
+# per entry, row pair or entry pair); family 0 scores the lane's own pair.
+_Polish = Generator[tuple[int, int, int, int], tuple[bool, int, int], None]
 
 
 def _first_improvement(
-    theta: np.ndarray,
-    best: float,
-    evals: int,
-    limit: float,
-    total: int,
-    starts: Sequence[int],
-    build: Callable[[int, int], np.ndarray],
-    cap: int,
-    overwrite: bool = False,
-) -> Generator[np.ndarray, np.ndarray, tuple[float, int, bool]]:
-    """Try moves ``0..total-1`` in order, keeping every one that beats ``best``.
+    family: int, width: int, bounds: Sequence[int], evals: int, limit: float, cap: int
+) -> Generator[tuple[int, int, int, int], tuple[bool, int, int], tuple[int, bool]]:
+    """Request the moves of one family in batches; return ``(evals, improved)``.
 
-    ``build(lo, hi)`` returns the candidates of moves ``lo..hi-1`` built
-    from the current ``theta``; each such stack is yielded and its scores
-    are sent back.  Moves come in groups opening at the sorted positions
-    ``starts``; a group opens only while ``evals`` is below ``limit``.
-    Batches are scored speculatively and, after an acceptance, the moves
-    behind it are rebuilt and scored again, so the trajectory and the
-    evaluation count are those of trying the moves one at a time.  A batch
-    never holds more moves than the budget has evaluations left, so no
-    group inside it can open past the budget.  Batches start at
-    ``_BASE_BATCH`` moves and double while nothing is accepted, up to
-    ``cap`` moves.
-
-    With ``overwrite``, a move sets the coordinates it changes: a candidate
-    equal to ``theta`` is skipped and not counted, and an acceptance leaves
-    the rest of its group unchanged, so their scores are kept.
+    ``bounds`` holds the sorted positions where groups of moves open, then
+    the number of moves; a group opens only while ``evals`` is below
+    ``limit``, and no batch holds more moves than evaluations are left, so
+    past the budget only the rest of an open group is requested.  Batches
+    start at ``_BASE_BATCH`` moves and double while nothing is accepted, up
+    to ``cap``; the moves past an acceptance are requested again.
     """
     size, lo, improved = _BASE_BATCH, 0, False
-    while lo < total:
+    while lo < bounds[-1]:
         room = limit - evals
         if room > 0:
-            hi = min(total, lo + min(size, cap, room))
+            hi = min(bounds[-1], lo + min(size, cap, room))
         else:
-            nxt = bisect.bisect_right(starts, lo)
-            if starts[nxt - 1] == lo:
+            nxt = bisect.bisect_right(bounds, lo)
+            if bounds[nxt - 1] == lo:
                 break
-            hi = min(total, starts[nxt] if nxt < len(starts) else total, lo + cap)
-        cands = build(lo, hi)
-        lam = yield cands
-        counted = (cands != theta).any(axis=1) if overwrite else np.ones(len(lam), dtype=bool)
-        pos, size = 0, 2 * size
-        while pos < len(lam):
-            better = (lam[pos:] > best) & counted[pos:]
-            k = pos + int(better.argmax())
-            if not better[k - pos]:
-                evals += int(np.count_nonzero(counted[pos:]))
-                break
-            theta[:] = cands[k]
-            best, improved, size = lam[k], True, _BASE_BATCH
-            evals += int(np.count_nonzero(counted[pos : k + 1]))
-            pos = k + 1
-            if overwrite:
-                nxt = bisect.bisect_right(starts, lo + k)
-                end = min(hi, starts[nxt]) - lo if nxt < len(starts) else len(lam)
-                lam, cands = lam[:end], cands[:end]
-                counted = (cands != theta).any(axis=1)
-            else:
-                lam = lam[:pos]
-        lo += len(lam)
-    return best, evals, improved
+            hi = min(bounds[nxt], lo + cap)
+        accepted, counted, used = yield family, lo, hi, width
+        evals += counted
+        lo += used
+        size = _BASE_BATCH if accepted else 2 * size
+        improved |= accepted
+    return evals, improved
 
 
 def _polish(
-    d_a_mat: np.ndarray,
-    j_b: np.ndarray,
-    points: int,
-    floor: float,
-    spans: tuple[float, ...],
-    max_evals: int | None,
-    cap: int,
+    lane: tuple[np.ndarray, ...], n_a: int, floor: float, cap: int,
+    points: int, spans: tuple[float, ...], max_evals: int | None,
 ) -> _Polish:
-    """The body of :func:`_coordinate_polish`, yielding each stack to score.
+    """The control flow of one :func:`_coordinate_polish`, run as a lane of :func:`_polish_all`.
 
-    Batches hold at most ``cap`` candidates.  Returns what
-    :func:`_coordinate_polish` returns.
+    ``lane`` holds the lane's rows of the shared arrays: its filter pair,
+    which :func:`_polish_all` updates on acceptance, and the move tables
+    each pass writes (sweep values per entry, factor pairs, live entry pairs).
     """
-    n_a = d_a_mat.size
-    theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
+    theta, grid, factors, pairs = lane
     n = theta.size
     limit = math.inf if max_evals is None else max_evals
-    eye = np.eye(n, dtype=bool)
-    w_a, w_b = d_a_mat.shape[1], j_b.shape[1]
-    rows = np.repeat(np.eye(4, dtype=bool), [w_a, w_a, w_b, w_b], axis=1)
 
     def regauge() -> None:
         for block in (slice(0, n_a), slice(n_a, n)):
@@ -393,66 +344,43 @@ def _polish(
             if top > 0.0:
                 theta[block] = np.maximum(theta[block] / top, floor)
 
-    def scaled(mask_x, f_x, mask_y, f_y) -> np.ndarray:
-        cand = np.where(mask_x, np.minimum(np.maximum(theta * f_x[:, None], floor), 1.0), theta)
-        return np.where(mask_y, np.minimum(np.maximum(theta * f_y[:, None], floor), 1.0), cand)
-
-    evals = 0
+    evals, width = 0, points + 2
     for span in spans:
-        factors = np.geomspace(1.0 / span, span, points)
-        factors = factors[factors != 1.0]
-        # Moves by f and 1/f, then by f and f; the pair family first
-        # switches both entries off (factor 0 clips to the floor).
-        f_a = np.repeat(factors, 2)
-        f_b = np.stack([1.0 / factors, factors], axis=1).ravel()
-        f_i, f_j = np.append(0.0, f_a), np.append(0.0, f_b)
+        steps = np.geomspace(1.0 / span, span, points)
+        steps = steps[steps != 1.0]
+        # Pair moves by f and 1/f, then by f and f, after one that switches
+        # both entries off (factor 0 clips to the floor); rescalings skip it.
+        count = 2 * len(steps) + 1
+        factors[0] = 0.0
+        factors[1:count, 0] = np.repeat(steps, 2)
+        factors[1:count, 1] = np.stack([1.0 / steps, steps], axis=1).ravel()
         for _ in range(2):
             if evals >= limit:
                 break
             regauge()
-            best = float((yield theta[None, :])[0])
+            yield 0, 0, 1, 1
             center = np.maximum(theta, floor)
-            grid = np.geomspace(
-                np.maximum(center / span, floor), np.minimum(center * span, 1.0), points, axis=1
-            )
-            grid = np.hstack([grid, np.full((n, 1), floor), np.ones((n, 1))])
-            width = grid.shape[1]
-
-            def single(lo: int, hi: int) -> np.ndarray:
-                i, r = np.divmod(np.arange(lo, hi), width)
-                return np.where(eye[i], grid[i, r][:, None], theta)
-
+            sweep = grid[: n * width].reshape(n, width)
+            low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
+            sweep[:, :points] = np.geomspace(low, high, points, axis=1)
+            sweep[:, points:] = floor, 1.0
+            entries = range(0, n * width + 1, width)
+            evals, moved_single = yield from _first_improvement(1, width, entries, evals, limit, cap)
             # Whole-row rescalings of one matrix against the other track the
             # balance ridges exactly when rows are sparse.
-            def rescale(lo: int, hi: int) -> np.ndarray:
-                pair, r = np.divmod(np.arange(lo, hi), len(f_a))
-                return scaled(rows[pair // 2], f_a[r], rows[2 + pair % 2], f_b[r])
-
-            best, evals, moved_single = yield from _first_improvement(
-                theta, best, evals, limit, n * width, range(0, n * width, width), single, cap, True
-            )
-            best, evals, moved_rows = yield from _first_improvement(
-                theta, best, evals, limit, 4 * len(f_a), range(0, 4 * len(f_a), len(f_a)), rescale, cap
-            )
+            rows = range(0, 4 * (count - 1) + 1, count - 1)
+            evals, moved_rows = yield from _first_improvement(2, count - 1, rows, evals, limit, cap)
             # Joint switch-off first: small entries can stabilize each other
             # so that neither can be floored alone.
             live = np.flatnonzero(theta > 10.0 * floor)
             first, second = np.triu_indices(len(live), 1)
-            at_i, at_j = eye[live[first]], eye[live[second]]
-            anchors = (len(f_i) * np.searchsorted(first, np.arange(len(live)))).tolist()
-
-            def pairs(lo: int, hi: int) -> np.ndarray:
-                p, r = np.divmod(np.arange(lo, hi), len(f_i))
-                return scaled(at_i[p], f_i[r], at_j[p], f_j[r])
-
-            best, evals, moved_pairs = yield from _first_improvement(
-                theta, best, evals, limit, len(f_i) * len(first), anchors, pairs, cap
-            )
+            pairs[: len(first), 0], pairs[: len(first), 1] = live[first], live[second]
+            anchors = (count * np.searchsorted(first, np.arange(len(live) + 1))).tolist()
+            evals, moved_pairs = yield from _first_improvement(3, count, anchors, evals, limit, cap)
             if not (moved_single or moved_rows or moved_pairs):
                 break
     regauge()
-    value = float((yield theta[None, :])[0])
-    return value, theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+    yield 0, 0, 1, 1
 
 
 def _polish_all(
@@ -462,39 +390,112 @@ def _polish_all(
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """:func:`_coordinate_polish` of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
 
-    At most ``_LIVE`` polishes run at once, in lockstep: one
-    :func:`_lambda_raw` call scores the pending stacks of all of them, and
-    each polish gets its own slice of the scores.  When a polish finishes,
-    the next job takes its place.  Each batch is capped so that one call
-    holds at most ``_CHUNK`` cells of candidates and filtered tables.  A
-    row's score does not depend on the rest of its call, so every result
-    is the one its job reaches alone.  Results come in input order.
+    Up to ``_LIVE`` polishes run in lockstep, each in a lane.  Each step
+    serves the requests of all lanes with a fixed number of array calls:
+    it builds the candidates (each lane's pair, then one edit per move
+    family), scores them with one :func:`_lambda_raw` call and scans them:
+    one segmented first-hit search, then the running maximum of each
+    accepting entry sweep in a ``(sweeps, moves)`` array padded with
+    ``-inf``.  A row's score does not depend on the rest of its call, so a
+    move that repeats the lane's current pair scores exactly its best
+    value.  When a polish finishes, the next job takes its lane.  Batches
+    are capped so that one call holds at most ``_CHUNK`` cells of
+    candidates and filtered tables.  Results come in input order.
     """
     d_a, d_b, d_e = table.shape
+    n_a, n = 2 * d_a, 2 * (d_a + d_b)
     lanes = min(_LIVE, len(jobs))
-    cap = max(1, _CHUNK // (lanes * (2 * (d_a + d_b) + 4 * d_e)))
-    waiting = deque(enumerate(jobs))
-    results: list = [None] * len(jobs)
-    live: list[tuple[int, _Polish, np.ndarray]] = []
+    cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
+    points = max(job[2] for job in jobs)
+    theta, best = np.empty((lanes, n)), np.empty(lanes)
+    grid, factors = np.empty((lanes, n * (points + 2))), np.empty((lanes, 2 * points + 1, 2))
+    pairs = np.empty((lanes, n * (n - 1) // 2, 2), dtype=np.intp)
+    # Row pair 2a + b scales row a of Alice's filter by f_i and row b of Bob's by f_j.
+    rescaled = np.array([[*range(d_a * a, d_a * a + d_a), *range(n_a + d_b * b, n_a + d_b * b + d_b)]
+                         for a in (0, 1) for b in (0, 1)])
+    side = np.repeat([0, 1], [d_a, d_b])
+    waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
+    live: list[tuple[int, int, _Polish, tuple[int, int, int, int]]] = []
 
-    def admit() -> None:
+    def admit(s: int) -> None:
         if waiting:
-            k, (m_a, m_b, points, spans, max_evals) = waiting.popleft()
-            polish = _polish(m_a, m_b, points, floor, spans, max_evals, cap)
-            live.append((k, polish, next(polish)))
+            k, (m_a, m_b, *job) = waiting.popleft()
+            theta[s] = np.concatenate([m_a.ravel(), m_b.ravel()])
+            polish = _polish((theta[s], grid[s], factors[s], pairs[s]), n_a, floor, cap, *job)
+            live.append((k, s, polish, next(polish)))
 
-    for _ in range(lanes):
-        admit()
+    def scale(rows: np.ndarray, cols: np.ndarray, f: np.ndarray) -> None:
+        cells, flat = rows[:, None] * n + cols, cand.reshape(-1)
+        flat[cells] = np.minimum(np.maximum(flat[cells] * f, floor), 1.0)
+
+    for s in range(lanes):
+        admit(s)
     while live:
-        lam = _lambda_raw(np.concatenate([stack for _, _, stack in live]), table)
-        running, live, pos = live, [], 0
-        for k, polish, stack in running:
+        # Sorted by family, so that each family's rows form one block.
+        live.sort(key=lambda item: item[3][0])
+        reqs = np.fromiter(chain.from_iterable((*req, s) for _, s, _, req in live), np.intp, 5 * len(live))
+        family, lo, hi, width, lane = reqs.reshape(-1, 5).T
+        z, s1, r1 = family.searchsorted((1, 2, 3)).tolist()
+        count = hi - lo
+        offset = np.concatenate(([0], count.cumsum()))
+        b1, b2, b3 = offset[z], offset[s1], offset[r1]
+        owner = np.arange(len(live)).repeat(count)
+        rows = np.arange(len(owner))
+        pos = rows - offset[owner]
+        move, at, per = lo[owner] + pos, lane[owner], width[owner]
+
+        cand, repeats = theta[at], np.zeros(len(owner), dtype=bool)
+        if b2 > b1:
+            col, value = move[b1:b2] // per[b1:b2], grid[at[b1:b2], move[b1:b2]]
+            repeats[b1:b2] = value == cand[rows[b1:b2], col]
+            cand[rows[b1:b2], col] = value
+        if b3 > b2:
+            q, f = np.divmod(move[b2:b3], per[b2:b3])
+            scale(rows[b2:b3], rescaled[q], factors[at[b2:b3], f + 1][:, side])
+        if len(owner) > b3:
+            p, f = np.divmod(move[b3:], per[b3:])
+            scale(rows[b3:], pairs[at[b3:], p], factors[at[b3:], f])
+        lam = _lambda_raw(cand, table)
+
+        # Each lane accepts its first move that beats its best (a score
+        # request, its one row).  A single-entry move only sets its entry, so
+        # acceptances run on to the end of its sweep, as the running maximum's
+        # records; a move equal to the entry current at its position is not
+        # counted (``repeats``: the lane's own entry before the first
+        # acceptance, the latest record after it).  Other families stop there.
+        base = best[lane]
+        base[:z] = -np.inf
+        first = np.minimum.reduceat(np.where(lam > base[owner], pos, count[owner]), offset[:-1])
+        accepted = first < count
+        group = np.where(family == 1, width, 1)
+        skew = lo % group
+        used = np.where(accepted, np.minimum(count, (first + skew) // group * group + group - skew), count)
+        last = offset[:-1] + first
+        swept = z + accepted[z:s1].nonzero()[0]
+        if len(swept):
+            tail = (used - first)[swept, None]
+            span = np.arange(tail.max())
+            idx = last[swept, None] + np.minimum(span, tail - 1)
+            window = np.where(span < tail, lam[idx], -np.inf)
+            rising = np.maximum.accumulate(window, axis=1)
+            rising[:, 1:] = rising[:, 1:] > rising[:, :-1]
+            latest = np.maximum.accumulate(np.where(rising > 0.0, span, 0), axis=1)[:, :-1]
+            values, later = value[idx - b1], span[1:] < tail
+            repeats[idx[:, 1:][later]] = (values[:, 1:] == values[np.arange(len(swept))[:, None], latest])[later]
+            last[swept] += window.argmax(axis=1)
+        counted = used - np.add.reduceat(repeats & (pos < used[owner]), offset[:-1])
+        won = accepted.nonzero()[0]
+        theta[lane[won]] = cand[last[won]]
+        best[lane[won]] = lam[last[won]]
+
+        running, live = live, []
+        for (k, s, polish, _), reply in zip(running, zip(accepted.tolist(), counted.tolist(), used.tolist())):
             try:
-                live.append((k, polish, polish.send(lam[pos : pos + len(stack)])))
-            except StopIteration as done:
-                results[k] = done.value
-                admit()
-            pos += len(stack)
+                live.append((k, s, polish, polish.send(reply)))
+            except StopIteration:
+                m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
+                results[k] = (float(best[s]), m_a, m_b)
+                admit(s)
     return results
 
 
@@ -517,15 +518,14 @@ def _coordinate_polish(
     and its inverse.  The pair moves matter: the objective has ridges
     along which the two diagonal products must stay balanced, and no
     single-entry move can follow them.  Each family's candidates are
-    scored in batches by one kernel call (:func:`_first_improvement`),
-    with the trajectory and the evaluation count of trying them one at a
-    time; ``max_evals`` is checked before each entry, row pair and
+    scored in batches (:func:`_polish_all`, of which this is the one-job
+    call), with the trajectory and the evaluation count of trying them one
+    at a time; ``max_evals`` is checked before each entry, row pair and
     pair-move anchor.  Each matrix is re-gauged to peak entry one every
     cycle (the objective is scale invariant per matrix), otherwise the
     scale drifts toward the floor and the windows lose resolution.
     Deterministic; relies on the caller to supply candidates in the
-    right bases of attraction.  Polishes of many starts go through
-    :func:`_polish_all` instead, with the same results.
+    right bases of attraction.
     """
     return _polish_all(table, [(d_a_mat, j_b, points, spans, max_evals)], floor)[0]
 

@@ -276,6 +276,48 @@ class TestDecoupledMesbf:
         scaled = BipartiteDistribution(5.5 * p.table)
         assert mesbf_decoupled(scaled).value == pytest.approx(value, abs=1e-12)
 
+    def test_witness_is_the_proper_rescaling_of_the_selecting_filters(self, monkeypatch):
+        # Every witness build(q) must equal Filtration(raw).as_proper() bit
+        # for bit, where raw keeps outcome a0 (b0) at weight 1 and a1 (b1)
+        # at q (phi / q); exact, both-zero and one-zero balancing cells.
+        built = []
+        balanced = measures._balanced_witness
+
+        def recording(build, ratio, cell0, cell1):
+            def build_and_record(q):
+                built.append((q, ratio, build(q)))
+                return built[-1][2]
+
+            return balanced(build_and_record, ratio, cell0, cell1)
+
+        monkeypatch.setattr(measures, "_balanced_witness", recording)
+        rng = np.random.default_rng(149)
+        tables = [np.array([[0.4, 0.0], [0.2, 0.4]]), np.array([[0.4, 0.3], [0.0, 0.4]])]
+        for d_a in range(2, 7):
+            for d_b in range(2, 7):
+                for zeros in (0.0, 0.3):
+                    table = rng.uniform(0.05, 1.0, size=(d_a, d_b))
+                    table[rng.random(size=table.shape) < zeros] = 0.0
+                    tables.append(table)
+        kinds = set()
+        for table in tables:
+            built.clear()
+            result = mesbf_decoupled(BipartiteDistribution(table / table.sum()))
+            if result.detail["pair"] is None:
+                continue
+            kinds.add(result.witness_kind)
+            if result.witness_family is not None:
+                result.witness_family(1e-3)
+            a0, a1, b0, b1 = result.detail["pair"]
+            assert built and result.witness is built[0][2]
+            for q, phi, (left, right) in built:
+                raw_left, raw_right = np.zeros((2, table.shape[0])), np.zeros((2, table.shape[1]))
+                raw_left[0, a0], raw_left[1, a1] = 1.0, q
+                raw_right[0, b0], raw_right[1, b1] = 1.0, phi / q
+                assert left.matrix.tobytes() == Filtration(raw_left).as_proper().matrix.tobytes()
+                assert right.matrix.tobytes() == Filtration(raw_right).as_proper().matrix.tobytes()
+        assert kinds == {"exact", "limiting"}
+
 
 class TestDecoupledPower:
     def test_single_copy_matches_base(self):

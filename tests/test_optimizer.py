@@ -48,6 +48,16 @@ def test_config_validation():
             SearchConfig(entry_floor=floor)
 
 
+@pytest.mark.parametrize("name", ["restarts", "iterations", "grid_points"])
+def test_config_counts_must_be_integers(name):
+    # Unchecked, grid_points=2.5 fails inside the search with a numpy
+    # TypeError and iterations=nan silently skips the whole cheap pass.
+    for bad in (True, False, np.True_, 2.5, 8.0, math.nan, math.inf, "8"):
+        with pytest.raises(InvalidParamsError, match="integers"):
+            SearchConfig(**{name: bad})
+    assert getattr(SearchConfig(**{name: np.int64(8)}), name) == 8
+
+
 def _decoupled_table(d: int) -> np.ndarray:
     m = np.random.default_rng([2026, d]).uniform(0.1, 1.0, size=(d, d))
     return point_mass_eve(BipartiteDistribution(m / m.sum())).table
@@ -64,6 +74,15 @@ POLISH_SETTINGS = (
     + [(f"cheap-{cap}", 8, _CHEAP_SPANS, cap) for cap in (1, 37, 600, 2000)]
     + [("fine", 24, _FINE_SPANS, None)]
 )
+
+
+BUDGET_INSTANCES = ["lemur", "satellite", "coupled-2x3x4"]
+
+
+def _budget_table(instance: str) -> np.ndarray:
+    if instance == "coupled-2x3x4":
+        return _kernel_case(2, 3, 4, 1, 0.3)[0]
+    return POLISH_TABLES[instance]()
 
 
 class TestBatchedPolish:
@@ -88,13 +107,13 @@ class TestBatchedPolish:
                 assert np.array_equal(found[1], expected[1]), name
                 assert np.array_equal(found[2], expected[2]), name
 
-    @pytest.mark.parametrize("instance", ["lemur", "satellite"])
+    @pytest.mark.parametrize("instance", BUDGET_INSTANCES)
     def test_stops_at_every_budget_boundary(self, instance):
         # Caps 1..120 cover the first sweeps' entry, row-pair and pair
         # boundaries one by one.  The sparse start has entries at 1 and at
         # the floor, whose sweeps skip grid values equal to the entry;
         # skipped values must not count toward the cap.
-        table = POLISH_TABLES[instance]()
+        table = _budget_table(instance)
         d_a, d_b, _ = table.shape
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
@@ -104,6 +123,22 @@ class TestBatchedPolish:
             assert found[0] == expected[0], cap
             assert np.array_equal(found[1], expected[1]), cap
             assert np.array_equal(found[2], expected[2]), cap
+
+    @pytest.mark.parametrize("instance", BUDGET_INSTANCES)
+    def test_every_budget_boundary_in_one_lockstep_call(self, instance):
+        # The same 120 caps as lanes of one call: lanes at different moves,
+        # groups and families share each step, and every lane must still
+        # stop where the one-at-a-time reference stops.
+        table = _budget_table(instance)
+        d_a, d_b, _ = table.shape
+        m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
+        m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
+        found = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in range(1, 121)], 1e-9)
+        for cap, (value, f_a, f_b) in enumerate(found, start=1):
+            expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
+            assert value == expected[0], cap
+            assert np.array_equal(f_a, expected[1]), cap
+            assert np.array_equal(f_b, expected[2]), cap
 
     def test_candidate_batches_have_bounded_memory(self):
         # Unbounded, the pair moves of one pass at 1000 grid points would
