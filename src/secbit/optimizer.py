@@ -32,6 +32,7 @@ pipeline for the reported witness, so results are certified lower bounds.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import deque
 from collections.abc import Generator, Sequence
@@ -48,6 +49,8 @@ from .measures import MeasureResult, _outcome_pairs, mesbf_reversible, secret_bi
 DEFAULT_SEED = 1729
 
 _CHUNK = 1 << 17
+# Cells of Eve-resolved pair values that one joint scan may hold (8 MB).
+_SCAN_CELLS = 1 << 20
 # Moves scored by the polish's first batch after an acceptance; batches
 # double while nothing is accepted.  Acceptances come in runs, so a small
 # first batch wastes little scoring on moves that must be rebuilt.
@@ -229,47 +232,60 @@ def _joint_scan(
     The secret-bit fraction after filtering depends on the two parties'
     row-0 pair and row-1 pair only, so all row pairs are contracted once
     against the table and every combination of a row-0 pair with a row-1
-    pair is evaluated.  Returns the ``top_k`` best candidates with
-    pairwise distinct support signatures, so that later refinement
-    explores genuinely different bases of attraction.
+    pair is evaluated, ``_CHUNK // (n_a n_b)`` row-0 pairs at a time (``n_a``
+    and ``n_b`` rows per party); each chunk keeps its ``8 * top_k`` best.
+    Returns the ``top_k`` best of those with pairwise distinct support
+    signatures, so that later refinement explores genuinely different bases
+    of attraction.  Temporaries hold at most ``max(_CHUNK, n_a n_b, d_e)``
+    cells whatever Eve's alphabet ``d_e``, and more than ``_SCAN_CELLS`` pair
+    values (``n_a n_b d_e``) raise :class:`TooLargeError` before any exists.
     """
     d_a, d_b, d_e = table.shape
-    rows_a = _row_family([coarse] * d_a)
-    rows_b = _row_family([coarse] * d_b)
+    rows_a, rows_b = _row_family([coarse] * d_a), _row_family([coarse] * d_b)
     n_a, n_b = len(rows_a), len(rows_b)
-    pair_vals = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(n_a * n_b, d_e)
+    total = n_a * n_b
+    if total * d_e > _SCAN_CELLS:
+        raise TooLargeError(f"joint scan of {total} row pairs over {d_e} Eve symbols exceeds {_SCAN_CELLS} cells")
+    # Doubling is exact, so min(2x, 2y) summed is twice the summed minimum.
+    pair2 = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(total, d_e)
+    pair2 *= 2.0
     mass = rows_a @ table.sum(axis=2) @ rows_b.T
 
-    total = n_a * n_b
-    i_of, j_of = np.divmod(np.arange(total), n_b)
     block = max(1, _CHUNK // total)
-    per_chunk = 8 * top_k
-    found: list[tuple[float, int, int]] = []
+    lam_buf, den_buf = np.empty((2, min(block, total), n_a, n_b))
+    # Minima over Eve's symbols, _CHUNK cells at a time: whole rows when they fit.
+    width = min(total, max(1, _CHUNK // d_e))
+    height = min(block, max(1, _CHUNK // (total * d_e)))
+    mins = np.empty((height, width, d_e)) if d_e > 1 else None
+    found: list[tuple[np.ndarray, ...]] = []
     for start in range(0, total, block):
         stop = min(start + block, total)
-        i0, j0 = i_of[start:stop], j_of[start:stop]
-        num = 2.0 * np.minimum(pair_vals[start:stop, None, :], pair_vals[None, :, :]).sum(axis=2)
-        den = (
-            mass[i0, j0][:, None]
-            + mass[i_of, j_of][None, :]
-            + mass[i0[:, None], j_of[None, :]]
-            + mass[i_of[None, :], j0[:, None]]
-        )
-        lam = (num / den).ravel()
-        keep = min(per_chunk, lam.size)
-        order = np.argpartition(lam, -keep)[-keep:]
-        for flat in order:
-            i, j = divmod(int(flat), total)
-            found.append((float(lam[flat]), start + i, j))
+        lam, den = lam_buf[: stop - start], den_buf[: stop - start]
+        num = lam.reshape(stop - start, total)
+        if d_e == 1:
+            np.minimum(pair2[start:stop], pair2[:, 0], out=num)
+        else:
+            for r in range(0, stop - start, height):
+                for c in range(0, total, width):
+                    a, b = pair2[start:stop][r : r + height], pair2[c : c + width]
+                    step = np.minimum(a[:, None], b[None], out=mins[: len(a), : len(b)])
+                    step.sum(axis=2, out=num[r : r + height, c : c + width])
+        # Added in the order mass[p] + mass[q] + mass[i0, j1] + mass[i1, j0].
+        i0, j0 = np.divmod(np.arange(start, stop), n_b)
+        np.add(mass.reshape(-1)[start:stop, None, None], mass, out=den)
+        den += mass[i0][:, None, :]
+        den += mass[:, j0].T[:, :, None]
+        np.divide(lam, den, out=lam)
+        keep = min(8 * top_k, lam.size)
+        order = np.argpartition(lam.reshape(-1), -keep)[-keep:]
+        found.append((lam.reshape(-1)[order], start + order // total, order % total))
 
-    found.sort(key=lambda item: (-item[0], item[1], item[2]))
+    values, firsts, seconds = (np.concatenate(column) for column in zip(*found))
+    ranked = np.lexsort((seconds, firsts, -values))
     result: list[tuple[float, np.ndarray, np.ndarray]] = []
     seen: set[tuple] = set()
-    for value, p, q in found:
-        i0, j0 = divmod(p, n_b)
-        i1, j1 = divmod(q, n_b)
-        d_a_mat = np.vstack([rows_a[i0], rows_a[i1]])
-        j_b_mat = np.vstack([rows_b[j0], rows_b[j1]])
+    for value, p, q in zip(values[ranked].tolist(), firsts[ranked].tolist(), seconds[ranked].tolist()):
+        d_a_mat, j_b_mat = rows_a[[p // n_b, q // n_b]], rows_b[[p % n_b, q % n_b]]
         key = _support_signature(d_a_mat, j_b_mat, floor)
         if key in seen:
             continue
@@ -324,6 +340,16 @@ def _first_improvement(
     return evals, improved
 
 
+@functools.lru_cache(maxsize=64)
+def _ladder(span: float, points: int) -> np.ndarray:
+    """Read-only factor pairs ``(f, 1/f)``, ``(f, f)`` per step ``f != 1`` of the span's log grid."""
+    steps = np.geomspace(1.0 / span, span, points)
+    steps = steps[steps != 1.0]
+    moves = np.stack([np.repeat(steps, 2), np.stack([1.0 / steps, steps], axis=1).ravel()], axis=1)
+    moves.flags.writeable = False
+    return moves
+
+
 def _polish(
     lane: tuple[np.ndarray, ...], n_a: int, floor: float, cap: int,
     points: int, spans: tuple[float, ...], max_evals: int | None,
@@ -346,14 +372,12 @@ def _polish(
 
     evals, width = 0, points + 2
     for span in spans:
-        steps = np.geomspace(1.0 / span, span, points)
-        steps = steps[steps != 1.0]
         # Pair moves by f and 1/f, then by f and f, after one that switches
         # both entries off (factor 0 clips to the floor); rescalings skip it.
-        count = 2 * len(steps) + 1
+        moves = _ladder(span, points)
+        count = len(moves) + 1
         factors[0] = 0.0
-        factors[1:count, 0] = np.repeat(steps, 2)
-        factors[1:count, 1] = np.stack([1.0 / steps, steps], axis=1).ravel()
+        factors[1:count] = moves
         for _ in range(2):
             if evals >= limit:
                 break
@@ -575,7 +599,9 @@ def brute_force_mesbf(
     sweeps over per-entry grids of up to ``grid_points`` values with
     shrinking windows, funneled from many candidates down to a few.  The
     documented contract is a lower bound on the true optimum whose gap
-    shrinks as ``grid_points`` grows.
+    shrinks as ``grid_points`` grows.  The joint scan holds at most 2^20
+    pair values, which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
+    ``159`` at 4x4; larger tables raise :class:`TooLargeError`.
     """
     cfg = cfg or SearchConfig()
     d_a, d_b, _ = p.dims
@@ -586,12 +612,8 @@ def brute_force_mesbf(
 
     # Near-zero plus an order-one ladder: optimal weights are O(1) ratios,
     # so dead decades would waste the coarse support scan.
-    if max(d_a, d_b) == 2:
-        coarse = np.array([floor, 0.1, 0.2, 0.45, 1.0])
-    elif max(d_a, d_b) == 3:
-        coarse = np.array([floor, 0.1, 0.3, 1.0])
-    else:
-        coarse = np.array([floor, 0.3, 1.0])
+    middle = {2: (0.1, 0.2, 0.45), 3: (0.1, 0.3)}.get(max(d_a, d_b), (0.3,))
+    coarse = np.array([floor, *middle, 1.0])
     seeds = _joint_scan(table, coarse, floor, top_k=12)
     seeds.extend(_selecting_seeds(d_a, d_b, floor))
 
@@ -610,11 +632,8 @@ def brute_force_mesbf(
     cheap = ranked(micro[:8], min(cfg.grid_points, 12), _CHEAP_SPANS)
     finalists = [item for item in cheap if item[0] >= cheap[0][0] - 3e-2][:4]
 
-    best = (-1.0, None, None)
     fine = [(m_a, m_b, cfg.grid_points, _FINE_SPANS, None) for _, m_a, m_b in finalists]
-    for value, m_a, m_b in _polish_all(table, fine, floor):
-        if value > best[0]:
-            best = (value, m_a, m_b)
+    best = max(_polish_all(table, fine, floor), key=lambda item: item[0])
 
     witness = (Filtration(best[1]).as_proper(), Filtration(best[2]).as_proper())
     value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)

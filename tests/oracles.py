@@ -4,13 +4,15 @@ These deliberately avoid the library's closed-form branch logic: values
 are computed by dense grid evaluation of the secret-bit fraction after
 explicitly parameterized filter pairs.  The scalar coordinate polish
 is the one-candidate-at-a-time reference for the optimizer's batched
-polish, which must follow it bit for bit.  The loop forms of the
-closed-form measures are the reference for the library's vectorized
-ones.  The direct-product block statistics and the one-draw-per-chunk
-simulator at the end are the reference for the protocol layer's
-closed form and cell-bounded sampling.  The seeded property suites at
-the very end, with the per-suite trial loops they had before sharing one,
-are the reference for ``secbit.properties``.
+polish, which must follow it bit for bit.  The joint scan, with fresh
+arrays per chunk and one Python entry per kept pair, is the reference for
+the library's in-place scan.  The loop forms of the closed-form measures
+are the reference for the library's vectorized ones.  The direct-product
+block statistics and the one-draw-per-chunk simulator at the end are the
+reference for the protocol layer's closed form and cell-bounded sampling.
+The seeded property suites at the very end, with the per-suite trial
+loops they had before sharing one, are the reference for
+``secbit.properties``.
 """
 
 import math
@@ -47,7 +49,7 @@ from secbit.measures import (
     secret_bit_fraction,
 )
 from secbit.measures import vartheta as library_vartheta
-from secbit.optimizer import _FINE_SPANS
+from secbit.optimizer import _CHUNK, _FINE_SPANS, _row_family, _support_signature
 from secbit.properties import CheckOutcome
 
 
@@ -234,6 +236,65 @@ def _coordinate_polish(
                 break
     regauge()
     return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+
+
+def _joint_scan(
+    table: np.ndarray, coarse: np.ndarray, floor: float, top_k: int
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Exhaustive scan of coarse filter pairs for both parties jointly.
+
+    The secret-bit fraction after filtering depends on the two parties'
+    row-0 pair and row-1 pair only, so all row pairs are contracted once
+    against the table and every combination of a row-0 pair with a row-1
+    pair is evaluated.  Returns the ``top_k`` best candidates with
+    pairwise distinct support signatures, so that later refinement
+    explores genuinely different bases of attraction.
+    """
+    d_a, d_b, d_e = table.shape
+    rows_a = _row_family([coarse] * d_a)
+    rows_b = _row_family([coarse] * d_b)
+    n_a, n_b = len(rows_a), len(rows_b)
+    pair_vals = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(n_a * n_b, d_e)
+    mass = rows_a @ table.sum(axis=2) @ rows_b.T
+
+    total = n_a * n_b
+    i_of, j_of = np.divmod(np.arange(total), n_b)
+    block = max(1, _CHUNK // total)
+    per_chunk = 8 * top_k
+    found: list[tuple[float, int, int]] = []
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        i0, j0 = i_of[start:stop], j_of[start:stop]
+        num = 2.0 * np.minimum(pair_vals[start:stop, None, :], pair_vals[None, :, :]).sum(axis=2)
+        den = (
+            mass[i0, j0][:, None]
+            + mass[i_of, j_of][None, :]
+            + mass[i0[:, None], j_of[None, :]]
+            + mass[i_of[None, :], j0[:, None]]
+        )
+        lam = (num / den).ravel()
+        keep = min(per_chunk, lam.size)
+        order = np.argpartition(lam, -keep)[-keep:]
+        for flat in order:
+            i, j = divmod(int(flat), total)
+            found.append((float(lam[flat]), start + i, j))
+
+    found.sort(key=lambda item: (-item[0], item[1], item[2]))
+    result: list[tuple[float, np.ndarray, np.ndarray]] = []
+    seen: set[tuple] = set()
+    for value, p, q in found:
+        i0, j0 = divmod(p, n_b)
+        i1, j1 = divmod(q, n_b)
+        d_a_mat = np.vstack([rows_a[i0], rows_a[i1]])
+        j_b_mat = np.vstack([rows_b[j0], rows_b[j1]])
+        key = _support_signature(d_a_mat, j_b_mat, floor)
+        if key in seen:
+            continue
+        seen.add(key)
+        result.append((value, d_a_mat, j_b_mat))
+        if len(result) == top_k:
+            break
+    return result
 
 
 # Closed-form measures as nested loops over outcome pairs and Eve symbols

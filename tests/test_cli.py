@@ -7,7 +7,7 @@ import pytest
 
 from secbit.cli import main
 from secbit.fileio import read_tripartite, write_bipartite, write_filtration, write_tripartite
-from secbit import Filtration, TripartiteDistribution, shared_bit
+from secbit import Filtration, SearchConfig, TripartiteDistribution, brute_force_mesbf, shared_bit
 from secbit.measures import secret_bit_fraction
 
 
@@ -136,6 +136,25 @@ def test_mesbf_opt_runs(capsys, lemur_file):
     doc = json.loads(out)
     assert doc["Lambda_lower_bound"] > 0.5
     assert doc["coin_toss_baseline"] == 0.5
+
+
+def test_mesbf_opt_oracle_reports_the_grid_oracle(capsys, lemur_file):
+    code, out, _ = run(capsys, "mesbf-opt", lemur_file, "--restarts", "4", "--iters", "300", "--oracle", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    expected = brute_force_mesbf(read_tripartite(lemur_file), SearchConfig(restarts=4, iterations=300))
+    assert doc["oracle_value"] == expected.value
+    assert doc["oracle_grid_points"] == 12
+
+
+def test_mesbf_opt_oracle_rejects_large_alphabets(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    write_tripartite(TripartiteDistribution(np.full((5, 2, 1), 0.1)), path)
+    code, out, err = run(capsys, "mesbf-opt", str(path), "--restarts", "4", "--iters", "300", "--oracle")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_decompose_command(capsys, tmp_path):

@@ -8,6 +8,7 @@ from secbit import (
     BipartiteDistribution,
     Filtration,
     SearchConfig,
+    TripartiteDistribution,
     apply,
     brute_force_mesbf,
     estimate_mesbf,
@@ -29,12 +30,15 @@ from secbit.optimizer import (
     _MICRO_SPANS,
     _coordinate_polish,
     _identity_projection,
+    _joint_scan,
     _lambda_raw,
     _polish_all,
     _selecting_seeds,
 )
 
+import oracles
 from oracles import _coordinate_polish as scalar_polish
+from oracles import _joint_scan as frozen_scan
 from oracles import _lambda_raw as scalar_lambda
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
@@ -241,6 +245,86 @@ class TestLockstep:
             assert found[k][0] == expected[0], k
             assert np.array_equal(found[k][1], expected[1]), k
             assert np.array_equal(found[k][2], expected[2]), k
+
+
+# The coarse ladders of brute_force_mesbf, by the larger honest alphabet.
+SCAN_LADDERS = {2: (1e-9, 0.1, 0.2, 0.45, 1.0), 3: (1e-9, 0.1, 0.3, 1.0), 4: (1e-9, 0.3, 1.0)}
+
+
+def _scan_case(d_a: int, d_b: int, d_e: int, zeros: float) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng([43, d_a, d_b, d_e, round(100 * zeros)])
+    table = rng.uniform(0.1, 1.0, size=(d_a, d_b, d_e))
+    table[rng.random(size=table.shape) < zeros] = 0.0
+    table[0, 0, 0] += 0.1
+    return table / table.sum(), np.array(SCAN_LADDERS[max(d_a, d_b)])
+
+
+# Every shape, Eve alphabet and zero share once, top_k cycling through 1, 12
+# and 200 (at 200 the signature dedup walks far down each kept list, to its
+# end when fewer than 200 signatures exist).  3x3 and 4x4 stop at d_e = 2:
+# one frozen 4x4 scan at d_e = 9 takes 2-4 s.
+ALL = (1, 2, 3, 9)
+SCAN_CASES = [
+    (d_a, d_b, d_e, zeros)
+    for d_a, d_b, alphabets in [(2, 2, ALL), (2, 3, ALL), (3, 2, ALL), (3, 3, (1, 2)), (4, 4, (1, 2))]
+    for d_e in alphabets
+    for zeros in (0.0, 0.3)
+]
+SCAN_CASES = [(*case, (1, 12, 200)[k % 3]) for k, case in enumerate(SCAN_CASES)]
+
+
+def _assert_same_scan(found, expected):
+    assert len(found) == len(expected)
+    for (value, m_a, m_b), (value_0, m_a0, m_b0) in zip(found, expected):
+        assert type(value) is float and value == value_0
+        assert np.array_equal(m_a, m_a0) and np.array_equal(m_b, m_b0)
+
+
+class TestJointScan:
+    """The in-place joint scan returns the frozen scan's candidates bit for bit."""
+
+    @pytest.mark.parametrize("d_a, d_b, d_e, zeros, top_k", SCAN_CASES)
+    def test_matches_the_frozen_scan(self, d_a, d_b, d_e, zeros, top_k):
+        table, coarse = _scan_case(d_a, d_b, d_e, zeros)
+        _assert_same_scan(_joint_scan(table, coarse, 1e-9, top_k), frozen_scan(table, coarse, 1e-9, top_k))
+
+    @pytest.mark.parametrize("d_e", [1, 2, 3, 9, 17])
+    def test_matches_with_ragged_chunks_and_split_rows(self, d_e, monkeypatch):
+        # With 4000 cells per chunk a 2x2 chunk holds 6 row-0 pairs of 625,
+        # the last one 1; a minimum over 3 symbols spans 2 of them, and over
+        # 9 or more part of one row (444 and 181 row-1 pairs at d_e = 9).
+        monkeypatch.setattr(optimizer, "_CHUNK", 4000)
+        monkeypatch.setattr(oracles, "_CHUNK", 4000)
+        for zeros, top_k in [(0.0, 1), (0.3, 12)]:
+            table, coarse = _scan_case(2, 2, d_e, zeros)
+            _assert_same_scan(_joint_scan(table, coarse, 1e-9, top_k), frozen_scan(table, coarse, 1e-9, top_k))
+
+    def test_memory_is_bounded_in_eves_alphabet(self):
+        # Built whole for each chunk, the (rows, row-1 pairs, d_e) minimum
+        # peaked at 69 MB here.
+        table, coarse = _scan_case(2, 2, 64, 0.0)
+        tracemalloc.start()
+        try:
+            seeds = _joint_scan(table, coarse, 1e-9, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seeds) == 12
+        assert peak < 16 * 2**20
+
+    def test_too_many_pair_values_rejected_before_allocation(self):
+        # 6561 row pairs over 200 symbols are 10.5 MB of pair values alone.
+        table, coarse = _scan_case(4, 4, 200, 0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="Eve symbols"):
+                _joint_scan(table, coarse, 1e-9, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        with pytest.raises(TooLargeError):
+            brute_force_mesbf(TripartiteDistribution(table), FAST)
 
 
 class TestEstimate:
