@@ -152,10 +152,12 @@ def _cmd_mesbf_opt(args) -> CommandResult:
     if p.is_binary:
         report["lambda_unfiltered"] = secret_bit_fraction(p)
     report.update(_witness_report(result))
+    report["search_trace"] = result.detail["trace"]
     if args.oracle:
         oracle = brute_force_mesbf(p, cfg)
         report["oracle_value"] = oracle.value
         report["oracle_grid_points"] = oracle.detail["grid_points"]
+        report["oracle_trace"] = oracle.detail["trace"]
     return CommandResult(report)
 
 

@@ -11,19 +11,23 @@ bit-output filter pairs directly.  Two searches are provided:
 * :func:`brute_force_mesbf` — a slow grid oracle for small instances: an
   exhaustive joint scan of coarse filter pairs for both parties (the grid
   family automatically covers row-swapped variants), funneled into
-  coordinate-wise sweeps over shrinking per-entry grids.  Intended only
-  as a cross-check; a lower bound whose gap shrinks with the grid
-  resolution.
+  coordinate-wise sweeps over shrinking per-entry grids; the best polished
+  pair of a ranking stage is reported when it certifies strictly higher
+  than the final one.  Intended only as a cross-check; a lower bound whose
+  gap shrinks with the grid resolution.
 
-Both searches spend their time polishing starts.  A polish tries its
-moves in a fixed order and keeps each one that improves, as a one-at-a-time
-hill climber would.  Each search stage runs its polishes in lockstep
-(:func:`_polish_all`): a polish only chooses the moves to try next, and
-each step builds the candidates of all polishes at once, scores them with
-one call of the candidate-major kernel :func:`_lambda_raw` and finds every
-polish's acceptances with one segmented scan.  A row's score does not
-depend on the other rows of its call, so each polish, and so every reported
-value and witness, follows the trajectory of the one-at-a-time climber.
+Both searches are one funnel (:func:`_funnel`): a seed list, a stage
+table and a certify step.  Each stage polishes every candidate, ranks
+them, keeps the leaders (which go on from their polished pair or, in a
+ranking stage, restart from their seed) and adds one entry to
+``detail["trace"]``.  A polish tries its moves in a fixed order and keeps
+each one that improves, as a one-at-a-time hill climber would.  A stage
+runs its polishes in lockstep (:func:`_polish_all`): each step builds the
+candidates of all polishes, scores them with one call of the
+candidate-major kernel :func:`_lambda_raw` and finds every polish's
+acceptances with one segmented scan.  A row's score does not depend on
+the other rows of its call, so every reported value and witness follows
+the trajectory of the one-at-a-time climber.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
@@ -36,7 +40,7 @@ import functools
 import math
 from collections import deque
 from collections.abc import Generator, Sequence
-from itertools import chain
+from itertools import chain, product
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,19 +177,11 @@ def estimate_mesbf(
         sample = np.exp(rng.uniform(log_floor, 0.0, size=2 * (d_a + d_b)))
         starts.append((f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
 
-    clipped = [(np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0)) for _, m_a, m_b in starts]
-    cheap = _polish_all(table, [(*pair, 8, _CHEAP_SPANS, cfg.iterations) for pair in clipped], floor)
-    refined = [(*polished, source) for polished, (source, _, _) in zip(cheap, starts)]
-    refined.sort(key=lambda item: -item[0])
-
-    leaders = refined[:5]
-    fine = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None) for _, m_a, m_b, _ in leaders], floor)
-    best = (-1.0, refined[0][1], refined[0][2], "")
-    for (value, m_a, m_b), (*_, source) in zip(fine, leaders):
-        if value > best[0]:
-            best = (value, m_a, m_b, source)
-    _, m_a, m_b, source = best
-    _, m_a, m_b = _coordinate_polish(table, m_a, m_b, 24, floor, _FINE_SPANS)
+    pool = [(0.0, np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0), source) for source, m_a, m_b in starts]
+    # Capped cheap polish of every start, fine polish of the top 5, then of the best.
+    fine = (24, _FINE_SPANS, None, 1, math.inf, False)
+    stages = [(8, _CHEAP_SPANS, cfg.iterations, 5, math.inf, False), fine, fine]
+    [(_, m_a, m_b, source)], _, trace = _funnel(table, pool, stages, floor)
 
     snapped_a, snapped_b = m_a.copy(), m_b.copy()
     snapped_a[snapped_a < 10.0 * floor] = 0.0
@@ -199,18 +195,7 @@ def estimate_mesbf(
 
     witness = (Filtration(m_a).as_proper(), Filtration(m_b).as_proper())
     value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
-    return MeasureResult(value, witness, "exact", {"source": source})
-
-
-def _row_family(grids: list[np.ndarray]) -> np.ndarray:
-    """All row vectors with entry ``k`` drawn from ``grids[k]``, row-major."""
-    shape = tuple(len(g) for g in grids)
-    total = int(np.prod(shape))
-    multi = np.unravel_index(np.arange(total), shape)
-    family = np.empty((total, len(grids)))
-    for k, grid in enumerate(grids):
-        family[:, k] = grid[multi[k]]
-    return family
+    return MeasureResult(value, witness, "exact", {"source": source, "trace": trace})
 
 
 def _support_signature(d_a_mat: np.ndarray, j_b: np.ndarray, floor: float) -> tuple:
@@ -241,7 +226,7 @@ def _joint_scan(
     values (``n_a n_b d_e``) raise :class:`TooLargeError` before any exists.
     """
     d_a, d_b, d_e = table.shape
-    rows_a, rows_b = _row_family([coarse] * d_a), _row_family([coarse] * d_b)
+    rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
     n_a, n_b = len(rows_a), len(rows_b)
     total = n_a * n_b
     if total * d_e > _SCAN_CELLS:
@@ -307,7 +292,8 @@ _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 # its moves ``lo..hi-1`` and is sent ``(accepted, counted, used)`` for each.
 # Families 1, 2 and 3 are single-entry, row-rescaling and pair moves (``width``
 # per entry, row pair or entry pair); family 0 scores the lane's own pair.
-_Polish = Generator[tuple[int, int, int, int], tuple[bool, int, int], None]
+# It returns the evaluations that it counted toward ``max_evals``.
+_Polish = Generator[tuple[int, int, int, int], tuple[bool, int, int], int]
 
 
 def _first_improvement(
@@ -405,13 +391,14 @@ def _polish(
                 break
     regauge()
     yield 0, 0, 1, 1
+    return evals
 
 
 def _polish_all(
     table: np.ndarray,
     jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]],
     floor: float,
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
+) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
     """:func:`_coordinate_polish` of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
 
     Up to ``_LIVE`` polishes run in lockstep, each in a lane.  Each step
@@ -424,7 +411,8 @@ def _polish_all(
     move that repeats the lane's current pair scores exactly its best
     value.  When a polish finishes, the next job takes its lane.  Batches
     are capped so that one call holds at most ``_CHUNK`` cells of
-    candidates and filtered tables.  Results come in input order.
+    candidates and filtered tables.  Results ``(value, d_a_mat, j_b, evals)``
+    come in input order; ``evals`` is the count that ``max_evals`` caps.
     """
     d_a, d_b, d_e = table.shape
     n_a, n = 2 * d_a, 2 * (d_a + d_b)
@@ -516,9 +504,9 @@ def _polish_all(
         for (k, s, polish, _), reply in zip(running, zip(accepted.tolist(), counted.tolist(), used.tolist())):
             try:
                 live.append((k, s, polish, polish.send(reply)))
-            except StopIteration:
+            except StopIteration as stop:
                 m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
-                results[k] = (float(best[s]), m_a, m_b)
+                results[k] = (float(best[s]), m_a, m_b, stop.value)
                 admit(s)
     return results
 
@@ -551,7 +539,34 @@ def _coordinate_polish(
     Deterministic; relies on the caller to supply candidates in the
     right bases of attraction.
     """
-    return _polish_all(table, [(d_a_mat, j_b, points, spans, max_evals)], floor)[0]
+    return _polish_all(table, [(d_a_mat, j_b, points, spans, max_evals)], floor)[0][:3]
+
+
+def _funnel(
+    table: np.ndarray, pool: list[tuple], stages: Sequence[tuple], floor: float
+) -> tuple[list[tuple], list[tuple], list[dict]]:
+    """Polish a pool of ``(value, d_a_mat, j_b, tag)`` entries stage by stage.
+
+    A stage ``(points, spans, max_evals, keep, tol, restart)`` polishes the
+    pool in one :func:`_polish_all` call, sorts it stably by descending value
+    and keeps the first ``keep`` entries within ``tol`` of the leader, with
+    their new values and polished pairs, or with ``restart`` their unpolished
+    pairs.  Returns the last pool, each ``restart`` stage's best polished
+    entry, and per stage a trace of its points, candidates, kept entries,
+    evaluations (the counts that ``max_evals`` caps) and best value.
+    """
+    ranking, trace = [], []
+    for points, spans, max_evals, keep, tol, restart in stages:
+        polished = _polish_all(table, [(m_a, m_b, points, spans, max_evals) for _, m_a, m_b, _ in pool], floor)
+        order = sorted(range(len(pool)), key=lambda k: -polished[k][0])
+        lead = polished[order[0]][0]
+        kept = [k for k in order if polished[k][0] >= lead - tol][:keep]
+        if restart:
+            ranking.append((*polished[order[0]][:3], pool[order[0]][3]))
+        trace.append({"points": points, "candidates": len(pool), "kept": len(kept),
+                      "evals": sum(job[3] for job in polished), "best": lead})
+        pool = [(polished[k][0], *(pool if restart else polished)[k][1:3], pool[k][3]) for k in kept]
+    return pool, ranking, trace
 
 
 def _selecting_seeds(
@@ -597,10 +612,15 @@ def brute_force_mesbf(
     variant): an exhaustive scan of all coarse filter pairs for the two
     parties jointly plus all sparse selecting seeds, then coordinate-wise
     sweeps over per-entry grids of up to ``grid_points`` values with
-    shrinking windows, funneled from many candidates down to a few.  The
-    documented contract is a lower bound on the true optimum whose gap
-    shrinks as ``grid_points`` grows.  The joint scan holds at most 2^20
-    pair values, which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
+    shrinking windows, funneled from many candidates down to a few: a
+    micro and a cheap polish rank the seeds, and the fine polish restarts
+    from the seeds of the finalists within 3e-2 of the leader.  A ranking
+    polish can walk a pair into a worse basin but also into a better one,
+    so each ranking stage's best polished pair is certified too, and
+    reported when strictly higher than the fine pair.  The documented
+    contract is a lower bound on the true optimum whose gap shrinks as
+    ``grid_points`` grows.  The joint scan holds at most 2^20 pair values,
+    which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
     ``159`` at 4x4; larger tables raise :class:`TooLargeError`.
     """
     cfg = cfg or SearchConfig()
@@ -614,35 +634,19 @@ def brute_force_mesbf(
     # so dead decades would waste the coarse support scan.
     middle = {2: (0.1, 0.2, 0.45), 3: (0.1, 0.3)}.get(max(d_a, d_b), (0.3,))
     coarse = np.array([floor, *middle, 1.0])
-    seeds = _joint_scan(table, coarse, floor, top_k=12)
-    seeds.extend(_selecting_seeds(d_a, d_b, floor))
-
-    # Funnel: micro polish ranks every seed and a cheap pass re-ranks the
-    # leaders (coarse values misorder nearby basins).  Ranking passes can
-    # walk a matrix into a worse basin, so only their values are kept;
-    # the fine pass always restarts from the original seed.
-    def ranked(pool, points: int, spans: tuple[float, ...]) -> list:
-        polished = _polish_all(table, [(m_a, m_b, points, spans, None) for _, m_a, m_b in pool], floor)
-        return sorted(
-            ((value, m_a, m_b) for (value, _, _), (_, m_a, m_b) in zip(polished, pool)),
-            key=lambda item: -item[0],
-        )
-
-    micro = ranked(seeds, min(cfg.grid_points, 6), _MICRO_SPANS)
-    cheap = ranked(micro[:8], min(cfg.grid_points, 12), _CHEAP_SPANS)
-    finalists = [item for item in cheap if item[0] >= cheap[0][0] - 3e-2][:4]
-
-    fine = [(m_a, m_b, cfg.grid_points, _FINE_SPANS, None) for _, m_a, m_b in finalists]
-    best = max(_polish_all(table, fine, floor), key=lambda item: item[0])
-
-    witness = (Filtration(best[1]).as_proper(), Filtration(best[2]).as_proper())
-    value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
-    return MeasureResult(
-        value,
-        witness,
-        "exact",
-        {"grid_points": cfg.grid_points, "seeds": len(seeds), "finalists": len(finalists)},
-    )
+    seeds = _joint_scan(table, coarse, floor, top_k=12) + _selecting_seeds(d_a, d_b, floor)
+    gp = cfg.grid_points
+    stages = [
+        (min(gp, 6), _MICRO_SPANS, None, 8, math.inf, True),
+        (min(gp, 12), _CHEAP_SPANS, None, 4, 3e-2, True),
+        (gp, _FINE_SPANS, None, 1, math.inf, False),
+    ]
+    [fine], ranking, trace = _funnel(table, [(*seed, None) for seed in seeds], stages, floor)
+    witnesses = [(Filtration(m_a).as_proper(), Filtration(m_b).as_proper()) for _, m_a, m_b, _ in (fine, *ranking)]
+    values = [_certified_lambda(w_a.matrix, w_b.matrix, p) for w_a, w_b in witnesses]
+    k = values.index(max(values))  # the first maximum: ties keep the fine pair
+    detail = {"grid_points": gp, "seeds": len(seeds), "finalists": trace[1]["kept"], "trace": trace}
+    return MeasureResult(values[k], witnesses[k], "exact", detail)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ explicitly parameterized filter pairs.  The scalar coordinate polish
 is the one-candidate-at-a-time reference for the optimizer's batched
 polish, which must follow it bit for bit.  The joint scan, with fresh
 arrays per chunk and one Python entry per kept pair, is the reference for
-the library's in-place scan.  The loop forms of the closed-form measures
-are the reference for the library's vectorized ones.  The direct-product
-block statistics and the one-draw-per-chunk simulator at the end are the
-reference for the protocol layer's closed form and cell-bounded sampling.
+the library's in-place scan.  The two searches, each with its stages
+written out by hand, are the reference for the library's stage funnel.
+The loop forms of the closed-form measures are the reference for the
+library's vectorized ones.  The direct-product block statistics and the
+one-draw-per-chunk simulator at the end are the reference for the
+protocol layer's closed form and cell-bounded sampling.
 The seeded property suites at the very end, with the per-suite trial
 loops they had before sharing one, are the reference for
 ``secbit.properties``.
@@ -20,13 +22,17 @@ from typing import Optional
 
 import numpy as np
 
+from secbit import optimizer
 from secbit.distill import _SIM_CHUNK, SimulationReport, _require_block
 from secbit.distributions import BipartiteDistribution, TripartiteDistribution, marginal_ab
 from secbit.errors import (
+    DimensionMismatchError,
     InvalidParamsError,
     NotBinaryError,
     NotNormalizedError,
     OutOfRangeError,
+    TooLargeError,
+    ZeroMassError,
 )
 from secbit.filtration import (
     Filtration,
@@ -49,7 +55,19 @@ from secbit.measures import (
     secret_bit_fraction,
 )
 from secbit.measures import vartheta as library_vartheta
-from secbit.optimizer import _CHUNK, _FINE_SPANS, _row_family, _support_signature
+from secbit.optimizer import (
+    _CHEAP_SPANS,
+    _CHUNK,
+    _FINE_SPANS,
+    _MICRO_SPANS,
+    SearchConfig,
+    _certified_lambda,
+    _coordinate_polish,
+    _identity_projection,
+    _joint_scan,
+    _selecting_seeds,
+    _support_signature,
+)
 from secbit.properties import CheckOutcome
 
 
@@ -117,7 +135,7 @@ def _lambda_raw(d_a: np.ndarray, j_b: np.ndarray, table: np.ndarray) -> float:
 
 
 
-def _coordinate_polish(
+def scalar_polish(
     table: np.ndarray,
     d_a_mat: np.ndarray,
     j_b: np.ndarray,
@@ -238,7 +256,18 @@ def _coordinate_polish(
     return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
 
 
-def _joint_scan(
+def _row_family(grids: list[np.ndarray]) -> np.ndarray:
+    """All row vectors with entry ``k`` drawn from ``grids[k]``, row-major."""
+    shape = tuple(len(g) for g in grids)
+    total = int(np.prod(shape))
+    multi = np.unravel_index(np.arange(total), shape)
+    family = np.empty((total, len(grids)))
+    for k, grid in enumerate(grids):
+        family[:, k] = grid[multi[k]]
+    return family
+
+
+def frozen_scan(
     table: np.ndarray, coarse: np.ndarray, floor: float, top_k: int
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Exhaustive scan of coarse filter pairs for both parties jointly.
@@ -295,6 +324,150 @@ def _joint_scan(
         if len(result) == top_k:
             break
     return result
+
+
+# The two searches as they were before the stage funnel, verbatim: one
+# pipeline written out twice.  They call the library's polish, joint scan
+# and selecting seeds, which have their own references above; its
+# ``_polish_all`` is read here without the evaluation counts it returns.
+
+
+def _polish_all(table, jobs, floor):
+    """The library's lockstep polish, each result as ``(value, d_a_mat, j_b)``."""
+    return [result[:3] for result in optimizer._polish_all(table, jobs, floor)]
+
+
+def estimate_mesbf(
+    p: TripartiteDistribution,
+    cfg: SearchConfig | None = None,
+    extra_starts: tuple[tuple[Filtration, Filtration], ...] = (),
+) -> MeasureResult:
+    """Multi-start search for the best bit-output filter pair.
+
+    Every start — the unbiased coin-toss pair (secret-bit fraction
+    exactly 1/2), an identity-like projection, the sparse selecting
+    projections, any ``extra_starts``, and ``cfg.restarts`` log-uniform
+    random samples — is refined by capped coordinate-wise multiplicative
+    hill climbing (``cfg.iterations`` objective evaluations per start);
+    the leaders then get uncapped fine refinement.  The reported value
+    is the secret-bit fraction of the reported witness recomputed
+    through the measures pipeline, hence a certified lower bound, and it
+    never falls below the coin-toss baseline.  Identical seeds and
+    configs give identical results bit for bit.
+
+    ``extra_starts`` lets callers seed the search with known-good pairs,
+    e.g. witnesses for a preprocessed distribution composed with the
+    preprocessing step.
+    """
+    cfg = cfg or SearchConfig()
+    d_a, d_b, _ = p.dims
+    table = p.table
+    floor = cfg.entry_floor
+    log_floor = math.log(floor)
+
+    starts: list[tuple[str, np.ndarray, np.ndarray]] = [
+        ("coin-toss", np.full((2, d_a), 0.5), np.full((2, d_b), 0.5)),
+        ("identity-projection", _identity_projection(d_a), _identity_projection(d_b)),
+    ]
+    for idx, (_, m_a, m_b) in enumerate(_selecting_seeds(d_a, d_b, floor)):
+        starts.append((f"projection-{idx}", m_a, m_b))
+    for k, (left, right) in enumerate(extra_starts):
+        if left.matrix.shape != (2, d_a) or right.matrix.shape != (2, d_b):
+            raise DimensionMismatchError(
+                f"extra start {k} has filters of shape {left.matrix.shape} and "
+                f"{right.matrix.shape}, expected (2, {d_a}) and (2, {d_b})"
+            )
+        starts.append((f"seeded-{k}", left.matrix, right.matrix))
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        sample = np.exp(rng.uniform(log_floor, 0.0, size=2 * (d_a + d_b)))
+        starts.append((f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
+
+    clipped = [(np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0)) for _, m_a, m_b in starts]
+    cheap = _polish_all(table, [(*pair, 8, _CHEAP_SPANS, cfg.iterations) for pair in clipped], floor)
+    refined = [(*polished, source) for polished, (source, _, _) in zip(cheap, starts)]
+    refined.sort(key=lambda item: -item[0])
+
+    leaders = refined[:5]
+    fine = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None) for _, m_a, m_b, _ in leaders], floor)
+    best = (-1.0, refined[0][1], refined[0][2], "")
+    for (value, m_a, m_b), (*_, source) in zip(fine, leaders):
+        if value > best[0]:
+            best = (value, m_a, m_b, source)
+    _, m_a, m_b, source = best
+    _, m_a, m_b = _coordinate_polish(table, m_a, m_b, 24, floor, _FINE_SPANS)
+
+    snapped_a, snapped_b = m_a.copy(), m_b.copy()
+    snapped_a[snapped_a < 10.0 * floor] = 0.0
+    snapped_b[snapped_b < 10.0 * floor] = 0.0
+    try:
+        keep_snapped = _certified_lambda(snapped_a, snapped_b, p) >= _certified_lambda(m_a, m_b, p) - 1e-12
+    except ZeroMassError:
+        keep_snapped = False
+    if keep_snapped:
+        m_a, m_b = snapped_a, snapped_b
+
+    witness = (Filtration(m_a).as_proper(), Filtration(m_b).as_proper())
+    value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
+    return MeasureResult(value, witness, "exact", {"source": source})
+
+
+def brute_force_mesbf(
+    p: TripartiteDistribution, cfg: SearchConfig | None = None
+) -> MeasureResult:
+    """Grid oracle for small instances (honest alphabets of size <= 4).
+
+    All stages work on multiplicative entry grids inside
+    ``[entry_floor, 1]`` (the families contain every row-swapped
+    variant): an exhaustive scan of all coarse filter pairs for the two
+    parties jointly plus all sparse selecting seeds, then coordinate-wise
+    sweeps over per-entry grids of up to ``grid_points`` values with
+    shrinking windows, funneled from many candidates down to a few.  The
+    documented contract is a lower bound on the true optimum whose gap
+    shrinks as ``grid_points`` grows.  The joint scan holds at most 2^20
+    pair values, which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
+    ``159`` at 4x4; larger tables raise :class:`TooLargeError`.
+    """
+    cfg = cfg or SearchConfig()
+    d_a, d_b, _ = p.dims
+    if d_a > 4 or d_b > 4:
+        raise TooLargeError(f"grid oracle is limited to alphabets <= 4, got {d_a} x {d_b}")
+    table = p.table
+    floor = cfg.entry_floor
+
+    # Near-zero plus an order-one ladder: optimal weights are O(1) ratios,
+    # so dead decades would waste the coarse support scan.
+    middle = {2: (0.1, 0.2, 0.45), 3: (0.1, 0.3)}.get(max(d_a, d_b), (0.3,))
+    coarse = np.array([floor, *middle, 1.0])
+    seeds = _joint_scan(table, coarse, floor, top_k=12)
+    seeds.extend(_selecting_seeds(d_a, d_b, floor))
+
+    # Funnel: micro polish ranks every seed and a cheap pass re-ranks the
+    # leaders (coarse values misorder nearby basins).  Ranking passes can
+    # walk a matrix into a worse basin, so only their values are kept;
+    # the fine pass always restarts from the original seed.
+    def ranked(pool, points: int, spans: tuple[float, ...]) -> list:
+        polished = _polish_all(table, [(m_a, m_b, points, spans, None) for _, m_a, m_b in pool], floor)
+        return sorted(
+            ((value, m_a, m_b) for (value, _, _), (_, m_a, m_b) in zip(polished, pool)),
+            key=lambda item: -item[0],
+        )
+
+    micro = ranked(seeds, min(cfg.grid_points, 6), _MICRO_SPANS)
+    cheap = ranked(micro[:8], min(cfg.grid_points, 12), _CHEAP_SPANS)
+    finalists = [item for item in cheap if item[0] >= cheap[0][0] - 3e-2][:4]
+
+    fine = [(m_a, m_b, cfg.grid_points, _FINE_SPANS, None) for _, m_a, m_b in finalists]
+    best = max(_polish_all(table, fine, floor), key=lambda item: item[0])
+
+    witness = (Filtration(best[1]).as_proper(), Filtration(best[2]).as_proper())
+    value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
+    return MeasureResult(
+        value,
+        witness,
+        "exact",
+        {"grid_points": cfg.grid_points, "seeds": len(seeds), "finalists": len(finalists)},
+    )
 
 
 # Closed-form measures as nested loops over outcome pairs and Eve symbols

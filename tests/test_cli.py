@@ -136,6 +136,13 @@ def test_mesbf_opt_runs(capsys, lemur_file):
     doc = json.loads(out)
     assert doc["Lambda_lower_bound"] > 0.5
     assert doc["coin_toss_baseline"] == 0.5
+    assert "oracle_trace" not in doc
+    _assert_trace(doc["search_trace"])
+
+
+def _assert_trace(trace):
+    assert len(trace) == 3
+    assert all(set(stage) == {"points", "candidates", "kept", "evals", "best"} for stage in trace)
 
 
 def test_mesbf_opt_oracle_reports_the_grid_oracle(capsys, lemur_file):
@@ -145,6 +152,9 @@ def test_mesbf_opt_oracle_reports_the_grid_oracle(capsys, lemur_file):
     expected = brute_force_mesbf(read_tripartite(lemur_file), SearchConfig(restarts=4, iterations=300))
     assert doc["oracle_value"] == expected.value
     assert doc["oracle_grid_points"] == 12
+    assert doc["oracle_trace"] == expected.detail["trace"]
+    _assert_trace(doc["search_trace"])
+    _assert_trace(doc["oracle_trace"])
 
 
 def test_mesbf_opt_oracle_rejects_large_alphabets(capsys, tmp_path):

@@ -37,8 +37,7 @@ from secbit.optimizer import (
 )
 
 import oracles
-from oracles import _coordinate_polish as scalar_polish
-from oracles import _joint_scan as frozen_scan
+from oracles import frozen_scan, scalar_polish
 from oracles import _lambda_raw as scalar_lambda
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
@@ -138,7 +137,7 @@ class TestBatchedPolish:
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
         found = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in range(1, 121)], 1e-9)
-        for cap, (value, f_a, f_b) in enumerate(found, start=1):
+        for cap, (value, f_a, f_b, _) in enumerate(found, start=1):
             expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
             assert value == expected[0], cap
             assert np.array_equal(f_a, expected[1]), cap
@@ -174,7 +173,7 @@ class TestBatchedPolish:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(0.0 <= value <= 1.0 for value, _, _ in results)
+        assert all(0.0 <= value <= 1.0 for value, _, _, _ in results)
         assert peak < 16 * 2**20
 
 
@@ -327,6 +326,94 @@ class TestJointScan:
             brute_force_mesbf(TripartiteDistribution(table), FAST)
 
 
+def _seeded_table(shape: tuple[int, ...], zeros: float = 0.0) -> np.ndarray:
+    rng = np.random.default_rng([61, *shape, round(100 * zeros)])
+    table = rng.uniform(0.1, 1.0, size=shape)
+    table[rng.random(size=shape) < zeros] = 0.0
+    table.flat[0] += 0.1
+    return table / table.sum()
+
+
+def _search_case(instance: str) -> TripartiteDistribution:
+    if instance == "lemur":
+        return randomization_example()
+    if instance == "satellite":
+        return satellite_scenario(0.2, 0.2, 0.15)
+    return TripartiteDistribution(_seeded_table(tuple(int(d) for d in instance.split("x"))))
+
+
+TRACE_KEYS = {"points", "candidates", "kept", "evals", "best"}
+
+
+def _witness_bytes(result) -> bytes:
+    return b"".join(f.matrix.tobytes() for f in result.witness)
+
+
+class TestFunnel:
+    """Both searches are stage tables of one funnel."""
+
+    @pytest.mark.parametrize("instance", ["lemur", "satellite", "2x2x3", "2x3x4", "3x3x2"])
+    def test_estimate_matches_the_frozen_search(self, instance):
+        p = _search_case(instance)
+        found, frozen = estimate_mesbf(p, FAST), oracles.estimate_mesbf(p, FAST)
+        assert found.value.hex() == frozen.value.hex()
+        assert _witness_bytes(found) == _witness_bytes(frozen)
+        assert found.detail["source"] == frozen.detail["source"]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("zeros", [0.0, 0.3])
+    def test_oracle_never_below_the_frozen_search(self, shape, zeros):
+        # Only a ranking stage's best pair can move the result, and only up.
+        p = point_mass_eve(BipartiteDistribution(_seeded_table(shape, zeros)))
+        cfg = SearchConfig(seed=3, grid_points=8)
+        found, frozen = brute_force_mesbf(p, cfg), oracles.brute_force_mesbf(p, cfg)
+        assert found.value >= frozen.value
+        if found.value == frozen.value:
+            assert _witness_bytes(found) == _witness_bytes(frozen)
+        assert found.detail["finalists"] == frozen.detail["finalists"]
+
+    @pytest.mark.parametrize("seed, cycle, shape", [(7, 0, (3, 3)), (13, 1, (2, 3)), (6, 0, (4, 4))])
+    def test_oracle_keeps_the_ranking_stages_best_pair(self, seed, cycle, shape):
+        # Instances of the benchmark's oracle recipe on which the restarted
+        # fine pass lost the micro or cheap stage's better basin.
+        m = np.random.default_rng([seed, cycle, *shape]).uniform(0.1, 1.0, size=shape)
+        p_ab = BipartiteDistribution(m / m.sum())
+        exact = mesbf_decoupled(p_ab).value
+        found = brute_force_mesbf(point_mass_eve(p_ab), SearchConfig(seed=seed, grid_points=12)).value
+        assert exact - 2e-2 <= found <= exact + 1e-9
+
+    def test_traces_count_every_stage(self, lemur, monkeypatch):
+        calls = []
+
+        def counted(table, jobs, floor):
+            results = _polish_all(table, jobs, floor)
+            calls.append((jobs[0][2], len(jobs), sum(evals for *_, evals in results)))
+            return results
+
+        monkeypatch.setattr(optimizer, "_polish_all", counted)
+        for search in (estimate_mesbf, brute_force_mesbf):
+            result = search(lemur, FAST)
+            trace = result.detail["trace"]
+            assert len(trace) == 3 and all(set(stage) == TRACE_KEYS for stage in trace)
+            assert [(t["points"], t["candidates"], t["evals"]) for t in trace] == calls
+            assert all(after["candidates"] == before["kept"] for before, after in zip(trace, trace[1:]))
+            assert trace[-1]["kept"] == 1 and trace[0]["evals"] > 0
+            calls.clear()
+        assert result.detail["finalists"] == trace[1]["kept"]
+
+    @pytest.mark.parametrize("instance", BUDGET_INSTANCES)
+    def test_capped_evals_lie_between_the_cap_and_the_uncapped_count(self, instance):
+        table = _budget_table(instance)
+        d_a, d_b, _ = table.shape
+        m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
+        m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
+        uncapped = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, None)], 1e-9)[0][3]
+        caps = [1, 2, 5, 17, 37, 120, uncapped - 1]
+        found = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in caps], 1e-9)
+        for cap, (*_, evals) in zip(caps, found):
+            assert cap <= evals <= uncapped, cap
+
+
 class TestEstimate:
     def test_example_distribution_beats_half(self, lemur):
         result = estimate_mesbf(lemur, FAST)
@@ -366,6 +453,7 @@ class TestEstimate:
         assert first.value == second.value
         assert np.array_equal(first.witness[0].matrix, second.witness[0].matrix)
         assert np.array_equal(first.witness[1].matrix, second.witness[1].matrix)
+        assert first.detail["trace"] == second.detail["trace"]
 
     def test_reversible_optimum_never_exceeds_the_estimate(self):
         # Reversible filters are a subset of all filters, so the
