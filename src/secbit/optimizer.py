@@ -22,12 +22,13 @@ them, keeps the leaders (which go on from their polished pair or, in a
 ranking stage, restart from their seed) and adds one entry to
 ``detail["trace"]``.  A polish tries its moves in a fixed order and keeps
 each one that improves, as a one-at-a-time hill climber would.  A stage
-runs its polishes in lockstep (:func:`_polish_all`): each step builds the
-candidates of all polishes, scores them with one call of the
-candidate-major kernel :func:`_lambda_raw` and finds every polish's
-acceptances with one segmented scan.  A row's score does not depend on
-the other rows of its call, so every reported value and witness follows
-the trajectory of the one-at-a-time climber.
+runs its polishes in lockstep (:func:`_polish_all`), as many at once as
+fit a memory bound (:func:`_lane_count`): each step builds the candidates
+of all polishes, scores them with one call of the candidate-major kernel
+:func:`_lambda_raw` and finds every polish's acceptances with one
+segmented scan.  A row's score does not depend on the other rows of its
+call, so every reported value and witness follows the trajectory of the
+one-at-a-time climber.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
@@ -40,7 +41,7 @@ import functools
 import math
 from collections import deque
 from collections.abc import Generator, Sequence
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,6 @@ _SCAN_CELLS = 1 << 20
 # double while nothing is accepted.  Acceptances come in runs, so a small
 # first batch wastes little scoring on moves that must be rebuilt.
 _BASE_BATCH = 16
-# Polishes that :func:`_polish_all` runs at once.  More lanes mean fewer,
-# larger kernel calls, but each lane holds its own grids and batch.
-_LIVE = 32
 
 
 @dataclass(frozen=True)
@@ -336,6 +334,32 @@ def _ladder(span: float, points: int) -> np.ndarray:
     return moves
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_table(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Read-only index pairs ``i < j`` of ``k`` live entries, row-major, and where each ``i``'s pairs open."""
+    table = np.column_stack(np.triu_indices(k, 1))
+    table.flags.writeable = False
+    return table, tuple(np.searchsorted(table[:, 0], np.arange(k + 1)).tolist())
+
+
+def _gather(array: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``array[first, second]`` for index vectors, as one ``take`` over the flattened leading axes."""
+    return array.reshape(-1, *array.shape[2:]).take(first * array.shape[1] + second, axis=0)
+
+
+def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
+    """``np.geomspace(low, high, points, axis=1).T`` for positive ends, by numpy's own formula, bit for bit."""
+    log_low, y = np.log10(low), np.arange(points, dtype=float)[:, None]
+    if points > 1:
+        delta = np.log10(high) - log_low
+        step = delta / (points - 1)
+        # numpy's guard against a step that underflows to zero.
+        y = y / (points - 1) * delta if (step == 0).any() else y * step
+    grid = np.power(10.0, y + log_low)
+    grid[-1], grid[0] = high, low
+    return grid
+
+
 def _polish(
     lane: tuple[np.ndarray, ...], n_a: int, floor: float, cap: int,
     points: int, spans: tuple[float, ...], max_evals: int | None,
@@ -351,12 +375,14 @@ def _polish(
     limit = math.inf if max_evals is None else max_evals
 
     def regauge() -> None:
-        for block in (slice(0, n_a), slice(n_a, n)):
-            top = theta[block].max()
+        for block in (theta[:n_a], theta[n_a:]):
+            top = block.max()
             if top > 0.0:
-                theta[block] = np.maximum(theta[block] / top, floor)
+                np.maximum(block / top, floor, out=block)
 
     evals, width = 0, points + 2
+    sweep = grid[: n * width].reshape(n, width)
+    sweep[:, points:] = floor, 1.0
     for span in spans:
         # Pair moves by f and 1/f, then by f and f, after one that switches
         # both entries off (factor 0 clips to the floor); rescalings skip it.
@@ -370,10 +396,8 @@ def _polish(
             regauge()
             yield 0, 0, 1, 1
             center = np.maximum(theta, floor)
-            sweep = grid[: n * width].reshape(n, width)
             low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
-            sweep[:, :points] = np.geomspace(low, high, points, axis=1)
-            sweep[:, points:] = floor, 1.0
+            sweep[:, :points] = _geomspace(low, high, points).T
             entries = range(0, n * width + 1, width)
             evals, moved_single = yield from _first_improvement(1, width, entries, evals, limit, cap)
             # Whole-row rescalings of one matrix against the other track the
@@ -383,10 +407,9 @@ def _polish(
             # Joint switch-off first: small entries can stabilize each other
             # so that neither can be floored alone.
             live = np.flatnonzero(theta > 10.0 * floor)
-            first, second = np.triu_indices(len(live), 1)
-            pairs[: len(first), 0], pairs[: len(first), 1] = live[first], live[second]
-            anchors = (count * np.searchsorted(first, np.arange(len(live) + 1))).tolist()
-            evals, moved_pairs = yield from _first_improvement(3, count, anchors, evals, limit, cap)
+            tri, opens = _pair_table(len(live))
+            pairs[: len(tri)] = live[tri]
+            evals, moved_pairs = yield from _first_improvement(3, count, [count * k for k in opens], evals, limit, cap)
             if not (moved_single or moved_rows or moved_pairs):
                 break
     regauge()
@@ -394,31 +417,37 @@ def _polish(
     return evals
 
 
+def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
+    """Lanes of :func:`_polish_all`: all lane state fits ``_CHUNK`` cells, each first batch one kernel call."""
+    state = n * (points + 2) + 2 * (2 * points + 1) + n * (n - 1)
+    return max(1, min(jobs, _CHUNK // state, _CHUNK // (_BASE_BATCH * (n + 4 * d_e))))
+
+
 def _polish_all(
-    table: np.ndarray,
-    jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]],
-    floor: float,
+    table: np.ndarray, jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]], floor: float
 ) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
     """:func:`_coordinate_polish` of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
 
-    Up to ``_LIVE`` polishes run in lockstep, each in a lane.  Each step
-    serves the requests of all lanes with a fixed number of array calls:
-    it builds the candidates (each lane's pair, then one edit per move
-    family), scores them with one :func:`_lambda_raw` call and scans them:
-    one segmented first-hit search, then the running maximum of each
-    accepting entry sweep in a ``(sweeps, moves)`` array padded with
-    ``-inf``.  A row's score does not depend on the rest of its call, so a
-    move that repeats the lane's current pair scores exactly its best
-    value.  When a polish finishes, the next job takes its lane.  Batches
-    are capped so that one call holds at most ``_CHUNK`` cells of
-    candidates and filtered tables.  Results ``(value, d_a_mat, j_b, evals)``
-    come in input order; ``evals`` is the count that ``max_evals`` caps.
+    The polishes run in lockstep, each in a lane: as many at once as keep
+    all lanes' grids and move tables within ``_CHUNK`` cells and each first
+    batch within one kernel call (:func:`_lane_count`).  Each step serves
+    the requests of all lanes with a fixed number of array calls: it builds
+    the candidates (each lane's pair, then one edit per move family), scores
+    them with one :func:`_lambda_raw` call and scans them: one segmented
+    first-hit search, then the running maximum of each accepting entry sweep
+    in a ``(sweeps, moves)`` array padded with ``-inf``.  A row's score does
+    not depend on the rest of its call, so a move that repeats the lane's
+    current pair scores exactly its best value.  When a polish finishes, the
+    next job takes its lane.  Batches are capped so that one call holds at
+    most ``_CHUNK`` cells of candidates and filtered tables.  Results
+    ``(value, d_a_mat, j_b, evals)`` come in input order; ``evals`` is the
+    count that ``max_evals`` caps.
     """
     d_a, d_b, d_e = table.shape
     n_a, n = 2 * d_a, 2 * (d_a + d_b)
-    lanes = min(_LIVE, len(jobs))
-    cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
     points = max(job[2] for job in jobs)
+    lanes = _lane_count(len(jobs), n, d_e, points)
+    cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
     theta, best = np.empty((lanes, n)), np.empty(lanes)
     grid, factors = np.empty((lanes, n * (points + 2))), np.empty((lanes, 2 * points + 1, 2))
     pairs = np.empty((lanes, n * (n - 1) // 2, 2), dtype=np.intp)
@@ -427,27 +456,34 @@ def _polish_all(
                          for a in (0, 1) for b in (0, 1)])
     side = np.repeat([0, 1], [d_a, d_b])
     waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
-    live: list[tuple[int, int, _Polish, tuple[int, int, int, int]]] = []
+    # Live ``(job, lane, polish)`` entries and their requests plus lanes, per family: one block of rows each.
+    polishes, asks = ([], [], [], []), ([], [], [], [])
+
+    def post(k: int, s: int, polish: _Polish, req: tuple[int, int, int, int]) -> None:
+        polishes[req[0]].append((k, s, polish))
+        asks[req[0]].extend((*req, s))
 
     def admit(s: int) -> None:
         if waiting:
             k, (m_a, m_b, *job) = waiting.popleft()
             theta[s] = np.concatenate([m_a.ravel(), m_b.ravel()])
             polish = _polish((theta[s], grid[s], factors[s], pairs[s]), n_a, floor, cap, *job)
-            live.append((k, s, polish, next(polish)))
+            post(k, s, polish, next(polish))
 
     def scale(rows: np.ndarray, cols: np.ndarray, f: np.ndarray) -> None:
-        cells, flat = rows[:, None] * n + cols, cand.reshape(-1)
-        flat[cells] = np.minimum(np.maximum(flat[cells] * f, floor), 1.0)
+        cells = cols + (rows * n)[:, None]
+        moved = flat.take(cells) * f
+        flat[cells] = np.minimum(np.maximum(moved, floor, out=moved), 1.0, out=moved)
 
     for s in range(lanes):
         admit(s)
-    while live:
-        # Sorted by family, so that each family's rows form one block.
-        live.sort(key=lambda item: item[3][0])
-        reqs = np.fromiter(chain.from_iterable((*req, s) for _, s, _, req in live), np.intp, 5 * len(live))
+    while any(polishes):
+        live = list(chain.from_iterable(polishes))
+        z, s1, r1, _ = accumulate(map(len, polishes))
+        reqs = np.fromiter(chain.from_iterable(asks), np.intp, 5 * len(live))
+        for bucket in (*polishes, *asks):
+            bucket.clear()
         family, lo, hi, width, lane = reqs.reshape(-1, 5).T
-        z, s1, r1 = family.searchsorted((1, 2, 3)).tolist()
         count = hi - lo
         offset = np.concatenate(([0], count.cumsum()))
         b1, b2, b3 = offset[z], offset[s1], offset[r1]
@@ -456,17 +492,18 @@ def _polish_all(
         pos = rows - offset[owner]
         move, at, per = lo[owner] + pos, lane[owner], width[owner]
 
-        cand, repeats = theta[at], np.zeros(len(owner), dtype=bool)
+        cand, repeats = theta.take(at, axis=0), np.zeros(len(owner), dtype=bool)
+        flat = cand.reshape(-1)
         if b2 > b1:
-            col, value = move[b1:b2] // per[b1:b2], grid[at[b1:b2], move[b1:b2]]
-            repeats[b1:b2] = value == cand[rows[b1:b2], col]
-            cand[rows[b1:b2], col] = value
+            cells, value = rows[b1:b2] * n + move[b1:b2] // per[b1:b2], _gather(grid, at[b1:b2], move[b1:b2])
+            repeats[b1:b2] = value == flat.take(cells)
+            flat[cells] = value
         if b3 > b2:
             q, f = np.divmod(move[b2:b3], per[b2:b3])
-            scale(rows[b2:b3], rescaled[q], factors[at[b2:b3], f + 1][:, side])
+            scale(rows[b2:b3], rescaled.take(q, axis=0), _gather(factors, at[b2:b3], f + 1)[:, side])
         if len(owner) > b3:
             p, f = np.divmod(move[b3:], per[b3:])
-            scale(rows[b3:], pairs[at[b3:], p], factors[at[b3:], f])
+            scale(rows[b3:], _gather(pairs, at[b3:], p), _gather(factors, at[b3:], f))
         lam = _lambda_raw(cand, table)
 
         # Each lane accepts its first move that beats its best (a score
@@ -500,10 +537,9 @@ def _polish_all(
         theta[lane[won]] = cand[last[won]]
         best[lane[won]] = lam[last[won]]
 
-        running, live = live, []
-        for (k, s, polish, _), reply in zip(running, zip(accepted.tolist(), counted.tolist(), used.tolist())):
+        for (k, s, polish), reply in zip(live, zip(accepted.tolist(), counted.tolist(), used.tolist())):
             try:
-                live.append((k, s, polish, polish.send(reply)))
+                post(k, s, polish, polish.send(reply))
             except StopIteration as stop:
                 m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
                 results[k] = (float(best[s]), m_a, m_b, stop.value)
@@ -512,13 +548,8 @@ def _polish_all(
 
 
 def _coordinate_polish(
-    table: np.ndarray,
-    d_a_mat: np.ndarray,
-    j_b: np.ndarray,
-    points: int,
-    floor: float,
-    spans: tuple[float, ...] = _FINE_SPANS,
-    max_evals: int | None = None,
+    table: np.ndarray, d_a_mat: np.ndarray, j_b: np.ndarray, points: int, floor: float,
+    spans: tuple[float, ...] = _FINE_SPANS, max_evals: int | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Local grid refinement of a filter pair, windows shrinking per pass.
 

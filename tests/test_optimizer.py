@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,14 +26,18 @@ from secbit import (
 from secbit import optimizer
 from secbit.errors import DimensionMismatchError, InvalidParamsError, TooLargeError
 from secbit.optimizer import (
+    _BASE_BATCH,
     _CHEAP_SPANS,
+    _CHUNK,
     _FINE_SPANS,
-    _LIVE,
     _MICRO_SPANS,
     _coordinate_polish,
+    _geomspace,
     _identity_projection,
     _joint_scan,
     _lambda_raw,
+    _lane_count,
+    _pair_table,
     _polish_all,
     _selecting_seeds,
 )
@@ -159,8 +165,9 @@ class TestBatchedPolish:
         assert peak < 16 * 2**20
 
     def test_lockstep_batches_have_bounded_memory(self):
-        # Only _LIVE polishes hold grids and batches at once; with every
-        # one of the 200 starts live, the grids alone take ~25 MB.
+        # Only the lanes that _lane_count admits hold grids and batches at
+        # once; with every one of the 200 starts live, the grids alone take
+        # ~25 MB.
         table = _decoupled_table(4)
         rng = np.random.default_rng(5)
         jobs = [
@@ -236,14 +243,83 @@ class TestLockstep:
             (24, _FINE_SPANS, None),
         ]
         jobs = [(m_a, m_b, *settings[k % len(settings)]) for k, (m_a, m_b) in enumerate(starts)]
-        assert len(jobs) > _LIVE
+        # A job with wide sweep grids makes the lane bound admit fewer lanes
+        # than jobs, so that finished lanes are reused.
+        jobs.append((*starts[-1], 400, _MICRO_SPANS, 2000))
+        d_e = table.shape[2]
+        assert _lane_count(len(jobs), 2 * (d_a + d_b), d_e, 400) < len(jobs)
         found = _polish_all(table, jobs, floor)
         assert len(found) == len(jobs)
-        for k, (m_a, m_b, points, spans, cap) in enumerate(jobs):
-            expected = _coordinate_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
+        for k, job in enumerate(jobs):
+            expected = _polish_all(table, [job], floor)[0]
             assert found[k][0] == expected[0], k
             assert np.array_equal(found[k][1], expected[1]), k
             assert np.array_equal(found[k][2], expected[2]), k
+            assert found[k][3] == expected[3], k
+
+    def test_lane_bound(self):
+        # Every start of a benchmark cheap stage (up to 138 on a 3x3x2
+        # table) is live at once.
+        assert _lane_count(138, 12, 2, 8) == 138
+        for n, d_e, points, jobs in product(range(4, 25, 2), (1, 2, 4, 16), (2, 8, 24, 1000), (1, 138, 200, 10_000)):
+            lanes = _lane_count(jobs, n, d_e, points)
+            assert 1 <= lanes <= jobs
+            # Sweep grid, factor pairs and live pairs of every lane.
+            assert lanes * (n * (points + 2) + 2 * (2 * points + 1) + n * (n - 1)) <= _CHUNK
+            # Each lane's first batch fits one kernel call.
+            assert lanes * _BASE_BATCH * (n + 4 * d_e) <= _CHUNK
+        # The memory test's 200 jobs at 1000 points on a 4x4 table.
+        assert _lane_count(200, 16, 1, 1000) == 6
+
+    def test_searches_print_nothing(self, lemur, capsys):
+        # A run's last line of standard output is its result, so library
+        # code must write nothing, warnings included.
+        table = lemur.table
+        jobs = [(np.full((2, 2), 0.5), np.full((2, 2), 0.5), points, _CHEAP_SPANS, 200) for points in (8, 24)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_mesbf(lemur, FAST)
+            brute_force_mesbf(lemur, FAST)
+            _polish_all(table, jobs, 1e-9)
+        assert capsys.readouterr() == ("", "")
+
+
+def _as_bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestPassTables:
+    """Each pass's sweep grid and pair table equal the numpy calls they replace, bit for bit."""
+
+    @pytest.mark.parametrize("points", [1, 2, 6, 8, 12, 24, 40, 1000])
+    def test_sweep_grid_matches_geomspace(self, points):
+        floor = 1e-9
+        rng = np.random.default_rng([47, points])
+        for n in sorted({2 * (d_a + d_b) for d_a in range(1, 7) for d_b in range(1, 7)}):
+            random = np.exp(rng.uniform(math.log(floor), 0.0, size=n))
+            mixed = np.where(rng.random(n) < 0.5, floor, 1.0)
+            for center in (np.full(n, floor), np.ones(n), random, mixed):
+                for span in (*_MICRO_SPANS, *_CHEAP_SPANS, *_FINE_SPANS):
+                    low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
+                    expected = np.geomspace(low, high, points, axis=1)
+                    assert np.array_equal(_as_bits(_geomspace(low, high, points).T), _as_bits(expected))
+            # Equal ends take numpy's branch for a zero step.
+            low = np.exp(rng.uniform(math.log(floor), 0.0, size=n))
+            high = np.where(rng.random(n) < 0.5, low, np.minimum(2.0 * low, 1.0))
+            expected = np.geomspace(low, high, points, axis=1)
+            assert np.array_equal(_as_bits(_geomspace(low, high, points).T), _as_bits(expected))
+
+    def test_pair_table_matches_triu_indices(self):
+        rng = np.random.default_rng(53)
+        for k in range(17):
+            first, second = np.triu_indices(k, 1)
+            anchors = np.searchsorted(first, np.arange(k + 1))
+            tri, opens = _pair_table(k)
+            assert not tri.flags.writeable
+            assert np.array_equal(tri[:, 0], first) and np.array_equal(tri[:, 1], second)
+            assert list(opens) == anchors.tolist()
+            live = np.sort(rng.choice(24, size=k, replace=False))
+            assert np.array_equal(live[tri], np.stack([live[first], live[second]], axis=1))
 
 
 # The coarse ladders of brute_force_mesbf, by the larger honest alphabet.
