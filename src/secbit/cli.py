@@ -165,11 +165,9 @@ def _cmd_decompose(args) -> CommandResult:
     filt = fileio.read_filtration(args.file)
     factors = decompose(filt)
     rebuilt = recompose(factors)
-    roundtrip = float(np.abs(rebuilt.matrix - filt.matrix).max())
+    roundtrip = float(np.abs(rebuilt.matrix - filt.matrix).max(initial=0.0))
     block = factors.enlarged_product()[:2, 2:]
-    product_error = 0.0
-    for slot, source in enumerate(factors.permutation):
-        product_error = max(product_error, float(np.abs(block[:, slot] - filt.matrix[:, source]).max()))
+    product_error = float(np.abs(block - filt.matrix[:, list(factors.permutation)]).max(initial=0.0))
     rows = [
         {
             "slot": k,
@@ -348,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=64)
     sp.add_argument("--iters", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--oracle", action="store_true", help="also run the grid oracle")
+    sp.add_argument(
+        "--oracle", action="store_true",
+        help=f"also run the grid oracle, at its default of {SearchConfig.grid_points} grid points",
+    )
     common(sp)
     sp.set_defaults(func=_cmd_mesbf_opt)
 

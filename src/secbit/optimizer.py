@@ -22,7 +22,7 @@ them, keeps the leaders (which go on from their polished pair or, in a
 ranking stage, restart from their seed) and adds one entry to
 ``detail["trace"]``.  A polish tries its moves in a fixed order and keeps
 each one that improves, as a one-at-a-time hill climber would.  A stage
-runs its polishes in lockstep (:func:`_polish_all`), as many at once as
+runs its polishes in lockstep (:func:`_coordinate_polish`), as many at once as
 fit a memory bound (:func:`_lane_count`): each step builds the candidates
 of all polishes, scores them with one call of the candidate-major kernel
 :func:`_lambda_raw` and finds every polish's acceptances with one
@@ -64,7 +64,14 @@ _BASE_BATCH = 16
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs shared by both searches; all randomness flows from ``seed``."""
+    """Knobs of the two searches; all randomness flows from ``seed``.
+
+    :func:`estimate_mesbf` reads ``restarts`` (random starts), ``iterations``
+    (evaluations per start in the capped stage), ``seed`` and
+    ``entry_floor``.  :func:`brute_force_mesbf` reads ``grid_points``
+    (sweep values per entry, at most 6 and 12 in its ranking stages) and
+    ``entry_floor``.
+    """
 
     restarts: int = 64
     iterations: int = 2000
@@ -364,11 +371,24 @@ def _polish(
     lane: tuple[np.ndarray, ...], n_a: int, floor: float, cap: int,
     points: int, spans: tuple[float, ...], max_evals: int | None,
 ) -> _Polish:
-    """The control flow of one :func:`_coordinate_polish`, run as a lane of :func:`_polish_all`.
+    """Local grid refinement of one filter pair, run as a lane of :func:`_coordinate_polish`.
+
+    Each span opens a window; each pass tries three move families in a
+    fixed order, keeping every move that improves: single entries swept
+    over a local log grid (plus the floor, so entries can switch off, and
+    1.0, so dead entries can revive), whole rows of one matrix rescaled
+    against rows of the other, and coordinated entry pairs, switched off
+    jointly or moved by a factor and its inverse or by the same factor.
+    The pair moves matter: the objective has ridges along which the two
+    diagonal products must stay balanced, and no single-entry move can
+    follow them.  ``max_evals`` is checked before each entry, row pair and
+    pair-move anchor.  Each matrix is re-gauged to peak entry one before
+    every pass (the objective is scale invariant per matrix), otherwise the
+    scale drifts toward the floor and the windows lose resolution.
 
     ``lane`` holds the lane's rows of the shared arrays: its filter pair,
-    which :func:`_polish_all` updates on acceptance, and the move tables
-    each pass writes (sweep values per entry, factor pairs, live entry pairs).
+    which the driver updates on acceptance, and the move tables each pass
+    writes (sweep values per entry, factor pairs, live entry pairs).
     """
     theta, grid, factors, pairs = lane
     n = theta.size
@@ -418,15 +438,18 @@ def _polish(
 
 
 def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
-    """Lanes of :func:`_polish_all`: all lane state fits ``_CHUNK`` cells, each first batch one kernel call."""
+    """Lanes of :func:`_coordinate_polish`: all lane state fits ``_CHUNK`` cells, each first batch one kernel call."""
     state = n * (points + 2) + 2 * (2 * points + 1) + n * (n - 1)
     return max(1, min(jobs, _CHUNK // state, _CHUNK // (_BASE_BATCH * (n + 4 * d_e))))
 
 
-def _polish_all(
+def _coordinate_polish(
     table: np.ndarray, jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]], floor: float
 ) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
-    """:func:`_coordinate_polish` of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
+    """Polish every ``(d_a_mat, j_b, points, spans, max_evals)`` job (:func:`_polish`).
+
+    Moves are scored in batches, with the trajectory and the evaluation
+    count of trying them one at a time.
 
     The polishes run in lockstep, each in a lane: as many at once as keep
     all lanes' grids and move tables within ``_CHUNK`` cells and each first
@@ -547,48 +570,24 @@ def _polish_all(
     return results
 
 
-def _coordinate_polish(
-    table: np.ndarray, d_a_mat: np.ndarray, j_b: np.ndarray, points: int, floor: float,
-    spans: tuple[float, ...] = _FINE_SPANS, max_evals: int | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Local grid refinement of a filter pair, windows shrinking per pass.
-
-    Three move families, tried in a fixed order with first improvement:
-    single entries swept over a local log grid (plus the floor, so
-    entries can switch off, and 1.0, so dead entries can revive), whole
-    rows of one matrix rescaled against rows of the other, and
-    coordinated entry pairs, switched off jointly or moved by a factor
-    and its inverse.  The pair moves matter: the objective has ridges
-    along which the two diagonal products must stay balanced, and no
-    single-entry move can follow them.  Each family's candidates are
-    scored in batches (:func:`_polish_all`, of which this is the one-job
-    call), with the trajectory and the evaluation count of trying them one
-    at a time; ``max_evals`` is checked before each entry, row pair and
-    pair-move anchor.  Each matrix is re-gauged to peak entry one every
-    cycle (the objective is scale invariant per matrix), otherwise the
-    scale drifts toward the floor and the windows lose resolution.
-    Deterministic; relies on the caller to supply candidates in the
-    right bases of attraction.
-    """
-    return _polish_all(table, [(d_a_mat, j_b, points, spans, max_evals)], floor)[0][:3]
-
-
 def _funnel(
     table: np.ndarray, pool: list[tuple], stages: Sequence[tuple], floor: float
 ) -> tuple[list[tuple], list[tuple], list[dict]]:
     """Polish a pool of ``(value, d_a_mat, j_b, tag)`` entries stage by stage.
 
     A stage ``(points, spans, max_evals, keep, tol, restart)`` polishes the
-    pool in one :func:`_polish_all` call, sorts it stably by descending value
-    and keeps the first ``keep`` entries within ``tol`` of the leader, with
-    their new values and polished pairs, or with ``restart`` their unpolished
-    pairs.  Returns the last pool, each ``restart`` stage's best polished
-    entry, and per stage a trace of its points, candidates, kept entries,
-    evaluations (the counts that ``max_evals`` caps) and best value.
+    pool in one :func:`_coordinate_polish` call, sorts it stably by
+    descending value and keeps the first ``keep`` entries within ``tol`` of
+    the leader, with their new values and polished pairs, or with
+    ``restart`` their unpolished pairs.  Returns the last pool, each
+    ``restart`` stage's best polished entry, and per stage a trace of its
+    points, candidates, kept entries, evaluations (the counts that
+    ``max_evals`` caps) and best value.
     """
     ranking, trace = [], []
     for points, spans, max_evals, keep, tol, restart in stages:
-        polished = _polish_all(table, [(m_a, m_b, points, spans, max_evals) for _, m_a, m_b, _ in pool], floor)
+        jobs = [(m_a, m_b, points, spans, max_evals) for _, m_a, m_b, _ in pool]
+        polished = _coordinate_polish(table, jobs, floor)
         order = sorted(range(len(pool)), key=lambda k: -polished[k][0])
         lead = polished[order[0]][0]
         kept = [k for k in order if polished[k][0] >= lead - tol][:keep]

@@ -62,7 +62,6 @@ from secbit.optimizer import (
     _MICRO_SPANS,
     SearchConfig,
     _certified_lambda,
-    _coordinate_polish,
     _identity_projection,
     _joint_scan,
     _selecting_seeds,
@@ -328,13 +327,15 @@ def frozen_scan(
 
 # The two searches as they were before the stage funnel, verbatim: one
 # pipeline written out twice.  They call the library's polish, joint scan
-# and selecting seeds, which have their own references above; its
-# ``_polish_all`` is read here without the evaluation counts it returns.
+# and selecting seeds, which have their own references above.  They
+# called the lockstep polish ``_polish_all``; the library's polish,
+# ``_coordinate_polish``, is read under that name here, without the
+# evaluation counts it returns.
 
 
 def _polish_all(table, jobs, floor):
     """The library's lockstep polish, each result as ``(value, d_a_mat, j_b)``."""
-    return [result[:3] for result in optimizer._polish_all(table, jobs, floor)]
+    return [result[:3] for result in optimizer._coordinate_polish(table, jobs, floor)]
 
 
 def estimate_mesbf(
@@ -395,7 +396,7 @@ def estimate_mesbf(
         if value > best[0]:
             best = (value, m_a, m_b, source)
     _, m_a, m_b, source = best
-    _, m_a, m_b = _coordinate_polish(table, m_a, m_b, 24, floor, _FINE_SPANS)
+    _, m_a, m_b = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None)], floor)[0]
 
     snapped_a, snapped_b = m_a.copy(), m_b.copy()
     snapped_a[snapped_a < 10.0 * floor] = 0.0

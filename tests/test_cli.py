@@ -178,6 +178,19 @@ def test_decompose_command(capsys, tmp_path):
     assert len(doc["rows"]) == 3
 
 
+def test_decompose_without_input_columns(capsys, tmp_path):
+    # A 2x0 filtration has no elementary steps; both errors are maxima over nothing.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 0, "entries": [[], []]}))
+    code, out, err = run(capsys, "decompose", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["roundtrip_max_error"] == 0.0
+    assert doc["elementary_product_max_error"] == 0.0
+    assert doc["rows"] == [] and doc["permutation"] == []
+
+
 @pytest.mark.parametrize(
     "doc", [{"rows": 0, "cols": -1, "entries": []}, {"rows": 1, "cols": 10**13, "entries": [[1.0]]}]
 )

@@ -38,7 +38,6 @@ from secbit.optimizer import (
     _lambda_raw,
     _lane_count,
     _pair_table,
-    _polish_all,
     _selecting_seeds,
 )
 
@@ -111,7 +110,7 @@ class TestBatchedPolish:
         for m_a, m_b in starts:
             for name, points, spans, cap in POLISH_SETTINGS:
                 expected = scalar_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
-                found = _coordinate_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
+                found = _coordinate_polish(table, [(m_a, m_b, points, spans, cap)], floor)[0]
                 assert found[0] == expected[0], name
                 assert np.array_equal(found[1], expected[1]), name
                 assert np.array_equal(found[2], expected[2]), name
@@ -128,7 +127,7 @@ class TestBatchedPolish:
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
         for cap in range(1, 121):
             expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
-            found = _coordinate_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
+            found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap)], 1e-9)[0]
             assert found[0] == expected[0], cap
             assert np.array_equal(found[1], expected[1]), cap
             assert np.array_equal(found[2], expected[2]), cap
@@ -142,7 +141,7 @@ class TestBatchedPolish:
         d_a, d_b, _ = table.shape
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
-        found = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in range(1, 121)], 1e-9)
+        found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in range(1, 121)], 1e-9)
         for cap, (value, f_a, f_b, _) in enumerate(found, start=1):
             expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
             assert value == expected[0], cap
@@ -157,7 +156,7 @@ class TestBatchedPolish:
         m_a, m_b = rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4))
         tracemalloc.start()
         try:
-            value, _, _ = _coordinate_polish(table, m_a, m_b, 1000, 1e-9, _MICRO_SPANS)
+            value = _coordinate_polish(table, [(m_a, m_b, 1000, _MICRO_SPANS, None)], 1e-9)[0][0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,7 +175,7 @@ class TestBatchedPolish:
         ]
         tracemalloc.start()
         try:
-            results = _polish_all(table, jobs, 1e-9)
+            results = _coordinate_polish(table, jobs, 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,10 +247,10 @@ class TestLockstep:
         jobs.append((*starts[-1], 400, _MICRO_SPANS, 2000))
         d_e = table.shape[2]
         assert _lane_count(len(jobs), 2 * (d_a + d_b), d_e, 400) < len(jobs)
-        found = _polish_all(table, jobs, floor)
+        found = _coordinate_polish(table, jobs, floor)
         assert len(found) == len(jobs)
         for k, job in enumerate(jobs):
-            expected = _polish_all(table, [job], floor)[0]
+            expected = _coordinate_polish(table, [job], floor)[0]
             assert found[k][0] == expected[0], k
             assert np.array_equal(found[k][1], expected[1]), k
             assert np.array_equal(found[k][2], expected[2]), k
@@ -280,7 +279,7 @@ class TestLockstep:
             warnings.simplefilter("error")
             estimate_mesbf(lemur, FAST)
             brute_force_mesbf(lemur, FAST)
-            _polish_all(table, jobs, 1e-9)
+            _coordinate_polish(table, jobs, 1e-9)
         assert capsys.readouterr() == ("", "")
 
 
@@ -462,11 +461,11 @@ class TestFunnel:
         calls = []
 
         def counted(table, jobs, floor):
-            results = _polish_all(table, jobs, floor)
+            results = _coordinate_polish(table, jobs, floor)
             calls.append((jobs[0][2], len(jobs), sum(evals for *_, evals in results)))
             return results
 
-        monkeypatch.setattr(optimizer, "_polish_all", counted)
+        monkeypatch.setattr(optimizer, "_coordinate_polish", counted)
         for search in (estimate_mesbf, brute_force_mesbf):
             result = search(lemur, FAST)
             trace = result.detail["trace"]
@@ -483,9 +482,9 @@ class TestFunnel:
         d_a, d_b, _ = table.shape
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
-        uncapped = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, None)], 1e-9)[0][3]
+        uncapped = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, None)], 1e-9)[0][3]
         caps = [1, 2, 5, 17, 37, 120, uncapped - 1]
-        found = _polish_all(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in caps], 1e-9)
+        found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in caps], 1e-9)
         for cap, (*_, evals) in zip(caps, found):
             assert cap <= evals <= uncapped, cap
 
@@ -563,7 +562,7 @@ class TestEstimate:
         def no_polish(*args):
             raise AssertionError("a polish ran before the starts were checked")
 
-        monkeypatch.setattr(optimizer, "_polish_all", no_polish)
+        monkeypatch.setattr(optimizer, "_coordinate_polish", no_polish)
         good = (Filtration(np.eye(2)), Filtration(np.eye(2)))
         wide = Filtration(np.full((2, 3), 0.5))
         tall = Filtration(np.full((3, 2), 0.5))
