@@ -52,12 +52,13 @@ WitnessFamily = Callable[[float], WitnessPair]
 #: the representative pair stored on the result.
 FAMILY_SAMPLE = 1e-6
 
-# Most outcome pairs a cross-ratio scan takes on: about 60 MB of arrays.
-# 32 x 32 alphabets have about half as many.
+# Most outcome pairs a cross-ratio scan takes on.  The scan holds the two
+# pair tables, four gathered cells per pair and three float arrays of the
+# pair count: about 77 MB at the worst shape, 2 x 1024.  32 x 32 alphabets
+# have about half as many pairs.  The pair tables stay cached, at most 64
+# of them (:func:`_pair_table`); the largest that passes this cap is
+# Bob's at 1024 symbols, about 1M ordered pairs or 16 MB.
 _MAX_OUTCOME_PAIRS = 1 << 20
-# Shapes with at most this many pairs are served from a cache of 64
-# entries: four int64 arrays each, about 8 MB in all.
-_CACHED_OUTCOME_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -211,53 +212,56 @@ def mesbf_reversible_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     return replace(result, detail=detail)
 
 
-def _outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays ``(a0, a1, b0, b1)`` of all outcome pairs ``a0 < a1``, ``b0 != b1``.
+@functools.lru_cache(maxsize=64)
+def _pair_table(k: int, ordered: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Index pairs ``i < j`` (``i != j`` when ``ordered``) of ``k`` entries, and where each ``i``'s pairs open.
 
-    In the order of nested loops over ``a0``, ``a1``, ``b0`` and ``b1``.
-    Callers hold several arrays of this length at once, so more than
-    ``_MAX_OUTCOME_PAIRS`` pairs are refused rather than allocated.  Small
-    shapes come from a cache, as read-only arrays.
+    One read-only ``(2, P)`` array, row-major in ``(i, j)``, so each row is
+    a contiguous index vector for ``take``.
+    """
+    first, second = np.nonzero((np.not_equal if ordered else np.less).outer(np.arange(k), np.arange(k)))
+    table = np.stack([first, second])
+    table.flags.writeable = False
+    return table, tuple(np.searchsorted(first, np.arange(k + 1)).tolist())
+
+
+def _outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's pairs ``a0 < a1`` and Bob's pairs ``b0 != b1``, as :func:`_pair_table` arrays.
+
+    The outcome pairs are their product, Alice's pair major.  Callers hold
+    several arrays of the product's length at once, so more than
+    ``_MAX_OUTCOME_PAIRS`` pairs are refused rather than allocated.  When
+    either alphabet has no pair, both tables are empty and nothing is built.
     """
     count = d_a * (d_a - 1) // 2 * d_b * (d_b - 1)
     if count > _MAX_OUTCOME_PAIRS:
         raise TooLargeError(f"{d_a} x {d_b} alphabets have {count} outcome pairs, above {_MAX_OUTCOME_PAIRS}")
-    if count <= _CACHED_OUTCOME_PAIRS:
-        return _cached_outcome_pairs(d_a, d_b)
-    return _build_outcome_pairs(d_a, d_b)
+    if count == 0:
+        d_a = d_b = 0
+    return _pair_table(d_a)[0], _pair_table(d_b, ordered=True)[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    pairs = _build_outcome_pairs(d_a, d_b)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
-def _build_outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.arange(d_a), np.arange(d_b)
-    a0, a1 = np.nonzero(np.less.outer(rows, rows))
-    b0, b1 = np.nonzero(np.not_equal.outer(cols, cols))
-    return np.repeat(a0, len(b0)), np.repeat(a1, len(b0)), np.tile(b0, len(a0)), np.tile(b1, len(a0))
-
-
-def _cross_ratios(
-    table: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Cross ratio of every outcome pair, with the pairs' index arrays.
+def _cross_ratios(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Cross ratio of every outcome pair, flat, with the pairs' two tables.
 
     ``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)`` on the table divided by its
-    largest entry, for the pairs of :func:`_outcome_pairs`.  A zero
-    denominator is a structural zero and gives ``inf``, so the pair never
-    beats the 1/2 floor.
+    largest entry, for the pairs of :func:`_outcome_pairs` in their order.
+    A zero denominator is a structural zero and gives ``inf``, so the pair
+    never beats the 1/2 floor.
     """
     m = table / table.max()
-    pairs = _outcome_pairs(*m.shape)
-    a0, a1, b0, b1 = pairs
-    den = m[a0, b0] * m[a1, b1]
-    ratio = np.divide(m[a0, b1] * m[a1, b0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
-    return ratio, pairs
+    alice, bob = pairs = _outcome_pairs(*m.shape)
+    cells = m.take(alice, axis=0).take(bob, axis=2)  # cells[s, :, t] = m[alice[s]][:, bob[t]]
+    den = cells[0, :, 0] * cells[1, :, 1]
+    ratio = np.divide(cells[0, :, 1] * cells[1, :, 0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
+    return ratio.ravel(), pairs
+
+
+def _pair_at(pairs: tuple[np.ndarray, np.ndarray], k: int) -> tuple[int, int, int, int]:
+    """Outcome pair ``(a0, a1, b0, b1)`` at flat index ``k`` of :func:`_cross_ratios`."""
+    alice, bob = pairs
+    i, j = divmod(k, bob.shape[1])
+    return int(alice[0, i]), int(alice[1, i]), int(bob[0, j]), int(bob[1, j])
 
 
 def _selecting_witness(
@@ -300,7 +304,7 @@ def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     if k == 0:
         coins = (Filtration.coin_toss(p_ab.dims[0]), Filtration.coin_toss(p_ab.dims[1]))
         return MeasureResult(0.5, coins, "exact", {"branch": "coin-toss", "pair": None})
-    best_pair = tuple(int(index[k - 1]) for index in pairs)
+    best_pair = _pair_at(pairs, k - 1)
     witness, kind, family = _selecting_witness(p_ab.table, best_pair)
     detail = {"branch": "cross-ratio", "pair": best_pair, "omega": float(ratio[k - 1])}
     return MeasureResult(float(values[k]), witness, kind, detail, family)
@@ -321,7 +325,7 @@ def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureRe
         return MeasureResult(0.5, None, "none", {"copies": copies, "omega_min": None, "pair": None})
     k = int(ratio.argmin())
     omega_min = float(ratio[k])
-    detail = {"copies": copies, "omega_min": omega_min, "pair": tuple(int(index[k]) for index in pairs)}
+    detail = {"copies": copies, "omega_min": omega_min, "pair": _pair_at(pairs, k)}
     return MeasureResult(max(0.5, 1.0 / (1.0 + omega_min ** (copies / 2.0))), None, "none", detail)
 
 
@@ -331,11 +335,12 @@ def omega(
     """Cross ratio ``P(a0,b1) P(a1,b0) / (P(a0,b0) P(a1,b1))``.
 
     Returns ``inf`` when only the denominator vanishes and ``nan`` when
-    both products vanish (the undefined, coin-toss case).
+    both products vanish (the undefined, coin-toss case).  An index that
+    is not an integer, a boolean included, is out of range.
     """
     d_a, d_b = p_ab.dims
     for idx, bound in ((a0, d_a), (a1, d_a), (b0, d_b), (b1, d_b)):
-        if not (0 <= idx < bound):
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < bound:
             raise IndexOutOfRangeError(f"index {idx} outside alphabet of size {bound}")
     if a0 == a1 or b0 == b1:
         raise InvalidParamsError("outcome pairs must be distinct")

@@ -49,7 +49,7 @@ import numpy as np
 from .distributions import TripartiteDistribution, randomization_example
 from .errors import DimensionMismatchError, InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
-from .measures import MeasureResult, _outcome_pairs, mesbf_reversible, secret_bit_fraction
+from .measures import MeasureResult, _outcome_pairs, _pair_table, mesbf_reversible, secret_bit_fraction
 
 DEFAULT_SEED = 1729
 
@@ -341,14 +341,6 @@ def _ladder(span: float, points: int) -> np.ndarray:
     return moves
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_table(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Read-only index pairs ``i < j`` of ``k`` live entries, row-major, and where each ``i``'s pairs open."""
-    table = np.column_stack(np.triu_indices(k, 1))
-    table.flags.writeable = False
-    return table, tuple(np.searchsorted(table[:, 0], np.arange(k + 1)).tolist())
-
-
 def _gather(array: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """``array[first, second]`` for index vectors, as one ``take`` over the flattened leading axes."""
     return array.reshape(-1, *array.shape[2:]).take(first * array.shape[1] + second, axis=0)
@@ -427,8 +419,8 @@ def _polish(
             # Joint switch-off first: small entries can stabilize each other
             # so that neither can be floored alone.
             live = np.flatnonzero(theta > 10.0 * floor)
-            tri, opens = _pair_table(len(live))
-            pairs[: len(tri)] = live[tri]
+            cols, opens = _pair_table(len(live))
+            pairs[: cols.shape[1]] = live[cols.T]
             evals, moved_pairs = yield from _first_improvement(3, count, [count * k for k in opens], evals, limit, cap)
             if not (moved_single or moved_rows or moved_pairs):
                 break
@@ -620,7 +612,8 @@ def _selecting_seeds(
     else:
         weights = ((1.0, 1.0),)
     seeds = []
-    for a0, a1, b0, b1 in zip(*_outcome_pairs(d_a, d_b)):
+    alice, bob = _outcome_pairs(d_a, d_b)
+    for (a0, a1), (b0, b1) in product(alice.T.tolist(), bob.T.tolist()):
         for w_a, w_b in weights:
             m_a = np.full((2, d_a), floor)
             m_b = np.full((2, d_b), floor)

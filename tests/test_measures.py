@@ -376,6 +376,24 @@ class TestOmega:
         with pytest.raises(IndexOutOfRangeError):
             omega(shared_bit(), 0, 2, 0, 1)
 
+    @pytest.mark.parametrize(
+        "index",
+        [True, False, np.True_, np.False_, 1.0, np.float64(1.0), "1", None],
+        ids=["bool", "bool-false", "numpy-bool", "numpy-bool-false", "float", "numpy-float", "str", "none"],
+    )
+    def test_non_integer_index_is_out_of_range(self, index):
+        # numpy would read a boolean as a mask and a float as an error of its own.
+        p = BipartiteDistribution(np.full((2, 2), 0.25))
+        for position in range(4):
+            indices = [0, 1, 0, 1]
+            indices[position] = index
+            with pytest.raises(IndexOutOfRangeError):
+                omega(p, *indices)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        p = BipartiteDistribution(np.full((2, 2), 0.25))
+        assert omega(p, np.int64(0), np.intp(1), np.int32(0), np.uint8(1)) == 1.0
+
 
 class TestVartheta:
     def test_embedding_preserves_the_maximization(self):
@@ -567,7 +585,7 @@ class TestLoopReference:
 
 
 class TestOutcomePairCache:
-    """Small shapes' outcome pairs come from a bounded cache of read-only arrays."""
+    """Outcome pairs are the product of two per-alphabet tables from one bounded cache."""
 
     def test_cached_arrays_equal_a_fresh_build(self):
         for d_a, d_b in itertools.product(range(1, 17), repeat=2):
@@ -576,33 +594,23 @@ class TestOutcomePairCache:
                 for a0, a1 in itertools.combinations(range(d_a), 2)
                 for b0, b1 in itertools.permutations(range(d_b), 2)
             ]
-            got = measures._outcome_pairs(d_a, d_b)
-            assert list(zip(*(index.tolist() for index in got))) == expected
-            for index in got:
-                assert index.dtype == np.intp and index.shape == (len(expected),)
+            alice, bob = measures._outcome_pairs(d_a, d_b)
+            got = [(*a, *b) for a, b in itertools.product(alice.T.tolist(), bob.T.tolist())]
+            assert got == expected
+            for table in (alice, bob):
+                assert table.dtype == np.intp and table.shape[0] == 2 and not table.flags.writeable
 
     def test_returned_arrays_are_read_only(self):
-        for index in measures._outcome_pairs(3, 4):
+        for table in measures._outcome_pairs(3, 4):
             with pytest.raises(ValueError):
-                index[0] = 1
-        assert measures._outcome_pairs(3, 4)[0][0] == 0
-
-    def test_large_shapes_are_not_retained(self):
-        measures._cached_outcome_pairs.cache_clear()
-        # 12 x 8 alphabets have 66 * 56 = 3696 pairs, 65 x 2 have 4160
-        # and 16 x 16 have 28800.
-        measures._outcome_pairs(12, 8)
-        assert measures._cached_outcome_pairs.cache_info().currsize == 1
-        measures._outcome_pairs(65, 2)
-        measures._outcome_pairs(16, 16)
-        assert measures._cached_outcome_pairs.cache_info().currsize == 1
-        assert measures._outcome_pairs(16, 16)[0].flags.writeable
+                table[0, 0] = 1
+        assert measures._outcome_pairs(3, 4)[0][0, 0] == 0
 
     def test_cache_is_bounded(self):
-        measures._cached_outcome_pairs.cache_clear()
+        measures._pair_table.cache_clear()
         for d_a, d_b in itertools.product(range(1, 17), repeat=2):
             measures._outcome_pairs(d_a, d_b)
-        assert measures._cached_outcome_pairs.cache_info().currsize == 64
+        assert measures._pair_table.cache_info().currsize <= 64
 
     def test_pair_cap_raises_before_allocating(self):
         # 46 x 46 alphabets have about 2 million pairs: 64 MB of indices.
@@ -615,7 +623,22 @@ class TestOutcomePairCache:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_measures_identical_without_the_cache(self, monkeypatch):
+    def test_one_symbol_alphabets_build_no_pairs(self):
+        # One symbol has no outcome pair, so the other alphabet's table of
+        # about 4 million ordered pairs is never built.
+        for shape in ((1, 2000), (2000, 1)):
+            p = BipartiteDistribution(np.random.default_rng(59).uniform(0.1, 1.0, size=shape))
+            for measure in (vartheta, lambda p: mesbf_decoupled(p).value, lambda p: mesbf_decoupled_power(p, 2).value):
+                measures._pair_table.cache_clear()
+                tracemalloc.start()
+                try:
+                    value = measure(p)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert value == 0.5 and peak < 1e6
+
+    def test_measures_identical_with_a_cold_cache(self):
         def seeded(cls, seed, shape_of):
             rng = np.random.default_rng(seed)
             return [cls(TestLoopReference._table(rng, shape_of(rng))) for _ in range(200)]
@@ -623,14 +646,18 @@ class TestOutcomePairCache:
         bipartite = seeded(BipartiteDistribution, 191, lambda rng: tuple(rng.integers(1, 7, size=2)))
         binary = seeded(TripartiteDistribution, 193, lambda rng: (2, 2, int(rng.integers(1, 5))))
 
-        def run():
-            results = [(mesbf_decoupled(p), mesbf_decoupled_power(p, 3)) for p in bipartite]
-            results += [(mesbf_reversible(p),) for p in binary]
-            return results, [vartheta(p) for p in bipartite]
+        def run(cold):
+            def call(measure, *args):
+                if cold:
+                    measures._pair_table.cache_clear()
+                return measure(*args)
 
-        cached_results, cached_theta = run()
-        monkeypatch.setattr(measures, "_CACHED_OUTCOME_PAIRS", 0)
-        fresh_results, fresh_theta = run()
+            results = [(call(mesbf_decoupled, p), call(mesbf_decoupled_power, p, 3)) for p in bipartite]
+            results += [(call(mesbf_reversible, p),) for p in binary]
+            return results, [call(vartheta, p) for p in bipartite]
+
+        fresh_results, fresh_theta = run(cold=True)
+        cached_results, cached_theta = run(cold=False)
         assert cached_theta == fresh_theta
         for got, ref in zip(itertools.chain(*cached_results), itertools.chain(*fresh_results)):
             assert (got.value, got.witness_kind, got.detail) == (ref.value, ref.witness_kind, ref.detail)

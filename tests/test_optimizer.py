@@ -37,9 +37,9 @@ from secbit.optimizer import (
     _joint_scan,
     _lambda_raw,
     _lane_count,
-    _pair_table,
     _selecting_seeds,
 )
+from secbit.measures import _pair_table
 
 import oracles
 from oracles import frozen_scan, scalar_polish
@@ -311,14 +311,15 @@ class TestPassTables:
     def test_pair_table_matches_triu_indices(self):
         rng = np.random.default_rng(53)
         for k in range(17):
-            first, second = np.triu_indices(k, 1)
-            anchors = np.searchsorted(first, np.arange(k + 1))
-            tri, opens = _pair_table(k)
-            assert not tri.flags.writeable
-            assert np.array_equal(tri[:, 0], first) and np.array_equal(tri[:, 1], second)
-            assert list(opens) == anchors.tolist()
+            unordered = np.triu_indices(k, 1)
+            for ordered, (first, second) in ((False, unordered), (True, np.nonzero(~np.eye(k, dtype=bool)))):
+                cols, opens = _pair_table(k, ordered=ordered)
+                assert not cols.flags.writeable and cols.dtype == np.intp
+                assert np.array_equal(cols[0], first) and np.array_equal(cols[1], second)
+                assert list(opens) == np.searchsorted(first, np.arange(k + 1)).tolist()
             live = np.sort(rng.choice(24, size=k, replace=False))
-            assert np.array_equal(live[tri], np.stack([live[first], live[second]], axis=1))
+            expected = np.stack([live[unordered[0]], live[unordered[1]]], axis=1)
+            assert np.array_equal(live[_pair_table(k)[0].T], expected)
 
 
 # The coarse ladders of brute_force_mesbf, by the larger honest alphabet.
