@@ -22,6 +22,7 @@ import numpy as np
 from . import distill, fileio, properties
 from .distributions import (
     CanonicalParams,
+    _require_count,
     canonical_distribution,
     point_mass_eve,
     satellite_scenario,
@@ -101,10 +102,13 @@ def _witness_report(result) -> dict:
 
 
 def _parse_eta(text: str) -> tuple[float, float, float, float]:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 4:
-        raise SecbitError("--eta needs four comma-separated values: eta00,eta01,eta10,eta11")
-    return tuple(parts)  # type: ignore[return-value]
+        raise SecbitError("--eta needs four comma-separated numbers: eta00,eta01,eta10,eta11")
+    return parts  # type: ignore[return-value]
 
 
 def _cmd_sbf(args) -> CommandResult:
@@ -193,7 +197,7 @@ def _cmd_decompose(args) -> CommandResult:
 def _cmd_distill(args) -> CommandResult:
     params = CanonicalParams(args.mu, _parse_eta(args.eta))
     if args.sweep is not None:
-        distill._require_block(args.sweep)
+        _require_count(args.sweep, "--sweep")
         docs = (_protocol_report_doc(distill.protocol_report(params, n)) for n in range(1, args.sweep + 1))
         rows = [{k: v for k, v in doc.items() if k not in ("mu", "eta")} for doc in docs]
         return CommandResult({"mu": params.mu, "epsilon": params.epsilon, "sweep": args.sweep}, rows=rows)

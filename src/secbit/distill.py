@@ -32,15 +32,15 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import CanonicalParams, TripartiteDistribution
+from .distributions import CanonicalParams, TripartiteDistribution, _is_integer, _require_count
 from .errors import (
     EmptyBlockError,
     InvalidParamsError,
-    NotBinaryError,
     NotNormalizedError,
     OutOfRangeError,
     RatioOutOfRangeError,
 )
+from .measures import _require_binary
 
 #: Strictness margin for the entropy condition; the family with
 #: ``eta01 + eta10 = 1`` makes the two entropies exactly equal, and
@@ -82,7 +82,7 @@ def block_error_rate(params: CanonicalParams, block_length: int) -> float:
 
     Equals ``eps^N / (eps^N + (1-eps)^N)``, evaluated in log space.
     """
-    _require_block(block_length)
+    block_length = _require_count(block_length, "block length")
     return _alternating_ratio(params.epsilon, params.epsilon, block_length)
 
 
@@ -99,7 +99,7 @@ def eve_uncertainty(params: CanonicalParams, block_length: int) -> float:
     exceed one for valid parameters (``eps <= 1 - mu`` forces
     ``mu <= 1 - eps``); a defensive check reports corruption otherwise.
     """
-    _require_block(block_length)
+    block_length = _require_count(block_length, "block length")
     ratio = _alternating_ratio(params.mu, params.epsilon, block_length)
     if ratio > 1.0 + 1e-12:
         raise RatioOutOfRangeError(f"blind-Eve ratio {ratio} exceeds 1; corrupt parameters")
@@ -128,6 +128,7 @@ class ProtocolReport:
 
 def protocol_report(params: CanonicalParams, block_length: int) -> ProtocolReport:
     """Evaluate all analytic quantities at a fixed block length."""
+    block_length = _require_count(block_length, "block length")
     error_rate = block_error_rate(params, block_length)
     bob = binary_entropy(error_rate)
     eve = eve_uncertainty(params, block_length)
@@ -150,7 +151,7 @@ def minimal_block_length(params: CanonicalParams, n_max: int) -> Optional[Protoc
     uncertainties vanish) and the family ``eta01 + eta10 = 1``, where the
     two uncertainties coincide for every ``N``.
     """
-    _require_block(n_max)
+    n_max = _require_count(n_max, "n_max")
     for n in range(1, n_max + 1):
         report = protocol_report(params, n)
         if report.satisfied:
@@ -163,13 +164,15 @@ def string_filter(block: Sequence[int] | str) -> Optional[tuple[int, int]]:
 
     Returns ``(first_bit, last_bit)`` on acceptance — the variant label is
     the starting bit, the symbol kept by the party is the final bit — and
-    None on rejection.
+    None on rejection.  A string holds the characters ``'0'`` and ``'1'``,
+    a sequence the integers 0 and 1 (Python or numpy, not bools).
     """
-    bits = [int(ch) for ch in block] if isinstance(block, str) else [int(x) for x in block]
+    bits = list(block)
     if not bits:
         raise EmptyBlockError("protocol blocks must contain at least one bit")
-    if any(bit not in (0, 1) for bit in bits):
+    if not all(x in ("0", "1") if isinstance(block, str) else _is_integer(x) and x in (0, 1) for x in bits):
         raise InvalidParamsError("blocks must consist of bits")
+    bits = [int(x) for x in bits]
     start = bits[0]
     if any(bits[i] != (start + i) % 2 for i in range(len(bits))):
         return None
@@ -216,13 +219,11 @@ def simulate_advantage_distillation(
     blocks where Alice's alternate, and Eve's symbols are looked up only
     in the blocks both accept.
     """
-    if p.dims[0] != 2 or p.dims[1] != 2:
-        raise NotBinaryError(f"simulation needs binary honest alphabets, got {p.dims}")
+    _require_binary(p.dims[:2])
     if abs(p.mass - 1.0) > 1e-9:
         raise NotNormalizedError(f"distribution mass {p.mass} is not 1")
-    if samples < 1:
-        raise InvalidParamsError(f"samples must be >= 1, got {samples}")
-    _require_block(block_length)
+    samples = _require_count(samples, "samples")
+    block_length = _require_count(block_length, "block length")
 
     d_e = p.dims[2]
     flat = p.table.ravel()
@@ -290,9 +291,8 @@ def exact_block_statistics(
     pair can be accepted (then the two conditional rates are ``nan``).
     Serves as the simulator's analytic column.
     """
-    if p.dims[0] != 2 or p.dims[1] != 2:
-        raise NotBinaryError(f"exact statistics need binary honest alphabets, got {p.dims}")
-    _require_block(block_length)
+    _require_binary(p.dims[:2])
+    block_length = _require_count(block_length, "block length")
     t = p.table / p.table.sum()
     pairs = _alternating_log_probs(t.sum(axis=2), block_length)
     log_accept = np.logaddexp.reduce(pairs.ravel())
@@ -304,8 +304,3 @@ def exact_block_statistics(
             "disagreement_rate": float(np.exp(log_diff - log_accept)),
             "eve_blank_rate": float(np.exp(log_blank - log_accept)),
         }
-
-
-def _require_block(block_length: int) -> None:
-    if block_length < 1:
-        raise InvalidParamsError(f"block length must be >= 1, got {block_length}")

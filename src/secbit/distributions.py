@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BadShapeError,
+    CountError,
     DimensionOverflowError,
     IndexOutOfRangeError,
     InvalidParamsError,
@@ -28,6 +29,18 @@ from .errors import (
 
 DEFAULT_TENSOR_CELL_CAP = 10_000_000
 _BOOLS = frozenset((bool, np.bool_))
+
+
+def _is_integer(value) -> bool:
+    """True for an ``int`` that is not a bool, or a numpy integer."""
+    return isinstance(value, int) and not isinstance(value, bool) or isinstance(value, np.integer)
+
+
+def _require_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python ``int``; raises :class:`CountError` unless it is an integer ``>= minimum``."""
+    if not _is_integer(value) or value < minimum:
+        raise CountError(f"{name} accepts integers >= {minimum} only, got {value!r}")
+    return int(value)
 
 
 def _freeze(values, ndim: int, what: str) -> np.ndarray:
@@ -106,9 +119,9 @@ class CanonicalParams:
             raise InvalidParamsError("eta must have exactly four components")
         if not (0.5 < mu <= 1.0):
             raise InvalidParamsError(f"mu must lie in (1/2, 1], got {mu}")
-        if any(x < 0.0 for x in eta):
-            raise InvalidParamsError("eta components must be nonnegative")
-        if abs(sum(eta) - 1.0) > 1e-12:
+        if not all(x >= 0.0 for x in eta):
+            raise InvalidParamsError(f"eta components must be nonnegative numbers, got {eta}")
+        if not abs(sum(eta) - 1.0) <= 1e-12:
             raise InvalidParamsError(f"eta must sum to 1, got {sum(eta)!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "eta", eta)
@@ -199,8 +212,7 @@ def tensor_power(
     digit, so the cell for strings ``(a_0 .. a_{N-1})``, ``(b_0 .. b_{N-1})``
     is the product of the per-sample probabilities.
     """
-    if copies < 1:
-        raise OutOfRangeError(f"copies must be >= 1, got {copies}")
+    copies = _require_count(copies, "copies")
     d_a, d_b = p_ab.dims
     if (d_a**copies) * (d_b**copies) > max_cells:
         raise DimensionOverflowError(

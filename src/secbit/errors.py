@@ -30,6 +30,10 @@ class InvalidParamsError(SecbitError, ValueError):
     """A parameter bundle violates its joint constraints."""
 
 
+class CountError(InvalidParamsError, OutOfRangeError):
+    """A count (copies, block length, samples, trials ...) is not an integer at or above its minimum."""
+
+
 class DimensionMismatchError(SecbitError, ValueError):
     """Operands have incompatible alphabet sizes."""
 

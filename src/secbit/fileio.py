@@ -26,6 +26,7 @@ import numpy as np
 from .distributions import (
     BipartiteDistribution,
     TripartiteDistribution,
+    _is_integer,
     bipartite_from_entries,
     from_entries,
 )
@@ -46,7 +47,7 @@ def _load_json(path) -> dict:
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise FileFormatError(f"{where}: field {key!r} must be an integer")
     return value
 

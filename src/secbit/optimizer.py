@@ -46,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TripartiteDistribution, randomization_example
+from .distributions import TripartiteDistribution, _require_count, randomization_example
 from .errors import DimensionMismatchError, InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
-from .measures import MeasureResult, _outcome_pairs, _pair_table, mesbf_reversible, secret_bit_fraction
+from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, secret_bit_fraction
 
 DEFAULT_SEED = 1729
 
@@ -80,11 +80,8 @@ class SearchConfig:
     grid_points: int = 12
 
     def __post_init__(self) -> None:
-        counts = (self.restarts, self.iterations, self.grid_points)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
-            raise InvalidParamsError(f"restarts, iterations and grid_points must be integers, got {counts}")
-        if self.restarts < 1 or self.iterations < 1 or self.grid_points < 2:
-            raise InvalidParamsError("restarts, iterations and grid_points must be >= 1 (grid >= 2)")
+        for name, minimum in (("restarts", 1), ("iterations", 1), ("grid_points", 2)):
+            object.__setattr__(self, name, _require_count(getattr(self, name), name, minimum))
         if not 0.0 < self.entry_floor < 1.0:
             raise InvalidParamsError(f"entry_floor must lie strictly between 0 and 1, got {self.entry_floor}")
 
@@ -419,7 +416,7 @@ def _polish(
             # Joint switch-off first: small entries can stabilize each other
             # so that neither can be floored alone.
             live = np.flatnonzero(theta > 10.0 * floor)
-            cols, opens = _pair_table(len(live))
+            cols, opens = _pairs(len(live))
             pairs[: cols.shape[1]] = live[cols.T]
             evals, moved_pairs = yield from _first_improvement(3, count, [count * k for k in opens], evals, limit, cap)
             if not (moved_single or moved_rows or moved_pairs):

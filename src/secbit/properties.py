@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BipartiteDistribution, TripartiteDistribution, marginal_ab
-from .errors import InvalidParamsError
+from .distributions import BipartiteDistribution, TripartiteDistribution, _require_count, marginal_ab
 from .filtration import (
     Filtration,
     apply,
@@ -59,8 +58,7 @@ def _suite(
     name: str, tol: float, salt: int, trials: int, seed: int, trial: Callable[[np.random.Generator], float]
 ) -> CheckOutcome:
     """Run ``trial`` on the streams ``[seed, salt, k]``; a gap above ``tol`` is a violation."""
-    if trials < 1:
-        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
+    trials = _require_count(trials, "trials")
     worst = 0.0
     violations = 0
     for k in range(trials):

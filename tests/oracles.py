@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from secbit import optimizer
-from secbit.distill import _SIM_CHUNK, SimulationReport, _require_block
-from secbit.distributions import BipartiteDistribution, TripartiteDistribution, marginal_ab
+from secbit.distill import _SIM_CHUNK, SimulationReport
+from secbit.distributions import BipartiteDistribution, TripartiteDistribution, _require_count, marginal_ab
 from secbit.errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -761,7 +761,7 @@ def simulate_advantage_distillation(
         raise NotNormalizedError(f"distribution mass {p.mass} is not 1")
     if samples < 1:
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
-    _require_block(block_length)
+    _require_count(block_length, "block length")
 
     d_a, d_b, d_e = p.dims
     flat = p.table.ravel()
@@ -812,7 +812,7 @@ def exact_block_statistics(
     """
     if p.dims[0] != 2 or p.dims[1] != 2:
         raise NotBinaryError(f"exact statistics need binary honest alphabets, got {p.dims}")
-    _require_block(block_length)
+    _require_count(block_length, "block length")
     t = p.table / p.table.sum()
     pab = t.sum(axis=2)
     blank = t[:, :, 0]

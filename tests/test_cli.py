@@ -118,6 +118,13 @@ def test_count_arguments_below_one_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("eta", ["nan,0.25,0.25,0.5", "a,b,c,d"])
+def test_distill_rejects_eta_that_is_not_four_numbers(capsys, eta):
+    code, out, err = run(capsys, "distill", "--mu", "0.6", "--eta", eta, "--N", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_mesbf_opt_runs(capsys, lemur_file):
     code, out, _ = run(
         capsys,

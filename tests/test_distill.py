@@ -154,6 +154,20 @@ class TestStringFilter:
         with pytest.raises(EmptyBlockError):
             string_filter("")
 
+    @pytest.mark.parametrize(
+        "block",
+        [[0.9, 1.2], [0.0, 1.0], [True, False], [np.True_], "0a1", "012", " 01", "0,1", ["0", "1"], [0, 2]],
+    )
+    def test_non_bits_rejected(self, block):
+        with pytest.raises(InvalidParamsError):
+            string_filter(block)
+
+    def test_numpy_integer_bits_give_python_ints(self):
+        for block in ([np.int64(1), np.uint8(0)], np.array([1, 0]), np.array([0, 1, 0], dtype=np.int8)):
+            got = string_filter(block)
+            assert got in ((1, 0), (0, 0)) and all(type(bit) is int for bit in got)
+        assert string_filter([np.int64(0), np.int64(0)]) is None
+
 
 class TestSimulation:
     def test_agrees_with_analytics_at_three_sigma(self):

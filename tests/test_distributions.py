@@ -1,28 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from secbit import (
     BipartiteDistribution,
     CanonicalParams,
+    SearchConfig,
     TripartiteDistribution,
     bipartite_from_entries,
     canonical_distribution,
     from_entries,
     marginal_ab,
+    mesbf_decoupled_power,
     product_with_eve,
     satellite_scenario,
     secret_bit_fraction,
     shared_bit,
     tensor_power,
 )
+from secbit import distill, properties
 from secbit.errors import (
     DimensionOverflowError,
     IndexOutOfRangeError,
     InvalidParamsError,
     NegativeEntryError,
     OutOfRangeError,
+    SecbitError,
     ZeroMassError,
 )
+from secbit.measures import MeasureResult
 
 
 class TestConstruction:
@@ -255,8 +262,52 @@ class TestCanonicalDistribution:
             (1.1, (0.25, 0.25, 0.25, 0.25)),
             (0.6, (0.5, 0.5, 0.5, 0.5)),
             (0.6, (-0.1, 0.5, 0.3, 0.3)),
+            (0.6, (math.nan, 0.25, 0.25, 0.5)),
+            (0.6, (0.25, 0.25, 0.5, math.nan)),
         ],
     )
     def test_invalid_params_rejected(self, mu, eta):
         with pytest.raises(InvalidParamsError):
             CanonicalParams(mu, eta)
+
+
+_AB = bipartite_from_entries((2, 3), {(0, 0): 0.3, (0, 1): 0.1, (0, 2): 0.05, (1, 0): 0.05, (1, 1): 0.1, (1, 2): 0.4})
+_CANON = CanonicalParams(0.6, (0.25, 0.25, 0.25, 0.25))
+
+# Every count parameter of the library's entry points, each called with that count and nothing else varied.
+COUNT_PARAMETERS = {
+    "tensor_power-copies": lambda n: tensor_power(_AB, n),
+    "mesbf_decoupled_power-copies": lambda n: mesbf_decoupled_power(_AB, n),
+    "block_error_rate-N": lambda n: distill.block_error_rate(_CANON, n),
+    "bob_uncertainty-N": lambda n: distill.bob_uncertainty(_CANON, n),
+    "eve_uncertainty-N": lambda n: distill.eve_uncertainty(_CANON, n),
+    "protocol_report-N": lambda n: distill.protocol_report(_CANON, n),
+    "minimal_block_length-n_max": lambda n: distill.minimal_block_length(_CANON, n),
+    "exact_block_statistics-N": lambda n: distill.exact_block_statistics(canonical_distribution(_CANON), n),
+    "simulate-N": lambda n: distill.simulate_advantage_distillation(canonical_distribution(_CANON), n, 200, 1),
+    "simulate-samples": lambda n: distill.simulate_advantage_distillation(canonical_distribution(_CANON), 3, n, 1),
+    "run_checks-trials": lambda n: properties.run_checks(satellite_scenario(0.1, 0.2, 0.3), n, 1),
+    "SearchConfig-restarts": lambda n: SearchConfig(restarts=n),
+    "SearchConfig-iterations": lambda n: SearchConfig(iterations=n),
+    "SearchConfig-grid_points": lambda n: SearchConfig(grid_points=n),
+}
+BAD_COUNTS = [True, np.True_, 2.5, 2.0, math.nan, math.inf, "2", 0, -1]
+
+
+def _fingerprint(result) -> str:
+    if isinstance(result, BipartiteDistribution):
+        return result.table.tobytes().hex()
+    if isinstance(result, MeasureResult):
+        return repr((result.value, result.witness_kind, result.detail))
+    return repr(result)
+
+
+@pytest.mark.parametrize("entry", COUNT_PARAMETERS)
+def test_counts_are_integers_at_or_above_their_minimum(entry):
+    call = COUNT_PARAMETERS[entry]
+    for bad in BAD_COUNTS:
+        with pytest.raises(SecbitError) as caught:
+            call(bad)
+        assert isinstance(caught.value, InvalidParamsError) and isinstance(caught.value, OutOfRangeError), (bad, caught)
+    # A numpy integer is read as the Python int it holds, down to the types in the result.
+    assert _fingerprint(call(np.int64(3))) == _fingerprint(call(3))

@@ -612,6 +612,21 @@ class TestOutcomePairCache:
             measures._outcome_pairs(d_a, d_b)
         assert measures._pair_table.cache_info().currsize <= 64
 
+    def test_large_tables_are_not_kept(self):
+        # Bob's tables at 1022-1024 symbols hold about 1M ordered pairs, 16 MB each;
+        # whatever the cache keeps stays below its bound of about 2 MB.
+        shapes = ((2, 1024), (2, 1023), (2, 1022))
+        tables = [BipartiteDistribution(np.random.default_rng(61).uniform(0.1, 1.0, size=shape)) for shape in shapes]
+        measures._pair_table.cache_clear()
+        tracemalloc.start()
+        try:
+            for p in tables:
+                vartheta(p)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1e6
+
     def test_pair_cap_raises_before_allocating(self):
         # 46 x 46 alphabets have about 2 million pairs: 64 MB of indices.
         tracemalloc.start()
