@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,8 @@ from .measures import (
     secret_bit_fraction,
 )
 from .optimizer import DEFAULT_SEED, SearchConfig, brute_force_mesbf, estimate_mesbf, local_randomization_demo
+
+_CSV_NEEDS_ROWS = "csv output applies only to tabular reports"
 
 
 @dataclass
@@ -78,7 +81,7 @@ def emit_report(result: CommandResult, fmt: str, out: Optional[str]) -> None:
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
         if not result.rows:
-            raise UnsupportedFormatError("csv output applies only to tabular reports")
+            raise UnsupportedFormatError(_CSV_NEEDS_ROWS)
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(result.rows[0].keys()))
         writer.writeheader()
@@ -101,6 +104,22 @@ def _witness_report(result) -> dict:
     return doc
 
 
+def _measure_report(name: str, result, p) -> CommandResult:
+    """The measure's value as ``name``, its detail, its witness and the fraction the witness achieves on ``p``."""
+    report = {name: result.value, **result.detail, **_witness_report(result)}
+    if result.witness is not None:
+        report["achieved_lambda"] = secret_bit_fraction(apply(result.witness[0], result.witness[1], p))
+    return CommandResult(report)
+
+
+def _writer_report(args, dist, write, extra: dict) -> CommandResult:
+    """Refuse csv (the report has no rows), write ``dist`` to ``--out`` and report the file, then ``extra``."""
+    if args.format == "csv":
+        raise UnsupportedFormatError(_CSV_NEEDS_ROWS)
+    write(dist, args.out)
+    return CommandResult({"out": args.out, "dims": list(dist.dims), **extra})
+
+
 def _parse_eta(text: str) -> tuple[float, float, float, float]:
     try:
         parts = tuple(float(x) for x in text.split(","))
@@ -119,29 +138,13 @@ def _cmd_sbf(args) -> CommandResult:
 def _cmd_mesbf_r(args) -> CommandResult:
     p = fileio.read_tripartite(args.file)
     result = mesbf_reversible(p)
-    report = {"Lambda_R": result.value}
-    report.update(result.detail)
-    report.update(_witness_report(result))
-    if result.witness is not None:
-        filtered = apply(result.witness[0], result.witness[1], p)
-        report["achieved_lambda"] = secret_bit_fraction(filtered)
-    return CommandResult(report)
+    return _measure_report("Lambda_R", result, p)
 
 
 def _cmd_mesbf_decoupled(args) -> CommandResult:
     p = fileio.read_bipartite(args.file)
-    if args.power != 1:
-        result = mesbf_decoupled_power(p, args.power)
-        report = {"Lambda": result.value, "copies": args.power}
-    else:
-        result = mesbf_decoupled(p)
-        report = {"Lambda": result.value}
-    report.update({k: v for k, v in result.detail.items() if k != "copies"})
-    report.update(_witness_report(result))
-    if result.witness is not None:
-        filtered = apply(result.witness[0], result.witness[1], point_mass_eve(p))
-        report["achieved_lambda"] = secret_bit_fraction(filtered)
-    return CommandResult(report)
+    result = mesbf_decoupled(p) if args.power == 1 else mesbf_decoupled_power(p, args.power)
+    return _measure_report("Lambda", result, point_mass_eve(p))
 
 
 def _cmd_mesbf_opt(args) -> CommandResult:
@@ -172,17 +175,7 @@ def _cmd_decompose(args) -> CommandResult:
     roundtrip = float(np.abs(rebuilt.matrix - filt.matrix).max(initial=0.0))
     block = factors.enlarged_product()[:2, 2:]
     product_error = float(np.abs(block - filt.matrix[:, list(factors.permutation)]).max(initial=0.0))
-    rows = [
-        {
-            "slot": k,
-            "source_column": step.source_column,
-            "weight": step.weight,
-            "omega": step.omega,
-            "mu": step.mu,
-            "nu": step.nu,
-        }
-        for k, step in enumerate(factors.steps)
-    ]
+    rows = [{"slot": k, **asdict(step)} for k, step in enumerate(factors.steps)]
     report = {
         "rows": filt.rows,
         "cols": filt.cols,
@@ -243,7 +236,7 @@ def _cmd_distill_sim(args) -> CommandResult:
         "analytic_acceptance_rate": exact["acceptance_rate"],
         "empirical_disagreement_rate": sim.disagreement_rate,
         "analytic_disagreement_rate": exact["disagreement_rate"],
-        "formula_block_error_rate": distill._alternating_ratio(eps, eps, args.block_length),
+        "formula_block_error_rate": distill._alternating_ratios(eps, eps, args.block_length)[0],
         "empirical_eve_blank_rate": sim.eve_blank_rate,
         "analytic_eve_blank_rate": exact["eve_blank_rate"],
     }
@@ -267,34 +260,20 @@ def _cmd_demo_randomization(args) -> CommandResult:
 
 def _cmd_gen_satellite(args) -> CommandResult:
     p = satellite_scenario(args.err_a, args.err_b, args.err_e)
-    fileio.write_tripartite(p, args.out)
-    return CommandResult(
-        {"out": args.out, "dims": list(p.dims), "lambda": secret_bit_fraction(p)}
-    )
+    return _writer_report(args, p, fileio.write_tripartite, {"lambda": secret_bit_fraction(p)})
 
 
 def _cmd_gen_canonical(args) -> CommandResult:
     params = CanonicalParams(args.mu, _parse_eta(args.eta))
     p = canonical_distribution(params)
-    fileio.write_tripartite(p, args.out)
-    return CommandResult(
-        {
-            "out": args.out,
-            "dims": list(p.dims),
-            "mu": params.mu,
-            "epsilon": params.epsilon,
-            "lambda": secret_bit_fraction(p),
-        }
-    )
+    extra = {"mu": params.mu, "epsilon": params.epsilon, "lambda": secret_bit_fraction(p)}
+    return _writer_report(args, p, fileio.write_tripartite, extra)
 
 
 def _cmd_tensor_power(args) -> CommandResult:
     p = fileio.read_bipartite(args.file)
     powered = tensor_power(p, args.power)
-    fileio.write_bipartite(powered, args.out)
-    return CommandResult(
-        {"out": args.out, "dims": list(powered.dims), "copies": args.power, "mass": powered.mass}
-    )
+    return _writer_report(args, powered, fileio.write_bipartite, {"copies": args.power, "mass": powered.mass})
 
 
 def _cmd_check_properties(args) -> CommandResult:
@@ -325,94 +304,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    @contextmanager
+    def command(name: str, func, help: str, writes: bool = False):
+        """Register ``name`` running ``func``, with ``--format`` and ``--out`` after its own options.
 
-    sp = sub.add_parser("sbf", help="secret-bit fraction of a binary tripartite distribution")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_sbf)
+        A command that ``writes`` a file names it with ``--out``; its report goes to stdout.
+        """
+        sp = sub.add_parser(name, help=help)
+        yield sp
+        if writes:
+            sp.add_argument("--out", required=True)
+        sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
+        if not writes:
+            sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+        sp.set_defaults(func=func, writes=writes)
 
-    sp = sub.add_parser("mesbf-r", help="best secret-bit fraction under reversible filters")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_mesbf_r)
+    with command("sbf", _cmd_sbf, "secret-bit fraction of a binary tripartite distribution") as sp:
+        sp.add_argument("file")
 
-    sp = sub.add_parser("mesbf-decoupled", help="exact MESBF for a decoupled eavesdropper")
-    sp.add_argument("file")
-    sp.add_argument("--power", type=int, default=1, help="number of independent copies")
-    common(sp)
-    sp.set_defaults(func=_cmd_mesbf_decoupled)
+    with command("mesbf-r", _cmd_mesbf_r, "best secret-bit fraction under reversible filters") as sp:
+        sp.add_argument("file")
 
-    sp = sub.add_parser("mesbf-opt", help="numerical MESBF lower bound for coupled distributions")
-    sp.add_argument("file")
-    sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--iters", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument(
-        "--oracle", action="store_true",
-        help=f"also run the grid oracle, at its default of {SearchConfig.grid_points} grid points",
-    )
-    common(sp)
-    sp.set_defaults(func=_cmd_mesbf_opt)
+    with command("mesbf-decoupled", _cmd_mesbf_decoupled, "exact MESBF for a decoupled eavesdropper") as sp:
+        sp.add_argument("file")
+        sp.add_argument("--power", type=int, default=1, help="number of independent copies")
 
-    sp = sub.add_parser("decompose", help="factor a bit-output filtration into elementary steps")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_decompose)
+    with command("mesbf-opt", _cmd_mesbf_opt, "numerical MESBF lower bound for coupled distributions") as sp:
+        sp.add_argument("file")
+        sp.add_argument("--restarts", type=int, default=64)
+        sp.add_argument("--iters", type=int, default=2000)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument(
+            "--oracle", action="store_true",
+            help=f"also run the grid oracle, at its default of {SearchConfig.grid_points} grid points",
+        )
 
-    sp = sub.add_parser("distill", help="analytic report of the advantage-distillation step")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--eta", required=True, help="eta00,eta01,eta10,eta11")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--N", dest="block_length", type=int, default=None)
-    group.add_argument("--auto", action="store_true", help="search for the minimal block length")
-    group.add_argument("--sweep", type=int, default=None, help="tabulate N = 1..SWEEP")
-    sp.add_argument("--nmax", type=int, default=200)
-    common(sp)
-    sp.set_defaults(func=_cmd_distill)
+    with command("decompose", _cmd_decompose, "factor a bit-output filtration into elementary steps") as sp:
+        sp.add_argument("file")
 
-    sp = sub.add_parser("distill-sim", help="Monte-Carlo simulation of the block protocol")
-    sp.add_argument("file")
-    sp.add_argument("--N", dest="block_length", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(sp)
-    sp.set_defaults(func=_cmd_distill_sim)
+    with command("distill", _cmd_distill, "analytic report of the advantage-distillation step") as sp:
+        sp.add_argument("--mu", type=float, required=True)
+        sp.add_argument("--eta", required=True, help="eta00,eta01,eta10,eta11")
+        group = sp.add_mutually_exclusive_group()
+        group.add_argument("--N", dest="block_length", type=int, default=None)
+        group.add_argument("--auto", action="store_true", help="search for the minimal block length")
+        group.add_argument("--sweep", type=int, default=None, help="tabulate N = 1..SWEEP")
+        sp.add_argument("--nmax", type=int, default=200)
 
-    sp = sub.add_parser("demo-randomization", help="joint local noise beating reversible filters")
-    common(sp)
-    sp.set_defaults(func=_cmd_demo_randomization)
+    with command("distill-sim", _cmd_distill_sim, "Monte-Carlo simulation of the block protocol") as sp:
+        sp.add_argument("file")
+        sp.add_argument("--N", dest="block_length", type=int, required=True)
+        sp.add_argument("--samples", type=int, required=True)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    sp = sub.add_parser("gen-satellite", help="write a broadcast-source distribution file")
-    sp.add_argument("--err-a", type=float, required=True)
-    sp.add_argument("--err-b", type=float, required=True)
-    sp.add_argument("--err-e", type=float, required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=_cmd_gen_satellite, report_out=None)
+    with command("demo-randomization", _cmd_demo_randomization, "joint local noise beating reversible filters"):
+        pass
 
-    sp = sub.add_parser("gen-canonical", help="write a canonical partially secret distribution file")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--eta", required=True, help="eta00,eta01,eta10,eta11")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=_cmd_gen_canonical, report_out=None)
+    with command("gen-satellite", _cmd_gen_satellite, "write a broadcast-source distribution file", writes=True) as sp:
+        sp.add_argument("--err-a", type=float, required=True)
+        sp.add_argument("--err-b", type=float, required=True)
+        sp.add_argument("--err-e", type=float, required=True)
 
-    sp = sub.add_parser("tensor-power", help="write the N-copy power of a bipartite file")
-    sp.add_argument("file")
-    sp.add_argument("--power", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    sp.set_defaults(func=_cmd_tensor_power, report_out=None)
+    with command(
+        "gen-canonical", _cmd_gen_canonical, "write a canonical partially secret distribution file", writes=True
+    ) as sp:
+        sp.add_argument("--mu", type=float, required=True)
+        sp.add_argument("--eta", required=True, help="eta00,eta01,eta10,eta11")
 
-    sp = sub.add_parser("check-properties", help="run randomized invariant suites on a file")
-    sp.add_argument("file")
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(sp)
-    sp.set_defaults(func=_cmd_check_properties)
+    with command("tensor-power", _cmd_tensor_power, "write the N-copy power of a bipartite file", writes=True) as sp:
+        sp.add_argument("file")
+        sp.add_argument("--power", type=int, required=True)
+
+    with command("check-properties", _cmd_check_properties, "run randomized invariant suites on a file") as sp:
+        sp.add_argument("file")
+        sp.add_argument("--trials", type=int, default=50)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
@@ -422,13 +388,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         result: CommandResult = args.func(args)
-        # Generator commands use --out for the produced file, so their
-        # report always goes to stdout (report_out defaults to None there).
-        report_out = getattr(args, "report_out", getattr(args, "out", None))
-        emit_report(result, args.format, report_out)
+        emit_report(result, args.format, None if args.writes else args.out)
         return result.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or str(exc)
+        print(f"error: {reason}: {exc.filename}" if exc.filename else f"error: {reason}", file=sys.stderr)
         return 1
     except SecbitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 The protocol's first step: both honest parties take ``N`` samples, accept
 only when their own bit string alternates (0101... or 1010...), and keep
-the final bit.  For the canonical partially secret distribution the two
+the final bit.  For the canonical partially secret distribution with
+``eta00 = eta11`` and ``eta01 = eta10`` (or ``mu = 1``) the two
 conditional uncertainties after that step have closed forms,
 
     H(a'|b') = h( eps^N / (eps^N + (1-eps)^N) )
@@ -67,23 +68,45 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _alternating_ratio(base: float, eps: float, n: int) -> float:
-    """``base^N / (eps^N + (1-eps)^N)`` in log space, with ``log 0 = -inf``.
+def _alternating_ratios(eps: float, mu: float, n: int) -> tuple[float, float]:
+    """``eps^N`` and ``mu^N`` over ``eps^N + (1-eps)^N`` in log space, with ``log 0 = -inf``.
 
-    The one denominator of the block error (``base = eps``) and the
-    blind-Eve ratio (``base = mu``).
+    The block error and the blind-Eve ratio share the one denominator.
     """
-    log_den = np.logaddexp(n * _log(eps), n * _log(1.0 - eps))
-    return math.exp(n * _log(base) - log_den)
+    log_eps = n * _log(eps)
+    log_den = np.logaddexp(log_eps, n * _log(1.0 - eps))
+    return math.exp(log_eps - log_den), math.exp(n * _log(mu) - log_den)
+
+
+def _closed_form_ratios(params: CanonicalParams, block_length: int) -> tuple[int, float, float]:
+    """The block length as an ``int``, the block error and the blind-Eve ratio.
+
+    The closed forms assume the two agreeing cells and the two disagreeing
+    cells are equally likely, ``eta00 = eta11`` and ``eta01 = eta10`` (to
+    within 1e-12), or that Eve never learns the bits (``mu = 1``); other
+    parameters raise :class:`InvalidParamsError`.  The blind-Eve ratio
+    cannot exceed one for valid parameters (``eps <= 1 - mu`` forces
+    ``mu <= 1 - eps``); a defensive check reports corruption otherwise.
+    """
+    block_length = _require_count(block_length, "block length")
+    eta00, eta01, eta10, eta11 = params.eta
+    if params.mu < 1.0 and not (abs(eta00 - eta11) <= 1e-12 and abs(eta01 - eta10) <= 1e-12):
+        raise InvalidParamsError(
+            f"the closed forms need eta00 = eta11 and eta01 = eta10, or mu = 1; got mu {params.mu}, eta {params.eta}"
+        )
+    error_rate, ratio = _alternating_ratios(params.epsilon, params.mu, block_length)
+    if ratio > 1.0 + 1e-12:
+        raise RatioOutOfRangeError(f"blind-Eve ratio {ratio} exceeds 1; corrupt parameters")
+    return block_length, error_rate, min(ratio, 1.0)
 
 
 def block_error_rate(params: CanonicalParams, block_length: int) -> float:
     """Probability the kept bits differ, conditioned on both accepting.
 
-    Equals ``eps^N / (eps^N + (1-eps)^N)``, evaluated in log space.
+    Equals ``eps^N / (eps^N + (1-eps)^N)``, evaluated in log space, for
+    symmetric ``eta`` or ``mu = 1`` (see :func:`_closed_form_ratios`).
     """
-    block_length = _require_count(block_length, "block length")
-    return _alternating_ratio(params.epsilon, params.epsilon, block_length)
+    return _closed_form_ratios(params, block_length)[1]
 
 
 def bob_uncertainty(params: CanonicalParams, block_length: int) -> float:
@@ -95,15 +118,10 @@ def eve_uncertainty(params: CanonicalParams, block_length: int) -> float:
     """Eve's remaining uncertainty about Alice's kept bit.
 
     ``h`` of ``mu^N / (eps^N + (1-eps)^N)``, the conditional probability
-    that Eve learned nothing from an accepted block.  The ratio cannot
-    exceed one for valid parameters (``eps <= 1 - mu`` forces
-    ``mu <= 1 - eps``); a defensive check reports corruption otherwise.
+    that Eve learned nothing from an accepted block, for symmetric ``eta``
+    or ``mu = 1`` (see :func:`_closed_form_ratios`).
     """
-    block_length = _require_count(block_length, "block length")
-    ratio = _alternating_ratio(params.mu, params.epsilon, block_length)
-    if ratio > 1.0 + 1e-12:
-        raise RatioOutOfRangeError(f"blind-Eve ratio {ratio} exceeds 1; corrupt parameters")
-    return binary_entropy(min(ratio, 1.0))
+    return binary_entropy(_closed_form_ratios(params, block_length)[2])
 
 
 @dataclass(frozen=True)
@@ -128,10 +146,9 @@ class ProtocolReport:
 
 def protocol_report(params: CanonicalParams, block_length: int) -> ProtocolReport:
     """Evaluate all analytic quantities at a fixed block length."""
-    block_length = _require_count(block_length, "block length")
-    error_rate = block_error_rate(params, block_length)
+    block_length, error_rate, eve_ratio = _closed_form_ratios(params, block_length)
     bob = binary_entropy(error_rate)
-    eve = eve_uncertainty(params, block_length)
+    eve = binary_entropy(eve_ratio)
     return ProtocolReport(
         params=params,
         block_length=block_length,

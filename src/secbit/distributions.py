@@ -144,8 +144,8 @@ def _from_cells(cls: type[_Table_T], dims: tuple[int, ...], cells: Mapping[tuple
     a mask), indices past the end and long keys by numpy.
     """
     dims = tuple(dims)
-    if len(dims) != cls._ndim or min(dims) < 1:
-        raise BadShapeError(f"dims must be {cls._ndim} alphabet sizes of at least one symbol, got {dims}")
+    if len(dims) != cls._ndim or not all(map(_is_integer, dims)) or min(dims) < 1:
+        raise BadShapeError(f"dims must be {cls._ndim} integer alphabet sizes of at least one symbol, got {dims}")
     if math.prod(dims) > DEFAULT_TENSOR_CELL_CAP:
         raise DimensionOverflowError(f"dims {dims} exceed the cap of {DEFAULT_TENSOR_CELL_CAP} cells")
     axes = tuple(zip(*cells))

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BipartiteDistribution, TripartiteDistribution, _freeze
+from .distributions import BipartiteDistribution, TripartiteDistribution, _freeze, _is_integer, _require_count
 from .errors import (
     BadShapeError,
     DimensionMismatchError,
+    InvalidParamsError,
     NonSquareError,
     NotStochasticError,
     OutOfRangeError,
@@ -81,7 +82,7 @@ class Filtration:
 
     @classmethod
     def identity(cls, d: int) -> "Filtration":
-        return cls(np.eye(d))
+        return cls(np.eye(_require_count(d, "size", minimum=0)))
 
     @classmethod
     def diagonal(cls, weights: Sequence[float]) -> "Filtration":
@@ -89,16 +90,19 @@ class Filtration:
 
     @classmethod
     def permutation(cls, order: Sequence[int]) -> "Filtration":
-        """Matrix sending input ``order[i]`` to output ``i``."""
+        """Matrix sending input ``order[i]`` to output ``i``; ``order`` holds each of ``0 .. d-1`` once."""
+        order = list(order)
         d = len(order)
+        if not all(map(_is_integer, order)) or sorted(order) != list(range(d)):
+            raise InvalidParamsError(f"order must hold each integer 0..{d - 1} once, got {order}")
         matrix = np.zeros((d, d))
-        matrix[np.arange(d), list(order)] = 1.0
+        matrix[np.arange(d), order] = 1.0
         return cls(matrix)
 
     @classmethod
     def coin_toss(cls, d: int) -> "Filtration":
         """Discard the input and output a uniform bit."""
-        return cls(np.full((2, d), 0.5))
+        return cls(np.full((2, _require_count(d, "size", minimum=0)), 0.5))
 
 
 def apply(d_a: Filtration, j_b: Filtration, p: TripartiteDistribution) -> TripartiteDistribution:
@@ -350,10 +354,10 @@ def embed_filtration(d: Filtration) -> Filtration:
 
 
 def lower_shear(r: float, size: int) -> Filtration:
-    """Enlarged-space shear: identity plus ``r`` copying row 0 into row 1."""
+    """Enlarged-space shear: identity plus ``r`` copying row 0 into row 1; ``size`` is at least 2."""
     if r < 0.0:
         raise OutOfRangeError(f"shear parameter must be nonnegative, got {r}")
-    matrix = np.eye(size)
+    matrix = np.eye(_require_count(size, "size", minimum=2))
     matrix[1, 0] = r
     return Filtration(matrix)
 
@@ -362,8 +366,9 @@ def row_gluing(r: float, column: int, size: int) -> Filtration:
     """Enlarged-space gluing: identity plus ``r`` copying ``column`` into row 0."""
     if r < 0.0:
         raise OutOfRangeError(f"gluing parameter must be nonnegative, got {r}")
-    if not (0 <= column < size):
-        raise BadShapeError(f"column {column} outside a {size}-dimensional space")
+    size = _require_count(size, "size")
+    if not (_is_integer(column) and 0 <= column < size):
+        raise BadShapeError(f"column {column!r} outside a {size}-dimensional space")
     matrix = np.eye(size)
     matrix[0, column] += r
     return Filtration(matrix)

@@ -381,3 +381,52 @@ def test_report_written_to_file(capsys, lemur_file, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["lambda"] == 0.5
+
+
+def _assert_domain_error(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_directory_as_input_or_report_destination(capsys, tmp_path, lemur_file):
+    # Each is an OSError other than FileNotFoundError: a domain error, not a traceback.
+    _assert_domain_error(*run(capsys, "sbf", str(tmp_path)))
+    _assert_domain_error(*run(capsys, "sbf", lemur_file, "--out", str(tmp_path)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lemur.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-satellite", "--err-a", "0.1", "--err-b", "0.2", "--err-e", "0.3"),
+        ("gen-canonical", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25"),
+        ("tensor-power", "{src}", "--power", "2"),
+    ],
+)
+def test_writers_refuse_bad_destinations_and_csv_without_writing(capsys, tmp_path, argv):
+    src = tmp_path / "src.json"
+    write_bipartite(shared_bit(), src)
+    argv = [arg.format(src=src) for arg in argv]
+    out_dir = tmp_path / "dir"
+    out_dir.mkdir()
+    _assert_domain_error(*run(capsys, *argv, "--out", str(out_dir)))
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "made.json"), "--format", "csv")
+    _assert_domain_error(code, out, err)
+    assert "csv" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "src.json"]
+    assert list(out_dir.iterdir()) == []
+
+
+def test_undecodable_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    _assert_domain_error(*run(capsys, "sbf", str(path)))
+
+
+def test_distill_refuses_asymmetric_eta(capsys):
+    _assert_domain_error(*run(capsys, "distill", "--mu", "0.6", "--eta", "0.1,0.3,0.05,0.55", "--N", "3"))
+    # With mu = 1 Eve never learns the bits, and the closed forms hold for any eta.
+    code, out, _ = run(capsys, "distill", "--mu", "1", "--eta", "0.1,0.3,0.05,0.55", "--N", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["block_error_rate"] == 0.0

@@ -139,6 +139,39 @@ class TestMinimalBlockLength:
                 assert report is not None, (mu, cross)
 
 
+class TestClosedFormPrecondition:
+    # The closed forms need P00 = P11 and P01 = P10: eta00 = eta11 and
+    # eta01 = eta10 to within 1e-12, or mu = 1.
+    ASYMMETRIC = (
+        CanonicalParams(0.6, (0.7, 0.1, 0.1, 0.1)),
+        CanonicalParams(0.6, (0.1, 0.3, 0.05, 0.55)),
+        CanonicalParams(0.8, (0.35, 0.15, 0.15 + 2e-12, 0.35 - 2e-12)),
+    )
+
+    @pytest.mark.parametrize(
+        "entry", (block_error_rate, bob_uncertainty, eve_uncertainty, protocol_report, minimal_block_length)
+    )
+    @pytest.mark.parametrize("params", ASYMMETRIC, ids=("eta00", "eta01", "tolerance"))
+    def test_asymmetric_eta_refused(self, entry, params):
+        with pytest.raises(InvalidParamsError, match="eta00 = eta11"):
+            entry(params, 7)
+
+    def test_symmetric_within_tolerance_accepted(self):
+        params = CanonicalParams(0.8, (0.35, 0.15, 0.15 + 5e-13, 0.35 - 5e-13))
+        stats = exact_block_statistics(canonical_distribution(params), 7)
+        assert protocol_report(params, 7).block_error_rate == pytest.approx(stats["disagreement_rate"], rel=1e-9)
+
+    def test_mu_one_holds_for_any_eta(self):
+        params = CanonicalParams(1.0, (0.1, 0.3, 0.05, 0.55))
+        for n in (1, 2, 7):
+            stats = exact_block_statistics(canonical_distribution(params), n)
+            report = protocol_report(params, n)
+            assert report.block_error_rate == stats["disagreement_rate"] == 0.0
+            assert report.bob_uncertainty == report.eve_uncertainty == 0.0
+            assert block_error_rate(params, n) == bob_uncertainty(params, n) == eve_uncertainty(params, n) == 0.0
+        assert minimal_block_length(params, 20) is None
+
+
 class TestStringFilter:
     def test_alternating_blocks(self):
         assert string_filter("0101") == (0, 1)

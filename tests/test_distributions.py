@@ -21,6 +21,7 @@ from secbit import (
 )
 from secbit import distill, properties
 from secbit.errors import (
+    BadShapeError,
     DimensionOverflowError,
     IndexOutOfRangeError,
     InvalidParamsError,
@@ -85,6 +86,19 @@ class TestConstruction:
     def test_boolean_index_rejected(self, build, dims, key):
         with pytest.raises(IndexOutOfRangeError):
             build(dims, {(0,) * len(dims): 0.5, key: 0.5})
+
+    @pytest.mark.parametrize(
+        "build,dims",
+        [
+            (from_entries, (2.0, 2, 1)),
+            (from_entries, (2, np.float64(2), 1)),
+            (bipartite_from_entries, (2, True)),
+            (bipartite_from_entries, ("2", 2)),
+        ],
+    )
+    def test_dims_must_be_integers(self, build, dims):
+        with pytest.raises(BadShapeError):
+            build(dims, {})
 
     def test_numpy_integer_index_accepted(self):
         p = from_entries((2, 2, 3), {(np.int64(1), np.int64(1), np.int64(2)): 0.5, (0, 0, 0): 0.5})

@@ -134,6 +134,15 @@ def test_invalid_json_reported(tmp_path):
         read_tripartite(path)
 
 
+def test_undecodable_bytes_reported(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        read_tripartite(path)
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        read_filtration(path)
+
+
 def test_filtration_roundtrip(tmp_path):
     path = tmp_path / "f.json"
     f = Filtration(np.array([[0.6, 0.1, 0.0], [0.2, 0.5, 0.3]]))

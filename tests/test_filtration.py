@@ -13,16 +13,20 @@ from secbit import (
     embed_filtration,
     factor_mixing_step,
     is_reversible,
+    lower_shear,
     mixing_matrix,
     point_mass_eve,
     recompose,
     reversible_inverse,
+    row_gluing,
     secret_bit_fraction,
     shared_bit,
 )
 from secbit.errors import (
     BadShapeError,
+    CountError,
     DimensionMismatchError,
+    InvalidParamsError,
     NonSquareError,
     NotStochasticError,
     OutOfRangeError,
@@ -265,3 +269,41 @@ class TestEnlargedSpace:
     def test_embed_filtration_shape_guard(self):
         with pytest.raises(BadShapeError):
             embed_filtration(Filtration(np.zeros((3, 2))))
+
+
+class TestConstructorArguments:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Filtration.identity(2.5),
+            lambda: Filtration.identity(True),
+            lambda: Filtration.identity(-1),
+            lambda: Filtration.coin_toss(2.0),
+            lambda: lower_shear(1.0, 2.5),
+            lambda: lower_shear(1.0, 1),
+            lambda: row_gluing(1.0, 1, 2.0),
+            lambda: row_gluing(1.0, 0, 0),
+        ],
+    )
+    def test_sizes_are_counts(self, build):
+        with pytest.raises(CountError):
+            build()
+
+    @pytest.mark.parametrize("column", [True, 1.5, np.float64(1.0), -1, 3])
+    def test_gluing_column_is_an_index(self, column):
+        # True once read as column 1, adding r to all of row 0.
+        with pytest.raises(BadShapeError):
+            row_gluing(1.0, column, 3)
+
+    @pytest.mark.parametrize("order", [[0, 0], [True, False], [-1, 0], [0, 5], [0.0, 1.0], [1]])
+    def test_permutation_order_is_a_permutation(self, order):
+        with pytest.raises(InvalidParamsError):
+            Filtration.permutation(order)
+
+    def test_integer_arguments_accepted(self):
+        order = np.array([2, 0, 1])
+        assert Filtration.permutation(order).matrix.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert Filtration.identity(np.int64(2)).matrix.tolist() == [[1, 0], [0, 1]]
+        assert Filtration.coin_toss(0).matrix.shape == (2, 0)
+        assert lower_shear(0.5, np.int64(2)).matrix.tolist() == [[1, 0], [0.5, 1]]
+        assert row_gluing(0.5, np.int64(1), 2).matrix.tolist() == [[1, 0.5], [0, 1]]
