@@ -90,10 +90,19 @@ def emit_report(result: CommandResult, fmt: str, out: Optional[str]) -> None:
     else:
         raise UnsupportedFormatError(f"unknown format {fmt!r}")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _destination(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _destination(path):
+    """Report a failed write as an error that names the destination, not as a missing input."""
+    try:
+        yield
+    except OSError as exc:
+        raise SecbitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _witness_report(result) -> dict:
@@ -116,7 +125,8 @@ def _writer_report(args, dist, write, extra: dict) -> CommandResult:
     """Refuse csv (the report has no rows), write ``dist`` to ``--out`` and report the file, then ``extra``."""
     if args.format == "csv":
         raise UnsupportedFormatError(_CSV_NEEDS_ROWS)
-    write(dist, args.out)
+    with _destination(args.out):
+        write(dist, args.out)
     return CommandResult({"out": args.out, "dims": list(dist.dims), **extra})
 
 
@@ -227,6 +237,8 @@ def _cmd_distill_sim(args) -> CommandResult:
     exact = distill.exact_block_statistics(p, args.block_length)
     pab = p.table.sum(axis=2) / p.mass
     eps = float(pab[0, 1] + pab[1, 0])
+    # The closed form is the block error rate only for a symmetric (A, B) marginal.
+    symmetric = abs(pab[0, 0] - pab[1, 1]) <= 1e-12 and abs(pab[0, 1] - pab[1, 0]) <= 1e-12
     report = {
         "N": args.block_length,
         "samples": args.samples,
@@ -236,7 +248,7 @@ def _cmd_distill_sim(args) -> CommandResult:
         "analytic_acceptance_rate": exact["acceptance_rate"],
         "empirical_disagreement_rate": sim.disagreement_rate,
         "analytic_disagreement_rate": exact["disagreement_rate"],
-        "formula_block_error_rate": distill._alternating_ratios(eps, eps, args.block_length)[0],
+        "formula_block_error_rate": distill._alternating_ratios(eps, eps, args.block_length)[0] if symmetric else None,
         "empirical_eve_blank_rate": sim.eve_blank_rate,
         "analytic_eve_blank_rate": exact["eve_blank_rate"],
     }

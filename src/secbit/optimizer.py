@@ -10,11 +10,13 @@ bit-output filter pairs directly.  Two searches are provided:
   of deterministic baseline starts.  Deterministic given the seed.
 * :func:`brute_force_mesbf` — a slow grid oracle for small instances: an
   exhaustive joint scan of coarse filter pairs for both parties (the grid
-  family automatically covers row-swapped variants), funneled into
-  coordinate-wise sweeps over shrinking per-entry grids; the best polished
-  pair of a ranking stage is reported when it certifies strictly higher
-  than the final one.  Intended only as a cross-check; a lower bound whose
-  gap shrinks with the grid resolution.
+  family automatically covers row-swapped variants; a certified pass
+  scores only the pairs that a harmonic-mean bound cannot rule out, and
+  the full scan runs whenever that pass cannot prove the same result),
+  funneled into coordinate-wise sweeps over shrinking per-entry grids; the
+  best polished pair of a ranking stage is reported when it certifies
+  strictly higher than the final one.  Intended only as a cross-check; a
+  lower bound whose gap shrinks with the grid resolution.
 
 Both searches are one funnel (:func:`_funnel`): a seed list, a stage
 table and a certify step.  Each stage polishes every candidate, ranks
@@ -40,7 +42,7 @@ import bisect
 import functools
 import math
 from collections import deque
-from collections.abc import Generator, Sequence
+from collections.abc import Callable, Generator, Sequence
 from itertools import accumulate, chain, product
 from dataclasses import dataclass
 
@@ -54,6 +56,9 @@ from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, s
 DEFAULT_SEED = 1729
 
 _CHUNK = 1 << 17
+# Relative slack of the joint scan's cell bound: the rounding of the scan's
+# sums and of the bound, and the gap between pair values and their masses.
+_BOUND_MARGIN = 1e-9
 # Cells of Eve-resolved pair values that one joint scan may hold (8 MB).
 _SCAN_CELLS = 1 << 20
 # Moves scored by the polish's first batch after an acceptance; batches
@@ -200,17 +205,6 @@ def estimate_mesbf(
     return MeasureResult(value, witness, "exact", {"source": source, "trace": trace})
 
 
-def _support_signature(d_a_mat: np.ndarray, j_b: np.ndarray, floor: float) -> tuple:
-    """Which entries are live (well above the floor), both matrices pooled.
-
-    Swapping both output bits leaves the objective unchanged, so the
-    signature is canonicalized over that mirror symmetry.
-    """
-    direct = tuple(np.concatenate([d_a_mat.ravel(), j_b.ravel()]) > 10.0 * floor)
-    mirrored = tuple(np.concatenate([d_a_mat[::-1].ravel(), j_b[::-1].ravel()]) > 10.0 * floor)
-    return min(direct, mirrored)
-
-
 def _joint_scan(
     table: np.ndarray, coarse: np.ndarray, floor: float, top_k: int
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -218,28 +212,47 @@ def _joint_scan(
 
     The secret-bit fraction after filtering depends on the two parties'
     row-0 pair and row-1 pair only, so all row pairs are contracted once
-    against the table and every combination of a row-0 pair with a row-1
-    pair is evaluated, ``_CHUNK // (n_a n_b)`` row-0 pairs at a time (``n_a``
-    and ``n_b`` rows per party); each chunk keeps its ``8 * top_k`` best.
-    Returns the ``top_k`` best of those with pairwise distinct support
-    signatures, so that later refinement explores genuinely different bases
-    of attraction.  Temporaries hold at most ``max(_CHUNK, n_a n_b, d_e)``
-    cells whatever Eve's alphabet ``d_e``, and more than ``_SCAN_CELLS`` pair
-    values (``n_a n_b d_e``) raise :class:`TooLargeError` before any exists.
+    against the table, and a cell joins a row-0 pair ``p = (i0, j0)`` with
+    a row-1 pair ``q = (i1, j1)``.  Returns the ``top_k`` best cells with
+    pairwise distinct support signatures (:func:`_walk`), so that later
+    refinement explores genuinely different bases of attraction.  More
+    than ``_SCAN_CELLS`` pair values (``n_a n_b d_e``, ``n_a`` and ``n_b``
+    rows per party) raise :class:`TooLargeError` before any exists.
+
+    Two passes give that result.  The full scan (:func:`_full_scan`)
+    scores every cell.  The pruned pass (:func:`_pruned_scan`) runs first:
+    with masses ``M``, every cell is at most the harmonic mean ``H(rho0,
+    sigma1)`` of ``rho0 = M[i0,j0] / (M[i0,j0] + M[i1,j0])`` and ``sigma1 =
+    M[i1,j1] / (M[i0,j1] + M[i1,j1])`` whatever Eve's alphabet, so it
+    scores only the cells whose bound reaches a level, and returns their
+    walk only when it certifies that the full scan's walk is the same.
+    Otherwise the full scan runs.  Either way the result is the full
+    scan's, bit for bit.
     """
     d_a, d_b, d_e = table.shape
     rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
-    n_a, n_b = len(rows_a), len(rows_b)
-    total = n_a * n_b
+    total = len(rows_a) * len(rows_b)
     if total * d_e > _SCAN_CELLS:
         raise TooLargeError(f"joint scan of {total} row pairs over {d_e} Eve symbols exceeds {_SCAN_CELLS} cells")
     # Doubling is exact, so min(2x, 2y) summed is twice the summed minimum.
     pair2 = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(total, d_e)
     pair2 *= 2.0
     mass = rows_a @ table.sum(axis=2) @ rows_b.T
+    walk = functools.partial(_walk, rows_a=rows_a, rows_b=rows_b, floor=floor, top_k=top_k)
+    found = _pruned_scan(pair2, mass, top_k, walk)
+    return walk(*_full_scan(pair2, mass, top_k)) if found is None else found
 
+
+def _full_scan(pair2: np.ndarray, mass: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every cell, ``_CHUNK // (n_a n_b)`` row-0 pairs at a time; return each chunk's ``8 * top_k`` best.
+
+    Cells come as ``(values, p, q)``.  Temporaries hold at most
+    ``max(_CHUNK, n_a n_b, d_e)`` cells whatever Eve's alphabet ``d_e``.
+    """
+    total, d_e = pair2.shape
+    n_b = mass.shape[1]
     block = max(1, _CHUNK // total)
-    lam_buf, den_buf = np.empty((2, min(block, total), n_a, n_b))
+    lam_buf, den_buf = np.empty((2, min(block, total), *mass.shape))
     # Minima over Eve's symbols, _CHUNK cells at a time: whole rows when they fit.
     width = min(total, max(1, _CHUNK // d_e))
     height = min(block, max(1, _CHUNK // (total * d_e)))
@@ -266,21 +279,141 @@ def _joint_scan(
         keep = min(8 * top_k, lam.size)
         order = np.argpartition(lam.reshape(-1), -keep)[-keep:]
         found.append((lam.reshape(-1)[order], start + order // total, order % total))
-
     values, firsts, seconds = (np.concatenate(column) for column in zip(*found))
+    return values, firsts, seconds
+
+
+def _walk(
+    values: np.ndarray, firsts: np.ndarray, seconds: np.ndarray,
+    rows_a: np.ndarray, rows_b: np.ndarray, floor: float, top_k: int,
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The first ``top_k`` cells with distinct support signatures, by descending value, then ``p``, then ``q``.
+
+    A cell's signature says which entries of its two filters are live
+    (above ``10 * floor``).  Swapping both output bits leaves the
+    objective unchanged, so it is the smaller of the two orders of its
+    row pairs, each read as one binary number: row 0 then row 1 of
+    Alice's filter, then of Bob's, leading entries the most significant.
+    """
+    d_a, d_b = rows_a.shape[1], rows_b.shape[1]
+    n_b = len(rows_b)
+    code_a, code_b = ((rows > 10.0 * floor) @ (1 << np.arange(rows.shape[1]))[::-1] for rows in (rows_a, rows_b))
     ranked = np.lexsort((seconds, firsts, -values))
-    result: list[tuple[float, np.ndarray, np.ndarray]] = []
-    seen: set[tuple] = set()
-    for value, p, q in zip(values[ranked].tolist(), firsts[ranked].tolist(), seconds[ranked].tolist()):
-        d_a_mat, j_b_mat = rows_a[[p // n_b, q // n_b]], rows_b[[p % n_b, q % n_b]]
-        key = _support_signature(d_a_mat, j_b_mat, floor)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append((value, d_a_mat, j_b_mat))
-        if len(result) == top_k:
-            break
-    return result
+    (i0, j0), (i1, j1) = np.divmod(firsts[ranked], n_b), np.divmod(seconds[ranked], n_b)
+    direct = (((code_a[i0] << d_a | code_a[i1]) << d_b | code_b[j0]) << d_b) | code_b[j1]
+    mirrored = (((code_a[i1] << d_a | code_a[i0]) << d_b | code_b[j1]) << d_b) | code_b[j0]
+    first = np.unique(np.minimum(direct, mirrored), return_index=True)[1]
+    picked = ranked[np.sort(first)[:top_k]]
+    return [(value, rows_a[[p // n_b, q // n_b]], rows_b[[p % n_b, q % n_b]])
+            for value, p, q in zip(values[picked].tolist(), firsts[picked].tolist(), seconds[picked].tolist())]
+
+
+def _harmonic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``2xy / (x + y)`` as ``2 / (1/x + 1/y)``: each step rounds monotonically, so it never decreases in ``x`` or ``y``."""
+    return 2.0 / (1.0 / x + 1.0 / y)
+
+
+def _pair_bounds(mass: np.ndarray) -> np.ndarray:
+    """``H(max rho0, max sigma1)`` per Alice pair ``(i0, i1)``, at least every bound of its cells.
+
+    ``rho0`` runs over ``j0`` and ``sigma1`` over ``j1``; ``sigma1`` of
+    ``(i0, i1)`` is ``rho0`` of ``(i1, i0)``.  Built ``_CHUNK`` cells at a time.
+    """
+    n_a, n_b = mass.shape
+    rho = np.empty((n_a, n_a))
+    step = max(1, _CHUNK // (n_a * n_b))
+    for s in range(0, n_a, step):
+        head = mass[s : s + step, None]
+        np.max(head / (head + mass), axis=2, out=rho[s : s + step])
+    return _harmonic(rho, rho.T)
+
+
+def _bounded_cells(mass: np.ndarray, bounds: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(p, q)`` of every cell whose bound times ``1 + _BOUND_MARGIN`` reaches ``level``; None past ``_CHUNK`` cells.
+
+    Only Alice pairs whose pair bound reaches the level are opened, one
+    ``(pairs, j0, j1)`` block of at most ``_CHUNK`` bounds at a time.
+    """
+    n_b = mass.shape[1]
+    slack = 1.0 + _BOUND_MARGIN
+    alice = np.nonzero(bounds * slack >= level)
+    step = max(1, _CHUNK // (n_b * n_b))
+    firsts, seconds, count = [], [], 0
+    for s in range(0, len(alice[0]), step):
+        i0, i1 = (side[s : s + step] for side in alice)
+        head, tail = mass[i0], mass[i1]
+        both = head + tail
+        k, j0, j1 = np.nonzero(_harmonic((head / both)[:, :, None], (tail / both)[:, None, :]) * slack >= level)
+        count += len(k)
+        if count > _CHUNK:
+            return None
+        firsts.append(i0[k] * n_b + j0)
+        seconds.append(i1[k] * n_b + j1)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _cell_values(pair2: np.ndarray, mass: np.ndarray, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    """The full scan's value of each cell ``(p, q)``: its operations in its order, ``_CHUNK`` cells at a time."""
+    d_e = pair2.shape[1]
+    n_b = mass.shape[1]
+    flat = mass.reshape(-1)
+    values = np.empty(len(firsts))
+    step = max(1, _CHUNK // d_e)
+    for s in range(0, len(firsts), step):
+        p, q = firsts[s : s + step], seconds[s : s + step]
+        num = np.minimum(pair2[p, 0], pair2[q, 0]) if d_e == 1 else np.minimum(pair2[p], pair2[q]).sum(axis=1)
+        den = flat[p] + flat[q]
+        den += mass[p // n_b, q % n_b]
+        den += mass[q // n_b, p % n_b]
+        np.divide(num, den, out=values[s : s + step])
+    return values
+
+
+def _pruned_scan(
+    pair2: np.ndarray, mass: np.ndarray, top_k: int, walk: Callable[..., list[tuple[float, np.ndarray, np.ndarray]]]
+) -> list[tuple[float, np.ndarray, np.ndarray]] | None:
+    """The full scan's walk from the cells whose bound reaches a level, or None when that is not certified.
+
+    A level ``L`` opens the cells whose bound (:func:`_pair_bounds`), times
+    ``1 + _BOUND_MARGIN``, reaches it (:func:`_bounded_cells`), scores them
+    (:func:`_cell_values`) and walks them.  The walk is the full scan's
+    when it reaches ``top_k`` signatures at a value ``V* >= L``: every cell
+    at or above ``V*`` was scored, and no chunk of the full scan holds
+    ``8 * top_k`` of them, so its truncation kept them all too; the two
+    walks then visit the same cells in the same order up to ``V*``.
+    Otherwise ``L`` drops by a quarter of the way from the best pair bound
+    to 1/2, or only to the walk's ``V*`` when that is higher: the cells
+    that gave ``V*`` open again, so the next walk reaches it.  The pass
+    gives up at an ``L`` of 1/2 or below, past ``_CHUNK`` cells, or when a
+    chunk holds too many leaders; and before any level unless every mass
+    is positive and finite and the pair values sum to their masses within
+    the margin, less the rounding of the scan's own sums.
+    """
+    d_e = pair2.shape[1]
+    flat = mass.reshape(-1)
+    with np.errstate(over="ignore", divide="ignore"):
+        if not (flat.min() > 0.0 and np.isfinite(4.0 * flat.max()) and np.isfinite(pair2).all()):
+            return None
+        # A cell exceeds its bound by at most this gap plus the rounding of
+        # its d_e-term sum, its denominator, its quotient and the bound.
+        gap = np.max(np.abs(pair2.sum(axis=1) - 2.0 * flat) / (2.0 * flat))
+        if not gap + 4 * (d_e + 8) * np.finfo(float).eps <= _BOUND_MARGIN:
+            return None
+        bounds = _pair_bounds(mass)
+        step = (bounds.max() - 0.5) / 4
+        level = 0.5 + 3 * step
+        while level > 0.5:
+            cells = _bounded_cells(mass, bounds, level)
+            if cells is None:
+                return None
+            values = _cell_values(pair2, mass, *cells)
+            found = walk(values, *cells)
+            last = found[-1][0] if len(found) == top_k else -math.inf
+            if last >= level:
+                chunks = cells[0][values >= last] // max(1, _CHUNK // len(flat))
+                return found if np.bincount(chunks).max() < 8 * top_k else None
+            level = max(last, level - step)
+    return None
 
 
 _MICRO_SPANS = (4.0,)
@@ -639,7 +772,11 @@ def brute_force_mesbf(
     so each ranking stage's best polished pair is certified too, and
     reported when strictly higher than the fine pair.  The documented
     contract is a lower bound on the true optimum whose gap shrinks as
-    ``grid_points`` grows.  The joint scan holds at most 2^20 pair values,
+    ``grid_points`` grows.  The joint scan first scores only the cells
+    that its bound ``H(rho0, sigma1)`` cannot rule out, and returns their
+    best only when it certifies them the full scan's; otherwise it scores
+    every cell (:func:`_joint_scan`), so its seeds never depend on which
+    pass ran.  The joint scan holds at most 2^20 pair values,
     which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
     ``159`` at 4x4; larger tables raise :class:`TooLargeError`.
     """

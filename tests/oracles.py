@@ -65,7 +65,6 @@ from secbit.optimizer import (
     _identity_projection,
     _joint_scan,
     _selecting_seeds,
-    _support_signature,
 )
 from secbit.properties import CheckOutcome
 
@@ -264,6 +263,17 @@ def _row_family(grids: list[np.ndarray]) -> np.ndarray:
     for k, grid in enumerate(grids):
         family[:, k] = grid[multi[k]]
     return family
+
+
+def _support_signature(d_a_mat: np.ndarray, j_b: np.ndarray, floor: float) -> tuple:
+    """Which entries are live (well above the floor), both matrices pooled.
+
+    Swapping both output bits leaves the objective unchanged, so the
+    signature is canonicalized over that mirror symmetry.
+    """
+    direct = tuple(np.concatenate([d_a_mat.ravel(), j_b.ravel()]) > 10.0 * floor)
+    mirrored = tuple(np.concatenate([d_a_mat[::-1].ravel(), j_b[::-1].ravel()]) > 10.0 * floor)
+    return min(direct, mirrored)
 
 
 def frozen_scan(

@@ -301,6 +301,20 @@ def test_distill_sim_formula_above_one_half(capsys, tmp_path):
     assert doc["formula_block_error_rate"] == pytest.approx(doc["analytic_disagreement_rate"], abs=1e-12)
 
 
+def test_distill_sim_formula_is_null_for_an_asymmetric_file(capsys, tmp_path):
+    # P(0,0) != P(1,1) and P(0,1) != P(1,0): the closed form read 0.0326
+    # against a block disagreement rate of 0.0154.
+    table = np.array([[0.5, 0.25], [0.05, 0.2]]).reshape(2, 2, 1)
+    write_tripartite(TripartiteDistribution(table), tmp_path / "asym.json")
+    code, out, _ = run(
+        capsys, "distill-sim", str(tmp_path / "asym.json"), "--N", "4", "--samples", "2000", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["formula_block_error_rate"] is None
+    assert doc["analytic_disagreement_rate"] == pytest.approx(0.01538, abs=1e-5)
+
+
 def test_distill_sim_json_is_strict_at_long_blocks(capsys, tmp_path):
     path = str(tmp_path / "canon.json")
     code, _, _ = run(capsys, "gen-canonical", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--out", path)
@@ -394,6 +408,18 @@ def test_directory_as_input_or_report_destination(capsys, tmp_path, lemur_file):
     _assert_domain_error(*run(capsys, "sbf", str(tmp_path)))
     _assert_domain_error(*run(capsys, "sbf", lemur_file, "--out", str(tmp_path)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lemur.json"]
+
+
+@pytest.mark.parametrize("command", ["sbf", "gen-satellite"])
+def test_destination_in_a_missing_directory_is_a_write_error(capsys, tmp_path, lemur_file, command):
+    # The write fails, not a read: the error names the destination.
+    argv = [lemur_file] if command == "sbf" else ["--err-a", "0.1", "--err-b", "0.2", "--err-e", "0.3"]
+    dest = tmp_path / "nodir" / "r.json"
+    code, out, err = run(capsys, command, *argv, "--out", str(dest))
+    _assert_domain_error(code, out, err)
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert "file not found" not in err
+    assert not dest.parent.exists()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secbit import (
     BipartiteDistribution,
@@ -326,11 +328,16 @@ class TestPassTables:
 SCAN_LADDERS = {2: (1e-9, 0.1, 0.2, 0.45, 1.0), 3: (1e-9, 0.1, 0.3, 1.0), 4: (1e-9, 0.3, 1.0)}
 
 
+def _raw_table(shape: tuple[int, ...], zeros: float, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(0.1, 1.0, size=shape)
+    table[rng.random(size=shape) < zeros] = 0.0
+    table[(0,) * len(shape)] += 0.1
+    return table
+
+
 def _scan_case(d_a: int, d_b: int, d_e: int, zeros: float) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([43, d_a, d_b, d_e, round(100 * zeros)])
-    table = rng.uniform(0.1, 1.0, size=(d_a, d_b, d_e))
-    table[rng.random(size=table.shape) < zeros] = 0.0
-    table[0, 0, 0] += 0.1
+    table = _raw_table((d_a, d_b, d_e), zeros, [43, d_a, d_b, d_e, round(100 * zeros)])
     return table / table.sum(), np.array(SCAN_LADDERS[max(d_a, d_b)])
 
 
@@ -400,6 +407,133 @@ class TestJointScan:
         assert peak < 5 * 2**20
         with pytest.raises(TooLargeError):
             brute_force_mesbf(TripartiteDistribution(table), FAST)
+
+
+def _scan_sums(table: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled pair values ``(n_a n_b, d_e)`` and masses ``(n_a, n_b)``, as the joint scan builds them."""
+    d_a, d_b, d_e = table.shape
+    rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
+    pair2 = 2.0 * np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(-1, d_e)
+    return pair2, rows_a @ table.sum(axis=2) @ rows_b.T
+
+
+@st.composite
+def _scan_inputs(draw):
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    zeros = draw(st.floats(0.0, 0.3))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    table = scale * _raw_table(shape, zeros, draw(st.integers(0, 2**32 - 1)))
+    return table, np.array(SCAN_LADDERS.get(max(shape[:2]), SCAN_LADDERS[4])), draw(st.integers(1, 12))
+
+
+class _PathCount:
+    """Stands in for ``optimizer._full_scan`` and counts the scans that fell back to it."""
+
+    def __init__(self):
+        self.full = optimizer._full_scan
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.full(*args)
+
+    def scan(self, table, coarse, top_k):
+        """``_joint_scan``'s result and whether it fell back to the full scan."""
+        before = self.calls
+        found = _joint_scan(table, coarse, 1e-9, top_k)
+        return found, self.calls > before
+
+
+class TestPrunedScan:
+    """The bound-pruned pass returns the full scan's result when certified, and falls back otherwise."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        count = _PathCount()
+        monkeypatch.setattr(optimizer, "_full_scan", count)
+        return count
+
+    def test_matches_the_frozen_scan_on_either_path(self, paths):
+        taken = set()
+
+        @given(case=_scan_inputs())
+        @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+        def check(case):
+            table, coarse, top_k = case
+            found, fell_back = paths.scan(table, coarse, top_k)
+            taken.add(fell_back)
+            _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, top_k))
+
+        check()
+        assert taken == {False, True}
+
+    def test_too_few_signatures_fall_back(self, paths):
+        # Levels above 1/2 open, but the grid's kept cells hold 46 signatures.
+        table, coarse = _scan_case(2, 2, 1, 0.0)
+        assert optimizer._pair_bounds(_scan_sums(table, coarse)[1]).max() > 0.5
+        found, fell_back = paths.scan(table, coarse, 100)
+        assert fell_back and len(found) == 46
+        _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 100))
+
+    def test_underflowing_masses_fall_back(self, paths):
+        table, coarse = _scan_case(2, 3, 1, 0.0)
+        assert not paths.scan(table, coarse, 12)[1]
+        # Subnormal masses: the pair values no longer sum to them within the margin.
+        table = 1e-300 * table
+        assert 0.0 < _scan_sums(table, coarse)[1].min() < np.finfo(float).tiny
+        found, fell_back = paths.scan(table, coarse, 12)
+        assert fell_back
+        _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 12))
+
+    def test_a_chunk_full_of_leaders_falls_back(self, paths, monkeypatch):
+        # A benchmark-recipe 2x2 table: at the default _CHUNK one full-scan
+        # chunk holds 8 * top_k cells at or above V*, so its truncation may
+        # have dropped one; with chunks of 26 row-0 pairs none does.
+        m = np.random.default_rng([1, 0, 2, 2]).uniform(0.1, 1.0, size=(2, 2))
+        table, coarse = (m / m.sum())[:, :, None], np.array(SCAN_LADDERS[2])
+        pair2, mass = _scan_sums(table, coarse)
+        values, firsts, _ = paths.full(pair2, mass, len(pair2) ** 2)  # every cell
+        for chunk, fell_back in [(_CHUNK, True), (1 << 14, False)]:
+            monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+            monkeypatch.setattr(oracles, "_CHUNK", chunk)
+            found, took = paths.scan(table, coarse, 12)
+            leaders = firsts[values >= found[-1][0]] // (chunk // len(pair2))
+            assert (np.bincount(leaders).max() >= 8 * 12) == fell_back == took
+            _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 12))
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("d_e", [1, 2, 3, 4])
+    def test_cells_never_exceed_their_bounds(self, d_a, d_b, d_e):
+        rng = np.random.default_rng([71, d_a, d_b, d_e])
+        coarse = np.array(SCAN_LADDERS[max(d_a, d_b)])
+        slack = 1.0 + optimizer._BOUND_MARGIN
+        for zeros, scale in [(0.0, 1.0), (0.3, 1e-200), (0.3, 1e200)]:
+            pair2, mass = _scan_sums(scale * _raw_table((d_a, d_b, d_e), zeros, rng), coarse)
+            (n_a, n_b), flat = mass.shape, mass.reshape(-1)
+            p, q = rng.integers(0, n_a * n_b, size=(2, 4000))
+            (i0, j0), (i1, j1) = np.divmod(p, n_b), np.divmod(q, n_b)
+            value = np.minimum(pair2[p], pair2[q]).sum(axis=1) / (flat[p] + flat[q] + mass[i0, j1] + mass[i1, j0])
+            rho0 = mass[i0, j0] / (mass[i0, j0] + mass[i1, j0])
+            sigma1 = mass[i1, j1] / (mass[i0, j1] + mass[i1, j1])
+            assert (value <= 2.0 * rho0 * sigma1 / (rho0 + sigma1) * slack).all()
+            # Every cell of an Alice pair, against that pair's bound.
+            bounds = optimizer._pair_bounds(mass)
+            for a0, a1 in zip(i0[:20], i1[:20]):
+                row0, row1 = pair2[a0 * n_b : a0 * n_b + n_b], pair2[a1 * n_b : a1 * n_b + n_b]
+                num = np.minimum(row0[:, None], row1[None]).sum(axis=2)
+                den = mass[a0][:, None] + mass[a1][None, :] + mass[a0][None, :] + mass[a1][:, None]
+                assert (num / den).max() <= bounds[a0, a1] * slack
+
+    def test_memory_of_a_4x4_scan(self, paths):
+        table, coarse = _scan_case(4, 4, 1, 0.0)
+        tracemalloc.start()
+        try:
+            found, fell_back = paths.scan(table, coarse, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 12 and not fell_back
+        assert peak < 8 * 2**20
 
 
 def _seeded_table(shape: tuple[int, ...], zeros: float = 0.0) -> np.ndarray:
