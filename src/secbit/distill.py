@@ -241,6 +241,7 @@ def simulate_advantage_distillation(
         raise NotNormalizedError(f"distribution mass {p.mass} is not 1")
     samples = _require_count(samples, "samples")
     block_length = _require_count(block_length, "block length")
+    seed = _require_count(seed, "seed", minimum=0)
 
     d_e = p.dims[2]
     flat = p.table.ravel()

@@ -59,6 +59,7 @@ def _suite(
 ) -> CheckOutcome:
     """Run ``trial`` on the streams ``[seed, salt, k]``; a gap above ``tol`` is a violation."""
     trials = _require_count(trials, "trials")
+    seed = _require_count(seed, "seed", minimum=0)
     worst = 0.0
     violations = 0
     for k in range(trials):

@@ -118,6 +118,15 @@ def test_count_arguments_below_one_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command", [["mesbf-opt"], ["distill-sim", "--N", "3", "--samples", "100"], ["check-properties"]]
+)
+def test_negative_seed_rejected(capsys, lemur_file, command):
+    code, out, err = run(capsys, *command, lemur_file, "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: seed accepts integers >= 0")
+
+
 @pytest.mark.parametrize("eta", ["nan,0.25,0.25,0.5", "a,b,c,d"])
 def test_distill_rejects_eta_that_is_not_four_numbers(capsys, eta):
     code, out, err = run(capsys, "distill", "--mu", "0.6", "--eta", eta, "--N", "3")

@@ -10,6 +10,7 @@ from secbit import (
     TripartiteDistribution,
     bipartite_from_entries,
     canonical_distribution,
+    estimate_mesbf,
     from_entries,
     marginal_ab,
     mesbf_decoupled_power,
@@ -22,6 +23,7 @@ from secbit import (
 from secbit import distill, properties
 from secbit.errors import (
     BadShapeError,
+    CountError,
     DimensionOverflowError,
     IndexOutOfRangeError,
     InvalidParamsError,
@@ -325,3 +327,26 @@ def test_counts_are_integers_at_or_above_their_minimum(entry):
         assert isinstance(caught.value, InvalidParamsError) and isinstance(caught.value, OutOfRangeError), (bad, caught)
     # A numpy integer is read as the Python int it holds, down to the types in the result.
     assert _fingerprint(call(np.int64(3))) == _fingerprint(call(3))
+
+
+# Every seed parameter of the library's entry points.  A seed is a count that may be 0.
+SEED_PARAMETERS = {
+    "estimate_mesbf-seed": lambda s: estimate_mesbf(
+        satellite_scenario(0.1, 0.2, 0.3), SearchConfig(restarts=2, iterations=40, seed=s)
+    ),
+    "simulate-seed": lambda s: distill.simulate_advantage_distillation(canonical_distribution(_CANON), 3, 200, s),
+    "run_checks-seed": lambda s: properties.run_checks(satellite_scenario(0.1, 0.2, 0.3), 2, s),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_PARAMETERS)
+def test_seeds_are_integers_at_or_above_zero(entry):
+    # Unchecked, seed=-1 and seed=1.5 failed inside numpy with a bare
+    # ValueError or TypeError, and seed=True was read as seed 1.
+    call = SEED_PARAMETERS[entry]
+    for bad in (-1, 1.5, True, np.True_):
+        with pytest.raises(CountError):
+            call(bad)
+    assert _fingerprint(call(np.int64(3))) == _fingerprint(call(3))
+    call(0)
+    call(2**70)

@@ -204,10 +204,13 @@ class TestLockstep:
 
     @pytest.mark.parametrize("d_a", range(1, 6))
     def test_kernel_matches_the_scalar_reference(self, d_a):
+        # 4 d_e filtered cells: below 8, 8 to 128 (with and without a tail)
+        # and above 128 cover each branch of numpy's summation order; a
+        # call of 1, 2, 7, 8 or 9 rows has a short candidate axis.
         misses = {}
         for d_b in range(1, 6):
-            for d_e in range(1, 6):
-                for rows, zeros in [(1, 0.3), (1000, 0.0), (1000, 0.3)]:
+            for d_e in (1, 2, 3, 4, 5, 32, 33, 40):
+                for rows, zeros in [(1, 0.3), (2, 0.3), (7, 0.0), (8, 0.3), (9, 0.3), (1000, 0.0), (1000, 0.3)]:
                     table, cands = _kernel_case(d_a, d_b, d_e, rows, zeros)
                     expected = [
                         scalar_lambda(row[: 2 * d_a].reshape(2, d_a), row[2 * d_a :].reshape(2, d_b), table)
@@ -217,6 +220,38 @@ class TestLockstep:
                     if not np.array_equal(found, expected):
                         misses[(d_b, d_e, rows, zeros)] = int(np.count_nonzero(found != expected))
         assert not misses
+
+    def test_leading_sum_adds_in_numpys_order(self):
+        # The kernel's sums over the leading axis must add as np.add.reduce
+        # does along a contiguous axis, bit for bit, whatever numpy version.
+        rng = np.random.default_rng(43)
+        for n in [*range(1, 301), 511, 512, 513]:
+            for c in (1, 2, 9, 64):
+                x = rng.uniform(0.0, 1.0, size=(c, n)) * 10.0 ** rng.integers(-9, 6, size=(c, n))
+                x[rng.random(size=x.shape) < 0.2] = 0.0
+                expected = np.add.reduce(x, axis=1)
+                found = optimizer._leading_sum(np.ascontiguousarray(x.T))
+                assert np.array_equal(_as_bits(found), _as_bits(expected)), (n, c)
+
+    def test_wide_first_batches_take_fewer_steps(self, monkeypatch):
+        # One lane of the fine stage at 40 points, on the benchmark's 2x2
+        # oracle table of seed 1, cycle 0.  First batches of 16 moves took
+        # 324 kernel calls; with one lane live they now take 256 moves.
+        m = np.random.default_rng([1, 0, 2, 2]).uniform(0.1, 1.0, size=(2, 2))
+        table = point_mass_eve(BipartiteDistribution(m / m.sum())).table
+        start = np.clip(_identity_projection(2), 1e-9, 1.0)
+        job = (start, start, 40, _FINE_SPANS, None)
+        calls = []
+        monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(t) or _lambda_raw(cands, t))
+        wide = _coordinate_polish(table, [job], 1e-9)[0]
+        wide_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(optimizer, "_STEP_MOVES", 0)
+        narrow = _coordinate_polish(table, [job], 1e-9)[0]
+        assert len(calls) == 324
+        assert wide_calls < 324
+        assert wide[0] == narrow[0] and wide[3] == narrow[3]
+        assert np.array_equal(wide[1], narrow[1]) and np.array_equal(wide[2], narrow[2])
 
     @pytest.mark.parametrize("instance", ["lemur", "satellite", "coupled-2x3x4"])
     def test_matches_one_polish_at_a_time(self, instance):
