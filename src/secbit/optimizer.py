@@ -24,13 +24,16 @@ them, keeps the leaders (which go on from their polished pair or, in a
 ranking stage, restart from their seed) and adds one entry to
 ``detail["trace"]``.  A polish tries its moves in a fixed order and keeps
 each one that improves, as a one-at-a-time hill climber would.  A stage
-runs its polishes in lockstep (:func:`_coordinate_polish`), as many at once as
-fit a memory bound (:func:`_lane_count`): each step builds the candidates
-of all polishes, scores them with one call of the candidate-major kernel
-:func:`_lambda_raw` and finds every polish's acceptances with one
-segmented scan.  A row's score does not depend on the other rows of its
-call, so every reported value and witness follows the trajectory of the
-one-at-a-time climber.
+runs its polishes in lockstep (:func:`_coordinate_polish`), as many at
+once as fit a memory bound (:func:`_lane_count`).  Each polish's batch
+window is a column of one integer lane table, so each step builds the
+candidates of all polishes, scores them with one call of the
+candidate-major kernel :func:`_lambda_raw`, finds every polish's
+acceptances with one segmented scan and advances every window with a few
+whole-table operations; Python visits a polish only when one of its move
+families runs out, to set up the next.  A row's score does not depend on
+the other rows of its call, so every reported value and witness follows
+the trajectory of the one-at-a-time climber.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
@@ -42,8 +45,8 @@ import bisect
 import functools
 import math
 from collections import deque
-from collections.abc import Callable, Generator, Sequence
-from itertools import accumulate, chain, product
+from collections.abc import Callable, Sequence
+from itertools import product
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,12 @@ _CHUNK = 1 << 17
 _BOUND_MARGIN = 1e-9
 # Cells of Eve-resolved pair values that one joint scan may hold (8 MB).
 _SCAN_CELLS = 1 << 20
+# Cells that estimate_mesbf's start pool may hold (64 MB): a start keeps
+# its filter pair twice (as drawn and clipped), 4 (d_a + d_b) entries, and
+# about 128 cells of array, tuple and name overhead (tracemalloc: 1.05 KB
+# a 2x2 start, 1.84 KB a 16x16 one).  The default 16x16 pool, 28 866
+# starts, counts 7.4M cells and peaks at 53 MB.
+_POOL_CELLS = 1 << 23
 # Fewest moves scored by the polish's first batch after an acceptance;
 # batches double while nothing is accepted.  Acceptances come in runs, so a
 # small first batch wastes little scoring on moves that must be rebuilt.
@@ -195,13 +204,22 @@ def estimate_mesbf(
 
     ``extra_starts`` lets callers seed the search with known-good pairs,
     e.g. witnesses for a preprocessed distribution composed with the
-    preprocessing step.
+    preprocessing step.  A start pool past ``_POOL_CELLS`` (2^23 cells,
+    counting each start's entries twice plus 128 cells of overhead; the
+    default settings at 16x16 fit) raises :class:`TooLargeError` before
+    any start is built.
     """
     cfg = cfg or SearchConfig()
     d_a, d_b, _ = p.dims
     table = p.table
     floor = cfg.entry_floor
     log_floor = math.log(floor)
+    selecting = d_a * (d_a - 1) // 2 * d_b * (d_b - 1) * len(_seed_weights(d_a, d_b))
+    count = 2 + selecting + len(extra_starts) + cfg.restarts
+    if count * (4 * (d_a + d_b) + 128) > _POOL_CELLS:
+        raise TooLargeError(
+            f"{count} starts of {d_a} x {d_b} filter pairs exceed the start pool's {_POOL_CELLS} cells"
+        )
 
     starts: list[tuple[str, np.ndarray, np.ndarray]] = [
         ("coin-toss", np.full((2, d_a), 0.5), np.full((2, d_b), 0.5)),
@@ -460,49 +478,6 @@ _CHEAP_SPANS = (10.0, 2.0, 1.3)
 _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 
-# A polish in progress: it yields requests ``(family, lo, hi, width)`` for
-# its moves ``lo..hi-1`` and is sent ``(accepted, counted, used, first)``
-# for each, ``first`` being the width of its next first batch.
-# Families 1, 2 and 3 are single-entry, row-rescaling and pair moves (``width``
-# per entry, row pair or entry pair); family 0 scores the lane's own pair.
-# It returns the evaluations that it counted toward ``max_evals``.
-_Polish = Generator[tuple[int, int, int, int], tuple[bool, int, int, int], int]
-
-
-def _first_improvement(
-    family: int, width: int, bounds: Sequence[int], evals: int, limit: float, cap: int, first: int
-) -> Generator[tuple[int, int, int, int], tuple[bool, int, int, int], tuple[int, bool, int]]:
-    """Request the moves of one family in batches; return ``(evals, improved, first)``.
-
-    ``bounds`` holds the sorted positions where groups of moves open, then
-    the number of moves; a group opens only while ``evals`` is below
-    ``limit``, and no batch holds more moves than evaluations are left, so
-    past the budget only the rest of an open group is requested.  The
-    first batch of the run and the first after an acceptance have
-    ``first`` moves, the width that the latest reply sent
-    (``max(_BASE_BATCH, _STEP_MOVES // live)`` with ``live`` lanes in its
-    step); batches double while nothing is accepted, and ``cap`` bounds
-    every batch.  The moves past an acceptance are requested again.  A
-    batch's width never changes the trajectory, only how many steps it takes.
-    """
-    size, lo, improved = first, 0, False
-    while lo < bounds[-1]:
-        room = limit - evals
-        if room > 0:
-            hi = min(bounds[-1], lo + min(size, cap, room))
-        else:
-            nxt = bisect.bisect_right(bounds, lo)
-            if bounds[nxt - 1] == lo:
-                break
-            hi = min(bounds[nxt], lo + cap)
-        accepted, counted, used, first = yield family, lo, hi, width
-        evals += counted
-        lo += used
-        size = first if accepted else 2 * size
-        improved |= accepted
-    return evals, improved, first
-
-
 @functools.lru_cache(maxsize=64)
 def _ladder(span: float, points: int) -> np.ndarray:
     """Read-only factor pairs ``(f, 1/f)``, ``(f, f)`` per step ``f != 1`` of the span's log grid."""
@@ -519,23 +494,80 @@ def _gather(array: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndar
 
 
 def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
-    """``np.geomspace(low, high, points, axis=1).T`` for positive ends, by numpy's own formula, bit for bit."""
-    log_low, y = np.log10(low), np.arange(points, dtype=float)[:, None]
+    """``np.geomspace`` of each row of ``(..., n)`` positive ends, points on axis 0, by numpy's own formula, bit for bit."""
+    log_low, y = np.log10(low), np.arange(points, dtype=float).reshape(-1, *[1] * low.ndim)
     if points > 1:
         delta = np.log10(high) - log_low
         step = delta / (points - 1)
-        # numpy's guard against a step that underflows to zero.
-        y = y / (points - 1) * delta if (step == 0).any() else y * step
+        if step.all():
+            y = y * step
+        else:
+            # numpy's guard against a step that underflows to zero, which one
+            # np.geomspace call takes for all its values: here for each row.
+            zero = (step == 0).any(axis=-1, keepdims=True)
+            y = np.where(zero, y / (points - 1) * delta, y * step)
     grid = np.power(10.0, y + log_low)
     grid[-1], grid[0] = high, low
     return grid
 
 
-def _polish(
-    lane: tuple[np.ndarray, ...], n_a: int, floor: float, cap: int,
-    points: int, spans: tuple[float, ...], max_evals: int | None,
-) -> _Polish:
-    """Local grid refinement of one filter pair, run as a lane of :func:`_coordinate_polish`.
+def _regauge(theta: np.ndarray, lanes: list[int], n_a: int, floor: float) -> None:
+    """Scale each filter of the lanes' pairs to peak entry one, no entry below the floor; all-zero filters stay."""
+    block = theta[lanes]
+    top = np.maximum.reduceat(block, [0, n_a], axis=1).repeat([n_a, block.shape[1] - n_a], axis=1)
+    if top.all():
+        theta[lanes] = np.maximum(block / top, floor, out=block)
+    else:
+        scaled = top > 0.0
+        np.divide(block, top, out=block, where=scaled)
+        theta[lanes] = np.maximum(block, floor, out=block, where=scaled)
+
+
+# Rows of the lane table of :func:`_coordinate_polish`, one column per lane.
+# Families 1, 2 and 3 are single-entry, row-rescaling and pair moves
+# (``width`` per entry, row pair or entry pair), family 0 scores the lane's
+# own pair and family 4 marks an idle lane.  The run's moves ``lo..end-1``
+# come in batches of ``size``; an acceptance uses up the rest of its
+# ``group`` (the entry's sweep, else one move); ``evals`` counts toward
+# ``limit``; ``spent`` is the size that a spent budget keeps.  Visits read
+# the first three rows.
+_LANE_ROWS = ("lane", "family", "evals", "lo", "end", "width", "group", "size", "limit", "spent")
+_UNCAPPED = 1 << 62
+
+
+@dataclass(slots=True)
+class _Lane:
+    """A polish in its lane: what the lockstep reads when a family run ends."""
+
+    job: int
+    points: int
+    spans: tuple[float, ...]
+    limit: int
+    span: int = 0
+    count: int = 0  # moves per entry pair: the span's factor pairs and the joint switch-off
+    second: bool = False  # in the span's second pass
+    final: bool = False  # the last score is requested
+    start: float = 0.0  # score of the pass's regauged pair
+    opens: tuple[int, ...] = ()  # where the pass's entry pairs of each first entry open
+
+
+def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
+    """Lanes of :func:`_coordinate_polish`: all lane state fits ``_CHUNK`` cells, each first batch one kernel call.
+
+    A lane holds its filter pair and score, its sweep grid, factor pairs,
+    live entry pairs and its column of the lane table; one lane past
+    ``_CHUNK`` cells raises :class:`TooLargeError` before anything exists.
+    """
+    state = n * (points + 3) + 2 * (2 * points + 1) + n * (n - 1) + 1 + len(_LANE_ROWS)
+    if state > _CHUNK:
+        raise TooLargeError(f"one polish lane of {n} filter entries at {points} grid points exceeds {_CHUNK} cells")
+    return min(jobs, _CHUNK // state, max(1, _CHUNK // (_BASE_BATCH * (n + 4 * d_e))))
+
+
+def _coordinate_polish(
+    table: np.ndarray, jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]], floor: float
+) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
+    """Local grid refinement of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
 
     Each span opens a window; each pass tries three move families in a
     fixed order, keeping every move that improves: single entries swept
@@ -545,102 +577,48 @@ def _polish(
     jointly or moved by a factor and its inverse or by the same factor.
     The pair moves matter: the objective has ridges along which the two
     diagonal products must stay balanced, and no single-entry move can
-    follow them.  ``max_evals`` is checked before each entry, row pair and
-    pair-move anchor.  Each matrix is re-gauged to peak entry one before
-    every pass (the objective is scale invariant per matrix), otherwise the
-    scale drifts toward the floor and the windows lose resolution.
-
-    ``lane`` holds the lane's rows of the shared arrays: its filter pair,
-    which the driver updates on acceptance, and the move tables each pass
-    writes (sweep values per entry, factor pairs, live entry pairs).
-    """
-    theta, grid, factors, pairs = lane
-    n = theta.size
-    limit = math.inf if max_evals is None else max_evals
-
-    def regauge() -> None:
-        for block in (theta[:n_a], theta[n_a:]):
-            top = block.max()
-            if top > 0.0:
-                np.maximum(block / top, floor, out=block)
-
-    evals, width = 0, points + 2
-    sweep = grid[: n * width].reshape(n, width)
-    sweep[:, points:] = floor, 1.0
-    for span in spans:
-        # Pair moves by f and 1/f, then by f and f, after one that switches
-        # both entries off (factor 0 clips to the floor); rescalings skip it.
-        moves = _ladder(span, points)
-        count = len(moves) + 1
-        factors[0] = 0.0
-        factors[1:count] = moves
-        for _ in range(2):
-            if evals >= limit:
-                break
-            regauge()
-            first = (yield 0, 0, 1, 1)[3]
-            center = np.maximum(theta, floor)
-            low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
-            sweep[:, :points] = _geomspace(low, high, points).T
-            entries = range(0, n * width + 1, width)
-            evals, moved_single, first = yield from _first_improvement(1, width, entries, evals, limit, cap, first)
-            # Whole-row rescalings of one matrix against the other track the
-            # balance ridges exactly when rows are sparse.
-            rows = range(0, 4 * (count - 1) + 1, count - 1)
-            evals, moved_rows, first = yield from _first_improvement(2, count - 1, rows, evals, limit, cap, first)
-            # Joint switch-off first: small entries can stabilize each other
-            # so that neither can be floored alone.
-            live = np.flatnonzero(theta > 10.0 * floor)
-            cols, opens = _pairs(len(live))
-            pairs[: cols.shape[1]] = live[cols.T]
-            evals, moved_pairs, first = yield from _first_improvement(
-                3, count, [count * k for k in opens], evals, limit, cap, first
-            )
-            if not (moved_single or moved_rows or moved_pairs):
-                break
-    regauge()
-    yield 0, 0, 1, 1
-    return evals
-
-
-def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
-    """Lanes of :func:`_coordinate_polish`: all lane state fits ``_CHUNK`` cells, each first batch one kernel call."""
-    state = n * (points + 2) + 2 * (2 * points + 1) + n * (n - 1)
-    return max(1, min(jobs, _CHUNK // state, _CHUNK // (_BASE_BATCH * (n + 4 * d_e))))
-
-
-def _coordinate_polish(
-    table: np.ndarray, jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]], floor: float
-) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
-    """Polish every ``(d_a_mat, j_b, points, spans, max_evals)`` job (:func:`_polish`).
-
-    Moves are scored in batches, with the trajectory and the evaluation
-    count of trying them one at a time.
+    follow them.  A span's second pass runs only if its first moved.
+    ``max_evals`` is checked before each entry, row pair and pair-move
+    anchor.  Each matrix is re-gauged to peak entry one before every pass
+    and at the end (the objective is scale invariant per matrix),
+    otherwise the scale drifts toward the floor and the windows lose
+    resolution.  Moves are scored in batches, with the trajectory and the
+    evaluation count of trying them one at a time.
 
     The polishes run in lockstep, each in a lane: as many at once as keep
-    all lanes' grids and move tables within ``_CHUNK`` cells and each first
-    batch within one kernel call (:func:`_lane_count`).  Each step serves
-    the requests of all lanes with a fixed number of array calls: it builds
-    the candidates (each lane's pair, then one edit per move family), scores
-    them with one :func:`_lambda_raw` call and scans them: one segmented
-    first-hit search, then the running maximum of each accepting entry sweep
-    in a ``(sweeps, moves)`` array padded with ``-inf``.  A row's score does
+    all lane state within ``_CHUNK`` cells and each first batch within one
+    kernel call (:func:`_lane_count`).  A lane's batch window is a column
+    of one integer lane table (rows ``_LANE_ROWS``), kept in family order.
+    Each step builds the candidates of all lanes (each scoring lane's pair,
+    then one edit per move family), scores them with one
+    :func:`_lambda_raw` call, finds every lane's first acceptance with one
+    segmented scan, runs each accepting entry sweep on as a running maximum
+    in a ``(sweeps, moves)`` array padded with ``-inf``, and advances every
+    window with whole-table operations: a batch has ``min(size, cap,
+    room)`` moves, and sizes double until an acceptance.  A row's score does
     not depend on the rest of its call, so a move that repeats the lane's
-    current pair scores exactly its best value.  When a polish finishes, the
-    next job takes its lane.  A step costs about the same up to a few
-    hundred rows, so the first batch of a family run, and the first after
-    an acceptance, has ``max(_BASE_BATCH, _STEP_MOVES // live)`` moves,
-    ``live`` being the lanes of the step whose reply sent that width: few
-    live lanes take fewer, wider steps.  Batches are capped so that one
-    call holds at most ``_CHUNK`` cells of candidates and filtered tables.
-    Results ``(value, d_a_mat, j_b, evals)`` come in input order; ``evals``
-    is the count that ``max_evals`` caps.
+    current pair scores exactly its best value.  Python visits a lane only
+    when its family run ends: to set up the next run (the live entry pairs
+    before the pair moves, the factor pairs of a new span) or pass, to
+    request the last score, or to record the result and admit the next job.
+    Lanes that open a pass in one step are regauged and swept together.
+    Once a budget is spent, the window ends with its open group.
+
+    A step costs about the same up to a few hundred rows, so the first
+    batch of a family run, and the first after an acceptance, has
+    ``max(_BASE_BATCH, _STEP_MOVES // live)`` moves, ``live`` being the
+    lanes of the step before: few live lanes take fewer, wider steps.
+    Batches are capped so that one call holds at most ``_CHUNK`` cells of
+    candidates and filtered tables.  Results ``(value, d_a_mat, j_b,
+    evals)`` come in input order; ``evals`` is the count that ``max_evals``
+    caps.
     """
     d_a, d_b, d_e = table.shape
     n_a, n = 2 * d_a, 2 * (d_a + d_b)
     points = max(job[2] for job in jobs)
     lanes = _lane_count(len(jobs), n, d_e, points)
     cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
+    capped = any(job[4] is not None for job in jobs)
     theta, best = np.empty((lanes, n)), np.empty(lanes)
     grid, factors = np.empty((lanes, n * (points + 2))), np.empty((lanes, 2 * points + 1, 2))
     pairs = np.empty((lanes, n * (n - 1) // 2, 2), dtype=np.intp)
@@ -649,52 +627,132 @@ def _coordinate_polish(
                          for a in (0, 1) for b in (0, 1)])
     side = np.repeat([0, 1], [d_a, d_b])
     waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
-    # Live ``(job, lane, polish)`` entries and their requests plus lanes, per family: one block of rows each.
-    polishes, asks = ([], [], [], []), ([], [], [], [])
+    polishes: list[_Lane | None] = [None] * lanes
+    # Lanes whose pass opens (regauge, then sweep grid) or whose last score comes (regauge) after the visits.
+    opening, closing = [], []
 
-    def post(k: int, s: int, polish: _Polish, req: tuple[int, int, int, int]) -> None:
-        polishes[req[0]].append((k, s, polish))
-        asks[req[0]].extend((*req, s))
+    def set_span(s: int, polish: _Lane) -> None:
+        # Pair moves by f and 1/f, then by f and f, after one that switches
+        # both entries off (factor 0 clips to the floor); rescalings skip it.
+        moves = _ladder(polish.spans[polish.span], polish.points)
+        polish.count = len(moves) + 1
+        factors[s, 0] = 0.0
+        factors[s, 1 : polish.count] = moves
 
-    def admit(s: int) -> None:
-        if waiting:
-            k, (m_a, m_b, *job) = waiting.popleft()
-            theta[s] = np.concatenate([m_a.ravel(), m_b.ravel()])
-            polish = _polish((theta[s], grid[s], factors[s], pairs[s]), n_a, floor, cap, *job)
-            post(k, s, polish, next(polish))
+    def open_pass(s: int, evals: int) -> list[int]:
+        opening.append(s)
+        return [s, 0, evals, 0, 1, 1, 1, 1, polishes[s].limit, 0]
+
+    def admit(s: int) -> list[int]:
+        if not waiting:
+            return [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
+        k, (m_a, m_b, job_points, spans, max_evals) = waiting.popleft()
+        theta[s] = np.concatenate([m_a.ravel(), m_b.ravel()])
+        grid[s, : n * (job_points + 2)].reshape(n, -1)[:, job_points:] = floor, 1.0
+        polishes[s] = polish = _Lane(k, job_points, spans, _UNCAPPED if max_evals is None else max_evals)
+        set_span(s, polish)
+        return open_pass(s, 0) if polish.limit > 0 else close(s, 0)
+
+    def close(s: int, evals: int) -> list[int]:
+        polishes[s].final = True
+        closing.append(s)
+        return [s, 0, evals, 0, 1, 1, 1, 1, _UNCAPPED, 0]
+
+    def visit(s: int, family: int, evals: int) -> list[int]:
+        polish = polishes[s]
+        if family == 0:
+            evals -= 1
+            if polish.final:
+                m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
+                results[polish.job] = (float(best[s]), m_a, m_b, evals)
+                return admit(s)
+            polish.start = best[s]
+            width = polish.points + 2
+            return [s, 1, evals, 0, n * width, width, width, first, polish.limit, 0]
+        if evals < polish.limit:
+            if family == 1:
+                # Whole-row rescalings of one matrix against the other track
+                # the balance ridges exactly when rows are sparse.
+                return [s, 2, evals, 0, 4 * (polish.count - 1), polish.count - 1, 1, first, polish.limit, 0]
+            if family == 2:
+                # Joint switch-off first: small entries can stabilize each
+                # other so that neither can be floored alone.
+                live = np.flatnonzero(theta[s] > 10.0 * floor)
+                cols, polish.opens = _pairs(len(live))
+                if polish.opens[-1]:
+                    pairs[s, : cols.shape[1]] = live[cols.T]
+                    return [s, 3, evals, 0, polish.count * polish.opens[-1], polish.count, 1, first, polish.limit, 0]
+            # The pass is over; a pass that improved nothing ends its span.
+            if best[s] > polish.start and not polish.second:
+                polish.second = True
+                return open_pass(s, evals)
+            polish.span += 1
+            polish.second = False
+            if polish.span < len(polish.spans):
+                set_span(s, polish)
+                return open_pass(s, evals)
+        return close(s, evals)
+
+    def group_end(s: int, family: int, at: int, width: int) -> int | None:
+        """End of the move group open at ``at``; None when ``at`` opens a group."""
+        if family < 3:
+            return None if at % width == 0 else at - at % width + width
+        starts = [width * k for k in polishes[s].opens]
+        nxt = bisect.bisect_right(starts, at)
+        return None if starts[nxt - 1] == at else starts[nxt]
+
+    def set_up() -> None:
+        # Regauge every opening and closing lane, then sweep the opening lanes' entries.
+        if opening or closing:
+            _regauge(theta, opening + closing, n_a, floor)
+        for job_points in {polishes[s].points for s in opening}:
+            batch = [s for s in opening if polishes[s].points == job_points]
+            center = np.maximum(theta[batch], floor)
+            span = np.array([polishes[s].spans[polishes[s].span] for s in batch])[:, None]
+            low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
+            sweeps = grid[:, : n * (job_points + 2)].reshape(lanes, n, -1)
+            sweeps[batch, :, :job_points] = _geomspace(low, high, job_points).transpose(1, 2, 0)
+        opening.clear()
+        closing.clear()
+
+    state = np.array([admit(s) for s in range(lanes)]).T.copy()
+    set_up()
+    z = s1 = r1 = lanes
+    lane, family, evals, lo, end, width, group, size, limit, spent = state
+    families = np.arange(1, 5)
+    # A size doubles only after a full batch, so it stays below twice its
+    # run unless the cap or a budget cuts batches short: only then is it clamped.
+    clamp = capped or cap < max(n * (points + 2), (2 * points + 1) * n * (n - 1) // 2)
 
     def scale(rows: np.ndarray, cols: np.ndarray, f: np.ndarray) -> None:
         cells = cols + (rows * n)[:, None]
         moved = flat.take(cells) * f
         flat[cells] = np.minimum(np.maximum(moved, floor, out=moved), 1.0, out=moved)
 
-    for s in range(lanes):
-        admit(s)
-    while any(polishes):
-        live = list(chain.from_iterable(polishes))
-        z, s1, r1, _ = accumulate(map(len, polishes))
-        reqs = np.fromiter(chain.from_iterable(asks), np.intp, 5 * len(live))
-        for bucket in (*polishes, *asks):
-            bucket.clear()
-        family, lo, hi, width, lane = reqs.reshape(-1, 5).T
-        count = hi - lo
-        offset = np.concatenate(([0], count.cumsum()))
-        b1, b2, b3 = offset[z], offset[s1], offset[r1]
-        owner = np.arange(len(live)).repeat(count)
-        rows = np.arange(len(owner))
-        pos = rows - offset[owner]
+    while len(lane):
+        count = np.minimum(end - lo, size)
+        if capped:
+            np.minimum(count, limit - evals, out=count)
+        offset = np.zeros(len(lane) + 1, dtype=np.intp)
+        np.cumsum(count, out=offset[1:])
+        heads = offset[:-1]
+        b1, b2, b3, total = offset[[z, s1, r1, -1]].tolist()
+        owner = np.arange(len(lane)).repeat(count)
+        rows = np.arange(total)
+        pos = rows - heads[owner]
         move, at, per = lo[owner] + pos, lane[owner], width[owner]
 
-        cand, repeats = theta.take(at, axis=0), np.zeros(len(owner), dtype=bool)
+        cand = theta.take(at, axis=0)
         flat = cand.reshape(-1)
         if b2 > b1:
+            repeats = np.zeros(total, dtype=bool)
             cells, value = rows[b1:b2] * n + move[b1:b2] // per[b1:b2], _gather(grid, at[b1:b2], move[b1:b2])
             repeats[b1:b2] = value == flat.take(cells)
             flat[cells] = value
         if b3 > b2:
             q, f = np.divmod(move[b2:b3], per[b2:b3])
             scale(rows[b2:b3], rescaled.take(q, axis=0), _gather(factors, at[b2:b3], f + 1)[:, side])
-        if len(owner) > b3:
+        if total > b3:
             p, f = np.divmod(move[b3:], per[b3:])
             scale(rows[b3:], _gather(pairs, at[b3:], p), _gather(factors, at[b3:], f))
         lam = _lambda_raw(cand, table)
@@ -705,17 +763,15 @@ def _coordinate_polish(
         # records; a move equal to the entry current at its position is not
         # counted (``repeats``: the lane's own entry before the first
         # acceptance, the latest record after it).  Other families stop there.
-        base = best[lane]
-        base[:z] = -np.inf
-        first = np.minimum.reduceat(np.where(lam > base[owner], pos, count[owner]), offset[:-1])
-        accepted = first < count
-        group = np.where(family == 1, width, 1)
-        skew = lo % group
-        used = np.where(accepted, np.minimum(count, (first + skew) // group * group + group - skew), count)
-        last = offset[:-1] + first
+        base = best.take(at)
+        base[:b1] = -np.inf
+        hit = np.minimum.reduceat(np.where(lam > base, pos, total), heads)
+        accepted = hit < count
+        used = np.where(accepted, np.minimum(count, hit + group - (lo + hit) % group), count)
+        last = heads + hit
         swept = z + accepted[z:s1].nonzero()[0]
         if len(swept):
-            tail = (used - first)[swept, None]
+            tail = (used - hit)[swept, None]
             span = np.arange(tail.max())
             idx = last[swept, None] + np.minimum(span, tail - 1)
             window = np.where(span < tail, lam[idx], -np.inf)
@@ -725,20 +781,45 @@ def _coordinate_polish(
             values, later = value[idx - b1], span[1:] < tail
             repeats[idx[:, 1:][later]] = (values[:, 1:] == values[np.arange(len(swept))[:, None], latest])[later]
             last[swept] += window.argmax(axis=1)
-        counted = used - np.add.reduceat(repeats & (pos < used[owner]), offset[:-1])
         won = accepted.nonzero()[0]
-        theta[lane[won]] = cand[last[won]]
-        best[lane[won]] = lam[last[won]]
+        winners, picked = lane[won], last[won]
+        theta[winners] = cand[picked]
+        best[winners] = lam[picked]
 
-        # Few live lanes make a step cheap per row, so their first batches widen.
-        wide = max(_BASE_BATCH, _STEP_MOVES // len(live))
-        for (k, s, polish), *reply in zip(live, accepted.tolist(), counted.tolist(), used.tolist()):
-            try:
-                post(k, s, polish, polish.send((*reply, wide)))
-            except StopIteration as stop:
-                m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
-                results[k] = (float(best[s]), m_a, m_b, stop.value)
-                admit(s)
+        # Advance every window.  Score requests count one evaluation here,
+        # which their visit takes back.  Few live lanes make a step cheap per
+        # row, so their first batches widen.
+        evals += used
+        if b2 > b1:
+            evals -= np.add.reduceat(repeats & (pos < used[owner]), heads)
+        lo += used
+        first = min(max(_BASE_BATCH, _STEP_MOVES // len(lane)), cap)
+        size <<= 1
+        if clamp:
+            np.minimum(size, cap, out=size)
+        size[accepted] = first
+        over = lo >= end
+        if capped:
+            # A spent budget lets the open group finish in batches of ``cap``.
+            np.maximum(size, spent, out=size)
+            for i in (evals >= limit).nonzero()[0].tolist():
+                stop = group_end(int(lane[i]), int(family[i]), int(lo[i]), int(width[i]))
+                if stop is None:
+                    over[i] = True
+                else:
+                    end[i], size[i], limit[i], spent[i] = stop, cap, _UNCAPPED, cap
+        ended = over.nonzero()[0]
+        if len(ended):
+            for i in ended.tolist():
+                state[:, i] = visit(*state[:3, i].tolist())
+            set_up()
+            # Columns go back in family order; one lane is always in order.
+            if len(lane) > 1:
+                state = state.take(np.argsort(family, kind="stable"), axis=1)
+            z, s1, r1, live = np.searchsorted(state[1], families).tolist()
+            if len(lane) > 1 or not live:
+                state = state[:, :live]
+                lane, family, evals, lo, end, width, group, size, limit, spent = state
     return results
 
 
@@ -771,6 +852,15 @@ def _funnel(
     return pool, ranking, trace
 
 
+def _seed_weights(d_a: int, d_b: int) -> tuple[tuple[float, float], ...]:
+    """Weights of the second kept outcome of each party, per selecting seed."""
+    if d_a == 2 and d_b == 2:
+        return tuple((x, y) for x in (0.15, 0.3, 0.6, 1.0) for y in (0.15, 0.3, 0.6, 1.0))
+    if max(d_a, d_b) == 3:
+        return tuple((x, y) for x in (0.3, 1.0) for y in (0.3, 1.0))
+    return ((1.0, 1.0),)
+
+
 def _selecting_seeds(
     d_a: int, d_b: int, floor: float
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -783,18 +873,10 @@ def _selecting_seeds(
     ladder, because the later local refinement converges only from
     starts within roughly a factor two of the optimal weights.
     """
-    if d_a == 2 and d_b == 2:
-        weights: tuple[tuple[float, float], ...] = tuple(
-            (x, y) for x in (0.15, 0.3, 0.6, 1.0) for y in (0.15, 0.3, 0.6, 1.0)
-        )
-    elif max(d_a, d_b) == 3:
-        weights = tuple((x, y) for x in (0.3, 1.0) for y in (0.3, 1.0))
-    else:
-        weights = ((1.0, 1.0),)
     seeds = []
     alice, bob = _outcome_pairs(d_a, d_b)
     for (a0, a1), (b0, b1) in product(alice.T.tolist(), bob.T.tolist()):
-        for w_a, w_b in weights:
+        for w_a, w_b in _seed_weights(d_a, d_b):
             m_a = np.full((2, d_a), floor)
             m_b = np.full((2, d_b), floor)
             m_a[0, a0] = 1.0
@@ -828,12 +910,15 @@ def brute_force_mesbf(
     every cell (:func:`_joint_scan`), so its seeds never depend on which
     pass ran.  The joint scan holds at most 2^20 pair values,
     which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
-    ``159`` at 4x4; larger tables raise :class:`TooLargeError`.
+    ``159`` at 4x4; larger tables raise :class:`TooLargeError`.  So does a
+    ``grid_points`` at which one polish lane exceeds ``_CHUNK`` cells
+    (:func:`_lane_count`: above 6538 at 4x4), before the scan runs.
     """
     cfg = cfg or SearchConfig()
-    d_a, d_b, _ = p.dims
+    d_a, d_b, d_e = p.dims
     if d_a > 4 or d_b > 4:
         raise TooLargeError(f"grid oracle is limited to alphabets <= 4, got {d_a} x {d_b}")
+    _lane_count(1, 2 * (d_a + d_b), d_e, cfg.grid_points)
     table = p.table
     floor = cfg.entry_floor
 

@@ -183,6 +183,14 @@ def test_mesbf_opt_oracle_rejects_large_alphabets(capsys, tmp_path):
     assert out == ""
 
 
+def test_mesbf_opt_refuses_a_start_pool_past_its_bound(capsys, lemur_file):
+    # 10^8 random starts would be built before any polish ran.
+    code, out, err = run(capsys, "mesbf-opt", lemur_file, "--restarts", "100000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "start pool" in err
+    assert "Traceback" not in err
+
+
 def test_decompose_command(capsys, tmp_path):
     path = tmp_path / "filt.json"
     write_filtration(Filtration(np.array([[0.6, 0.1, 0.2], [0.2, 0.5, 0.1]])), path)

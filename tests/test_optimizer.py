@@ -320,6 +320,71 @@ class TestLockstep:
         assert capsys.readouterr() == ("", "")
 
 
+def _lockstep_jobs(table: np.ndarray) -> list[tuple]:
+    """The jobs of ``test_matches_one_polish_at_a_time``: 45 starts over six settings, plus one wide job."""
+    d_a, d_b, _ = table.shape
+    floor = 1e-9
+    rng = np.random.default_rng([37, d_a, d_b])
+    starts = [
+        (np.full((2, d_a), 0.5), np.full((2, d_b), 0.5)),
+        (np.clip(_identity_projection(d_a), floor, 1.0), np.clip(_identity_projection(d_b), floor, 1.0)),
+    ]
+    starts += [seed[1:] for seed in _selecting_seeds(d_a, d_b, floor)][:12]
+    while len(starts) < 45:
+        sample = np.exp(rng.uniform(math.log(floor), 0.0, size=2 * (d_a + d_b)))
+        starts.append((sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
+    settings = [
+        (6, _MICRO_SPANS, None),
+        (8, _CHEAP_SPANS, 1),
+        (8, _CHEAP_SPANS, 37),
+        (8, _CHEAP_SPANS, 2000),
+        (24, _FINE_SPANS, 2000),
+        (24, _FINE_SPANS, None),
+    ]
+    jobs = [(m_a, m_b, *settings[k % len(settings)]) for k, (m_a, m_b) in enumerate(starts)]
+    return jobs + [(*starts[-1], 400, _MICRO_SPANS, 2000)]
+
+
+class TestLaneTable:
+    """The lane table advances every window with the schedule of one-at-a-time requests, and bounds its memory."""
+
+    def test_kernel_calls_keep_their_rows(self, monkeypatch):
+        # 46 jobs of mixed settings and budgets on a coupled 2x3x4 table, in
+        # lanes that are reused, take 673 kernel calls of 273 552 rows in all:
+        # the batches of polishes that request their moves one batch at a
+        # time.  A lockstep that keeps every value but batches moves
+        # otherwise changes these counts.
+        table = _kernel_case(2, 3, 4, 1, 0.3)[0]
+        calls = []
+        monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(len(cands)) or _lambda_raw(cands, t))
+        found = _coordinate_polish(table, _lockstep_jobs(table), 1e-9)
+        assert len(found) == 46
+        assert (len(calls), sum(calls)) == (673, 273_552)
+
+    def test_lanes_past_the_cell_bound_rejected(self):
+        # A 4x4 lane holds 20 * points + 300 cells: 6538 grid points fit
+        # _CHUNK, 6539 do not.  Unchecked, 10^7 points asked for a 1.3 GB
+        # sweep grid; the oracle refuses before its joint scan.
+        p = point_mass_eve(BipartiteDistribution(np.full((4, 4), 1 / 16)))
+        assert _lane_count(1, 16, 1, 6538) == 1
+        for points in (6539, 10**7):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeError, match="polish lane"):
+                    brute_force_mesbf(p, SearchConfig(grid_points=points))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        # The largest lane still polishes; a budget of one evaluation keeps it short.
+        table = _decoupled_table(4)
+        start = np.clip(_identity_projection(4), 1e-9, 1.0)
+        found = _coordinate_polish(table, [(start, start, 6538, _MICRO_SPANS, 1)], 1e-9)[0]
+        expected = scalar_polish(table, start, start, 6538, 1e-9, _MICRO_SPANS, max_evals=1)
+        assert found[0] == expected[0]
+        assert np.array_equal(found[1], expected[1]) and np.array_equal(found[2], expected[2])
+
+
 def _as_bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values).view(np.int64)
 
@@ -739,6 +804,38 @@ class TestEstimate:
         for bad in [(wide, good[1]), (tall, good[1]), (good[0], wide), (good[0], tall)]:
             with pytest.raises(DimensionMismatchError, match="extra start 1 "):
                 estimate_mesbf(lemur, FAST, extra_starts=(good, bad))
+
+    def test_start_pools_past_the_cell_bound_rejected(self, lemur, monkeypatch):
+        # A 32x32 table has 492 032 selecting seeds (about 0.7 GB of starts)
+        # and restarts=10**8 asks for 10^8 random ones: both are refused
+        # before any start exists.
+        def no_polish(*args):
+            raise AssertionError("a polish ran")
+
+        monkeypatch.setattr(optimizer, "_coordinate_polish", no_polish)
+        wide = TripartiteDistribution(np.full((32, 32, 1), 1 / 1024))
+        for p, cfg in [(wide, FAST), (lemur, SearchConfig(restarts=10**8))]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeError, match="start pool"):
+                    estimate_mesbf(p, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
+
+    def test_start_pool_bound_admits_the_16x16_defaults(self, monkeypatch):
+        # 28 800 selecting seeds and 2 + restarts more, each counted as 256
+        # cells: up to 3966 restarts fit 2^23 cells, so the default 64 do.
+        def no_polish(*args):
+            raise AssertionError("the pool was built")
+
+        monkeypatch.setattr(optimizer, "_coordinate_polish", no_polish)
+        p = TripartiteDistribution(np.full((16, 16, 1), 1 / 256))
+        with pytest.raises(TooLargeError, match="start pool"):
+            estimate_mesbf(p, SearchConfig(restarts=3967))
+        with pytest.raises(AssertionError, match="the pool was built"):
+            estimate_mesbf(p, SearchConfig(restarts=3966))
 
 
 class TestBruteForce:
