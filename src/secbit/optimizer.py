@@ -30,13 +30,18 @@ window is a column of one integer lane table, so each step builds the
 candidates of all polishes, scores them with one call of the
 candidate-major kernel :func:`_lambda_raw`, finds every polish's
 acceptances with one segmented scan and advances every window with a few
-whole-table operations; Python visits a polish only when one of its move
-families runs out, to set up the next.  A row's score does not depend on
-the other rows of its call, so every reported value and witness follows
-the trajectory of the one-at-a-time climber.
+whole-table operations.  A pass's opening score is one more row of its
+first sweep batch, and an accepting sweep ends at the first maximum of
+its window; Python visits a polish only when one of its move families
+runs out, to set up the next.  A row's score does not depend on the
+other rows of its call, so every reported value and witness follows the
+trajectory of the one-at-a-time climber.
 
 Every value reported by either search is recomputed through the measures
 pipeline for the reported witness, so results are certified lower bounds.
+Both searches work on the table rescaled by a power of two
+(:func:`_unit_scaled`), which is exact for normal tables and keeps
+subnormal and near-overflow ones finite and exact in their sums.
 """
 
 from __future__ import annotations
@@ -177,6 +182,19 @@ def _certified_lambda(d_a: np.ndarray, j_b: np.ndarray, p: TripartiteDistributio
     return secret_bit_fraction(apply(Filtration(d_a), Filtration(j_b), p))
 
 
+def _unit_scaled(p: TripartiteDistribution) -> TripartiteDistribution:
+    """``p`` times the power of two that puts its largest entry in [1/2, 1).
+
+    Scaling by a power of two is exact while the entries stay normal, and
+    every score is a ratio of sums of products, so a normal table scores
+    the same bit for bit.  A subnormal table (whose filtered products lose
+    bits) or a near-overflow one (whose sums overflow) is searched and
+    certified at a scale where neither happens.
+    """
+    exponent = int(np.frexp(p.table.max())[1])
+    return p if exponent == 0 else TripartiteDistribution(np.ldexp(p.table, -exponent))
+
+
 def _identity_projection(d: int) -> np.ndarray:
     proj = np.zeros((2, d))
     proj[0, 0] = 1.0
@@ -207,10 +225,14 @@ def estimate_mesbf(
     preprocessing step.  A start pool past ``_POOL_CELLS`` (2^23 cells,
     counting each start's entries twice plus 128 cells of overhead; the
     default settings at 16x16 fit) raises :class:`TooLargeError` before
-    any start is built.
+    any start is built.  The search and its certification run on ``p``
+    rescaled by the power of two that puts its largest entry in [1/2, 1)
+    (:func:`_unit_scaled`): exact for a normal table, and it keeps
+    subnormal and near-overflow tables from losing bits or overflowing.
     """
     cfg = cfg or SearchConfig()
     d_a, d_b, _ = p.dims
+    p = _unit_scaled(p)
     table = p.table
     floor = cfg.entry_floor
     log_floor = math.log(floor)
@@ -488,11 +510,6 @@ def _ladder(span: float, points: int) -> np.ndarray:
     return moves
 
 
-def _gather(array: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``array[first, second]`` for index vectors, as one ``take`` over the flattened leading axes."""
-    return array.reshape(-1, *array.shape[2:]).take(first * array.shape[1] + second, axis=0)
-
-
 def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
     """``np.geomspace`` of each row of ``(..., n)`` positive ends, points on axis 0, by numpy's own formula, bit for bit."""
     log_low, y = np.log10(low), np.arange(points, dtype=float).reshape(-1, *[1] * low.ndim)
@@ -511,26 +528,30 @@ def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
     return grid
 
 
-def _regauge(theta: np.ndarray, lanes: list[int], n_a: int, floor: float) -> None:
-    """Scale each filter of the lanes' pairs to peak entry one, no entry below the floor; all-zero filters stay."""
-    block = theta[lanes]
-    top = np.maximum.reduceat(block, [0, n_a], axis=1).repeat([n_a, block.shape[1] - n_a], axis=1)
+def _regauge(theta: np.ndarray, lanes: np.ndarray, n_a: int, floor: float) -> None:
+    """Scale each filter of the lanes' pairs (columns of ``theta``) to peak entry one, no entry below the floor.
+
+    All-zero filters stay.
+    """
+    block = theta[:, lanes]
+    top = np.maximum.reduceat(block, [0, n_a], axis=0).repeat([n_a, len(block) - n_a], axis=0)
     if top.all():
-        theta[lanes] = np.maximum(block / top, floor, out=block)
+        theta[:, lanes] = np.maximum(block / top, floor, out=block)
     else:
         scaled = top > 0.0
         np.divide(block, top, out=block, where=scaled)
-        theta[lanes] = np.maximum(block, floor, out=block, where=scaled)
+        theta[:, lanes] = np.maximum(block, floor, out=block, where=scaled)
 
 
 # Rows of the lane table of :func:`_coordinate_polish`, one column per lane.
 # Families 1, 2 and 3 are single-entry, row-rescaling and pair moves
 # (``width`` per entry, row pair or entry pair), family 0 scores the lane's
-# own pair and family 4 marks an idle lane.  The run's moves ``lo..end-1``
+# final pair and family 4 marks an idle lane.  The run's moves ``lo..end-1``
 # come in batches of ``size``; an acceptance uses up the rest of its
 # ``group`` (the entry's sweep, else one move); ``evals`` counts toward
-# ``limit``; ``spent`` is the size that a spent budget keeps.  Visits read
-# the first three rows.
+# ``limit``; ``spent`` is the size that a spent budget keeps.  A pass opens
+# with a family-1 run whose first batch also scores the regauged pair, in a
+# row that is no move.  Visits read the first three rows.
 _LANE_ROWS = ("lane", "family", "evals", "lo", "end", "width", "group", "size", "limit", "spent")
 _UNCAPPED = 1 << 62
 
@@ -546,8 +567,6 @@ class _Lane:
     span: int = 0
     count: int = 0  # moves per entry pair: the span's factor pairs and the joint switch-off
     second: bool = False  # in the span's second pass
-    final: bool = False  # the last score is requested
-    start: float = 0.0  # score of the pass's regauged pair
     opens: tuple[int, ...] = ()  # where the pass's entry pairs of each first entry open
 
 
@@ -589,29 +608,40 @@ def _coordinate_polish(
     all lane state within ``_CHUNK`` cells and each first batch within one
     kernel call (:func:`_lane_count`).  A lane's batch window is a column
     of one integer lane table (rows ``_LANE_ROWS``), kept in family order.
-    Each step builds the candidates of all lanes (each scoring lane's pair,
-    then one edit per move family), scores them with one
-    :func:`_lambda_raw` call, finds every lane's first acceptance with one
-    segmented scan, runs each accepting entry sweep on as a running maximum
-    in a ``(sweeps, moves)`` array padded with ``-inf``, and advances every
-    window with whole-table operations: a batch has ``min(size, cap,
-    room)`` moves, and sizes double until an acceptance.  A row's score does
-    not depend on the rest of its call, so a move that repeats the lane's
-    current pair scores exactly its best value.  Python visits a lane only
-    when its family run ends: to set up the next run (the live entry pairs
-    before the pair moves, the factor pairs of a new span) or pass, to
-    request the last score, or to record the result and admit the next job.
-    Lanes that open a pass in one step are regauged and swept together.
-    Once a budget is spent, the window ends with its open group.
+    Each step builds the candidates of all lanes (the regauged pair of
+    each lane whose pass opens, ahead of its first sweep batch; each
+    last-score lane's pair; one edit per move), scores them with one
+    :func:`_lambda_raw` call and finds every lane's first acceptance with
+    one segmented scan.  An opening lane's score row is its pass's start
+    score and the base of the sweep rows behind it, so a pass costs no
+    step of its own.  Every move of a sweep sets the same entry, so an
+    accepting sweep ends at the first maximum of its window: one argmax
+    over a block of the accepting windows.  A move that equals the lane's
+    current entry is no evaluation: before the first acceptance the entry
+    the lane holds, after it the latest record.  Such a move scores that
+    record's value exactly, so it ties the window's running maximum, and
+    only the windows with a tie are resolved record by record.
+    Whole-table operations advance every window: a batch has ``min(size,
+    cap, room)`` moves, and sizes double until an acceptance.  A row's
+    score does not depend on the rest of its call, so a move that repeats
+    the lane's current pair scores exactly its best value.
+
+    Python visits a lane only when one of its runs ends, to set up the
+    next run (the live entry pairs before the pair moves, a second pass,
+    the next span with a copy of its factor ladder), to request the last
+    score, or to record the result and admit the next job.  The lanes
+    whose pass opens in a step are then regauged and swept together, with
+    no per-lane Python.  Once a budget is spent, the window ends with its
+    open group.
 
     A step costs about the same up to a few hundred rows, so the first
     batch of a family run, and the first after an acceptance, has
     ``max(_BASE_BATCH, _STEP_MOVES // live)`` moves, ``live`` being the
     lanes of the step before: few live lanes take fewer, wider steps.
     Batches are capped so that one call holds at most ``_CHUNK`` cells of
-    candidates and filtered tables.  Results ``(value, d_a_mat, j_b,
-    evals)`` come in input order; ``evals`` is the count that ``max_evals``
-    caps.
+    candidates and filtered tables, besides one score row per opening
+    lane.  Results ``(value, d_a_mat, j_b, evals)`` come in input order;
+    ``evals`` is the count that ``max_evals`` caps.
     """
     d_a, d_b, d_e = table.shape
     n_a, n = 2 * d_a, 2 * (d_a + d_b)
@@ -619,56 +649,57 @@ def _coordinate_polish(
     lanes = _lane_count(len(jobs), n, d_e, points)
     cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
     capped = any(job[4] is not None for job in jobs)
-    theta, best = np.empty((lanes, n)), np.empty(lanes)
+    grid_sizes = sorted({job[2] for job in jobs})
+    # Filter pairs are columns of ``theta``, the kernel's entry-major layout.
+    theta, best, start = np.empty((n, lanes)), np.empty(lanes), np.empty(lanes)
     grid, factors = np.empty((lanes, n * (points + 2))), np.empty((lanes, 2 * points + 1, 2))
     pairs = np.empty((lanes, n * (n - 1) // 2, 2), dtype=np.intp)
+    # Each lane's span and grid size, read by the pass set-up of all opening lanes at once.
+    span_of, job_points = np.empty(lanes), np.zeros(lanes, dtype=np.intp)
     # Row pair 2a + b scales row a of Alice's filter by f_i and row b of Bob's by f_j.
     rescaled = np.array([[*range(d_a * a, d_a * a + d_a), *range(n_a + d_b * b, n_a + d_b * b + d_b)]
                          for a in (0, 1) for b in (0, 1)])
     side = np.repeat([0, 1], [d_a, d_b])
+    # Flat views for one ``take`` per gather: row ``lane * stride + index``.
+    grid_at, factors_at, pairs_at = grid.reshape(-1), factors.reshape(-1, 2), pairs.reshape(-1, 2)
+    grid_stride, factors_stride, pairs_stride = grid.shape[1], factors.shape[1], pairs.shape[1]
     waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
     polishes: list[_Lane | None] = [None] * lanes
-    # Lanes whose pass opens (regauge, then sweep grid) or whose last score comes (regauge) after the visits.
-    opening, closing = [], []
 
     def set_span(s: int, polish: _Lane) -> None:
         # Pair moves by f and 1/f, then by f and f, after one that switches
         # both entries off (factor 0 clips to the floor); rescalings skip it.
-        moves = _ladder(polish.spans[polish.span], polish.points)
+        span_of[s] = span = polish.spans[polish.span]
+        moves = _ladder(span, polish.points)
         polish.count = len(moves) + 1
         factors[s, 0] = 0.0
         factors[s, 1 : polish.count] = moves
 
     def open_pass(s: int, evals: int) -> list[int]:
-        opening.append(s)
-        return [s, 0, evals, 0, 1, 1, 1, 1, polishes[s].limit, 0]
+        width = polishes[s].points + 2
+        return [s, 1, evals, 0, n * width, width, width, first, polishes[s].limit, 0]
+
+    def close(s: int, evals: int) -> list[int]:
+        return [s, 0, evals, 0, 1, 1, 1, first, _UNCAPPED, 0]
 
     def admit(s: int) -> list[int]:
         if not waiting:
             return [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
-        k, (m_a, m_b, job_points, spans, max_evals) = waiting.popleft()
-        theta[s] = np.concatenate([m_a.ravel(), m_b.ravel()])
-        grid[s, : n * (job_points + 2)].reshape(n, -1)[:, job_points:] = floor, 1.0
-        polishes[s] = polish = _Lane(k, job_points, spans, _UNCAPPED if max_evals is None else max_evals)
+        k, (m_a, m_b, points_k, spans, max_evals) = waiting.popleft()
+        theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
+        grid[s, : n * (points_k + 2)].reshape(n, -1)[:, points_k:] = floor, 1.0
+        job_points[s] = points_k
+        polishes[s] = polish = _Lane(k, points_k, spans, _UNCAPPED if max_evals is None else max_evals)
         set_span(s, polish)
         return open_pass(s, 0) if polish.limit > 0 else close(s, 0)
-
-    def close(s: int, evals: int) -> list[int]:
-        polishes[s].final = True
-        closing.append(s)
-        return [s, 0, evals, 0, 1, 1, 1, 1, _UNCAPPED, 0]
 
     def visit(s: int, family: int, evals: int) -> list[int]:
         polish = polishes[s]
         if family == 0:
-            evals -= 1
-            if polish.final:
-                m_a, m_b = theta[s, :n_a].reshape(2, d_a).copy(), theta[s, n_a:].reshape(2, d_b).copy()
-                results[polish.job] = (float(best[s]), m_a, m_b, evals)
-                return admit(s)
-            polish.start = best[s]
-            width = polish.points + 2
-            return [s, 1, evals, 0, n * width, width, width, first, polish.limit, 0]
+            if polish is not None:
+                m_a, m_b = theta[:n_a, s].reshape(2, d_a).copy(), theta[n_a:, s].reshape(2, d_b).copy()
+                results[polish.job] = (float(best[s]), m_a, m_b, evals - 1)
+            return admit(s)
         if evals < polish.limit:
             if family == 1:
                 # Whole-row rescalings of one matrix against the other track
@@ -677,13 +708,13 @@ def _coordinate_polish(
             if family == 2:
                 # Joint switch-off first: small entries can stabilize each
                 # other so that neither can be floored alone.
-                live = np.flatnonzero(theta[s] > 10.0 * floor)
+                live = np.flatnonzero(theta[:, s] > 10.0 * floor)
                 cols, polish.opens = _pairs(len(live))
                 if polish.opens[-1]:
                     pairs[s, : cols.shape[1]] = live[cols.T]
                     return [s, 3, evals, 0, polish.count * polish.opens[-1], polish.count, 1, first, polish.limit, 0]
             # The pass is over; a pass that improved nothing ends its span.
-            if best[s] > polish.start and not polish.second:
+            if best[s] > start[s] and not polish.second:
                 polish.second = True
                 return open_pass(s, evals)
             polish.span += 1
@@ -701,97 +732,141 @@ def _coordinate_polish(
         nxt = bisect.bisect_right(starts, at)
         return None if starts[nxt - 1] == at else starts[nxt]
 
-    def set_up() -> None:
+    def set_up(gauge: np.ndarray, opening: np.ndarray) -> None:
         # Regauge every opening and closing lane, then sweep the opening lanes' entries.
-        if opening or closing:
-            _regauge(theta, opening + closing, n_a, floor)
-        for job_points in {polishes[s].points for s in opening}:
-            batch = [s for s in opening if polishes[s].points == job_points]
-            center = np.maximum(theta[batch], floor)
-            span = np.array([polishes[s].spans[polishes[s].span] for s in batch])[:, None]
-            low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
-            sweeps = grid[:, : n * (job_points + 2)].reshape(lanes, n, -1)
-            sweeps[batch, :, :job_points] = _geomspace(low, high, job_points).transpose(1, 2, 0)
-        opening.clear()
-        closing.clear()
+        if len(gauge):
+            _regauge(theta, gauge, n_a, floor)
+        if not len(opening):
+            return
+        for points_k in grid_sizes:
+            batch = opening if len(grid_sizes) == 1 else opening[job_points[opening] == points_k]
+            center = np.maximum(theta[:, batch].T, floor)
+            ratio = span_of[batch][:, None]
+            low, high = np.maximum(center / ratio, floor), np.minimum(center * ratio, 1.0)
+            width = points_k + 2
+            sweeps = grid[:, : n * width].reshape(lanes, n, width)
+            sweeps[batch, :, :points_k] = _geomspace(low, high, points_k).transpose(1, 2, 0)
 
-    state = np.array([admit(s) for s in range(lanes)]).T.copy()
-    set_up()
-    z = s1 = r1 = lanes
+    def advance(ended: np.ndarray) -> np.ndarray:
+        """Visit every ended column; returns the lanes whose pass opens."""
+        gauge, opening = [], []
+        for i in ended.tolist():
+            state[:, i] = column = visit(*state[:3, i].tolist())
+            if column[1] <= 1:
+                gauge.append(column[0])
+                if column[1]:
+                    opening.append(column[0])
+        if not gauge:
+            return ended[:0]
+        opening = np.array(opening, dtype=np.intp)
+        set_up(np.array(gauge, dtype=np.intp), opening)
+        return opening
+
+    state = np.zeros((len(_LANE_ROWS), lanes), dtype=np.intp)
+    state[0] = np.arange(lanes)
     lane, family, evals, lo, end, width, group, size, limit, spent = state
+    ended, first = lane.copy(), min(max(_BASE_BATCH, _STEP_MOVES // lanes), cap)
     families = np.arange(1, 5)
     # A size doubles only after a full batch, so it stays below twice its
     # run unless the cap or a budget cuts batches short: only then is it clamped.
     clamp = capped or cap < max(n * (points + 2), (2 * points + 1) * n * (n - 1) // 2)
 
-    def scale(rows: np.ndarray, cols: np.ndarray, f: np.ndarray) -> None:
-        cells = cols + (rows * n)[:, None]
+    def scale(columns: np.ndarray, entries: np.ndarray, f: np.ndarray) -> None:
+        cells = entries * stride + columns[:, None]
         moved = flat.take(cells) * f
         flat[cells] = np.minimum(np.maximum(moved, floor, out=moved), 1.0, out=moved)
 
-    while len(lane):
+    while True:
+        if len(ended):
+            asking = advance(ended)
+            # Columns go back in family order; one lane is always in order.
+            if len(lane) > 1:
+                state = state.take(np.argsort(family, kind="stable"), axis=1)
+            z, s1, r1, live = np.searchsorted(state[1], families).tolist()
+            if not live:
+                return results
+            if len(lane) > 1:
+                state = state[:, :live]
+                lane, family, evals, lo, end, width, group, size, limit, spent = state
+
         count = np.minimum(end - lo, size)
         if capped:
             np.minimum(count, limit - evals, out=count)
         offset = np.zeros(len(lane) + 1, dtype=np.intp)
         np.cumsum(count, out=offset[1:])
         heads = offset[:-1]
-        b1, b2, b3, total = offset[[z, s1, r1, -1]].tolist()
+        b1, b2, b3, total = offset.item(z), offset.item(s1), offset.item(r1), offset.item(-1)
         owner = np.arange(len(lane)).repeat(count)
         rows = np.arange(total)
         pos = rows - heads[owner]
         move, at, per = lo[owner] + pos, lane[owner], width[owner]
 
-        cand = theta.take(at, axis=0)
-        flat = cand.reshape(-1)
+        # Candidates are columns, as the kernel reads them: the score rows of
+        # the lanes whose pass opens, then the move rows.
+        asks = len(asking)
+        cand = theta.take(np.concatenate([asking, at]) if asks else at, axis=1)
+        flat, stride, column = cand.reshape(-1), asks + total, rows + asks if asks else rows
         if b2 > b1:
-            repeats = np.zeros(total, dtype=bool)
-            cells, value = rows[b1:b2] * n + move[b1:b2] // per[b1:b2], _gather(grid, at[b1:b2], move[b1:b2])
-            repeats[b1:b2] = value == flat.take(cells)
+            cells = move[b1:b2] // per[b1:b2] * stride + column[b1:b2]
+            value = grid_at.take(at[b1:b2] * grid_stride + move[b1:b2])
+            repeats = value == flat.take(cells)
             flat[cells] = value
         if b3 > b2:
             q, f = np.divmod(move[b2:b3], per[b2:b3])
-            scale(rows[b2:b3], rescaled.take(q, axis=0), _gather(factors, at[b2:b3], f + 1)[:, side])
+            f = factors_at.take(at[b2:b3] * factors_stride + f + 1, axis=0)[:, side]
+            scale(column[b2:b3], rescaled.take(q, axis=0), f)
         if total > b3:
             p, f = np.divmod(move[b3:], per[b3:])
-            scale(rows[b3:], _gather(pairs, at[b3:], p), _gather(factors, at[b3:], f))
-        lam = _lambda_raw(cand, table)
+            f = factors_at.take(at[b3:] * factors_stride + f, axis=0)
+            scale(column[b3:], pairs_at.take(at[b3:] * pairs_stride + p, axis=0), f)
+        lam = _lambda_raw(cand.T, table)
+        if asks:
+            best[asking] = start[asking] = lam[:asks]
+            lam, asking = lam[asks:], asking[:0]
 
-        # Each lane accepts its first move that beats its best (a score
-        # request, its one row).  A single-entry move only sets its entry, so
-        # acceptances run on to the end of its sweep, as the running maximum's
-        # records; a move equal to the entry current at its position is not
-        # counted (``repeats``: the lane's own entry before the first
-        # acceptance, the latest record after it).  Other families stop there.
+        # Each lane accepts its first move that beats its best (a last
+        # score, its one row).  Single-entry moves run on to the end of the
+        # sweep; other families stop there.
         base = best.take(at)
         base[:b1] = -np.inf
         hit = np.minimum.reduceat(np.where(lam > base, pos, total), heads)
         accepted = hit < count
-        used = np.where(accepted, np.minimum(count, hit + group - (lo + hit) % group), count)
+        # Without an acceptance ``hit`` is past the batch, so ``used`` is the batch.
+        used = np.minimum(count, hit + group - (lo + hit) % group)
         last = heads + hit
-        swept = z + accepted[z:s1].nonzero()[0]
-        if len(swept):
-            tail = (used - hit)[swept, None]
-            span = np.arange(tail.max())
-            idx = last[swept, None] + np.minimum(span, tail - 1)
-            window = np.where(span < tail, lam[idx], -np.inf)
-            rising = np.maximum.accumulate(window, axis=1)
-            rising[:, 1:] = rising[:, 1:] > rising[:, :-1]
-            latest = np.maximum.accumulate(np.where(rising > 0.0, span, 0), axis=1)[:, :-1]
-            values, later = value[idx - b1], span[1:] < tail
-            repeats[idx[:, 1:][later]] = (values[:, 1:] == values[np.arange(len(swept))[:, None], latest])[later]
-            last[swept] += window.argmax(axis=1)
-        won = accepted.nonzero()[0]
-        winners, picked = lane[won], last[won]
-        theta[winners] = cand[picked]
-        best[winners] = lam[picked]
-
-        # Advance every window.  Score requests count one evaluation here,
-        # which their visit takes back.  Few live lanes make a step cheap per
-        # row, so their first batches widen.
         evals += used
         if b2 > b1:
-            evals -= np.add.reduceat(repeats & (pos < used[owner]), heads)
+            # Before the first acceptance, a move equal to the lane's entry is no evaluation.
+            evals[z:s1] -= np.add.reduceat(repeats & (pos[b1:b2] < hit.take(owner[b1:b2])), heads[z:s1] - b1)
+        swept = z + accepted[z:s1].nonzero()[0]
+        if len(swept):
+            # Every move of a sweep sets the same entry, so the sweep ends at
+            # the first maximum of its window.
+            tail = (used - hit)[swept, None]
+            ahead = np.arange(tail.max())
+            idx = last[swept, None] + np.minimum(ahead, tail - 1)
+            window = np.where(ahead < tail, lam[idx], -np.inf)
+            last[swept] += window.argmax(axis=1)
+            # After the first acceptance a move that equals the latest record
+            # is no evaluation; it scores that record's value exactly, so only
+            # windows with a score tied to their running maximum can hold one.
+            top = np.maximum.accumulate(window, axis=1)
+            tied = (window[:, 1:] == top[:, :-1]).any(axis=1).nonzero()[0]
+            if len(tied):
+                top = top[tied]
+                record = np.ones(top.shape, dtype=bool)
+                np.greater(top[:, 1:], top[:, :-1], out=record[:, 1:])
+                latest = np.maximum.accumulate(np.where(record, ahead, 0), axis=1)[:, :-1]
+                values = value[idx[tied] - b1]
+                again = values[:, 1:] == values[np.arange(len(tied))[:, None], latest]
+                evals[swept[tied]] -= (again & (ahead[1:] < tail[tied])).sum(axis=1)
+        won = accepted.nonzero()[0]
+        winners, picked = lane[won], last[won]
+        theta[:, winners] = cand.take(picked + asks if asks else picked, axis=1)
+        best[winners] = lam[picked]
+
+        # Advance every window.  Few live lanes make a step cheap per row,
+        # so their first batches widen.
         lo += used
         first = min(max(_BASE_BATCH, _STEP_MOVES // len(lane)), cap)
         size <<= 1
@@ -809,18 +884,6 @@ def _coordinate_polish(
                 else:
                     end[i], size[i], limit[i], spent[i] = stop, cap, _UNCAPPED, cap
         ended = over.nonzero()[0]
-        if len(ended):
-            for i in ended.tolist():
-                state[:, i] = visit(*state[:3, i].tolist())
-            set_up()
-            # Columns go back in family order; one lane is always in order.
-            if len(lane) > 1:
-                state = state.take(np.argsort(family, kind="stable"), axis=1)
-            z, s1, r1, live = np.searchsorted(state[1], families).tolist()
-            if len(lane) > 1 or not live:
-                state = state[:, :live]
-                lane, family, evals, lo, end, width, group, size, limit, spent = state
-    return results
 
 
 def _funnel(
@@ -912,13 +975,16 @@ def brute_force_mesbf(
     which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
     ``159`` at 4x4; larger tables raise :class:`TooLargeError`.  So does a
     ``grid_points`` at which one polish lane exceeds ``_CHUNK`` cells
-    (:func:`_lane_count`: above 6538 at 4x4), before the scan runs.
+    (:func:`_lane_count`: above 6538 at 4x4), before the scan runs.  Like
+    :func:`estimate_mesbf`, it searches and certifies on ``p`` rescaled by
+    the power of two that puts its largest entry in [1/2, 1).
     """
     cfg = cfg or SearchConfig()
     d_a, d_b, d_e = p.dims
     if d_a > 4 or d_b > 4:
         raise TooLargeError(f"grid oracle is limited to alphabets <= 4, got {d_a} x {d_b}")
     _lane_count(1, 2 * (d_a + d_b), d_e, cfg.grid_points)
+    p = _unit_scaled(p)
     table = p.table
     floor = cfg.entry_floor
 
