@@ -10,9 +10,8 @@ bit-output filter pairs directly.  Two searches are provided:
   of deterministic baseline starts.  Deterministic given the seed.
 * :func:`brute_force_mesbf` — a slow grid oracle for small instances: an
   exhaustive joint scan of coarse filter pairs for both parties (the grid
-  family automatically covers row-swapped variants; a certified pass
-  scores only the pairs that a harmonic-mean bound cannot rule out, and
-  the full scan runs whenever that pass cannot prove the same result),
+  family automatically covers row-swapped variants; one best-first pass
+  scores only the cells that a harmonic-mean bound cannot rule out),
   funneled into coordinate-wise sweeps over shrinking per-entry grids; the
   best polished pair of a ranking stage is reported when it certifies
   strictly higher than the final one.  Intended only as a cross-check; a
@@ -50,7 +49,7 @@ import bisect
 import functools
 import math
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import product
 from dataclasses import dataclass
 
@@ -63,6 +62,9 @@ from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, s
 
 DEFAULT_SEED = 1729
 
+# Cells that the temporaries of one step may hold: a joint-scan group, a
+# polish step's candidates, the polish lanes' state.  It bounds memory only;
+# no joint-scan result depends on it.
 _CHUNK = 1 << 17
 # Relative slack of the joint scan's cell bound: the rounding of the scan's
 # sums and of the bound, and the gap between pair values and their masses.
@@ -290,99 +292,118 @@ def _joint_scan(
     The secret-bit fraction after filtering depends on the two parties'
     row-0 pair and row-1 pair only, so all row pairs are contracted once
     against the table, and a cell joins a row-0 pair ``p = (i0, j0)`` with
-    a row-1 pair ``q = (i1, j1)``.  Returns the ``top_k`` best cells with
-    pairwise distinct support signatures (:func:`_walk`), so that later
-    refinement explores genuinely different bases of attraction.  More
-    than ``_SCAN_CELLS`` pair values (``n_a n_b d_e``, ``n_a`` and ``n_b``
-    rows per party) raise :class:`TooLargeError` before any exists.
+    a row-1 pair ``q = (i1, j1)``.  Returns, over all cells, the first
+    ``top_k`` with pairwise distinct support signatures, by descending
+    value, then ``p``, then ``q``, so that later refinement explores
+    genuinely different bases of attraction.  A cell's signature says
+    which entries of its two filters are live (above ``10 * floor``); it
+    is the smaller of the two orders of its row pairs (swapping both
+    output bits leaves the objective unchanged), each read as one binary
+    number: row 0 then row 1 of Alice's filter, then of Bob's.  More than
+    ``_SCAN_CELLS`` pair values (``n_a n_b d_e``, ``n_a`` and ``n_b`` rows
+    per party) raise :class:`TooLargeError` before any exists.
 
-    Two passes give that result.  The full scan (:func:`_full_scan`)
-    scores every cell.  The pruned pass (:func:`_pruned_scan`) runs first:
-    with masses ``M``, every cell is at most the harmonic mean ``H(rho0,
-    sigma1)`` of ``rho0 = M[i0,j0] / (M[i0,j0] + M[i1,j0])`` and ``sigma1 =
-    M[i1,j1] / (M[i0,j1] + M[i1,j1])`` whatever Eve's alphabet, so it
-    scores only the cells whose bound reaches a level, and returns their
-    walk only when it certifies that the full scan's walk is the same.
-    Otherwise the full scan runs.  Either way the result is the full
-    scan's, bit for bit.
+    One best-first pass gives that result, whatever ``_CHUNK``.  With
+    masses ``M``, a cell is at most the harmonic mean ``H(rho0, sigma1)``
+    of ``rho0 = M[i0,j0] / (M[i0,j0] + M[i1,j0])`` and ``sigma1 =
+    M[i1,j1] / (M[i0,j1] + M[i1,j1])`` times ``1 + _BOUND_MARGIN``,
+    whatever Eve's alphabet, when the guard :func:`_bounds_hold` passes;
+    otherwise every bound is nan, which rules nothing out.  Alice pairs
+    ``(i0, i1)`` open by descending bound ``H(max rho0, max sigma1)``
+    (:func:`_pair_bounds`), in groups that double from one pair up to a
+    quarter of ``_CHUNK`` cells.  A group scores each row ``j0`` whose
+    bound ``H(rho0, max sigma1)`` reaches the level, the ``top_k``-th value
+    kept so far (:func:`_row_values`), and merges the row's cells that
+    reach it into the kept cells: each signature's first, at most
+    ``top_k`` of them (:func:`_walk`).  The pass ends at a pair whose bound
+    is below the level, as no later cell can then be kept.
     """
     d_a, d_b, d_e = table.shape
     rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
-    total = len(rows_a) * len(rows_b)
-    if total * d_e > _SCAN_CELLS:
-        raise TooLargeError(f"joint scan of {total} row pairs over {d_e} Eve symbols exceeds {_SCAN_CELLS} cells")
-    # Doubling is exact, so min(2x, 2y) summed is twice the summed minimum.
-    pair2 = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(total, d_e)
-    pair2 *= 2.0
+    (n_a, n_b), slack = (len(rows_a), len(rows_b)), 1.0 + _BOUND_MARGIN
+    if n_a * n_b * d_e > _SCAN_CELLS:
+        raise TooLargeError(f"joint scan of {n_a * n_b} row pairs over {d_e} Eve symbols exceeds {_SCAN_CELLS} cells")
+    # Pair values, one row per Eve symbol; doubling is exact, so min(2x, 2y)
+    # summed is twice the summed minimum.
+    pair2 = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(n_a * n_b, d_e)
+    pair2 = np.multiply(pair2.T, 2.0, order="C")
     mass = rows_a @ table.sum(axis=2) @ rows_b.T
-    walk = functools.partial(_walk, rows_a=rows_a, rows_b=rows_b, floor=floor, top_k=top_k)
-    found = _pruned_scan(pair2, mass, top_k, walk)
-    return walk(*_full_scan(pair2, mass, top_k)) if found is None else found
-
-
-def _full_scan(pair2: np.ndarray, mass: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score every cell, ``_CHUNK // (n_a n_b)`` row-0 pairs at a time; return each chunk's ``8 * top_k`` best.
-
-    Cells come as ``(values, p, q)``.  Temporaries hold at most
-    ``max(_CHUNK, n_a n_b, d_e)`` cells whatever Eve's alphabet ``d_e``.
-    """
-    total, d_e = pair2.shape
-    n_b = mass.shape[1]
-    block = max(1, _CHUNK // total)
-    lam_buf, den_buf = np.empty((2, min(block, total), *mass.shape))
-    # Minima over Eve's symbols, _CHUNK cells at a time: whole rows when they fit.
-    width = min(total, max(1, _CHUNK // d_e))
-    height = min(block, max(1, _CHUNK // (total * d_e)))
-    mins = np.empty((height, width, d_e)) if d_e > 1 else None
-    found: list[tuple[np.ndarray, ...]] = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        lam, den = lam_buf[: stop - start], den_buf[: stop - start]
-        num = lam.reshape(stop - start, total)
-        if d_e == 1:
-            np.minimum(pair2[start:stop], pair2[:, 0], out=num)
-        else:
-            for r in range(0, stop - start, height):
-                for c in range(0, total, width):
-                    a, b = pair2[start:stop][r : r + height], pair2[c : c + width]
-                    step = np.minimum(a[:, None], b[None], out=mins[: len(a), : len(b)])
-                    step.sum(axis=2, out=num[r : r + height, c : c + width])
-        # Added in the order mass[p] + mass[q] + mass[i0, j1] + mass[i1, j0].
-        i0, j0 = np.divmod(np.arange(start, stop), n_b)
-        np.add(mass.reshape(-1)[start:stop, None, None], mass, out=den)
-        den += mass[i0][:, None, :]
-        den += mass[:, j0].T[:, :, None]
-        np.divide(lam, den, out=lam)
-        keep = min(8 * top_k, lam.size)
-        order = np.argpartition(lam.reshape(-1), -keep)[-keep:]
-        found.append((lam.reshape(-1)[order], start + order // total, order % total))
-    values, firsts, seconds = (np.concatenate(column) for column in zip(*found))
-    return values, firsts, seconds
-
-
-def _walk(
-    values: np.ndarray, firsts: np.ndarray, seconds: np.ndarray,
-    rows_a: np.ndarray, rows_b: np.ndarray, floor: float, top_k: int,
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """The first ``top_k`` cells with distinct support signatures, by descending value, then ``p``, then ``q``.
-
-    A cell's signature says which entries of its two filters are live
-    (above ``10 * floor``).  Swapping both output bits leaves the
-    objective unchanged, so it is the smaller of the two orders of its
-    row pairs, each read as one binary number: row 0 then row 1 of
-    Alice's filter, then of Bob's, leading entries the most significant.
-    """
-    d_a, d_b = rows_a.shape[1], rows_b.shape[1]
-    n_b = len(rows_b)
+    known = mass if _bounds_hold(pair2, mass) else np.full_like(mass, np.nan)
+    bounds = _pair_bounds(known).reshape(-1)
+    order = np.argsort(-bounds, kind="stable")
+    # A cell's signature is min(high[p] | low[q], high[q] | low[p]).
     code_a, code_b = ((rows > 10.0 * floor) @ (1 << np.arange(rows.shape[1]))[::-1] for rows in (rows_a, rows_b))
-    ranked = np.lexsort((seconds, firsts, -values))
-    (i0, j0), (i1, j1) = np.divmod(firsts[ranked], n_b), np.divmod(seconds[ranked], n_b)
-    direct = (((code_a[i0] << d_a | code_a[i1]) << d_b | code_b[j0]) << d_b) | code_b[j1]
-    mirrored = (((code_a[i1] << d_a | code_a[i0]) << d_b | code_b[j1]) << d_b) | code_b[j0]
-    first = np.unique(np.minimum(direct, mirrored), return_index=True)[1]
-    picked = ranked[np.sort(first)[:top_k]]
+    code_a, code_b = np.repeat(code_a, n_b), np.tile(code_b, n_a)
+    high, low = (code_a << (d_a + 2 * d_b)) | (code_b << d_b), (code_a << (2 * d_b)) | code_b
+    kept = [np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)]
+    level, start, size = -math.inf, 0, 1
+    # A pair, row or cell is passed over only when its bound or value is
+    # surely below the level: a nan one never is.
+    while start < len(order) and not bounds[order[start]] * slack < level:
+        group = order[start : start + size]
+        group = group[~(bounds[group] * slack < level)]
+        start += size
+        # Groups of a full _CHUNK scored some 4x4 and 3x3 tables at d_e = 4
+        # up to 1.7 times slower: the level rises between smaller groups.
+        size = min(2 * size, max(1, _CHUNK // (4 * n_b * n_b)))
+        i0, i1 = np.divmod(group, n_a)
+        head, tail = known[i0], known[i1]
+        both = head + tail
+        rho, sigma = head / both, tail / both
+        k, j0 = np.nonzero(~(_harmonic(rho, sigma.max(axis=1, keepdims=True)) * slack < level))
+        i0, i1 = i0[k], i1[k]
+        values = _row_values(pair2, mass, i0, j0, i1)
+        row, j1 = np.nonzero(~(values < level))
+        if not len(row):
+            continue
+        new = (values[row, j1], i0[row] * n_b + j0[row], i1[row] * n_b + j1)
+        values, p, q = (np.concatenate(columns) for columns in zip(kept, new))
+        picked = _walk(values, np.minimum(high[p] | low[q], high[q] | low[p]), p, q, top_k)
+        kept = [column[picked] for column in (values, p, q)]
+        if len(picked) == top_k:
+            level = kept[0][-1]
     return [(value, rows_a[[p // n_b, q // n_b]], rows_b[[p % n_b, q % n_b]])
-            for value, p, q in zip(values[picked].tolist(), firsts[picked].tolist(), seconds[picked].tolist())]
+            for value, p, q in zip(*(column.tolist() for column in kept))]
+
+
+def _walk(values: np.ndarray, signatures: np.ndarray, firsts: np.ndarray, seconds: np.ndarray, top_k: int) -> np.ndarray:
+    """Indices of the first ``top_k`` cells with distinct signatures, by descending value, then ``p``, then ``q``.
+
+    Any cells' ``top_k``-th signature value is a floor for the answer's,
+    so only the cells at or above it need ranking in full.  The floor
+    comes from the best cells by value alone, ties in any order: the best
+    ``8 top_k``, eight times more while they hold too few signatures.
+    """
+
+    def first(ranked: np.ndarray) -> np.ndarray:
+        return ranked[np.sort(np.unique(signatures[ranked], return_index=True)[1])[:top_k]]
+
+    head, count = np.arange(len(values)), 8 * top_k
+    while count < len(values):
+        best = np.argpartition(-values, count)[:count]
+        picked = first(best[np.argsort(-values[best])])
+        if len(picked) == top_k:
+            head = np.flatnonzero(values >= values[picked[-1]])
+            break
+        count *= 8
+    return first(head[np.lexsort((seconds[head], firsts[head], -values[head]))])
+
+
+def _bounds_hold(pair2: np.ndarray, mass: np.ndarray) -> bool:
+    """Whether every cell is within ``1 + _BOUND_MARGIN`` of its bound ``H(rho0, sigma1)``.
+
+    It is when every mass is positive and finite and the pair values sum to
+    their masses within the margin, less the rounding of the scan's own sums.
+    """
+    d_e = len(pair2)
+    flat = mass.reshape(-1)
+    with np.errstate(over="ignore"):
+        if not (flat.min() > 0.0 and np.isfinite(4.0 * flat.max()) and np.isfinite(pair2).all()):
+            return False
+        # A cell exceeds its bound by at most this gap plus the rounding of
+        # its d_e-term sum, its denominator, its quotient and the bound.
+        gap = np.max(np.abs(pair2.sum(axis=0) - 2.0 * flat) / (2.0 * flat))
+    return bool(gap + 4 * (d_e + 8) * np.finfo(float).eps <= _BOUND_MARGIN)
 
 
 def _harmonic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -405,92 +426,25 @@ def _pair_bounds(mass: np.ndarray) -> np.ndarray:
     return _harmonic(rho, rho.T)
 
 
-def _bounded_cells(mass: np.ndarray, bounds: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(p, q)`` of every cell whose bound times ``1 + _BOUND_MARGIN`` reaches ``level``; None past ``_CHUNK`` cells.
+def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndarray, i1: np.ndarray) -> np.ndarray:
+    """Values ``(rows, n_b)`` of the cells joining each row-0 pair ``(i0, j0)`` with every row-1 pair ``(i1, j1)``.
 
-    Only Alice pairs whose pair bound reaches the level are opened, one
-    ``(pairs, j0, j1)`` block of at most ``_CHUNK`` bounds at a time.
+    The minima of the doubled pair values are summed over Eve's symbols
+    and divided by ``M[i0,j0] + M[i1,j1] + M[i0,j1] + M[i1,j0]``, added in
+    that order.  Temporaries hold at most ``max(_CHUNK, d_e n_b)`` cells.
     """
-    n_b = mass.shape[1]
-    slack = 1.0 + _BOUND_MARGIN
-    alice = np.nonzero(bounds * slack >= level)
-    step = max(1, _CHUNK // (n_b * n_b))
-    firsts, seconds, count = [], [], 0
-    for s in range(0, len(alice[0]), step):
-        i0, i1 = (side[s : s + step] for side in alice)
-        head, tail = mass[i0], mass[i1]
-        both = head + tail
-        k, j0, j1 = np.nonzero(_harmonic((head / both)[:, :, None], (tail / both)[:, None, :]) * slack >= level)
-        count += len(k)
-        if count > _CHUNK:
-            return None
-        firsts.append(i0[k] * n_b + j0)
-        seconds.append(i1[k] * n_b + j1)
-    return np.concatenate(firsts), np.concatenate(seconds)
-
-
-def _cell_values(pair2: np.ndarray, mass: np.ndarray, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
-    """The full scan's value of each cell ``(p, q)``: its operations in its order, ``_CHUNK`` cells at a time."""
-    d_e = pair2.shape[1]
-    n_b = mass.shape[1]
-    flat = mass.reshape(-1)
-    values = np.empty(len(firsts))
-    step = max(1, _CHUNK // d_e)
-    for s in range(0, len(firsts), step):
-        p, q = firsts[s : s + step], seconds[s : s + step]
-        num = np.minimum(pair2[p, 0], pair2[q, 0]) if d_e == 1 else np.minimum(pair2[p], pair2[q]).sum(axis=1)
-        den = flat[p] + flat[q]
-        den += mass[p // n_b, q % n_b]
-        den += mass[q // n_b, p % n_b]
+    d_e, (n_a, n_b) = len(pair2), mass.shape
+    pairs = pair2.reshape(d_e, n_a, n_b)
+    values = np.empty((len(i0), n_b))
+    step = max(1, _CHUNK // (d_e * n_b))
+    for s in range(0, len(i0), step):
+        a, j, b = i0[s : s + step], j0[s : s + step], i1[s : s + step]
+        num = _leading_sum(np.minimum(pairs[:, a, j][:, :, None], pairs[:, b]))
+        den = mass[a, j][:, None] + mass[b]
+        den += mass[a]
+        den += mass[b, j][:, None]
         np.divide(num, den, out=values[s : s + step])
     return values
-
-
-def _pruned_scan(
-    pair2: np.ndarray, mass: np.ndarray, top_k: int, walk: Callable[..., list[tuple[float, np.ndarray, np.ndarray]]]
-) -> list[tuple[float, np.ndarray, np.ndarray]] | None:
-    """The full scan's walk from the cells whose bound reaches a level, or None when that is not certified.
-
-    A level ``L`` opens the cells whose bound (:func:`_pair_bounds`), times
-    ``1 + _BOUND_MARGIN``, reaches it (:func:`_bounded_cells`), scores them
-    (:func:`_cell_values`) and walks them.  The walk is the full scan's
-    when it reaches ``top_k`` signatures at a value ``V* >= L``: every cell
-    at or above ``V*`` was scored, and no chunk of the full scan holds
-    ``8 * top_k`` of them, so its truncation kept them all too; the two
-    walks then visit the same cells in the same order up to ``V*``.
-    Otherwise ``L`` drops by a quarter of the way from the best pair bound
-    to 1/2, or only to the walk's ``V*`` when that is higher: the cells
-    that gave ``V*`` open again, so the next walk reaches it.  The pass
-    gives up at an ``L`` of 1/2 or below, past ``_CHUNK`` cells, or when a
-    chunk holds too many leaders; and before any level unless every mass
-    is positive and finite and the pair values sum to their masses within
-    the margin, less the rounding of the scan's own sums.
-    """
-    d_e = pair2.shape[1]
-    flat = mass.reshape(-1)
-    with np.errstate(over="ignore", divide="ignore"):
-        if not (flat.min() > 0.0 and np.isfinite(4.0 * flat.max()) and np.isfinite(pair2).all()):
-            return None
-        # A cell exceeds its bound by at most this gap plus the rounding of
-        # its d_e-term sum, its denominator, its quotient and the bound.
-        gap = np.max(np.abs(pair2.sum(axis=1) - 2.0 * flat) / (2.0 * flat))
-        if not gap + 4 * (d_e + 8) * np.finfo(float).eps <= _BOUND_MARGIN:
-            return None
-        bounds = _pair_bounds(mass)
-        step = (bounds.max() - 0.5) / 4
-        level = 0.5 + 3 * step
-        while level > 0.5:
-            cells = _bounded_cells(mass, bounds, level)
-            if cells is None:
-                return None
-            values = _cell_values(pair2, mass, *cells)
-            found = walk(values, *cells)
-            last = found[-1][0] if len(found) == top_k else -math.inf
-            if last >= level:
-                chunks = cells[0][values >= last] // max(1, _CHUNK // len(flat))
-                return found if np.bincount(chunks).max() < 8 * top_k else None
-            level = max(last, level - step)
-    return None
 
 
 _MICRO_SPANS = (4.0,)
@@ -967,13 +921,12 @@ def brute_force_mesbf(
     so each ranking stage's best polished pair is certified too, and
     reported when strictly higher than the fine pair.  The documented
     contract is a lower bound on the true optimum whose gap shrinks as
-    ``grid_points`` grows.  The joint scan first scores only the cells
-    that its bound ``H(rho0, sigma1)`` cannot rule out, and returns their
-    best only when it certifies them the full scan's; otherwise it scores
-    every cell (:func:`_joint_scan`), so its seeds never depend on which
-    pass ran.  The joint scan holds at most 2^20 pair values,
-    which bounds Eve's alphabet too: ``d_e <= 1677`` at 2x2,
-    ``159`` at 4x4; larger tables raise :class:`TooLargeError`.  So does a
+    ``grid_points`` grows.  The joint scan returns the best cells of
+    distinct supports over all cells, and scores only the cells that its
+    bound ``H(rho0, sigma1)`` cannot rule out (:func:`_joint_scan`).  It
+    holds at most 2^20 pair values, which bounds Eve's alphabet too:
+    ``d_e <= 1677`` at 2x2, ``159`` at 4x4; larger tables raise
+    :class:`TooLargeError`.  So does a
     ``grid_points`` at which one polish lane exceeds ``_CHUNK`` cells
     (:func:`_lane_count`: above 6538 at 4x4), before the scan runs.  Like
     :func:`estimate_mesbf`, it searches and certifies on ``p`` rescaled by

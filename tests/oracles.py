@@ -4,9 +4,10 @@ These deliberately avoid the library's closed-form branch logic: values
 are computed by dense grid evaluation of the secret-bit fraction after
 explicitly parameterized filter pairs.  The scalar coordinate polish
 is the one-candidate-at-a-time reference for the optimizer's batched
-polish, which must follow it bit for bit.  The joint scan, with fresh
-arrays per chunk and one Python entry per kept pair, is the reference for
-the library's in-place scan.  The two searches, each with its stages
+polish, which must follow it bit for bit.  The exhaustive joint scan,
+which scores every cell one row-0 pair at a time and walks them in
+order, is the reference for the library's bound-pruned best-first scan.
+The two searches, each with its stages
 written out by hand, are the reference for the library's stage funnel.
 The loop forms of the closed-form measures are the reference for the
 library's vectorized ones.  The direct-product block statistics and the
@@ -18,6 +19,7 @@ loops they had before sharing one, are the reference for
 """
 
 import math
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -57,7 +59,6 @@ from secbit.measures import (
 from secbit.measures import vartheta as library_vartheta
 from secbit.optimizer import (
     _CHEAP_SPANS,
-    _CHUNK,
     _FINE_SPANS,
     _MICRO_SPANS,
     SearchConfig,
@@ -254,84 +255,42 @@ def scalar_polish(
     return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
 
 
-def _row_family(grids: list[np.ndarray]) -> np.ndarray:
-    """All row vectors with entry ``k`` drawn from ``grids[k]``, row-major."""
-    shape = tuple(len(g) for g in grids)
-    total = int(np.prod(shape))
-    multi = np.unravel_index(np.arange(total), shape)
-    family = np.empty((total, len(grids)))
-    for k, grid in enumerate(grids):
-        family[:, k] = grid[multi[k]]
-    return family
-
-
-def _support_signature(d_a_mat: np.ndarray, j_b: np.ndarray, floor: float) -> tuple:
-    """Which entries are live (well above the floor), both matrices pooled.
-
-    Swapping both output bits leaves the objective unchanged, so the
-    signature is canonicalized over that mirror symmetry.
-    """
-    direct = tuple(np.concatenate([d_a_mat.ravel(), j_b.ravel()]) > 10.0 * floor)
-    mirrored = tuple(np.concatenate([d_a_mat[::-1].ravel(), j_b[::-1].ravel()]) > 10.0 * floor)
-    return min(direct, mirrored)
-
-
-def frozen_scan(
-    table: np.ndarray, coarse: np.ndarray, floor: float, top_k: int
+def exhaustive_scan(
+    table: np.ndarray, coarse: np.ndarray, floor: float, top_k: int, level: float = -math.inf
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Exhaustive scan of coarse filter pairs for both parties jointly.
+    """The joint scan's definition: of every cell at or above ``level``, the first ``top_k`` signatures.
 
-    The secret-bit fraction after filtering depends on the two parties'
-    row-0 pair and row-1 pair only, so all row pairs are contracted once
-    against the table and every combination of a row-0 pair with a row-1
-    pair is evaluated.  Returns the ``top_k`` best candidates with
-    pairwise distinct support signatures, so that later refinement
-    explores genuinely different bases of attraction.
+    Cells are scored one row-0 pair ``p`` at a time against every row-1
+    pair ``q``, ranked by descending value, then ``p``, then ``q``, and
+    walked; a cell whose live entries (above ``10 * floor``), or those of
+    its mirror with both output bits swapped, match an earlier cell's is
+    skipped.  A level no higher than the true ``top_k``-th value changes
+    nothing and saves sorting the rest.
     """
     d_a, d_b, d_e = table.shape
-    rows_a = _row_family([coarse] * d_a)
-    rows_b = _row_family([coarse] * d_b)
-    n_a, n_b = len(rows_a), len(rows_b)
-    pair_vals = np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(n_a * n_b, d_e)
+    rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
+    n_b = len(rows_b)
+    pair2 = 2.0 * np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(-1, d_e)
     mass = rows_a @ table.sum(axis=2) @ rows_b.T
-
-    total = n_a * n_b
-    i_of, j_of = np.divmod(np.arange(total), n_b)
-    block = max(1, _CHUNK // total)
-    per_chunk = 8 * top_k
-    found: list[tuple[float, int, int]] = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        i0, j0 = i_of[start:stop], j_of[start:stop]
-        num = 2.0 * np.minimum(pair_vals[start:stop, None, :], pair_vals[None, :, :]).sum(axis=2)
-        den = (
-            mass[i0, j0][:, None]
-            + mass[i_of, j_of][None, :]
-            + mass[i0[:, None], j_of[None, :]]
-            + mass[i_of[None, :], j0[:, None]]
-        )
-        lam = (num / den).ravel()
-        keep = min(per_chunk, lam.size)
-        order = np.argpartition(lam, -keep)[-keep:]
-        for flat in order:
-            i, j = divmod(int(flat), total)
-            found.append((float(lam[flat]), start + i, j))
-
-    found.sort(key=lambda item: (-item[0], item[1], item[2]))
-    result: list[tuple[float, np.ndarray, np.ndarray]] = []
-    seen: set[tuple] = set()
-    for value, p, q in found:
-        i0, j0 = divmod(p, n_b)
-        i1, j1 = divmod(q, n_b)
-        d_a_mat = np.vstack([rows_a[i0], rows_a[i1]])
-        j_b_mat = np.vstack([rows_b[j0], rows_b[j1]])
-        key = _support_signature(d_a_mat, j_b_mat, floor)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append((value, d_a_mat, j_b_mat))
-        if len(result) == top_k:
-            break
+    flat, (i, j) = mass.reshape(-1), np.divmod(np.arange(mass.size), n_b)
+    cells = []
+    for p in range(len(pair2)):
+        values = np.minimum(pair2[p], pair2).sum(axis=1) / (flat[p] + flat + mass[i[p], j] + mass[i, j[p]])
+        q = np.flatnonzero(values >= level)
+        cells.append((values[q], np.full(len(q), p), q))
+    values, firsts, seconds = (np.concatenate(column) for column in zip(*cells))
+    ranked = np.lexsort((seconds, firsts, -values))
+    rows = np.stack([firsts[ranked], seconds[ranked]], axis=1)
+    m_a, m_b = rows_a[rows // n_b], rows_b[rows % n_b]
+    live = [np.concatenate([m_a[:, order].reshape(len(rows), -1), m_b[:, order].reshape(len(rows), -1)], axis=1)
+            > 10.0 * floor for order in ([0, 1], [1, 0])]
+    result, seen = [], set()
+    for k, key in enumerate(map(min, map(bytes, live[0]), map(bytes, live[1]))):
+        if key not in seen:
+            seen.add(key)
+            result.append((float(values[ranked[k]]), m_a[k], m_b[k]))
+            if len(result) == top_k:
+                break
     return result
 
 

@@ -45,7 +45,7 @@ from secbit.optimizer import (
 from secbit.measures import _pair_table
 
 import oracles
-from oracles import frozen_scan, scalar_polish
+from oracles import exhaustive_scan, scalar_polish
 from oracles import _lambda_raw as scalar_lambda
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
@@ -445,9 +445,9 @@ def _scan_case(d_a: int, d_b: int, d_e: int, zeros: float) -> tuple[np.ndarray, 
 
 
 # Every shape, Eve alphabet and zero share once, top_k cycling through 1, 12
-# and 200 (at 200 the signature dedup walks far down each kept list, to its
-# end when fewer than 200 signatures exist).  3x3 and 4x4 stop at d_e = 2:
-# one frozen 4x4 scan at d_e = 9 takes 2-4 s.
+# and 200 (at 200 the signature dedup walks far down the ranked cells, to
+# their end when fewer than 200 signatures exist).  3x3 and 4x4 stop at
+# d_e = 2: one exhaustive 4x4 scan at d_e = 9 takes about 2 s.
 ALL = (1, 2, 3, 9)
 SCAN_CASES = [
     (d_a, d_b, d_e, zeros)
@@ -465,37 +465,71 @@ def _assert_same_scan(found, expected):
         assert np.array_equal(m_a, m_a0) and np.array_equal(m_b, m_b0)
 
 
+def _assert_exact(table: np.ndarray, coarse: np.ndarray, top_k: int) -> list:
+    """``_joint_scan``'s result, checked against the exhaustive reference.
+
+    The reference ranks only the cells at or above the scan's last value
+    when the scan returns ``top_k`` seeds: its ``top_k`` signatures lie
+    there, so the true ``top_k``-th value does too.
+    """
+    found = _joint_scan(table, coarse, 1e-9, top_k)
+    level = found[-1][0] if len(found) == top_k else -math.inf
+    _assert_same_scan(found, exhaustive_scan(table, coarse, 1e-9, top_k, level))
+    return found
+
+
 class TestJointScan:
-    """The in-place joint scan returns the frozen scan's candidates bit for bit."""
+    """The joint scan returns the exhaustive reference's cells bit for bit.
+
+    ``test_matches_the_frozen_scan`` keeps the name it had when its
+    reference was a frozen copy of the chunked scan.
+    """
 
     @pytest.mark.parametrize("d_a, d_b, d_e, zeros, top_k", SCAN_CASES)
     def test_matches_the_frozen_scan(self, d_a, d_b, d_e, zeros, top_k):
-        table, coarse = _scan_case(d_a, d_b, d_e, zeros)
-        _assert_same_scan(_joint_scan(table, coarse, 1e-9, top_k), frozen_scan(table, coarse, 1e-9, top_k))
+        _assert_exact(*_scan_case(d_a, d_b, d_e, zeros), top_k)
 
     @pytest.mark.parametrize("d_e", [1, 2, 3, 9, 17])
     def test_matches_with_ragged_chunks_and_split_rows(self, d_e, monkeypatch):
-        # With 4000 cells per chunk a 2x2 chunk holds 6 row-0 pairs of 625,
-        # the last one 1; a minimum over 3 symbols spans 2 of them, and over
-        # 9 or more part of one row (444 and 181 row-1 pairs at d_e = 9).
+        # With 4000 cells a 2x2 group is one Alice pair of 625 cells, a chunk
+        # of pair bounds 6 of 25 rows, and a chunk of values 4000 // (25 d_e)
+        # rows of 25 cells (9 rows at d_e = 17).
         monkeypatch.setattr(optimizer, "_CHUNK", 4000)
-        monkeypatch.setattr(oracles, "_CHUNK", 4000)
         for zeros, top_k in [(0.0, 1), (0.3, 12)]:
-            table, coarse = _scan_case(2, 2, d_e, zeros)
-            _assert_same_scan(_joint_scan(table, coarse, 1e-9, top_k), frozen_scan(table, coarse, 1e-9, top_k))
+            _assert_exact(*_scan_case(2, 2, d_e, zeros), top_k)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_result_does_not_depend_on_the_chunk(self, seed, monkeypatch):
+        # The oracle-grid 2x2 table of the seed, cycle 0.  The scan that kept
+        # each chunk's 8 top_k best cells returned other seeds here at 2^14
+        # cells than at the default 2^17.
+        m = np.random.default_rng([seed, 0, 2, 2]).uniform(0.1, 1.0, size=(2, 2))
+        table, coarse = (m / m.sum())[:, :, None], np.array(SCAN_LADDERS[2])
+        expected = _assert_exact(table, coarse, 12)
+        for chunk in (4000, 1 << 14):
+            monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+            _assert_same_scan(_assert_exact(table, coarse, 12), expected)
+
+    def test_ties_at_one_half_keep_their_order(self):
+        # Many cells tie at exactly 1/2 here; the chunked scan dropped the
+        # one that comes first by (p, q).
+        m = np.random.default_rng([103, 2, 2, 9]).uniform(0.1, 1.0, size=(2, 2, 9))
+        found = _assert_exact(m / m.sum(), np.array(SCAN_LADDERS[2]), 12)
+        assert found[-1][0] == 0.5
 
     def test_memory_is_bounded_in_eves_alphabet(self):
-        # Built whole for each chunk, the (rows, row-1 pairs, d_e) minimum
-        # peaked at 69 MB here.
-        table, coarse = _scan_case(2, 2, 64, 0.0)
-        tracemalloc.start()
-        try:
-            seeds = _joint_scan(table, coarse, 1e-9, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(seeds) == 12
-        assert peak < 16 * 2**20
+        # A (rows, row-1 pairs, d_e) minimum built whole for a chunk of rows
+        # took 69 MB at 2x2x64.
+        for shape in [(2, 2, 64), (4, 4, 64)]:
+            table, coarse = _scan_case(*shape, 0.0)
+            tracemalloc.start()
+            try:
+                seeds = _joint_scan(table, coarse, 1e-9, 12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(seeds) == 12
+            assert peak < 16 * 2**20
 
     def test_too_many_pair_values_rejected_before_allocation(self):
         # 6561 row pairs over 200 symbols are 10.5 MB of pair values alone.
@@ -513,10 +547,10 @@ class TestJointScan:
 
 
 def _scan_sums(table: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled pair values ``(n_a n_b, d_e)`` and masses ``(n_a, n_b)``, as the joint scan builds them."""
+    """Doubled pair values ``(d_e, n_a n_b)`` and masses ``(n_a, n_b)``, as the joint scan builds them."""
     d_a, d_b, d_e = table.shape
     rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
-    pair2 = 2.0 * np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(-1, d_e)
+    pair2 = 2.0 * np.einsum("ia,abe,jb->ije", rows_a, table, rows_b).reshape(-1, d_e).T
     return pair2, rows_a @ table.sum(axis=2) @ rows_b.T
 
 
@@ -524,85 +558,54 @@ def _scan_sums(table: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.nd
 def _scan_inputs(draw):
     shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
     zeros = draw(st.floats(0.0, 0.3))
-    scale = 10.0 ** draw(st.integers(-200, 200))
+    # At 1e-300 the masses are subnormal and the bound's guard fails.
+    scale = 10.0 ** draw(st.integers(-200, 200) | st.just(-300))
     table = scale * _raw_table(shape, zeros, draw(st.integers(0, 2**32 - 1)))
     return table, np.array(SCAN_LADDERS.get(max(shape[:2]), SCAN_LADDERS[4])), draw(st.integers(1, 12))
 
 
-class _PathCount:
-    """Stands in for ``optimizer._full_scan`` and counts the scans that fell back to it."""
-
-    def __init__(self):
-        self.full = optimizer._full_scan
-        self.calls = 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self.full(*args)
-
-    def scan(self, table, coarse, top_k):
-        """``_joint_scan``'s result and whether it fell back to the full scan."""
-        before = self.calls
-        found = _joint_scan(table, coarse, 1e-9, top_k)
-        return found, self.calls > before
-
-
 class TestPrunedScan:
-    """The bound-pruned pass returns the full scan's result when certified, and falls back otherwise."""
+    """The harmonic-mean bound that prunes the joint scan, and the guard that turns it off.
 
-    @pytest.fixture
-    def paths(self, monkeypatch):
-        count = _PathCount()
-        monkeypatch.setattr(optimizer, "_full_scan", count)
-        return count
+    ``test_matches_the_frozen_scan_on_either_path`` keeps the name it had
+    when its reference was a frozen copy of the chunked scan.
+    """
 
-    def test_matches_the_frozen_scan_on_either_path(self, paths):
+    def test_matches_the_frozen_scan_on_either_path(self):
         taken = set()
 
         @given(case=_scan_inputs())
         @settings(derandomize=True, max_examples=40, database=None, deadline=None)
         def check(case):
             table, coarse, top_k = case
-            found, fell_back = paths.scan(table, coarse, top_k)
-            taken.add(fell_back)
-            _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, top_k))
+            taken.add(optimizer._bounds_hold(*_scan_sums(table, coarse)))
+            _assert_exact(table, coarse, top_k)
 
         check()
         assert taken == {False, True}
 
-    def test_too_few_signatures_fall_back(self, paths):
-        # Levels above 1/2 open, but the grid's kept cells hold 46 signatures.
-        table, coarse = _scan_case(2, 2, 1, 0.0)
-        assert optimizer._pair_bounds(_scan_sums(table, coarse)[1]).max() > 0.5
-        found, fell_back = paths.scan(table, coarse, 100)
-        assert fell_back and len(found) == 46
-        _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 100))
+    def test_too_few_signatures_fall_back(self):
+        # The cells hold 100 of the 136 signatures that a 2x2 filter pair can
+        # have, some far down the ranking (a scan keeping each chunk's 8 top_k
+        # best cells found 46).
+        found = _assert_exact(*_scan_case(2, 2, 1, 0.0), 100)
+        assert len(found) == 100
 
-    def test_underflowing_masses_fall_back(self, paths):
+    def test_fewer_signatures_than_asked(self):
+        # Two ladder values: 16 row pairs, 256 cells and 136 signatures, so
+        # the level never rises and every cell is scored.
+        table, _ = _scan_case(2, 2, 1, 0.0)
+        assert len(_assert_exact(table, np.array([1e-9, 1.0]), 200)) == 136
+
+    def test_underflowing_masses_fall_back(self):
         table, coarse = _scan_case(2, 3, 1, 0.0)
-        assert not paths.scan(table, coarse, 12)[1]
+        assert optimizer._bounds_hold(*_scan_sums(table, coarse))
         # Subnormal masses: the pair values no longer sum to them within the margin.
         table = 1e-300 * table
-        assert 0.0 < _scan_sums(table, coarse)[1].min() < np.finfo(float).tiny
-        found, fell_back = paths.scan(table, coarse, 12)
-        assert fell_back
-        _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 12))
-
-    def test_a_chunk_full_of_leaders_falls_back(self, paths, monkeypatch):
-        # A benchmark-recipe 2x2 table: at the default _CHUNK one full-scan
-        # chunk holds 8 * top_k cells at or above V*, so its truncation may
-        # have dropped one; with chunks of 26 row-0 pairs none does.
-        m = np.random.default_rng([1, 0, 2, 2]).uniform(0.1, 1.0, size=(2, 2))
-        table, coarse = (m / m.sum())[:, :, None], np.array(SCAN_LADDERS[2])
         pair2, mass = _scan_sums(table, coarse)
-        values, firsts, _ = paths.full(pair2, mass, len(pair2) ** 2)  # every cell
-        for chunk, fell_back in [(_CHUNK, True), (1 << 14, False)]:
-            monkeypatch.setattr(optimizer, "_CHUNK", chunk)
-            monkeypatch.setattr(oracles, "_CHUNK", chunk)
-            found, took = paths.scan(table, coarse, 12)
-            leaders = firsts[values >= found[-1][0]] // (chunk // len(pair2))
-            assert (np.bincount(leaders).max() >= 8 * 12) == fell_back == took
-            _assert_same_scan(found, frozen_scan(table, coarse, 1e-9, 12))
+        assert 0.0 < mass.min() < np.finfo(float).tiny
+        assert not optimizer._bounds_hold(pair2, mass)
+        _assert_exact(table, coarse, 12)
 
     @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
     @pytest.mark.parametrize("d_e", [1, 2, 3, 4])
@@ -615,27 +618,30 @@ class TestPrunedScan:
             (n_a, n_b), flat = mass.shape, mass.reshape(-1)
             p, q = rng.integers(0, n_a * n_b, size=(2, 4000))
             (i0, j0), (i1, j1) = np.divmod(p, n_b), np.divmod(q, n_b)
-            value = np.minimum(pair2[p], pair2[q]).sum(axis=1) / (flat[p] + flat[q] + mass[i0, j1] + mass[i1, j0])
+            value = np.minimum(pair2[:, p], pair2[:, q]).sum(axis=0) / (flat[p] + flat[q] + mass[i0, j1] + mass[i1, j0])
             rho0 = mass[i0, j0] / (mass[i0, j0] + mass[i1, j0])
             sigma1 = mass[i1, j1] / (mass[i0, j1] + mass[i1, j1])
             assert (value <= 2.0 * rho0 * sigma1 / (rho0 + sigma1) * slack).all()
-            # Every cell of an Alice pair, against that pair's bound.
+            # Every cell of an Alice pair, against that pair's bound and its row's.
             bounds = optimizer._pair_bounds(mass)
             for a0, a1 in zip(i0[:20], i1[:20]):
-                row0, row1 = pair2[a0 * n_b : a0 * n_b + n_b], pair2[a1 * n_b : a1 * n_b + n_b]
-                num = np.minimum(row0[:, None], row1[None]).sum(axis=2)
+                row0, row1 = pair2[:, a0 * n_b : a0 * n_b + n_b], pair2[:, a1 * n_b : a1 * n_b + n_b]
+                num = np.minimum(row0[:, :, None], row1[:, None]).sum(axis=0)
                 den = mass[a0][:, None] + mass[a1][None, :] + mass[a0][None, :] + mass[a1][:, None]
                 assert (num / den).max() <= bounds[a0, a1] * slack
+                rho, sigma = mass[a0] / (mass[a0] + mass[a1]), mass[a1] / (mass[a0] + mass[a1])
+                rows = optimizer._harmonic(rho, sigma.max())
+                assert ((num / den).max(axis=1) <= rows * slack).all()
 
-    def test_memory_of_a_4x4_scan(self, paths):
+    def test_memory_of_a_4x4_scan(self):
         table, coarse = _scan_case(4, 4, 1, 0.0)
         tracemalloc.start()
         try:
-            found, fell_back = paths.scan(table, coarse, 12)
+            found = _joint_scan(table, coarse, 1e-9, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(found) == 12 and not fell_back
+        assert len(found) == 12 and optimizer._bounds_hold(*_scan_sums(table, coarse))
         assert peak < 8 * 2**20
 
 
