@@ -23,11 +23,12 @@ them, keeps the leaders (which go on from their polished pair or, in a
 ranking stage, restart from their seed) and adds one entry to
 ``detail["trace"]``.  A polish tries its moves in a fixed order and keeps
 each one that improves, as a one-at-a-time hill climber would.  A stage
-runs its polishes in lockstep (:func:`_coordinate_polish`), as many at
-once as fit a memory bound (:func:`_lane_count`).  Each polish's batch
-window is a column of one integer lane table, so each step builds the
-candidates of all polishes, scores them with one call of the
-candidate-major kernel :func:`_lambda_raw`, finds every polish's
+runs its polishes in lockstep (:func:`_coordinate_polish`), at the stage's
+grid size and spans, as many at once as fit a memory bound
+(:func:`_lane_count`).  Each polish's batch window is a column of one
+integer lane table, so each step builds the candidates of all polishes,
+scores them with one call of the candidate-major kernel
+:func:`_lambda_raw` (one einsum for every shape), finds every polish's
 acceptances with one segmented scan and advances every window with a few
 whole-table operations.  A pass's opening score is one more row of its
 first sweep batch, and an accepting sweep ends at the first maximum of
@@ -147,36 +148,26 @@ def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
     Row ``c`` of ``cands`` is Alice's ``2 x d_a`` filter followed by Bob's
     ``2 x d_b`` filter, both raveled; zero-mass rows score 0.
 
-    Summation order is part of the contract.  The stack is transposed so
-    that the candidate axis is innermost, and each filtered entry sums
-    ``(alice[i, a] * bob[j, b]) * table[a, b, e]`` over ``(a, b)`` in the
-    order that the one-pair ``einsum("ia,jb,abe->ije")`` uses: row-major,
-    except that for ``d_a == 2`` and ``d_e == 1`` it sums Bob's outcomes
-    for each of Alice's outcomes apart and adds the two partial sums.  The
-    total over the ``4 d_e`` filtered cells and the sum over ``d_e`` of
-    ``min(F00, F11)`` then add each row's values in the order of numpy's
-    pairwise ``add.reduce`` along a contiguous axis (:func:`_leading_sum`),
-    without moving the candidate axis.  So every row's score is its
-    one-pair score bit for bit, whatever else is in the stack.
+    A row's score does not depend on the other rows of the call, bit for
+    bit: the polish scores many candidates per call and must follow the
+    trajectory of scoring them one at a time.  The candidate axis is
+    innermost throughout.  One einsum filters every row, and the total over
+    the ``4 d_e`` filtered cells and the sum over ``d_e`` of ``min(F00,
+    F11)`` add each row's values in one fixed order (:func:`_leading_sum`).
+    numpy drops a candidate axis of length one, and its einsum then adds
+    some shapes' products in another order (``d_a = 2`` and ``d_e = 1``),
+    so a one-row call scores its row twice.
     """
     d_a, d_b, d_e = table.shape
-    c = len(cands)
-    cols = np.ascontiguousarray(cands.T)
+    rows = len(cands)
+    cols = np.repeat(cands.T, 2, axis=1) if rows == 1 else np.ascontiguousarray(cands.T)
+    c = cols.shape[1]
     alice = cols[: 2 * d_a].reshape(2, d_a, c)
     bob = cols[2 * d_a :].reshape(2, d_b, c)
-    if d_a == 2 and d_e == 1:
-        # For this shape the one-pair einsum adds up one partial sum over
-        # Bob's outcomes per outcome of Alice; one einsum each mirrors it.
-        filtered = (
-            np.einsum("ic,jbc,b->ijc", alice[:, 0], bob, table[0, :, 0])
-            + np.einsum("ic,jbc,b->ijc", alice[:, 1], bob, table[1, :, 0])
-        )
-    else:
-        filtered = np.einsum("iac,jbc,abe->ijec", alice, bob, table)
-    cells = filtered.reshape(4 * d_e, c)
+    cells = np.einsum("iac,jbc,abe->ijec", alice, bob, table).reshape(4 * d_e, c)
     num = 2.0 * _leading_sum(np.minimum(cells[:d_e], cells[3 * d_e :]))
     total = _leading_sum(cells)
-    return np.divide(num, total, out=np.zeros(c), where=total > 0.0)
+    return np.divide(num, total, out=np.zeros(c), where=total > 0.0)[:rows]
 
 
 def _certified_lambda(d_a: np.ndarray, j_b: np.ndarray, p: TripartiteDistribution) -> float:
@@ -431,11 +422,12 @@ def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndar
 
     The minima of the doubled pair values are summed over Eve's symbols
     and divided by ``M[i0,j0] + M[i1,j1] + M[i0,j1] + M[i1,j0]``, added in
-    that order.  Temporaries hold at most ``max(_CHUNK, d_e n_b)`` cells.
+    that order; a cell of zero mass scores 0, as in :func:`_lambda_raw`.
+    Temporaries hold at most ``max(_CHUNK, d_e n_b)`` cells.
     """
     d_e, (n_a, n_b) = len(pair2), mass.shape
     pairs = pair2.reshape(d_e, n_a, n_b)
-    values = np.empty((len(i0), n_b))
+    values = np.zeros((len(i0), n_b))
     step = max(1, _CHUNK // (d_e * n_b))
     for s in range(0, len(i0), step):
         a, j, b = i0[s : s + step], j0[s : s + step], i1[s : s + step]
@@ -443,7 +435,7 @@ def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndar
         den = mass[a, j][:, None] + mass[b]
         den += mass[a]
         den += mass[b, j][:, None]
-        np.divide(num, den, out=values[s : s + step])
+        np.divide(num, den, out=values[s : s + step], where=den > 0.0)
     return values
 
 
@@ -465,18 +457,15 @@ def _ladder(span: float, points: int) -> np.ndarray:
 
 
 def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
-    """``np.geomspace`` of each row of ``(..., n)`` positive ends, points on axis 0, by numpy's own formula, bit for bit."""
+    """Log grids between positive ends, one per entry of ``low`` and ``high``, points on axis 0.
+
+    Each entry's grid is a scalar ``np.geomspace(low, high, points)`` call's,
+    bit for bit: the step is zero only for equal ends, where both of numpy's
+    formulas give the same grid.
+    """
     log_low, y = np.log10(low), np.arange(points, dtype=float).reshape(-1, *[1] * low.ndim)
     if points > 1:
-        delta = np.log10(high) - log_low
-        step = delta / (points - 1)
-        if step.all():
-            y = y * step
-        else:
-            # numpy's guard against a step that underflows to zero, which one
-            # np.geomspace call takes for all its values: here for each row.
-            zero = (step == 0).any(axis=-1, keepdims=True)
-            y = np.where(zero, y / (points - 1) * delta, y * step)
+        y = y * ((np.log10(high) - log_low) / (points - 1))
     grid = np.power(10.0, y + log_low)
     grid[-1], grid[0] = high, low
     return grid
@@ -515,8 +504,6 @@ class _Lane:
     """A polish in its lane: what the lockstep reads when a family run ends."""
 
     job: int
-    points: int
-    spans: tuple[float, ...]
     limit: int
     span: int = 0
     count: int = 0  # moves per entry pair: the span's factor pairs and the joint switch-off
@@ -538,16 +525,21 @@ def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
 
 
 def _coordinate_polish(
-    table: np.ndarray, jobs: Sequence[tuple[np.ndarray, np.ndarray, int, tuple[float, ...], int | None]], floor: float
+    table: np.ndarray,
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, int | None]],
+    points: int,
+    spans: tuple[float, ...],
+    floor: float,
 ) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
-    """Local grid refinement of every ``(d_a_mat, j_b, points, spans, max_evals)`` job.
+    """Local grid refinement of every ``(d_a_mat, j_b, max_evals)`` job, all at ``points`` and ``spans``.
 
     Each span opens a window; each pass tries three move families in a
     fixed order, keeping every move that improves: single entries swept
-    over a local log grid (plus the floor, so entries can switch off, and
-    1.0, so dead entries can revive), whole rows of one matrix rescaled
-    against rows of the other, and coordinated entry pairs, switched off
-    jointly or moved by a factor and its inverse or by the same factor.
+    over a local log grid of ``points`` values (each entry's own, see
+    :func:`_geomspace`; plus the floor, so entries can switch off, and 1.0,
+    so dead entries can revive), whole rows of one matrix rescaled against
+    rows of the other, and coordinated entry pairs, switched off jointly
+    or moved by a factor and its inverse or by the same factor.
     The pair moves matter: the objective has ridges along which the two
     diagonal products must stay balanced, and no single-entry move can
     follow them.  A span's second pass runs only if its first moved.
@@ -576,9 +568,10 @@ def _coordinate_polish(
     record's value exactly, so it ties the window's running maximum, and
     only the windows with a tie are resolved record by record.
     Whole-table operations advance every window: a batch has ``min(size,
-    cap, room)`` moves, and sizes double until an acceptance.  A row's
-    score does not depend on the rest of its call, so a move that repeats
-    the lane's current pair scores exactly its best value.
+    cap, room)`` moves, and sizes double up to ``cap`` until an
+    acceptance.  A row's score does not depend on the rest of its call, so
+    a move that repeats the lane's current pair scores exactly its best
+    value.
 
     Python visits a lane only when one of its runs ends, to set up the
     next run (the live entry pairs before the pair moves, a second pass,
@@ -594,44 +587,42 @@ def _coordinate_polish(
     lanes of the step before: few live lanes take fewer, wider steps.
     Batches are capped so that one call holds at most ``_CHUNK`` cells of
     candidates and filtered tables, besides one score row per opening
-    lane.  Results ``(value, d_a_mat, j_b, evals)`` come in input order;
-    ``evals`` is the count that ``max_evals`` caps.
+    lane.  Budgets are per lane; the grid size and spans are the call's.
+    Results ``(value, d_a_mat, j_b, evals)`` come in input order; ``evals``
+    is the count that ``max_evals`` caps.
     """
     d_a, d_b, d_e = table.shape
-    n_a, n = 2 * d_a, 2 * (d_a + d_b)
-    points = max(job[2] for job in jobs)
+    n_a, n, sweep = 2 * d_a, 2 * (d_a + d_b), points + 2
     lanes = _lane_count(len(jobs), n, d_e, points)
     cap = max(1, _CHUNK // (lanes * (n + 4 * d_e)))
-    capped = any(job[4] is not None for job in jobs)
-    grid_sizes = sorted({job[2] for job in jobs})
+    capped = any(job[2] is not None for job in jobs)
     # Filter pairs are columns of ``theta``, the kernel's entry-major layout.
     theta, best, start = np.empty((n, lanes)), np.empty(lanes), np.empty(lanes)
-    grid, factors = np.empty((lanes, n * (points + 2))), np.empty((lanes, 2 * points + 1, 2))
+    grid, factors = np.empty((lanes, n, sweep)), np.empty((lanes, 2 * points + 1, 2))
     pairs = np.empty((lanes, n * (n - 1) // 2, 2), dtype=np.intp)
-    # Each lane's span and grid size, read by the pass set-up of all opening lanes at once.
-    span_of, job_points = np.empty(lanes), np.zeros(lanes, dtype=np.intp)
+    # Each lane's span, read by the pass set-up of all opening lanes at once.
+    span_of = np.empty(lanes)
     # Row pair 2a + b scales row a of Alice's filter by f_i and row b of Bob's by f_j.
     rescaled = np.array([[*range(d_a * a, d_a * a + d_a), *range(n_a + d_b * b, n_a + d_b * b + d_b)]
                          for a in (0, 1) for b in (0, 1)])
     side = np.repeat([0, 1], [d_a, d_b])
     # Flat views for one ``take`` per gather: row ``lane * stride + index``.
     grid_at, factors_at, pairs_at = grid.reshape(-1), factors.reshape(-1, 2), pairs.reshape(-1, 2)
-    grid_stride, factors_stride, pairs_stride = grid.shape[1], factors.shape[1], pairs.shape[1]
+    grid_stride, factors_stride, pairs_stride = n * sweep, factors.shape[1], pairs.shape[1]
     waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
     polishes: list[_Lane | None] = [None] * lanes
 
     def set_span(s: int, polish: _Lane) -> None:
         # Pair moves by f and 1/f, then by f and f, after one that switches
         # both entries off (factor 0 clips to the floor); rescalings skip it.
-        span_of[s] = span = polish.spans[polish.span]
-        moves = _ladder(span, polish.points)
+        span_of[s] = span = spans[polish.span]
+        moves = _ladder(span, points)
         polish.count = len(moves) + 1
         factors[s, 0] = 0.0
         factors[s, 1 : polish.count] = moves
 
     def open_pass(s: int, evals: int) -> list[int]:
-        width = polishes[s].points + 2
-        return [s, 1, evals, 0, n * width, width, width, first, polishes[s].limit, 0]
+        return [s, 1, evals, 0, n * sweep, sweep, sweep, first, polishes[s].limit, 0]
 
     def close(s: int, evals: int) -> list[int]:
         return [s, 0, evals, 0, 1, 1, 1, first, _UNCAPPED, 0]
@@ -639,11 +630,10 @@ def _coordinate_polish(
     def admit(s: int) -> list[int]:
         if not waiting:
             return [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
-        k, (m_a, m_b, points_k, spans, max_evals) = waiting.popleft()
+        k, (m_a, m_b, max_evals) = waiting.popleft()
         theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
-        grid[s, : n * (points_k + 2)].reshape(n, -1)[:, points_k:] = floor, 1.0
-        job_points[s] = points_k
-        polishes[s] = polish = _Lane(k, points_k, spans, _UNCAPPED if max_evals is None else max_evals)
+        grid[s, :, points:] = floor, 1.0
+        polishes[s] = polish = _Lane(k, _UNCAPPED if max_evals is None else max_evals)
         set_span(s, polish)
         return open_pass(s, 0) if polish.limit > 0 else close(s, 0)
 
@@ -673,7 +663,7 @@ def _coordinate_polish(
                 return open_pass(s, evals)
             polish.span += 1
             polish.second = False
-            if polish.span < len(polish.spans):
+            if polish.span < len(spans):
                 set_span(s, polish)
                 return open_pass(s, evals)
         return close(s, evals)
@@ -692,14 +682,10 @@ def _coordinate_polish(
             _regauge(theta, gauge, n_a, floor)
         if not len(opening):
             return
-        for points_k in grid_sizes:
-            batch = opening if len(grid_sizes) == 1 else opening[job_points[opening] == points_k]
-            center = np.maximum(theta[:, batch].T, floor)
-            ratio = span_of[batch][:, None]
-            low, high = np.maximum(center / ratio, floor), np.minimum(center * ratio, 1.0)
-            width = points_k + 2
-            sweeps = grid[:, : n * width].reshape(lanes, n, width)
-            sweeps[batch, :, :points_k] = _geomspace(low, high, points_k).transpose(1, 2, 0)
+        center = np.maximum(theta[:, opening].T, floor)
+        ratio = span_of[opening][:, None]
+        low, high = np.maximum(center / ratio, floor), np.minimum(center * ratio, 1.0)
+        grid[opening, :, :points] = _geomspace(low, high, points).transpose(1, 2, 0)
 
     def advance(ended: np.ndarray) -> np.ndarray:
         """Visit every ended column; returns the lanes whose pass opens."""
@@ -721,9 +707,6 @@ def _coordinate_polish(
     lane, family, evals, lo, end, width, group, size, limit, spent = state
     ended, first = lane.copy(), min(max(_BASE_BATCH, _STEP_MOVES // lanes), cap)
     families = np.arange(1, 5)
-    # A size doubles only after a full batch, so it stays below twice its
-    # run unless the cap or a budget cuts batches short: only then is it clamped.
-    clamp = capped or cap < max(n * (points + 2), (2 * points + 1) * n * (n - 1) // 2)
 
     def scale(columns: np.ndarray, entries: np.ndarray, f: np.ndarray) -> None:
         cells = entries * stride + columns[:, None]
@@ -824,8 +807,7 @@ def _coordinate_polish(
         lo += used
         first = min(max(_BASE_BATCH, _STEP_MOVES // len(lane)), cap)
         size <<= 1
-        if clamp:
-            np.minimum(size, cap, out=size)
+        np.minimum(size, cap, out=size)
         size[accepted] = first
         over = lo >= end
         if capped:
@@ -846,18 +828,18 @@ def _funnel(
     """Polish a pool of ``(value, d_a_mat, j_b, tag)`` entries stage by stage.
 
     A stage ``(points, spans, max_evals, keep, tol, restart)`` polishes the
-    pool in one :func:`_coordinate_polish` call, sorts it stably by
-    descending value and keeps the first ``keep`` entries within ``tol`` of
-    the leader, with their new values and polished pairs, or with
-    ``restart`` their unpolished pairs.  Returns the last pool, each
-    ``restart`` stage's best polished entry, and per stage a trace of its
-    points, candidates, kept entries, evaluations (the counts that
-    ``max_evals`` caps) and best value.
+    pool in one :func:`_coordinate_polish` call with those settings for
+    every entry, sorts it stably by descending value and keeps the first
+    ``keep`` entries within ``tol`` of the leader, with their new values
+    and polished pairs, or with ``restart`` their unpolished pairs.
+    Returns the last pool, each ``restart`` stage's best polished entry,
+    and per stage a trace of its points, candidates, kept entries,
+    evaluations (the counts that ``max_evals`` caps) and best value.
     """
     ranking, trace = [], []
     for points, spans, max_evals, keep, tol, restart in stages:
-        jobs = [(m_a, m_b, points, spans, max_evals) for _, m_a, m_b, _ in pool]
-        polished = _coordinate_polish(table, jobs, floor)
+        jobs = [(m_a, m_b, max_evals) for _, m_a, m_b, _ in pool]
+        polished = _coordinate_polish(table, jobs, points, spans, floor)
         order = sorted(range(len(pool)), key=lambda k: -polished[k][0])
         lead = polished[order[0]][0]
         kept = [k for k in order if polished[k][0] >= lead - tol][:keep]

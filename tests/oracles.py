@@ -3,8 +3,10 @@
 These deliberately avoid the library's closed-form branch logic: values
 are computed by dense grid evaluation of the secret-bit fraction after
 explicitly parameterized filter pairs.  The scalar coordinate polish
-is the one-candidate-at-a-time reference for the optimizer's batched
-polish, which must follow it bit for bit.  The exhaustive joint scan,
+scores one candidate at a time through the library's own kernel
+(``optimizer._lambda_raw``, which has tests of its own), so it is the
+reference for the batched polish's trajectory, which must follow it bit
+for bit.  The exhaustive joint scan,
 which scores every cell one row-0 pair at a time and walks them in
 order, is the reference for the library's bound-pruned best-first scan.
 The two searches, each with its stages
@@ -124,16 +126,6 @@ def grid_reversible_oracle(p, points=200):
     )
 
 
-def _lambda_raw(d_a: np.ndarray, j_b: np.ndarray, table: np.ndarray) -> float:
-    """Secret-bit fraction after filtering, ndarray fast path."""
-    filtered = np.einsum("ia,jb,abe->ije", d_a, j_b, table)
-    total = filtered.sum()
-    if not total > 0.0:
-        return 0.0
-    return float(2.0 * np.minimum(filtered[0, 0, :], filtered[1, 1, :]).sum() / total)
-
-
-
 def scalar_polish(
     table: np.ndarray,
     d_a_mat: np.ndarray,
@@ -153,15 +145,16 @@ def scalar_polish(
     move can follow them.  Each matrix is re-gauged to peak entry one
     every cycle (the objective is scale invariant per matrix), otherwise
     the scale drifts toward the floor and the windows lose resolution.
-    Deterministic; relies on the caller to supply candidates in the right
-    bases of attraction.
+    Each candidate is scored alone, as a one-row call of the library's
+    kernel.  Deterministic; relies on the caller to supply candidates in
+    the right bases of attraction.
     """
     n_a = d_a_mat.size
     theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
     n = theta.size
 
     def lam_of(vec: np.ndarray) -> float:
-        return _lambda_raw(vec[:n_a].reshape(d_a_mat.shape), vec[n_a:].reshape(j_b.shape), table)
+        return float(optimizer._lambda_raw(vec[None], table)[0])
 
     def regauge() -> None:
         for block in (slice(0, n_a), slice(n_a, n)):
@@ -275,7 +268,8 @@ def exhaustive_scan(
     flat, (i, j) = mass.reshape(-1), np.divmod(np.arange(mass.size), n_b)
     cells = []
     for p in range(len(pair2)):
-        values = np.minimum(pair2[p], pair2).sum(axis=1) / (flat[p] + flat + mass[i[p], j] + mass[i, j[p]])
+        den = flat[p] + flat + mass[i[p], j] + mass[i, j[p]]
+        values = np.divide(np.minimum(pair2[p], pair2).sum(axis=1), den, out=np.zeros(len(den)), where=den > 0.0)
         q = np.flatnonzero(values >= level)
         cells.append((values[q], np.full(len(q), p), q))
     values, firsts, seconds = (np.concatenate(column) for column in zip(*cells))
@@ -294,17 +288,17 @@ def exhaustive_scan(
     return result
 
 
-# The two searches as they were before the stage funnel, verbatim: one
-# pipeline written out twice.  They call the library's polish, joint scan
-# and selecting seeds, which have their own references above.  They
-# called the lockstep polish ``_polish_all``; the library's polish,
-# ``_coordinate_polish``, is read under that name here, without the
-# evaluation counts it returns.
+# The two searches as they were before the stage funnel: one pipeline
+# written out twice.  They call the library's polish, joint scan and
+# selecting seeds, which have their own references above.  They called the
+# lockstep polish ``_polish_all``; the library's polish,
+# ``_coordinate_polish``, is read under that name here, one call per grid
+# size and span list as before, without the evaluation counts it returns.
 
 
-def _polish_all(table, jobs, floor):
-    """The library's lockstep polish, each result as ``(value, d_a_mat, j_b)``."""
-    return [result[:3] for result in optimizer._coordinate_polish(table, jobs, floor)]
+def _polish_all(table, jobs, points, spans, floor):
+    """The library's lockstep polish of ``(d_a_mat, j_b, max_evals)`` jobs, each result as ``(value, d_a_mat, j_b)``."""
+    return [result[:3] for result in optimizer._coordinate_polish(table, jobs, points, spans, floor)]
 
 
 def estimate_mesbf(
@@ -354,18 +348,18 @@ def estimate_mesbf(
         starts.append((f"restart-{r}", sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
 
     clipped = [(np.clip(m_a, floor, 1.0), np.clip(m_b, floor, 1.0)) for _, m_a, m_b in starts]
-    cheap = _polish_all(table, [(*pair, 8, _CHEAP_SPANS, cfg.iterations) for pair in clipped], floor)
+    cheap = _polish_all(table, [(*pair, cfg.iterations) for pair in clipped], 8, _CHEAP_SPANS, floor)
     refined = [(*polished, source) for polished, (source, _, _) in zip(cheap, starts)]
     refined.sort(key=lambda item: -item[0])
 
     leaders = refined[:5]
-    fine = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None) for _, m_a, m_b, _ in leaders], floor)
+    fine = _polish_all(table, [(m_a, m_b, None) for _, m_a, m_b, _ in leaders], 24, _FINE_SPANS, floor)
     best = (-1.0, refined[0][1], refined[0][2], "")
     for (value, m_a, m_b), (*_, source) in zip(fine, leaders):
         if value > best[0]:
             best = (value, m_a, m_b, source)
     _, m_a, m_b, source = best
-    _, m_a, m_b = _polish_all(table, [(m_a, m_b, 24, _FINE_SPANS, None)], floor)[0]
+    _, m_a, m_b = _polish_all(table, [(m_a, m_b, None)], 24, _FINE_SPANS, floor)[0]
 
     snapped_a, snapped_b = m_a.copy(), m_b.copy()
     snapped_a[snapped_a < 10.0 * floor] = 0.0
@@ -417,7 +411,7 @@ def brute_force_mesbf(
     # walk a matrix into a worse basin, so only their values are kept;
     # the fine pass always restarts from the original seed.
     def ranked(pool, points: int, spans: tuple[float, ...]) -> list:
-        polished = _polish_all(table, [(m_a, m_b, points, spans, None) for _, m_a, m_b in pool], floor)
+        polished = _polish_all(table, [(m_a, m_b, None) for _, m_a, m_b in pool], points, spans, floor)
         return sorted(
             ((value, m_a, m_b) for (value, _, _), (_, m_a, m_b) in zip(polished, pool)),
             key=lambda item: -item[0],
@@ -427,8 +421,8 @@ def brute_force_mesbf(
     cheap = ranked(micro[:8], min(cfg.grid_points, 12), _CHEAP_SPANS)
     finalists = [item for item in cheap if item[0] >= cheap[0][0] - 3e-2][:4]
 
-    fine = [(m_a, m_b, cfg.grid_points, _FINE_SPANS, None) for _, m_a, m_b in finalists]
-    best = max(_polish_all(table, fine, floor), key=lambda item: item[0])
+    fine = [(m_a, m_b, None) for _, m_a, m_b in finalists]
+    best = max(_polish_all(table, fine, cfg.grid_points, _FINE_SPANS, floor), key=lambda item: item[0])
 
     witness = (Filtration(best[1]).as_proper(), Filtration(best[2]).as_proper())
     value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)

@@ -46,7 +46,6 @@ from secbit.measures import _pair_table
 
 import oracles
 from oracles import exhaustive_scan, scalar_polish
-from oracles import _lambda_raw as scalar_lambda
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
 
@@ -77,6 +76,7 @@ def _decoupled_table(d: int) -> np.ndarray:
 POLISH_TABLES = {
     "lemur": lambda: randomization_example().table,
     "satellite": lambda: satellite_scenario(0.2, 0.2, 0.15).table,
+    "decoupled-2x2": lambda: _decoupled_table(2),
     "decoupled-3x3": lambda: _decoupled_table(3),
     "decoupled-4x4": lambda: _decoupled_table(4),
 }
@@ -113,7 +113,7 @@ class TestBatchedPolish:
         for m_a, m_b in starts:
             for name, points, spans, cap in POLISH_SETTINGS:
                 expected = scalar_polish(table, m_a, m_b, points, floor, spans, max_evals=cap)
-                found = _coordinate_polish(table, [(m_a, m_b, points, spans, cap)], floor)[0]
+                found = _coordinate_polish(table, [(m_a, m_b, cap)], points, spans, floor)[0]
                 assert found[0] == expected[0], name
                 assert np.array_equal(found[1], expected[1]), name
                 assert np.array_equal(found[2], expected[2]), name
@@ -130,7 +130,7 @@ class TestBatchedPolish:
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
         for cap in range(1, 121):
             expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
-            found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap)], 1e-9)[0]
+            found = _coordinate_polish(table, [(m_a, m_b, cap)], 8, _CHEAP_SPANS, 1e-9)[0]
             assert found[0] == expected[0], cap
             assert np.array_equal(found[1], expected[1]), cap
             assert np.array_equal(found[2], expected[2]), cap
@@ -144,12 +144,23 @@ class TestBatchedPolish:
         d_a, d_b, _ = table.shape
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
-        found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in range(1, 121)], 1e-9)
+        found = _coordinate_polish(table, [(m_a, m_b, cap) for cap in range(1, 121)], 8, _CHEAP_SPANS, 1e-9)
         for cap, (value, f_a, f_b, _) in enumerate(found, start=1):
             expected = scalar_polish(table, m_a, m_b, 8, 1e-9, _CHEAP_SPANS, max_evals=cap)
             assert value == expected[0], cap
             assert np.array_equal(f_a, expected[1]), cap
             assert np.array_equal(f_b, expected[2]), cap
+
+    def test_an_entry_with_equal_ends_leaves_the_other_grids_alone(self):
+        # At the smallest floor a floored entry's sweep ends coincide.  A grid
+        # rule taken for the whole lane then moved the other entries' grids
+        # off their scalar np.geomspace values, and the witness with them.
+        m = np.random.default_rng(4).uniform(0.1, 1.0, size=(2, 2, 2))
+        table, start, floor = m / m.sum(), _identity_projection(2), 5e-324
+        expected = scalar_polish(table, start, start, 24, floor, _FINE_SPANS)
+        found = _coordinate_polish(table, [(start, start, None)], 24, _FINE_SPANS, floor)[0]
+        assert found[0] == expected[0]
+        assert np.array_equal(found[1], expected[1]) and np.array_equal(found[2], expected[2])
 
     def test_candidate_batches_have_bounded_memory(self):
         # Unbounded, the pair moves of one pass at 1000 grid points would
@@ -159,7 +170,7 @@ class TestBatchedPolish:
         m_a, m_b = rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4))
         tracemalloc.start()
         try:
-            value = _coordinate_polish(table, [(m_a, m_b, 1000, _MICRO_SPANS, None)], 1e-9)[0][0]
+            value = _coordinate_polish(table, [(m_a, m_b, None)], 1000, _MICRO_SPANS, 1e-9)[0][0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -172,13 +183,10 @@ class TestBatchedPolish:
         # ~25 MB.
         table = _decoupled_table(4)
         rng = np.random.default_rng(5)
-        jobs = [
-            (rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4)), 1000, _MICRO_SPANS, 2000)
-            for _ in range(200)
-        ]
+        jobs = [(rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4)), 2000) for _ in range(200)]
         tracemalloc.start()
         try:
-            results = _coordinate_polish(table, jobs, 1e-9)
+            results = _coordinate_polish(table, jobs, 1000, _MICRO_SPANS, 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -205,22 +213,32 @@ class TestLockstep:
 
     @pytest.mark.parametrize("d_a", range(1, 6))
     def test_kernel_matches_the_scalar_reference(self, d_a):
+        # Each row of a call scores as a one-row call does, bit for bit (the
+        # lockstep rests on it), and within 1e-14 of the measures pipeline.
         # 4 d_e filtered cells: below 8, 8 to 128 (with and without a tail)
-        # and above 128 cover each branch of numpy's summation order; a
+        # and above 128 cover each branch of the kernel's summation order; a
         # call of 1, 2, 7, 8 or 9 rows has a short candidate axis.
-        misses = {}
+        misses, worst = {}, 0.0
         for d_b in range(1, 6):
             for d_e in (1, 2, 3, 4, 5, 32, 33, 40):
                 for rows, zeros in [(1, 0.3), (2, 0.3), (7, 0.0), (8, 0.3), (9, 0.3), (1000, 0.0), (1000, 0.3)]:
                     table, cands = _kernel_case(d_a, d_b, d_e, rows, zeros)
-                    expected = [
-                        scalar_lambda(row[: 2 * d_a].reshape(2, d_a), row[2 * d_a :].reshape(2, d_b), table)
-                        for row in cands
-                    ]
-                    found = _lambda_raw(cands, table)
-                    if not np.array_equal(found, expected):
-                        misses[(d_b, d_e, rows, zeros)] = int(np.count_nonzero(found != expected))
+                    # Every row of a short call, every 13th of a long one.
+                    step = 13 if rows > 9 else 1
+                    found, cands = _lambda_raw(cands, table)[::step], cands[::step]
+                    single = [_lambda_raw(row[None], table)[0] for row in cands]
+                    if not np.array_equal(found, single):
+                        misses[(d_b, d_e, rows, zeros)] = int(np.count_nonzero(found != single))
+                    p = TripartiteDistribution(table)
+                    for row, value in zip(cands, found):
+                        if not row.any():
+                            assert value == 0.0
+                            continue
+                        f_a, f_b = row[: 2 * d_a].reshape(2, d_a), row[2 * d_a :].reshape(2, d_b)
+                        expected = secret_bit_fraction(apply(Filtration(f_a), Filtration(f_b), p))
+                        worst = max(worst, abs(value - expected) / expected)
         assert not misses
+        assert worst <= 1e-14
 
     def test_leading_sum_adds_in_numpys_order(self):
         # The kernel's sums over the leading axis must add as np.add.reduce
@@ -243,57 +261,35 @@ class TestLockstep:
         m = np.random.default_rng([1, 0, 2, 2]).uniform(0.1, 1.0, size=(2, 2))
         table = point_mass_eve(BipartiteDistribution(m / m.sum())).table
         start = np.clip(_identity_projection(2), 1e-9, 1.0)
-        job = (start, start, 40, _FINE_SPANS, None)
         calls = []
         monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(t) or _lambda_raw(cands, t))
-        wide = _coordinate_polish(table, [job], 1e-9)[0]
+        wide = _coordinate_polish(table, [(start, start, None)], 40, _FINE_SPANS, 1e-9)[0]
         wide_calls = len(calls)
         calls.clear()
         monkeypatch.setattr(optimizer, "_STEP_MOVES", 0)
-        narrow = _coordinate_polish(table, [job], 1e-9)[0]
+        narrow = _coordinate_polish(table, [(start, start, None)], 40, _FINE_SPANS, 1e-9)[0]
         assert (wide_calls, len(calls)) == (117, 312)
         assert wide[0] == narrow[0] and wide[3] == narrow[3]
         assert np.array_equal(wide[1], narrow[1]) and np.array_equal(wide[2], narrow[2])
 
-    @pytest.mark.parametrize("instance", ["lemur", "satellite", "coupled-2x3x4"])
+    @pytest.mark.parametrize("instance", BUDGET_INSTANCES)
     def test_matches_one_polish_at_a_time(self, instance):
-        if instance == "coupled-2x3x4":
-            table = _kernel_case(2, 3, 4, 1, 0.3)[0]
-        else:
-            table = POLISH_TABLES[instance]()
-        d_a, d_b, _ = table.shape
-        floor = 1e-9
-        rng = np.random.default_rng([37, d_a, d_b])
-        starts = [
-            (np.full((2, d_a), 0.5), np.full((2, d_b), 0.5)),
-            (np.clip(_identity_projection(d_a), floor, 1.0), np.clip(_identity_projection(d_b), floor, 1.0)),
-        ]
-        starts += [seed[1:] for seed in _selecting_seeds(d_a, d_b, floor)][:12]
-        while len(starts) < 45:
-            sample = np.exp(rng.uniform(math.log(floor), 0.0, size=2 * (d_a + d_b)))
-            starts.append((sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)))
-        settings = [
-            (6, _MICRO_SPANS, None),
-            (8, _CHEAP_SPANS, 1),
-            (8, _CHEAP_SPANS, 37),
-            (8, _CHEAP_SPANS, 2000),
-            (24, _FINE_SPANS, 2000),
-            (24, _FINE_SPANS, None),
-        ]
-        jobs = [(m_a, m_b, *settings[k % len(settings)]) for k, (m_a, m_b) in enumerate(starts)]
-        # A job with wide sweep grids makes the lane bound admit fewer lanes
-        # than jobs, so that finished lanes are reused.
-        jobs.append((*starts[-1], 400, _MICRO_SPANS, 2000))
-        d_e = table.shape[2]
-        assert _lane_count(len(jobs), 2 * (d_a + d_b), d_e, 400) < len(jobs)
-        found = _coordinate_polish(table, jobs, floor)
-        assert len(found) == len(jobs)
-        for k, job in enumerate(jobs):
-            expected = _coordinate_polish(table, [job], floor)[0]
-            assert found[k][0] == expected[0], k
-            assert np.array_equal(found[k][1], expected[1]), k
-            assert np.array_equal(found[k][2], expected[2]), k
-            assert found[k][3] == expected[3], k
+        table = _budget_table(instance)
+        d_a, d_b, d_e = table.shape
+        calls = _lockstep_calls(table)
+        # The wide sweep grids of the last call make the lane bound admit
+        # fewer lanes than jobs, so that finished lanes are reused.
+        points, _, jobs = calls[-1]
+        assert _lane_count(len(jobs), 2 * (d_a + d_b), d_e, points) < len(jobs)
+        for points, spans, jobs in calls:
+            found = _coordinate_polish(table, jobs, points, spans, 1e-9)
+            assert len(found) == len(jobs)
+            for k, job in enumerate(jobs):
+                expected = _coordinate_polish(table, [job], points, spans, 1e-9)[0]
+                assert found[k][0] == expected[0], (points, k)
+                assert np.array_equal(found[k][1], expected[1]), (points, k)
+                assert np.array_equal(found[k][2], expected[2]), (points, k)
+                assert found[k][3] == expected[3], (points, k)
 
     def test_lane_bound(self):
         # Every start of a benchmark cheap stage (up to 138 on a 3x3x2
@@ -312,18 +308,18 @@ class TestLockstep:
     def test_searches_print_nothing(self, lemur, capsys):
         # A run's last line of standard output is its result, so library
         # code must write nothing, warnings included.
-        table = lemur.table
-        jobs = [(np.full((2, 2), 0.5), np.full((2, 2), 0.5), points, _CHEAP_SPANS, 200) for points in (8, 24)]
+        half = np.full((2, 2), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             estimate_mesbf(lemur, FAST)
             brute_force_mesbf(lemur, FAST)
-            _coordinate_polish(table, jobs, 1e-9)
+            for points in (8, 24):
+                _coordinate_polish(lemur.table, [(half, half, 200)], points, _CHEAP_SPANS, 1e-9)
         assert capsys.readouterr() == ("", "")
 
 
-def _lockstep_jobs(table: np.ndarray) -> list[tuple]:
-    """The jobs of ``test_matches_one_polish_at_a_time``: 45 starts over six settings, plus one wide job."""
+def _lockstep_calls(table: np.ndarray) -> list[tuple]:
+    """``(points, spans, jobs)`` of one polish call per grid size: 45 starts over six settings, then 12 wide jobs."""
     d_a, d_b, _ = table.shape
     floor = 1e-9
     rng = np.random.default_rng([37, d_a, d_b])
@@ -343,16 +339,20 @@ def _lockstep_jobs(table: np.ndarray) -> list[tuple]:
         (24, _FINE_SPANS, 2000),
         (24, _FINE_SPANS, None),
     ]
-    jobs = [(m_a, m_b, *settings[k % len(settings)]) for k, (m_a, m_b) in enumerate(starts)]
-    return jobs + [(*starts[-1], 400, _MICRO_SPANS, 2000)]
+    calls = {}
+    for k, (m_a, m_b) in enumerate(starts):
+        points, spans, cap = settings[k % len(settings)]
+        calls.setdefault((points, spans), []).append((m_a, m_b, cap))
+    calls[1000, _MICRO_SPANS] = [(m_a, m_b, (1, 37, 2000)[k % 3]) for k, (m_a, m_b) in enumerate(starts[-12:])]
+    return [(points, spans, jobs) for (points, spans), jobs in calls.items()]
 
 
 class TestLaneTable:
     """The lane table advances every window with the schedule of one-at-a-time requests, and bounds its memory."""
 
     def test_kernel_calls_keep_their_rows(self, monkeypatch):
-        # 46 jobs of mixed settings and budgets on a coupled 2x3x4 table, in
-        # lanes that are reused, take 659 kernel calls of 274 136 rows in all:
+        # 57 jobs of mixed budgets in four calls on a coupled 2x3x4 table, in
+        # lanes that are reused, take 906 kernel calls of 321 370 rows in all:
         # the batches of polishes that request their moves one batch at a
         # time, each pass's score in its first sweep batch.  A lockstep that
         # keeps every value but batches moves otherwise changes these
@@ -360,9 +360,9 @@ class TestLaneTable:
         table = _kernel_case(2, 3, 4, 1, 0.3)[0]
         calls = []
         monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(len(cands)) or _lambda_raw(cands, t))
-        found = _coordinate_polish(table, _lockstep_jobs(table), 1e-9)
-        assert len(found) == 46
-        assert (len(calls), sum(calls)) == (659, 274_136)
+        found = [_coordinate_polish(table, jobs, points, spans, 1e-9) for points, spans, jobs in _lockstep_calls(table)]
+        assert sum(map(len, found)) == 57
+        assert (len(calls), sum(calls)) == (906, 321_370)
 
     def test_lanes_past_the_cell_bound_rejected(self):
         # A 4x4 lane holds 20 * points + 300 cells: 6538 grid points fit
@@ -382,7 +382,7 @@ class TestLaneTable:
         # The largest lane still polishes; a budget of one evaluation keeps it short.
         table = _decoupled_table(4)
         start = np.clip(_identity_projection(4), 1e-9, 1.0)
-        found = _coordinate_polish(table, [(start, start, 6538, _MICRO_SPANS, 1)], 1e-9)[0]
+        found = _coordinate_polish(table, [(start, start, 1)], 6538, _MICRO_SPANS, 1e-9)[0]
         expected = scalar_polish(table, start, start, 6538, 1e-9, _MICRO_SPANS, max_evals=1)
         assert found[0] == expected[0]
         assert np.array_equal(found[1], expected[1]) and np.array_equal(found[2], expected[2])
@@ -407,10 +407,11 @@ class TestPassTables:
                     low, high = np.maximum(center / span, floor), np.minimum(center * span, 1.0)
                     expected = np.geomspace(low, high, points, axis=1)
                     assert np.array_equal(_as_bits(_geomspace(low, high, points).T), _as_bits(expected))
-            # Equal ends take numpy's branch for a zero step.
+            # One lane mixes entries with equal ends and entries without; each
+            # gets the grid of its own scalar call, as the scalar polish builds it.
             low = np.exp(rng.uniform(math.log(floor), 0.0, size=n))
             high = np.where(rng.random(n) < 0.5, low, np.minimum(2.0 * low, 1.0))
-            expected = np.geomspace(low, high, points, axis=1)
+            expected = np.array([np.geomspace(a, b, points) for a, b in zip(low, high)])
             assert np.array_equal(_as_bits(_geomspace(low, high, points).T), _as_bits(expected))
 
     def test_pair_table_matches_triu_indices(self):
@@ -465,16 +466,16 @@ def _assert_same_scan(found, expected):
         assert np.array_equal(m_a, m_a0) and np.array_equal(m_b, m_b0)
 
 
-def _assert_exact(table: np.ndarray, coarse: np.ndarray, top_k: int) -> list:
+def _assert_exact(table: np.ndarray, coarse: np.ndarray, top_k: int, floor: float = 1e-9) -> list:
     """``_joint_scan``'s result, checked against the exhaustive reference.
 
     The reference ranks only the cells at or above the scan's last value
     when the scan returns ``top_k`` seeds: its ``top_k`` signatures lie
     there, so the true ``top_k``-th value does too.
     """
-    found = _joint_scan(table, coarse, 1e-9, top_k)
+    found = _joint_scan(table, coarse, floor, top_k)
     level = found[-1][0] if len(found) == top_k else -math.inf
-    _assert_same_scan(found, exhaustive_scan(table, coarse, 1e-9, top_k, level))
+    _assert_same_scan(found, exhaustive_scan(table, coarse, floor, top_k, level))
     return found
 
 
@@ -607,6 +608,18 @@ class TestPrunedScan:
         assert not optimizer._bounds_hold(pair2, mass)
         _assert_exact(table, coarse, 12)
 
+    def test_cells_of_zero_mass_score_zero(self):
+        # At a floor of 1e-200 the masses of pairs of near-floor rows underflow
+        # to zero, and the scan divided 0 by 0 and kept nan cells.
+        table, _ = _scan_case(2, 2, 1, 0.0)
+        coarse = np.array([1e-200, *SCAN_LADDERS[2][1:]])
+        pair2, mass = _scan_sums(table, coarse)
+        assert mass.min() == 0.0 and not optimizer._bounds_hold(pair2, mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = _assert_exact(table, coarse, 12, 1e-200)
+        assert all(0.5 <= value <= 1.0 for value, _, _ in found)
+
     @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
     @pytest.mark.parametrize("d_e", [1, 2, 3, 4])
     def test_cells_never_exceed_their_bounds(self, d_a, d_b, d_e):
@@ -704,9 +717,9 @@ class TestFunnel:
     def test_traces_count_every_stage(self, lemur, monkeypatch):
         calls = []
 
-        def counted(table, jobs, floor):
-            results = _coordinate_polish(table, jobs, floor)
-            calls.append((jobs[0][2], len(jobs), sum(evals for *_, evals in results)))
+        def counted(table, jobs, points, spans, floor):
+            results = _coordinate_polish(table, jobs, points, spans, floor)
+            calls.append((points, len(jobs), sum(evals for *_, evals in results)))
             return results
 
         monkeypatch.setattr(optimizer, "_coordinate_polish", counted)
@@ -726,9 +739,9 @@ class TestFunnel:
         d_a, d_b, _ = table.shape
         m_a = np.clip(_identity_projection(d_a), 1e-9, 1.0)
         m_b = np.clip(_identity_projection(d_b), 1e-9, 1.0)
-        uncapped = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, None)], 1e-9)[0][3]
+        uncapped = _coordinate_polish(table, [(m_a, m_b, None)], 8, _CHEAP_SPANS, 1e-9)[0][3]
         caps = [1, 2, 5, 17, 37, 120, uncapped - 1]
-        found = _coordinate_polish(table, [(m_a, m_b, 8, _CHEAP_SPANS, cap) for cap in caps], 1e-9)
+        found = _coordinate_polish(table, [(m_a, m_b, cap) for cap in caps], 8, _CHEAP_SPANS, 1e-9)
         for cap, (*_, evals) in zip(caps, found):
             assert cap <= evals <= uncapped, cap
 
@@ -901,6 +914,14 @@ class TestExtremeScales:
         marginal = marginal_ab(_scaled_case(1e-320))
         found = brute_force_mesbf(point_mass_eve(marginal)).value
         assert found <= mesbf_decoupled(marginal).value + 1e-12
+
+    def test_tiny_floors_run_without_warnings(self):
+        # At entry_floor 1e-200 the joint scan's coarse rows near the floor
+        # have zero mass; it divided 0 by 0 and kept nan cells.
+        m = np.random.default_rng([5, 2, 2, 1]).uniform(0.1, 1.0, size=(2, 2, 1))
+        p = TripartiteDistribution(m / m.sum())
+        found = brute_force_mesbf(p, SearchConfig(entry_floor=1e-200, grid_points=6)).value
+        assert 0.5 <= found <= mesbf_decoupled(marginal_ab(p)).value + 1e-12
 
     def test_near_overflow_tables_run_without_warnings(self):
         p = _scaled_case(1e308)
