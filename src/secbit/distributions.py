@@ -43,14 +43,38 @@ def _require_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def _unconvertible(values, what: str) -> BadShapeError | InvalidParamsError:
+    """The error for ``values`` that numpy cannot read as a float array.
+
+    Nesting of unequal lengths leaves sequences among the entries of an
+    object array (or defeats even that); otherwise some entry is no real number.
+    """
+    try:
+        ragged = any(isinstance(x, (list, tuple, np.ndarray)) for x in np.array(values, dtype=object).flat)
+    except ValueError:
+        ragged = True
+    if ragged:
+        return BadShapeError(f"{what} is ragged: its nested sequences differ in length")
+    return InvalidParamsError(f"{what} must hold real numbers only")
+
+
 def _freeze(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _unconvertible(values, what) from exc
     if arr.ndim != ndim:
         raise BadShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidParamsError(f"{what} contains non-finite entries")
-    if (arr < 0.0).any():
-        raise NegativeEntryError(f"{what} contains a negative entry")
+    # Two reductions pass every finite nonnegative table (nan fails both);
+    # only a table that fails one pays for the checks that name the fault.
+    if not (
+        np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0
+        and np.maximum.reduce(arr, axis=None, initial=0.0) < math.inf
+    ):
+        if not np.isfinite(arr).all():
+            raise InvalidParamsError(f"{what} contains non-finite entries")
+        if (arr < 0.0).any():
+            raise NegativeEntryError(f"{what} contains a negative entry")
     arr.setflags(write=False)
     return arr
 

@@ -9,7 +9,10 @@ Omitted cells are zero.  Bipartite files omit the ``e`` key in both
 ``dims`` and ``entries``.  Parsing rejects negative probabilities,
 duplicate cells, out-of-range indices and, before allocating anything,
 ``dims`` of more than ``DEFAULT_TENSOR_CELL_CAP`` cells (see
-:mod:`secbit.distributions`).
+:mod:`secbit.distributions`).  Entries with integer indices and a
+nonnegative float ``p`` are taken on a fast path; every other entry goes
+through the full checks, so the errors and their messages are those of
+checking each entry in turn.
 
 Filtration files::
 
@@ -19,6 +22,7 @@ Filtration files::
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +79,19 @@ def _read_table(path, arity: int | None = None) -> TripartiteDistribution | Bipa
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: missing 'entries' list")
     cells: dict[tuple, float] = {}
+    fields, int_types = operator.itemgetter(*keys, "p"), (int,) * len(keys)
     for pos, entry in enumerate(entries):
+        # Fast path: int indices (not bools) of a new cell and a float p >= 0
+        # (not nan) are taken as they are; all else goes through the checks.
+        try:
+            *index, p = fields(entry)
+        except (KeyError, TypeError):
+            pass
+        else:
+            index = tuple(index)
+            if type(p) is float and p >= 0.0 and tuple(map(type, index)) == int_types and index not in cells:
+                cells[index] = p
+                continue
         where = f"{path} entry {pos}"
         if not isinstance(entry, dict):
             raise FileFormatError(f"{where}: must be an object")

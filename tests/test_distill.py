@@ -285,6 +285,62 @@ class TestSimulation:
             )
 
 
+
+class TestAlternationTest:
+    @staticmethod
+    def crafted(n):
+        """Rows that alternate throughout, from either bit, and rows that fail only at one pair."""
+        alternating = np.arange(n) % 2 == 1
+        rows = [alternating, ~alternating]
+        for bad in range(n - 1):
+            row = alternating.copy()
+            row[bad + 1 :] = ~row[bad + 1 :]  # pair (bad, bad + 1) agrees, every other pair differs
+            rows.append(row)
+        return np.array(rows, dtype=bool).reshape(len(rows), n)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8, 9, 16, 17, 64, 100))
+    def test_equals_the_row_reduction(self, n):
+        rng = np.random.default_rng(n)
+        crafted = self.crafted(n)
+        no_survivor = crafted[2:] if n > 1 else crafted[:0]
+        dead = rng.random((3000, n)) < 0.5
+        dead[:, :2] = True  # no random row survives the first pair
+        blocks = (
+            rng.random((5000, n)) < 0.5,
+            crafted,
+            no_survivor,
+            np.concatenate([dead, crafted[:1]]),  # one survivor among rows that fail early
+            np.concatenate([dead, no_survivor]),
+            np.concatenate([rng.random((2000, n)) < 0.5, crafted])[rng.permutation(2000 + len(crafted))],
+        )
+        for bits in blocks:
+            np.testing.assert_array_equal(distill._alternates(bits), np.diff(bits, axis=1).all(axis=1))
+
+    def test_one_column_always_alternates(self):
+        assert distill._alternates(np.zeros((5, 1), dtype=bool)).all()
+        sim = simulate_advantage_distillation(canonical_distribution(UNIFORM), 1, 2000, seed=1729)
+        assert sim.accepted == 2000
+
+
+@pytest.mark.parametrize(
+    "eps,mu",
+    [(params.epsilon, params.mu) for params in SWEEP_PARAMS]
+    + [(0.0, 0.7), (0.0, 1.0), (0.5, 0.6)],
+    ids=["uniform", "asymmetric-sweep", "eps-0", "eps-0-mu-1", "eps-half"],
+)
+def test_log_sum_equals_numpy_logaddexp(eps, mu):
+    """The scalar log-sum is bit for bit ``np.logaddexp``, the ``-inf`` and equal-argument cases included."""
+
+    def reference(n):
+        log_eps = n * distill._log(eps)
+        log_den = np.logaddexp(log_eps, n * distill._log(1.0 - eps))
+        return math.exp(log_eps - log_den), math.exp(n * distill._log(mu) - log_den)
+
+    for n in range(1, 2001):
+        got, want = distill._alternating_ratios(eps, mu, n), reference(n)
+        assert [x.hex() for x in got] == [x.hex() for x in want], n
+
+
 def test_satellite_scenario_report_roundtrip():
     p = satellite_scenario(0.2, 0.2, 0.15)
     assert secret_bit_fraction(p) == pytest.approx(0.26, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from secbit import (
     BipartiteDistribution,
     CanonicalParams,
+    Filtration,
     SearchConfig,
     TripartiteDistribution,
     bipartite_from_entries,
@@ -123,6 +125,81 @@ class TestConstruction:
     def test_tables_are_immutable(self, lemur):
         with pytest.raises(ValueError):
             lemur.table[0, 0, 0] = 1.0
+
+
+_TABLE_TYPES = (
+    pytest.param(TripartiteDistribution, 3, id="tripartite"),
+    pytest.param(BipartiteDistribution, 2, id="bipartite"),
+    pytest.param(Filtration, 2, id="filtration"),
+)
+
+
+def _nest(entries, ndim):
+    """``entries`` as one row of a table with ``ndim`` axes."""
+    for _ in range(ndim - 1):
+        entries = [entries]
+    return entries
+
+
+class TestTableEntryChecks:
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    @pytest.mark.parametrize(
+        "entries,error",
+        [
+            (["x"], InvalidParamsError),
+            ([1.0, "a"], InvalidParamsError),
+            ([1 + 2j], InvalidParamsError),
+            ([{}], InvalidParamsError),
+        ],
+        ids=["string", "number-and-string", "complex", "object"],
+    )
+    def test_non_numbers_raise_library_errors(self, cls, ndim, entries, error):
+        with pytest.raises(error):
+            cls(_nest(entries, ndim))
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    @pytest.mark.parametrize(
+        "ragged",
+        [
+            lambda ndim: _nest([[1.0, 2.0], [3.0]], ndim - 1),
+            lambda ndim: _nest([1.0, [2.0, 3.0]], ndim),
+            lambda ndim: _nest([np.zeros(2), np.zeros((2, 2))], ndim - 1),
+        ],
+        ids=["rows", "entry", "arrays"],
+    )
+    def test_ragged_nesting_is_a_shape_error(self, cls, ndim, ragged):
+        with pytest.raises(BadShapeError):
+            cls(ragged(ndim))
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, cls, ndim, bad):
+        with pytest.raises(InvalidParamsError) as info:
+            cls(_nest([1.0, bad], ndim))
+        assert "non-finite" in str(info.value)
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    def test_nan_reported_before_a_negative_entry(self, cls, ndim):
+        for entries in ([np.nan, -1.0], [-1.0, np.nan]):
+            with pytest.raises(InvalidParamsError) as info:
+                cls(_nest(entries, ndim))
+            assert not isinstance(info.value, NegativeEntryError)
+        with pytest.raises(NegativeEntryError):
+            cls(_nest([1.0, -1.0], ndim))
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    def test_negative_zero_accepted(self, cls, ndim):
+        built = cls(_nest([1.0, -0.0], ndim))
+        entries = (built.matrix if cls is Filtration else built.table).ravel()
+        assert entries.tolist() == [1.0, 0.0] and math.copysign(1.0, entries[1]) == -1.0
+
+    def test_empty_filtration_accepted(self):
+        assert Filtration(np.zeros((2, 0))).matrix.shape == (2, 0)
+
+    def test_huge_finite_entries_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Filtration([[1e308, 1e308]]).matrix.tolist() == [[1e308, 1e308]]
 
 
 class TestNormalize:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from secbit.errors import (
     DimensionOverflowError,
     FileFormatError,
     IndexOutOfRangeError,
+    InvalidParamsError,
     NegativeEntryError,
 )
 from secbit.fileio import (
@@ -125,6 +127,67 @@ def test_malformed_distribution_files(tmp_path, doc, error):
     path.write_text(json.dumps(doc))
     with pytest.raises(error):
         read_tripartite(path)
+
+
+
+_GOOD = {"a": 0, "b": 1, "e": 0, "p": 0.5}
+
+
+def _second(**fields):
+    """A valid first entry, then cell (1, 0, 0) with ``fields`` changed (``None`` drops a key)."""
+    entry = {"a": 1, "b": 0, "e": 0, "p": 0.5, **fields}
+    return [_GOOD, {key: value for key, value in entry.items() if value is not None}]
+
+
+# Each bad entry raises the error, and the message, that the reader gave
+# before it had a fast path for well-formed entries.
+_NOT_INT = "{path} entry 1: field '%s' must be an integer"
+_NOT_NUMBER = "{path} entry 1: field 'p' must be a number"
+_NOT_OBJECT = "{path} entry 1: must be an object"
+_NON_FINITE = "distribution table contains non-finite entries"
+MALFORMED_ENTRIES = {
+    "bool-index": (_second(a=True), FileFormatError, _NOT_INT % "a"),
+    "float-index": (_second(a=1.0), FileFormatError, _NOT_INT % "a"),
+    "list-index": (_second(a=[1]), FileFormatError, _NOT_INT % "a"),
+    "missing-key": (_second(b=None), FileFormatError, _NOT_INT % "b"),
+    "string-p": (_second(p="0.5"), FileFormatError, _NOT_NUMBER),
+    "bool-p": (_second(p=True), FileFormatError, _NOT_NUMBER),
+    "missing-p": (_second(p=None), FileFormatError, _NOT_NUMBER),
+    "negative-p": (_second(p=-0.25), NegativeEntryError, "{path} entry 1: field 'p' is negative (-0.25)"),
+    "nan-p": (_second(p=math.nan), InvalidParamsError, _NON_FINITE),
+    "inf-p": (_second(p=math.inf), InvalidParamsError, _NON_FINITE),
+    "non-dict": ([_GOOD, [1, 0, 0, 0.5]], FileFormatError, _NOT_OBJECT),
+    "string-entry": ([_GOOD, "entry"], FileFormatError, _NOT_OBJECT),
+    "duplicate": (_second(a=0, b=1), FileFormatError, "{path} entry 1: duplicate cell (0, 1, 0)"),
+    "past-dims": (_second(a=2), IndexOutOfRangeError, "cell (2, 0, 0) outside dims (2, 2, 2)"),
+    "negative-index": (_second(a=-1), IndexOutOfRangeError, "cell (-1, 0, 0) outside dims (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("entries,error,message", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES)
+def test_malformed_entries_keep_their_errors(tmp_path, entries, error, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": {"a": 2, "b": 2, "e": 2}, "entries": entries}))
+    with pytest.raises(error) as info:
+        read_tripartite(path)
+    assert type(info.value) is error and str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [
+        pytest.param({"p": 1}, 1.0, id="int-p"),
+        pytest.param({"p": -0.0}, -0.0, id="negative-zero-p"),
+        pytest.param({"p": 0.5, "q": 3}, 0.5, id="extra-key"),
+    ],
+)
+def test_entries_off_the_fast_path_still_accepted(tmp_path, entry, value):
+    path = tmp_path / "ok.json"
+    entries = [{"a": 0, "b": 1, "p": 0.5}, {"a": 1, "b": 0, **entry}]
+    path.write_text(json.dumps({"dims": {"a": 2, "b": 2}, "entries": entries}))
+    table = read_bipartite(path).table
+    assert table.tolist() == [[0.0, 0.5], [value, 0.0]]
+    assert type(table[1, 0]) is np.float64 and math.copysign(1.0, table[1, 0]) == math.copysign(1.0, value)
 
 
 def test_invalid_json_reported(tmp_path):
