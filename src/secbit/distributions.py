@@ -50,7 +50,8 @@ def _unconvertible(values, what: str) -> BadShapeError | InvalidParamsError:
     object array (or defeats even that); otherwise some entry is no real number.
     """
     try:
-        ragged = any(isinstance(x, (list, tuple, np.ndarray)) for x in np.array(values, dtype=object).flat)
+        entries = np.array(values, dtype=object).flat
+        ragged = any(isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) > 0 for x in entries)
     except ValueError:
         ragged = True
     if ragged:
@@ -58,9 +59,22 @@ def _unconvertible(values, what: str) -> BadShapeError | InvalidParamsError:
     return InvalidParamsError(f"{what} must hold real numbers only")
 
 
+def _is_complex(arr: np.ndarray) -> bool:
+    """True for a complex array, or an object array holding a complex entry.
+
+    numpy casts either to float with only a warning, dropping the imaginary part.
+    """
+    if arr.dtype.kind == "O":
+        return any(isinstance(x, (complex, np.complexfloating)) for x in arr.flat)
+    return arr.dtype.kind == "c"
+
+
 def _freeze(values, ndim: int, what: str) -> np.ndarray:
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.asarray(values)
+        if _is_complex(arr):
+            raise TypeError("complex entries")
+        arr = arr.astype(float)
     except (TypeError, ValueError) as exc:
         raise _unconvertible(values, what) from exc
     if arr.ndim != ndim:
@@ -79,19 +93,36 @@ def _freeze(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_scale(table: np.ndarray) -> np.ndarray:
+    """``table`` times the power of two that puts its largest entry in [1/2, 1).
+
+    Scaling by a power of two is exact while the entries stay normal, so
+    a ratio of sums of the scaled table equals that of the table bit for
+    bit; but no sum of a near-overflow table overflows, and products of a
+    subnormal table's entries do not underflow.  ``table`` must hold a
+    positive entry.
+    """
+    exponent = math.frexp(table.max())[1]
+    return table if exponent == 0 else np.ldexp(table, -exponent)
+
+
 _Table_T = TypeVar("_Table_T", bound="_Table")
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A frozen, finite, nonnegative table of positive total mass."""
+    """A frozen, finite, nonnegative table of positive total mass.
+
+    The mass is positive when the largest entry is, which holds even where
+    the sum of finite entries overflows.
+    """
 
     table: np.ndarray
     _ndim: ClassVar[int]
 
     def __post_init__(self) -> None:
         table = _freeze(self.table, self._ndim, "distribution table")
-        if not table.sum() > 0.0:
+        if not np.maximum.reduce(table, axis=None, initial=0.0) > 0.0:
             raise ZeroMassError("distribution has zero total mass")
         object.__setattr__(self, "table", table)
 
@@ -101,10 +132,13 @@ class _Table:
 
     @property
     def mass(self) -> float:
+        """Sum of the entries: ``inf`` (with numpy's overflow warning) when it passes the float maximum."""
         return float(self.table.sum())
 
     def normalized(self: _Table_T) -> _Table_T:
-        return type(self)(self.table / self.mass)
+        """The table divided by its mass, summed after scaling by the largest entry so it cannot overflow."""
+        scaled = _unit_scale(self.table)
+        return type(self)(scaled / scaled.sum())
 
 
 class TripartiteDistribution(_Table):
@@ -214,7 +248,7 @@ def marginal_ab(p: TripartiteDistribution) -> BipartiteDistribution:
 def product_with_eve(p_ab: BipartiteDistribution, q_e) -> TripartiteDistribution:
     """Attach an independent Eve: ``P(a, b, e) = P(a, b) * Q(e)``."""
     weights = _freeze(q_e, 1, "Eve marginal")
-    if not weights.sum() > 0.0:
+    if not np.maximum.reduce(weights, axis=None, initial=0.0) > 0.0:
         raise ZeroMassError("Eve marginal has zero total mass")
     return TripartiteDistribution(p_ab.table[:, :, None] * weights[None, None, :])
 

@@ -80,3 +80,7 @@ class UnsupportedFormatError(SecbitError, ValueError):
 
 class FileFormatError(SecbitError, ValueError):
     """A distribution or filtration file is malformed."""
+
+
+class LinearProgramError(SecbitError, RuntimeError):
+    """A linear program is unbounded or did not converge within its pivot cap."""

@@ -18,11 +18,13 @@ filtrations; optima that are only approached come with a one-parameter
 witness family ("quasi-distillability").
 
 Every measure is scale invariant, for tables scaled anywhere from 1e-300
-to 1e300.  The secret-bit fraction is a ratio of sums and needs nothing
-more; every measure built on products of entries first divides the table
-by its largest entry, so no product underflows or overflows.  The
-decoupled measures share one cross-ratio kernel over all outcome pairs,
-and the three exact-or-limiting witnesses share one balancing rule.
+to 1e300, and near the float maximum.  Every measure first divides the
+table by its largest entry (the secret-bit fraction and its oracle by the
+nearest power of two, which is exact), so no sum or product underflows or
+overflows.  The decoupled measures share one cross-ratio kernel over all
+outcome pairs, and the three exact-or-limiting witnesses share one
+balancing rule.  Everything here needs numpy only: the linear-programming
+oracle runs a small in-house simplex (:func:`_lp_max`).
 """
 
 from __future__ import annotations
@@ -35,10 +37,18 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import BipartiteDistribution, TripartiteDistribution, _is_integer, _require_count, point_mass_eve
+from .distributions import (
+    BipartiteDistribution,
+    TripartiteDistribution,
+    _is_integer,
+    _require_count,
+    _unit_scale,
+    point_mass_eve,
+)
 from .errors import (
     IndexOutOfRangeError,
     InvalidParamsError,
+    LinearProgramError,
     NotBinaryError,
     TooLargeError,
 )
@@ -97,10 +107,12 @@ def _require_binary(dims_ab: tuple[int, int]) -> None:
 def secret_bit_fraction(p: TripartiteDistribution) -> float:
     """Secret-bit fraction of a binary distribution.
 
-    Scale invariant; the distribution need not be normalized.
+    Scale invariant; the distribution need not be normalized.  The table
+    is summed at the scale of :func:`_unit_scale`, so near-overflow
+    entries do not overflow the sums.
     """
     _require_binary(p.dims[:2])
-    t = p.table
+    t = _unit_scale(p.table)
     return float(2.0 * np.minimum(t[0, 0, :], t[1, 1, :]).sum() / t.sum())
 
 
@@ -110,27 +122,74 @@ def secret_bit_fraction_oracle(p: TripartiteDistribution) -> float:
     Solves the defining decomposition directly as a linear program:
     maximize ``sum_e q_e`` subject to ``q_e <= 2 P(0,0,e)``,
     ``q_e <= 2 P(1,1,e)``, ``q_e >= 0`` and ``sum_e q_e <= 1`` on the
-    normalized distribution.  Exists purely so the closed form has a
-    second, formula-free route to compare against.
+    normalized distribution, with the simplex of :func:`_lp_max`.  The
+    table is scaled by its largest entry before it is normalized, so its
+    sum cannot overflow.  Exists purely so the closed form has a second,
+    formula-free route to compare against.
     """
-    from scipy.optimize import linprog  # imported here: it is slow to import
-
     _require_binary(p.dims[:2])
-    t = p.table / p.table.sum()
+    t = _unit_scale(p.table)
+    t = t / t.sum()
     d_e = p.dims[2]
     eye = np.eye(d_e)
     a_ub = np.vstack([eye, eye, np.ones((1, d_e))])
     b_ub = np.concatenate([2.0 * t[0, 0, :], 2.0 * t[1, 1, :], [1.0]])
-    res = linprog(
-        c=-np.ones(d_e),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, None)] * d_e,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"decomposition LP failed: {res.message}")
-    return float(-res.fun)
+    return _lp_max(np.ones(d_e), a_ub, b_ub)[0]
+
+
+# Reduced costs and pivot-column entries within this of zero count as zero;
+# :func:`_lp_max` expects data of order one.
+_LP_TOL = 1e-12
+# Pivots :func:`_lp_max` takes per row and variable before it gives up.
+# Bland's rule cannot cycle, so only a numerically stuck LP reaches the cap.
+_LP_PIVOTS_PER_SIZE = 50
+
+
+def _lp_max(c, a_ub, b_ub) -> tuple[float, np.ndarray]:
+    """Maximum of ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``, and a maximizer.
+
+    ``b_ub >= 0``, so the origin is a feasible vertex and a dense-tableau
+    simplex starts there with no phase I.  Bland's rule (the lowest-index
+    improving column, and among tied ratios the row whose basic variable
+    has the lowest index) cannot cycle on a degenerate LP.  Raises
+    :class:`LinearProgramError` when the LP is unbounded or when
+    ``_LP_PIVOTS_PER_SIZE (m + n)`` pivots, for ``m`` rows and ``n``
+    variables, do not reach the optimum.
+    """
+    a_ub = np.asarray(a_ub, dtype=float)
+    m, n = a_ub.shape
+    if not np.all(np.asarray(b_ub) >= 0.0):
+        raise InvalidParamsError("the right-hand side must be nonnegative, so the origin is feasible")
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a_ub
+    tab[:m, n:-1] = np.eye(m)
+    tab[:m, -1] = b_ub
+    tab[m, :n] = np.negative(c)
+    basis = np.arange(n, n + m)
+    cap = _LP_PIVOTS_PER_SIZE * (m + n)
+    for pivots in range(cap + 1):
+        improving = np.flatnonzero(tab[m, :-1] < -_LP_TOL)
+        if not improving.size:
+            x = np.zeros(n + m)
+            x[basis] = tab[:m, -1]
+            return float(tab[m, -1]), x[:n]
+        if pivots == cap:
+            break
+        j = improving[0]
+        rows = np.flatnonzero(tab[:m, j] > _LP_TOL)
+        if not rows.size:
+            raise LinearProgramError(f"the LP is unbounded along variable {j}")
+        ratios = tab[rows, -1] / tab[rows, j]
+        tied = rows[ratios == ratios.min()]
+        i = tied[basis[tied].argmin()]
+        tab[i] /= tab[i, j]
+        column = tab[:, j].copy()
+        column[i] = 0.0
+        tab -= np.outer(column, tab[i])
+        # Rounding may leave a basic variable a hair below zero.
+        np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
+        basis[i] = j
+    raise LinearProgramError(f"the LP reached no optimum within {cap} pivots")
 
 
 def _diag_pair(q: float, phi: float) -> WitnessPair:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TripartiteDistribution, _require_count, randomization_example
+from .distributions import TripartiteDistribution, _require_count, _unit_scale, randomization_example
 from .errors import DimensionMismatchError, InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
 from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, secret_bit_fraction
@@ -176,16 +176,15 @@ def _certified_lambda(d_a: np.ndarray, j_b: np.ndarray, p: TripartiteDistributio
 
 
 def _unit_scaled(p: TripartiteDistribution) -> TripartiteDistribution:
-    """``p`` times the power of two that puts its largest entry in [1/2, 1).
+    """``p`` at the scale of :func:`_unit_scale`.
 
-    Scaling by a power of two is exact while the entries stay normal, and
-    every score is a ratio of sums of products, so a normal table scores
+    Every score is a ratio of sums of products, so a normal table scores
     the same bit for bit.  A subnormal table (whose filtered products lose
     bits) or a near-overflow one (whose sums overflow) is searched and
     certified at a scale where neither happens.
     """
-    exponent = int(np.frexp(p.table.max())[1])
-    return p if exponent == 0 else TripartiteDistribution(np.ldexp(p.table, -exponent))
+    table = _unit_scale(p.table)
+    return p if table is p.table else TripartiteDistribution(table)
 
 
 def _identity_projection(d: int) -> np.ndarray:

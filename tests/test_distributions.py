@@ -159,6 +159,26 @@ class TestTableEntryChecks:
 
     @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
     @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([1 + 2j]),
+            np.array([1 + 0j]),
+            np.array([1.0], dtype=np.complex64),
+            [np.complex128(1 + 2j)],
+            [np.array(1 + 0j)],
+            np.array([np.complex128(1 + 2j)], dtype=object),
+        ],
+        ids=["array", "real-valued-array", "complex64", "numpy-scalar", "0-d-array", "object-array"],
+    )
+    def test_complex_numpy_entries_raise_no_warning(self, cls, ndim, entries):
+        # numpy casts these to float with only a ComplexWarning, dropping the imaginary part.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError):
+                cls(_nest(entries, ndim) if isinstance(entries, list) else entries.reshape((1,) * (ndim - 1) + (-1,)))
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES)
+    @pytest.mark.parametrize(
         "ragged",
         [
             lambda ndim: _nest([[1.0, 2.0], [3.0]], ndim - 1),
@@ -200,6 +220,23 @@ class TestTableEntryChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert Filtration([[1e308, 1e308]]).matrix.tolist() == [[1e308, 1e308]]
+
+    @pytest.mark.parametrize("cls,ndim", _TABLE_TYPES[:2])
+    def test_near_overflow_tables_normalize(self, cls, ndim):
+        # Their entries sum past the float maximum: the mass check goes
+        # through the largest entry, and normalized() sums a rescaled table.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = cls(_nest([1e308, 1e308], ndim))
+            assert p.normalized().table.ravel().tolist() == [0.5, 0.5]
+        with np.errstate(over="ignore"):
+            assert p.mass == math.inf
+
+    def test_subnormal_tables_normalize(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = TripartiteDistribution(np.array([[[5e-324, 1e-323]]]))
+            np.testing.assert_allclose(p.normalized().table.ravel(), [1 / 3, 2 / 3], rtol=1e-15)
 
 
 class TestNormalize:

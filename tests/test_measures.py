@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,25 @@ from secbit import (
     tensor_power,
     vartheta,
 )
-from secbit.errors import IndexOutOfRangeError, NotBinaryError, OutOfRangeError, TooLargeError
+from secbit.errors import (
+    IndexOutOfRangeError,
+    InvalidParamsError,
+    LinearProgramError,
+    NotBinaryError,
+    OutOfRangeError,
+    SecbitError,
+    TooLargeError,
+)
+
+
+def _loads_scipy(script: str) -> bool:
+    """Whether ``script``, run in a fresh interpreter, leaves scipy imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(secbit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", script + "; import sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    )
+    return out.stdout.strip() == "True"
 
 
 class TestSecretBitFraction:
@@ -81,13 +100,32 @@ class TestSecretBitFraction:
             )
 
     def test_import_leaves_scipy_unloaded(self):
-        # Only the LP oracle needs scipy, and importing it dominates start-up.
-        env = dict(os.environ, PYTHONPATH=str(Path(secbit.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", "import secbit, sys; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, check=True, env=env, timeout=60,
+        # No library call needs scipy, and importing it would triple
+        # start-up time and peak memory.
+        assert not _loads_scipy("import secbit")
+
+    def test_oracle_and_reversible_leave_scipy_unloaded(self):
+        # The LP oracle runs the in-house simplex.
+        assert not _loads_scipy(
+            "from secbit import *; p = randomization_example(); secret_bit_fraction_oracle(p); mesbf_reversible(p)"
         )
-        assert out.stdout.strip() == "False"
+
+    def test_oracle_agrees_across_extreme_scales(self):
+        rng = np.random.default_rng(107)
+        for _ in range(500):
+            table = random_binary_tripartite(rng, int(rng.integers(1, 9)), zero_fraction=0.3)
+            p = TripartiteDistribution(table * 10.0 ** rng.uniform(-300.0, 300.0))
+            assert abs(secret_bit_fraction_oracle(p) - secret_bit_fraction(p)) <= 1e-12
+
+    @pytest.mark.parametrize("measure", [secret_bit_fraction, secret_bit_fraction_oracle])
+    def test_near_overflow_table(self, measure):
+        # The plain sum of these entries is inf; both routes sum a rescaled table.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measure(TripartiteDistribution(np.full((2, 2, 2), 1e308))) == 0.5
+            assert measure(from_entries((2, 2, 2), {(0, 0, 0): 1e308, (1, 1, 0): 1e308, (0, 1, 1): 1.7e308})) == (
+                pytest.approx(20 / 37, abs=1e-15)
+            )
 
     def test_oracle_degenerate_cases(self):
         assert secret_bit_fraction_oracle(point_mass_eve(shared_bit())) == pytest.approx(
@@ -128,6 +166,77 @@ class TestSecretBitFraction:
                 secret_bit_fraction(TripartiteDistribution(c)) for c in conditionals
             )
             assert lam_mix <= lam_best + 1e-12
+
+
+# Beale's LP, on which the simplex with the largest-coefficient rule
+# cycles through six degenerate bases: max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7.
+_BEALE = (
+    np.array([0.75, -20.0, 0.5, -6.0]),
+    np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+# Small integers, so zero right-hand sides and tied ratios are common.
+_LP_DATA = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, n, elements=st.integers(-3, 3).map(float)),
+            arrays(np.float64, (m, n), elements=st.integers(-2, 2).map(float)),
+            arrays(np.float64, m, elements=st.integers(0, 2).map(float)),
+        )
+    )
+)
+
+
+@given(data=_LP_DATA)
+@example(data=_BEALE)
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+def _agrees_with_highs(data):
+    from scipy.optimize import linprog
+
+    c, a_ub, b_ub = data
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, None)] * len(c), method="highs")
+    if res.status != 0:
+        # The origin is feasible, so HiGHS's failure (reported as
+        # unbounded or, after presolve, infeasible) means unbounded.
+        with pytest.raises(LinearProgramError):
+            measures._lp_max(c, a_ub, b_ub)
+        return
+    value, x = measures._lp_max(c, a_ub, b_ub)
+    assert value == pytest.approx(-res.fun, abs=1e-9)
+    assert value == pytest.approx(c @ x, abs=1e-9)
+    assert (x >= 0.0).all() and (a_ub @ x <= b_ub + 1e-9).all()
+
+
+class TestLinearProgram:
+    def test_agrees_with_highs(self):
+        # Skipped, not failed, where scipy is not installed: the library never needs it.
+        pytest.importorskip("scipy")
+        _agrees_with_highs()
+
+    def test_beale_cycling_example_reaches_its_optimum(self):
+        value, x = measures._lp_max(*_BEALE)
+        assert value == pytest.approx(1.25, abs=1e-12)
+        np.testing.assert_allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_unbounded_lp_raises(self):
+        with pytest.raises(LinearProgramError) as info:
+            measures._lp_max(np.array([1.0, 0.0]), np.array([[-1.0, 1.0]]), np.array([1.0]))
+        assert isinstance(info.value, SecbitError) and "unbounded" in str(info.value)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        c, a_ub, b_ub = np.ones(2), np.eye(2), np.ones(2)
+        assert measures._lp_max(c, a_ub, b_ub)[0] == 2.0
+        monkeypatch.setattr(measures, "_LP_PIVOTS_PER_SIZE", 0)
+        with pytest.raises(LinearProgramError) as info:
+            measures._lp_max(c, a_ub, b_ub)
+        assert "within 0 pivots" in str(info.value)
+        # An LP optimal at the origin needs no pivot.
+        assert measures._lp_max(-c, a_ub, b_ub)[0] == 0.0
+
+    def test_negative_right_hand_side_refused(self):
+        with pytest.raises(InvalidParamsError):
+            measures._lp_max(np.ones(1), np.ones((1, 1)), np.array([-1.0]))
 
 
 class TestReversibleMesbf:
