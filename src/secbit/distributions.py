@@ -132,8 +132,9 @@ class _Table:
 
     @property
     def mass(self) -> float:
-        """Sum of the entries: ``inf`` (with numpy's overflow warning) when it passes the float maximum."""
-        return float(self.table.sum())
+        """Sum of the entries: ``inf``, without a warning, when it passes the float maximum."""
+        with np.errstate(over="ignore"):
+            return float(self.table.sum())
 
     def normalized(self: _Table_T) -> _Table_T:
         """The table divided by its mass, summed after scaling by the largest entry so it cannot overflow."""

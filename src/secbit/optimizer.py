@@ -116,32 +116,6 @@ class SearchConfig:
             raise InvalidParamsError(f"entry_floor must lie strictly between 0 and 1, got {self.entry_floor}")
 
 
-def _leading_sum(x: np.ndarray) -> np.ndarray:
-    """Sums over the leading axis of ``x``, each in the order of ``np.add.reduce`` along a contiguous axis.
-
-    That order is numpy's pairwise sum: below 8 values left to right; from
-    8 to 128 values eight interleaved partial sums (value ``i`` goes to
-    ``r[i % 8]``), combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-    then the tail added left to right; above 128 values the sum of two
-    halves, the first a multiple of 8 long.  A sum over the leading axis
-    adds its rows one after another, so each step is a few whole-array calls.
-    """
-    n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _leading_sum(x[:half]) + _leading_sum(x[half:])
-    if n < 8:
-        return np.add.reduce(x, axis=0)
-    body = n - n % 8
-    r = x[:8] if body == 8 else x[:body].reshape(-1, 8, *x.shape[1:]).sum(axis=0)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
-    for row in x[body:]:
-        total += row
-    return total
-
-
 def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Secret-bit fractions after filtering, one per row of flattened filter pairs.
 
@@ -153,7 +127,8 @@ def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
     trajectory of scoring them one at a time.  The candidate axis is
     innermost throughout.  One einsum filters every row, and the total over
     the ``4 d_e`` filtered cells and the sum over ``d_e`` of ``min(F00,
-    F11)`` add each row's values in one fixed order (:func:`_leading_sum`).
+    F11)`` add each row's values left to right: numpy sums the leading axis
+    of a C-contiguous array of two or more columns one row after another.
     numpy drops a candidate axis of length one, and its einsum then adds
     some shapes' products in another order (``d_a = 2`` and ``d_e = 1``),
     so a one-row call scores its row twice.
@@ -165,8 +140,8 @@ def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
     alice = cols[: 2 * d_a].reshape(2, d_a, c)
     bob = cols[2 * d_a :].reshape(2, d_b, c)
     cells = np.einsum("iac,jbc,abe->ijec", alice, bob, table).reshape(4 * d_e, c)
-    num = 2.0 * _leading_sum(np.minimum(cells[:d_e], cells[3 * d_e :]))
-    total = _leading_sum(cells)
+    num = 2.0 * np.minimum(cells[:d_e], cells[3 * d_e :]).sum(axis=0)
+    total = cells.sum(axis=0)
     return np.divide(num, total, out=np.zeros(c), where=total > 0.0)[:rows]
 
 
@@ -208,9 +183,10 @@ def estimate_mesbf(
     hill climbing (``cfg.iterations`` objective evaluations per start);
     the leaders then get uncapped fine refinement.  The reported value
     is the secret-bit fraction of the reported witness recomputed
-    through the measures pipeline, hence a certified lower bound, and it
-    never falls below the coin-toss baseline.  Identical seeds and
-    configs give identical results bit for bit.
+    through the measures pipeline, hence a certified lower bound.  It
+    never falls below the coin-toss baseline: below 1/2 it reports 1/2 and
+    the coin-toss pair.  Identical seeds and configs give identical
+    results bit for bit.
 
     ``extra_starts`` lets callers seed the search with known-good pairs,
     e.g. witnesses for a preprocessed distribution composed with the
@@ -271,6 +247,8 @@ def estimate_mesbf(
 
     witness = (Filtration(m_a).as_proper(), Filtration(m_b).as_proper())
     value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
+    if value < 0.5:  # the coin-toss pair itself can certify an ulp below 1/2
+        witness, value, source = (Filtration.coin_toss(d_a), Filtration.coin_toss(d_b)), 0.5, "coin-toss"
     return MeasureResult(value, witness, "exact", {"source": source, "trace": trace})
 
 
@@ -391,7 +369,8 @@ def _bounds_hold(pair2: np.ndarray, mass: np.ndarray) -> bool:
         if not (flat.min() > 0.0 and np.isfinite(4.0 * flat.max()) and np.isfinite(pair2).all()):
             return False
         # A cell exceeds its bound by at most this gap plus the rounding of
-        # its d_e-term sum, its denominator, its quotient and the bound.
+        # its d_e-term sum (left to right: at most (d_e - 1) eps / 2, as for
+        # the gap's own sum), its denominator, its quotient and the bound.
         gap = np.max(np.abs(pair2.sum(axis=0) - 2.0 * flat) / (2.0 * flat))
     return bool(gap + 4 * (d_e + 8) * np.finfo(float).eps <= _BOUND_MARGIN)
 
@@ -419,9 +398,9 @@ def _pair_bounds(mass: np.ndarray) -> np.ndarray:
 def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     """Values ``(rows, n_b)`` of the cells joining each row-0 pair ``(i0, j0)`` with every row-1 pair ``(i1, j1)``.
 
-    The minima of the doubled pair values are summed over Eve's symbols
-    and divided by ``M[i0,j0] + M[i1,j1] + M[i0,j1] + M[i1,j0]``, added in
-    that order; a cell of zero mass scores 0, as in :func:`_lambda_raw`.
+    The minima of the doubled pair values are added over Eve's symbols left
+    to right and divided by ``M[i0,j0] + M[i1,j1] + M[i0,j1] + M[i1,j0]``,
+    added in that order; a zero-mass cell scores 0, as in :func:`_lambda_raw`.
     Temporaries hold at most ``max(_CHUNK, d_e n_b)`` cells.
     """
     d_e, (n_a, n_b) = len(pair2), mass.shape
@@ -430,7 +409,7 @@ def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndar
     step = max(1, _CHUNK // (d_e * n_b))
     for s in range(0, len(i0), step):
         a, j, b = i0[s : s + step], j0[s : s + step], i1[s : s + step]
-        num = _leading_sum(np.minimum(pairs[:, a, j][:, :, None], pairs[:, b]))
+        num = np.minimum(pairs[:, a, j][:, :, None], pairs[:, b]).sum(axis=0)
         den = mass[a, j][:, None] + mass[b]
         den += mass[a]
         den += mass[b, j][:, None]

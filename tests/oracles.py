@@ -254,11 +254,13 @@ def exhaustive_scan(
     """The joint scan's definition: of every cell at or above ``level``, the first ``top_k`` signatures.
 
     Cells are scored one row-0 pair ``p`` at a time against every row-1
-    pair ``q``, ranked by descending value, then ``p``, then ``q``, and
-    walked; a cell whose live entries (above ``10 * floor``), or those of
-    its mirror with both output bits swapped, match an earlier cell's is
-    skipped.  A level no higher than the true ``top_k``-th value changes
-    nothing and saves sorting the rest.
+    pair ``q``: the minima of the doubled pair values are added over Eve's
+    symbols left to right, then divided by ``M[p] + M[q]`` plus the masses
+    of the two crossed pairs.  They are ranked by descending value, then
+    ``p``, then ``q``, and walked; a cell whose live entries (above ``10 *
+    floor``), or those of its mirror with both output bits swapped, match
+    an earlier cell's is skipped.  A level no higher than the true
+    ``top_k``-th value changes nothing and saves sorting the rest.
     """
     d_a, d_b, d_e = table.shape
     rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
@@ -268,8 +270,12 @@ def exhaustive_scan(
     flat, (i, j) = mass.reshape(-1), np.divmod(np.arange(mass.size), n_b)
     cells = []
     for p in range(len(pair2)):
+        mins = np.minimum(pair2[p], pair2)
+        num = mins[:, 0]
+        for e in range(1, d_e):
+            num = num + mins[:, e]
         den = flat[p] + flat + mass[i[p], j] + mass[i, j[p]]
-        values = np.divide(np.minimum(pair2[p], pair2).sum(axis=1), den, out=np.zeros(len(den)), where=den > 0.0)
+        values = np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
         q = np.flatnonzero(values >= level)
         cells.append((values[q], np.full(len(q), p), q))
     values, firsts, seconds = (np.concatenate(column) for column in zip(*cells))
@@ -315,9 +321,10 @@ def estimate_mesbf(
     hill climbing (``cfg.iterations`` objective evaluations per start);
     the leaders then get uncapped fine refinement.  The reported value
     is the secret-bit fraction of the reported witness recomputed
-    through the measures pipeline, hence a certified lower bound, and it
-    never falls below the coin-toss baseline.  Identical seeds and
-    configs give identical results bit for bit.
+    through the measures pipeline, hence a certified lower bound.  It
+    never falls below the coin-toss baseline: below 1/2 it reports 1/2 and
+    the coin-toss pair.  Identical seeds and configs give identical
+    results bit for bit.
 
     ``extra_starts`` lets callers seed the search with known-good pairs,
     e.g. witnesses for a preprocessed distribution composed with the
@@ -373,6 +380,8 @@ def estimate_mesbf(
 
     witness = (Filtration(m_a).as_proper(), Filtration(m_b).as_proper())
     value = _certified_lambda(witness[0].matrix, witness[1].matrix, p)
+    if value < 0.5:  # the coin-toss pair itself can certify an ulp below 1/2
+        witness, value, source = (Filtration.coin_toss(d_a), Filtration.coin_toss(d_b)), 0.5, "coin-toss"
     return MeasureResult(value, witness, "exact", {"source": source})
 
 

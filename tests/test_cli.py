@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_sbf_json_format(capsys, lemur_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == 0.5
+
+
+def test_near_overflow_file_warns_nothing(capsys, tmp_path):
+    # Its entries sum past the float maximum: sbf reports the mass as null,
+    # distill-sim refuses it as not normalised, and neither prints a warning.
+    path = tmp_path / "huge.json"
+    entries = [{"a": a, "b": a, "e": 0, "p": 1e308} for a in (0, 1)]
+    path.write_text(json.dumps({"dims": {"a": 2, "b": 2, "e": 1}, "entries": entries}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sbf", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lambda"] == 1.0 and doc["mass"] is None
+        code, _, err = run(capsys, "distill-sim", str(path), "--N", "3", "--samples", "100")
+        assert code == 1 and err.strip() == "error: distribution mass inf is not 1"
 
 
 def test_sbf_csv_not_supported(capsys, lemur_file):

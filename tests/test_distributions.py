@@ -229,7 +229,6 @@ class TestTableEntryChecks:
             warnings.simplefilter("error")
             p = cls(_nest([1e308, 1e308], ndim))
             assert p.normalized().table.ravel().tolist() == [0.5, 0.5]
-        with np.errstate(over="ignore"):
             assert p.mass == math.inf
 
     def test_subnormal_tables_normalize(self):

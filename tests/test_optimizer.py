@@ -215,9 +215,7 @@ class TestLockstep:
     def test_kernel_matches_the_scalar_reference(self, d_a):
         # Each row of a call scores as a one-row call does, bit for bit (the
         # lockstep rests on it), and within 1e-14 of the measures pipeline.
-        # 4 d_e filtered cells: below 8, 8 to 128 (with and without a tail)
-        # and above 128 cover each branch of the kernel's summation order; a
-        # call of 1, 2, 7, 8 or 9 rows has a short candidate axis.
+        # A call of 1, 2, 7, 8 or 9 rows has a short candidate axis.
         misses, worst = {}, 0.0
         for d_b in range(1, 6):
             for d_e in (1, 2, 3, 4, 5, 32, 33, 40):
@@ -240,17 +238,54 @@ class TestLockstep:
         assert not misses
         assert worst <= 1e-14
 
-    def test_leading_sum_adds_in_numpys_order(self):
-        # The kernel's sums over the leading axis must add as np.add.reduce
-        # does along a contiguous axis, bit for bit, whatever numpy version.
+    def test_sums_add_left_to_right(self):
+        # The kernels sum over the leading axis of C-contiguous arrays of two
+        # or more columns, which numpy adds one row after another; the joint
+        # scan's reference, exhaustive_scan, adds Eve's symbols in that order.
+        # This holds both kernels to a Python loop, bit for bit, at d_e =
+        # 1-139, 255-257 and 511-513, with 1, 2, 3, 9 or 64 candidates or
+        # rows of 2, 3, 9 or 64 row-1 pairs, so that a numpy which sums
+        # another way fails here first.
         rng = np.random.default_rng(43)
-        for n in [*range(1, 301), 511, 512, 513]:
-            for c in (1, 2, 9, 64):
-                x = rng.uniform(0.0, 1.0, size=(c, n)) * 10.0 ** rng.integers(-9, 6, size=(c, n))
-                x[rng.random(size=x.shape) < 0.2] = 0.0
-                expected = np.add.reduce(x, axis=1)
-                found = optimizer._leading_sum(np.ascontiguousarray(x.T))
-                assert np.array_equal(_as_bits(found), _as_bits(expected)), (n, c)
+        for d_e in [*range(1, 140), 255, 256, 257, 511, 512, 513]:
+            table = rng.uniform(0.0, 1.0, size=(2, 2, d_e)) * 10.0 ** rng.integers(-9, 6, size=(2, 2, d_e))
+            table[rng.random(size=table.shape) < 0.2] = 0.0
+            for width in (1, 2, 3, 9, 64):
+                # Each filter row keeps one symbol or none, so filtering picks
+                # table entries with no rounding.
+                picks = rng.integers(-1, 2, size=(width, 4))
+                cands = np.zeros((width, 4, 2))
+                k, row = np.nonzero(picks >= 0)
+                cands[k, row, picks[k, row]] = 1.0
+                cands = cands.reshape(width, 8)
+                cells = [
+                    np.where((picks[:, i] >= 0) & (picks[:, 2 + j] >= 0), table[picks[:, i], picks[:, 2 + j], e], 0.0)
+                    for i, j in product(range(2), repeat=2)
+                    for e in range(d_e)
+                ]
+                num, total = np.zeros(width), np.zeros(width)
+                for e in range(d_e):
+                    num = num + np.minimum(cells[e], cells[3 * d_e + e])
+                for cell in cells:
+                    total = total + cell
+                expected = np.divide(2.0 * num, total, out=np.zeros(width), where=total > 0.0)
+                assert np.array_equal(_as_bits(_lambda_raw(cands, table)), _as_bits(expected)), (d_e, width)
+                if width == 1:
+                    continue
+                # Pair values of 3 Alice rows and `width` Bob rows, 1 or 5 row-0 pairs.
+                shape = (d_e, 3 * width)
+                pair2 = rng.uniform(0.0, 1.0, size=shape) * 10.0 ** rng.integers(-9, 6, size=shape)
+                pair2[rng.random(size=pair2.shape) < 0.2] = 0.0
+                mass = pair2.sum(axis=0).reshape(3, width) + 1.0
+                pairs = pair2.reshape(d_e, 3, width)
+                for rows in (1, 5):
+                    (i0, i1), j0 = rng.integers(0, 3, size=(2, rows)), rng.integers(0, width, size=rows)
+                    num = np.zeros((rows, width))
+                    for e in range(d_e):
+                        num = num + np.minimum(pairs[e, i0, j0][:, None], pairs[e, i1])
+                    den = mass[i0, j0][:, None] + mass[i1] + mass[i0] + mass[i1, j0][:, None]
+                    found = optimizer._row_values(pair2, mass, i0, j0, i1)
+                    assert np.array_equal(_as_bits(found), _as_bits(num / den)), (d_e, width, rows)
 
     def test_wide_first_batches_take_fewer_steps(self, monkeypatch):
         # One lane of the fine stage at 40 points, on the benchmark's 2x2
@@ -352,7 +387,7 @@ class TestLaneTable:
 
     def test_kernel_calls_keep_their_rows(self, monkeypatch):
         # 57 jobs of mixed budgets in four calls on a coupled 2x3x4 table, in
-        # lanes that are reused, take 906 kernel calls of 321 370 rows in all:
+        # lanes that are reused, take 907 kernel calls of 321 927 rows in all:
         # the batches of polishes that request their moves one batch at a
         # time, each pass's score in its first sweep batch.  A lockstep that
         # keeps every value but batches moves otherwise changes these
@@ -362,7 +397,7 @@ class TestLaneTable:
         monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(len(cands)) or _lambda_raw(cands, t))
         found = [_coordinate_polish(table, jobs, points, spans, 1e-9) for points, spans, jobs in _lockstep_calls(table)]
         assert sum(map(len, found)) == 57
-        assert (len(calls), sum(calls)) == (906, 321_370)
+        assert (len(calls), sum(calls)) == (907, 321_927)
 
     def test_lanes_past_the_cell_bound_rejected(self):
         # A 4x4 lane holds 20 * points + 300 cells: 6538 grid points fit
@@ -512,11 +547,18 @@ class TestJointScan:
             _assert_same_scan(_assert_exact(table, coarse, 12), expected)
 
     def test_ties_at_one_half_keep_their_order(self):
-        # Many cells tie at exactly 1/2 here; the chunked scan dropped the
-        # one that comes first by (p, q).
-        m = np.random.default_rng([103, 2, 2, 9]).uniform(0.1, 1.0, size=(2, 2, 9))
-        found = _assert_exact(m / m.sum(), np.array(SCAN_LADDERS[2]), 12)
-        assert found[-1][0] == 0.5
+        # Dyadic entries, ladder and floor make every sum exact, so ties hold
+        # in any summation order: the 625 cells whose parties' two rows are
+        # equal score exactly 1/2, the best value, and hold 16 signatures, of
+        # which 12 are kept.  Which cell stands for a signature, and which
+        # signatures are kept, follow (p, q); the chunked scan dropped the
+        # cell that comes first.
+        m = np.random.default_rng([103, 2, 2, 9]).integers(1, 16, size=(2, 2, 9)) / 1024
+        coarse, floor = np.array([2.0**-12, 0.125, 0.25, 0.5, 1.0]), 2.0**-12
+        found = _assert_exact(m, coarse, 12, floor)
+        ranked = [value for value, _, _ in exhaustive_scan(m, coarse, floor, 17)]
+        assert [value for value, _, _ in found] == ranked[:12] == [0.5] * 12
+        assert ranked[12:16] == [0.5] * 4 and ranked[16] < 0.5
 
     def test_memory_is_bounded_in_eves_alphabet(self):
         # A (rows, row-1 pairs, d_e) minimum built whole for a chunk of rows
@@ -776,8 +818,19 @@ class TestEstimate:
             table[0, 0, 0] += 0.1
             p = point_mass_eve(BipartiteDistribution(table.sum(axis=2)))
             value = estimate_mesbf(p, FAST).value
-            assert value >= 0.5 - 1e-12
-            assert value <= 1.0 + 1e-12
+            assert 0.5 <= value <= 1.0 + 1e-12
+
+    def test_never_below_one_half_on_coupled_tables(self):
+        # Tables of the benchmark's coupled-search recipe on which the best
+        # pair, the coin-toss pair's included, certified at
+        # 0.4999999999999999 under one summation order or another.
+        for seed, cycle, shape in [(2, 0, (2, 2, 3)), (5, 0, (2, 3, 4)), (8, 1, (2, 2, 3)),
+                                   (9, 1, (2, 2, 3)), (13, 1, (2, 2, 3)), (20, 0, (2, 2, 3))]:
+            m = np.random.default_rng([seed, cycle, *shape]).uniform(0.1, 1.0, size=shape)
+            p = TripartiteDistribution(m / m.sum())
+            result = estimate_mesbf(p)
+            assert result.value >= 0.5, (seed, cycle, shape)
+            assert secret_bit_fraction(apply(*result.witness, p)) == pytest.approx(result.value, abs=1e-12)
 
     def test_bit_for_bit_determinism(self, lemur):
         first = estimate_mesbf(lemur, FAST)
