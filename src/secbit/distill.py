@@ -18,10 +18,12 @@ All N-th powers are computed in log space (plain ``eps**N`` underflows
 near ``N ~ 500``), the exact statistics of any binary input included:
 they have a closed form, since an accepted string pair is fixed by its
 two starting bits.  The simulator draws at most ``_SIM_CELLS`` symbols at
-a time, so its memory does not grow with ``N``.  It never materializes
-the symbols: it keeps the uniform draws behind them and reads the honest
-bits off by comparing each draw with three cdf thresholds, and Eve's
-symbols only for the accepted blocks.
+a time, so its memory does not grow with ``N``, however long a block: a
+block longer than that is read in column blocks, and the rest of it is
+skipped once either string breaks.  It never materializes the symbols:
+it keeps the uniform draws behind them and reads the honest bits off by
+comparing each draw with three cdf thresholds, and Eve's symbols only
+for the accepted blocks.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from .measures import _require_binary
 STRICTNESS_MARGIN = 1e-12
 
 _SIM_CHUNK = 1 << 16
-_SIM_CELLS = 1 << 20  # symbols per draw; about 10 bytes each at the peak
+# Symbols per draw, at any block length: 9-15 bytes each at the peak.
+# A draw of 1 MB and its boolean temporaries fit a 2 MB L2 cache together;
+# 2^15 or 2^16 symbols cost more calls than they save.
+_SIM_CELLS = 1 << 17
 
 
 def binary_entropy(r: float) -> float:
@@ -217,6 +222,36 @@ def _alternates(bits: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _long_block(
+    rng: np.random.Generator, block_length: int, cdf: np.ndarray, d_e: int, cuts: tuple[float, float, float]
+) -> tuple[int, int, int]:
+    """Accepted, disagreeing and Eve-blank counts, each 0 or 1, of one block longer than ``_SIM_CELLS``.
+
+    The block is drawn in column blocks of 64 columns, doubling up to
+    ``_SIM_CELLS``; each honest party's last bit and whether Eve's symbols
+    are all 0 carry from one column block to the next.  At the first column
+    block where either string breaks, the generator skips the rest of the
+    block, so the stream is that of one draw of the whole block.
+    """
+    alice_cut, low_cut, high_cut = cuts
+    last_a = last_b = -1  # no bit equals -1, so the first column block has no predecessor to match
+    blank, done, width = True, 0, 64
+    while done < block_length:
+        u = rng.random(min(width, _SIM_CELLS, block_length - done))
+        done, width = done + len(u), 2 * width
+        a_bits = u >= alice_cut
+        # Bob's bits are needed only where Alice's alternate.
+        if a_bits[0] != last_a and (a_bits[1:] != a_bits[:-1]).all():
+            b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
+            if b_bits[0] != last_b and (b_bits[1:] != b_bits[:-1]).all():
+                last_a, last_b = a_bits[-1], b_bits[-1]
+                blank = blank and bool((cdf.searchsorted(u, side="right") % d_e == 0).all())
+                continue
+        rng.bit_generator.advance(block_length - done)
+        return 0, 0, 0
+    return 1, int(last_a != last_b), int(blank)
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Empirical counts from sampling the block protocol."""
@@ -247,7 +282,8 @@ def simulate_advantage_distillation(
     (for canonical-form inputs: the blocks where Eve knows nothing).
     Deterministic given the seed; samples are drawn in fixed-size chunks
     with one generator per chunk, so aggregates are order-independent,
-    and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.
+    and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.  A
+    block longer than that is drawn in column blocks (:func:`_long_block`).
 
     The blocks are those of ``Generator.choice`` over the flattened table,
     but filtered from its uniform draws ``u``: the symbol is at least
@@ -271,7 +307,8 @@ def simulate_advantage_distillation(
     # thresholds split the uniform draws exactly as its ``searchsorted`` does.
     cdf = flat.cumsum()
     cdf /= cdf[-1]
-    alice_cut, low_cut, high_cut = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
+    cuts = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
+    alice_cut, low_cut, high_cut = cuts
     rows_per_draw = max(1, _SIM_CELLS // block_length)
 
     accepted = disagreements = eve_blank = 0
@@ -280,6 +317,11 @@ def simulate_advantage_distillation(
         count = min(_SIM_CHUNK, samples - start)
         # Consecutive draws from one generator continue its stream, so
         # the sub-blocks reproduce the chunk's single (count, N) draw.
+        if block_length > _SIM_CELLS:
+            for _ in range(count):
+                ok, differ, blank = _long_block(rng, block_length, cdf, d_e, cuts)
+                accepted, disagreements, eve_blank = accepted + ok, disagreements + differ, eve_blank + blank
+            continue
         for done in range(0, count, rows_per_draw):
             u = rng.random((min(rows_per_draw, count - done), block_length))
             # Bob's bits are needed only where Alice's alternate.

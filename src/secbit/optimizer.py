@@ -64,8 +64,9 @@ from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, s
 DEFAULT_SEED = 1729
 
 # Cells that the temporaries of one step may hold: a joint-scan group, a
-# polish step's candidates, the polish lanes' state.  It bounds memory only;
-# no joint-scan result depends on it.
+# polish step's candidates, the polish lanes' state.  The joint scan's pair
+# bounds and row values are built a quarter of it at a time.  It bounds
+# memory only; no joint-scan result depends on it.
 _CHUNK = 1 << 17
 # Relative slack of the joint scan's cell bound: the rounding of the scan's
 # sums and of the bound, and the gap between pair values and their masses.
@@ -384,11 +385,12 @@ def _pair_bounds(mass: np.ndarray) -> np.ndarray:
     """``H(max rho0, max sigma1)`` per Alice pair ``(i0, i1)``, at least every bound of its cells.
 
     ``rho0`` runs over ``j0`` and ``sigma1`` over ``j1``; ``sigma1`` of
-    ``(i0, i1)`` is ``rho0`` of ``(i1, i0)``.  Built ``_CHUNK`` cells at a time.
+    ``(i0, i1)`` is ``rho0`` of ``(i1, i0)``.  Built a quarter of ``_CHUNK``
+    cells at a time.
     """
     n_a, n_b = mass.shape
     rho = np.empty((n_a, n_a))
-    step = max(1, _CHUNK // (n_a * n_b))
+    step = max(1, _CHUNK // 4 // (n_a * n_b))
     for s in range(0, n_a, step):
         head = mass[s : s + step, None]
         np.max(head / (head + mass), axis=2, out=rho[s : s + step])
@@ -401,12 +403,12 @@ def _row_values(pair2: np.ndarray, mass: np.ndarray, i0: np.ndarray, j0: np.ndar
     The minima of the doubled pair values are added over Eve's symbols left
     to right and divided by ``M[i0,j0] + M[i1,j1] + M[i0,j1] + M[i1,j0]``,
     added in that order; a zero-mass cell scores 0, as in :func:`_lambda_raw`.
-    Temporaries hold at most ``max(_CHUNK, d_e n_b)`` cells.
+    Temporaries hold at most ``max(_CHUNK // 4, d_e n_b)`` cells.
     """
     d_e, (n_a, n_b) = len(pair2), mass.shape
     pairs = pair2.reshape(d_e, n_a, n_b)
     values = np.zeros((len(i0), n_b))
-    step = max(1, _CHUNK // (d_e * n_b))
+    step = max(1, _CHUNK // 4 // (d_e * n_b))
     for s in range(0, len(i0), step):
         a, j, b = i0[s : s + step], j0[s : s + step], i1[s : s + step]
         num = np.minimum(pairs[:, a, j][:, :, None], pairs[:, b]).sum(axis=0)

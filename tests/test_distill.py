@@ -469,15 +469,52 @@ class TestCellBoundedSimulation:
             assert ours == oracles.simulate_advantage_distillation(p, n, 4000, 9)
 
     def test_long_blocks_have_bounded_memory(self):
+        # 2^14 blocks of 200, and then the benchmark's three simulator calls.
         # Under tracemalloc, one draw per chunk (the oracle) peaks at about
-        # 134 MB on this call, and a cap of 2^20 symbols on the symbols
-        # themselves at about 28 MB; the uniform draws, with Bob's bits
-        # kept only where Alice's alternate, hold it near 10.5 MB.
+        # 134 MB on the first, and a cap of 2^20 symbols on the symbols
+        # themselves at about 28 MB.  The uniform draws, with Bob's bits
+        # kept only where Alice's alternate, peaked at 9.7 MB with 2^20
+        # draws at a time, and peak near 1.9 MB with 2^17.
+        p = canonical_distribution(UNIFORM)
+        for n, samples in ((200, 1 << 14), (3, 100_000), (8, 100_000), (100, 1 << 16)):
+            tracemalloc.start()
+            try:
+                simulate_advantage_distillation(p, n, samples, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3e6, (n, samples, peak)
+
+    def test_memory_is_bounded_beyond_one_draw(self):
+        # A block longer than _SIM_CELLS is drawn in column blocks, not
+        # whole: one draw of its row peaked at about 86 MB here.
         p = canonical_distribution(UNIFORM)
         tracemalloc.start()
         try:
-            simulate_advantage_distillation(p, 200, 1 << 14, seed=3)
+            report = simulate_advantage_distillation(p, 10**7, 50, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert report.accepted == 0
+        assert peak < 4e6
+
+    def test_column_blocks_match_one_draw(self, monkeypatch):
+        # Blocks longer than the cap are drawn in column blocks of at most
+        # `cells` columns, and the generator skips the rest of a block once
+        # a string breaks.  The honest bits of the two tables agree or
+        # disagree at 0.9 of the cells, so at 8 and 13 symbols blocks are
+        # accepted across column blocks; at 40 none is, and one table is
+        # enough.  The samples cross a chunk boundary.
+        agreeing = np.zeros((2, 2, 2))
+        agreeing[0, 0], agreeing[1, 1], agreeing[0, 1], agreeing[1, 0] = (0.3, 0.15), (0.3, 0.15), 0.025, 0.025
+        accepted = disagreements = blank = 0
+        for cells, n in ((5, 8), (5, 13), (5, 40), (16, 40)):
+            monkeypatch.setattr(distill, "_SIM_CELLS", cells)
+            for table in (agreeing, agreeing[:, ::-1])[: 1 if n == 40 else 2]:
+                p = TripartiteDistribution(table)
+                ours = simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
+                assert ours == oracles.simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
+                accepted += ours.accepted
+                disagreements += ours.disagreements
+                blank += ours.eve_blank_blocks
+        assert accepted > 400 and disagreements > 200 and blank > 0

@@ -527,9 +527,10 @@ class TestJointScan:
 
     @pytest.mark.parametrize("d_e", [1, 2, 3, 9, 17])
     def test_matches_with_ragged_chunks_and_split_rows(self, d_e, monkeypatch):
-        # With 4000 cells a 2x2 group is one Alice pair of 625 cells, a chunk
-        # of pair bounds 6 of 25 rows, and a chunk of values 4000 // (25 d_e)
-        # rows of 25 cells (9 rows at d_e = 17).
+        # With 4000 cells a 2x2 group is one Alice pair of 625 cells, a block
+        # of pair bounds one of 25 rows, and a block of values 1000 // (25 d_e)
+        # rows of 25 cells: a group's 25 rows split into ragged blocks at
+        # d_e >= 2 (blocks of 2 rows at d_e = 17).
         monkeypatch.setattr(optimizer, "_CHUNK", 4000)
         for zeros, top_k in [(0.0, 1), (0.3, 12)]:
             _assert_exact(*_scan_case(2, 2, d_e, zeros), top_k)
@@ -573,6 +574,20 @@ class TestJointScan:
                 tracemalloc.stop()
             assert len(seeds) == 12
             assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("shape", [(3, 3, 1), (4, 4, 1)])
+    def test_passes_hold_a_quarter_chunk(self, shape):
+        # Pair bounds and row values built a full _CHUNK at a time peaked at
+        # 2.16 MB (3x3x1) and 2.11 MB (4x4x1); a quarter at 0.67 and 1.02 MB.
+        table, coarse = _scan_case(*shape, 0.0)
+        tracemalloc.start()
+        try:
+            seeds = _joint_scan(table, coarse, 1e-9, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seeds) == 12
+        assert peak < 1.5 * 2**20
 
     def test_too_many_pair_values_rejected_before_allocation(self):
         # 6561 row pairs over 200 symbols are 10.5 MB of pair values alone.
