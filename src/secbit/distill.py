@@ -19,8 +19,9 @@ near ``N ~ 500``), the exact statistics of any binary input included:
 they have a closed form, since an accepted string pair is fixed by its
 two starting bits.  The simulator draws at most ``_SIM_CELLS`` symbols at
 a time, so its memory does not grow with ``N``, however long a block: a
-block longer than that is read in column blocks, and the rest of it is
-skipped once either string breaks.  It never materializes the symbols:
+block longer than ``_SIM_CELLS // 64`` = 2048 symbols is read alone, in
+column blocks, and the rest of it is skipped once either string breaks.
+It never materializes the symbols:
 it keeps the uniform draws behind them and reads the honest bits off by
 comparing each draw with three cdf thresholds, and Eve's symbols only
 for the accepted blocks.
@@ -53,7 +54,8 @@ STRICTNESS_MARGIN = 1e-12
 _SIM_CHUNK = 1 << 16
 # Symbols per draw, at any block length: 9-15 bytes each at the peak.
 # A draw of 1 MB and its boolean temporaries fit a 2 MB L2 cache together;
-# 2^15 or 2^16 symbols cost more calls than they save.
+# 2^15 or 2^16 symbols cost more calls than they save.  A block longer than
+# a 64th of this, 2048 symbols, is read alone, in column blocks.
 _SIM_CELLS = 1 << 17
 
 
@@ -225,13 +227,15 @@ def _alternates(bits: np.ndarray) -> np.ndarray:
 def _long_block(
     rng: np.random.Generator, block_length: int, cdf: np.ndarray, d_e: int, cuts: tuple[float, float, float]
 ) -> tuple[int, int, int]:
-    """Accepted, disagreeing and Eve-blank counts, each 0 or 1, of one block longer than ``_SIM_CELLS``.
+    """Accepted, disagreeing and Eve-blank counts, each 0 or 1, of one block read alone.
 
-    The block is drawn in column blocks of 64 columns, doubling up to
-    ``_SIM_CELLS``; each honest party's last bit and whether Eve's symbols
-    are all 0 carry from one column block to the next.  At the first column
-    block where either string breaks, the generator skips the rest of the
-    block, so the stream is that of one draw of the whole block.
+    A block longer than ``_SIM_CELLS // 64`` = 2048 symbols, of which a
+    draw would hold fewer than 64, is read alone, in column blocks of 64
+    columns, doubling up to ``_SIM_CELLS``: a block that breaks early then
+    costs one small draw.  Each honest party's last bit and whether Eve's
+    symbols are all 0 carry from one column block to the next.  At the
+    first column block where either string breaks, the generator skips the
+    rest of the block, so the stream is that of one draw of the whole block.
     """
     alice_cut, low_cut, high_cut = cuts
     last_a = last_b = -1  # no bit equals -1, so the first column block has no predecessor to match
@@ -283,7 +287,8 @@ def simulate_advantage_distillation(
     Deterministic given the seed; samples are drawn in fixed-size chunks
     with one generator per chunk, so aggregates are order-independent,
     and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.  A
-    block longer than that is drawn in column blocks (:func:`_long_block`).
+    block longer than ``_SIM_CELLS // 64`` = 2048 symbols is read alone,
+    in column blocks (:func:`_long_block`).
 
     The blocks are those of ``Generator.choice`` over the flattened table,
     but filtered from its uniform draws ``u``: the symbol is at least
@@ -309,7 +314,7 @@ def simulate_advantage_distillation(
     cdf /= cdf[-1]
     cuts = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
     alice_cut, low_cut, high_cut = cuts
-    rows_per_draw = max(1, _SIM_CELLS // block_length)
+    rows_per_draw = _SIM_CELLS // block_length  # at least 64 where rows are drawn
 
     accepted = disagreements = eve_blank = 0
     for chunk_index, start in enumerate(range(0, samples, _SIM_CHUNK)):
@@ -317,7 +322,7 @@ def simulate_advantage_distillation(
         count = min(_SIM_CHUNK, samples - start)
         # Consecutive draws from one generator continue its stream, so
         # the sub-blocks reproduce the chunk's single (count, N) draw.
-        if block_length > _SIM_CELLS:
+        if block_length > _SIM_CELLS // 64:
             for _ in range(count):
                 ok, differ, blank = _long_block(rng, block_length, cdf, d_e, cuts)
                 accepted, disagreements, eve_blank = accepted + ok, disagreements + differ, eve_blank + blank

@@ -283,9 +283,10 @@ def _joint_scan(
     quarter of ``_CHUNK`` cells.  A group scores each row ``j0`` whose
     bound ``H(rho0, max sigma1)`` reaches the level, the ``top_k``-th value
     kept so far (:func:`_row_values`), and merges the row's cells that
-    reach it into the kept cells: each signature's first, at most
-    ``top_k`` of them (:func:`_walk`).  The pass ends at a pair whose bound
-    is below the level, as no later cell can then be kept.
+    reach it into the kept cells: one sort ranks them all, and each
+    signature's first is kept, at most ``top_k`` of them.  The pass ends at
+    a pair whose bound is below the level, as no later cell can then be
+    kept.
     """
     d_a, d_b, d_e = table.shape
     rows_a, rows_b = (np.array(list(product(coarse, repeat=d))) for d in (d_a, d_b))
@@ -327,35 +328,14 @@ def _joint_scan(
             continue
         new = (values[row, j1], i0[row] * n_b + j0[row], i1[row] * n_b + j1)
         values, p, q = (np.concatenate(columns) for columns in zip(kept, new))
-        picked = _walk(values, np.minimum(high[p] | low[q], high[q] | low[p]), p, q, top_k)
+        ranked = np.lexsort((q, p, -values))
+        signatures = np.minimum(high[p] | low[q], high[q] | low[p])[ranked]
+        picked = ranked[np.sort(np.unique(signatures, return_index=True)[1])[:top_k]]
         kept = [column[picked] for column in (values, p, q)]
         if len(picked) == top_k:
             level = kept[0][-1]
     return [(value, rows_a[[p // n_b, q // n_b]], rows_b[[p % n_b, q % n_b]])
             for value, p, q in zip(*(column.tolist() for column in kept))]
-
-
-def _walk(values: np.ndarray, signatures: np.ndarray, firsts: np.ndarray, seconds: np.ndarray, top_k: int) -> np.ndarray:
-    """Indices of the first ``top_k`` cells with distinct signatures, by descending value, then ``p``, then ``q``.
-
-    Any cells' ``top_k``-th signature value is a floor for the answer's,
-    so only the cells at or above it need ranking in full.  The floor
-    comes from the best cells by value alone, ties in any order: the best
-    ``8 top_k``, eight times more while they hold too few signatures.
-    """
-
-    def first(ranked: np.ndarray) -> np.ndarray:
-        return ranked[np.sort(np.unique(signatures[ranked], return_index=True)[1])[:top_k]]
-
-    head, count = np.arange(len(values)), 8 * top_k
-    while count < len(values):
-        best = np.argpartition(-values, count)[:count]
-        picked = first(best[np.argsort(-values[best])])
-        if len(picked) == top_k:
-            head = np.flatnonzero(values >= values[picked[-1]])
-            break
-        count *= 8
-    return first(head[np.lexsort((seconds[head], firsts[head], -values[head]))])
 
 
 def _bounds_hold(pair2: np.ndarray, mass: np.ndarray) -> bool:
@@ -458,12 +438,9 @@ def _regauge(theta: np.ndarray, lanes: np.ndarray, n_a: int, floor: float) -> No
     """
     block = theta[:, lanes]
     top = np.maximum.reduceat(block, [0, n_a], axis=0).repeat([n_a, len(block) - n_a], axis=0)
-    if top.all():
-        theta[:, lanes] = np.maximum(block / top, floor, out=block)
-    else:
-        scaled = top > 0.0
-        np.divide(block, top, out=block, where=scaled)
-        theta[:, lanes] = np.maximum(block, floor, out=block, where=scaled)
+    scaled = top > 0.0
+    np.divide(block, top, out=block, where=scaled)
+    theta[:, lanes] = np.maximum(block, floor, out=block, where=scaled)
 
 
 # Rows of the lane table of :func:`_coordinate_polish`, one column per lane.

@@ -99,12 +99,13 @@ def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> Ch
     def trial(rng: np.random.Generator) -> float:
         f1, g1 = _random_filter(rng, d_a), _random_filter(rng, d_b)
         f2, g2 = _random_filter(rng, 2), _random_filter(rng, 2)
-        once = apply(f2, g2, apply(f1, g1, p))
+        filtered = apply(f1, g1, p)
+        once = apply(f2, g2, filtered)
         composed = apply(f2.compose(f1), g2.compose(g1), p)
         gap = float(np.abs(once.table - composed.table).max())
         alpha, beta = rng.uniform(0.1, 2.0, size=2)
         mixed = apply(f1, g1, TripartiteDistribution(alpha * p.table + beta * p.table))
-        linear = (alpha + beta) * apply(f1, g1, p).table
+        linear = (alpha + beta) * filtered.table
         return max(gap, float(np.abs(mixed.table - linear).max()))
 
     return _suite("apply-bilinear-composition", 1e-12, 17, trials, seed, trial)

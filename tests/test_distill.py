@@ -406,18 +406,29 @@ class TestExactStatistics:
 class TestCellBoundedSimulation:
     @pytest.mark.parametrize(
         "n,samples,seed",
-        [(1, 3000, 2), (3, 70_000, 1), (17, (1 << 16) + 1000, 3), (100, 1 << 16, 4), (1000, 2500, 5)],
+        [
+            (1, 3000, 2),
+            (3, 70_000, 1),
+            (17, (1 << 16) + 1000, 3),
+            (100, 1 << 16, 4),
+            (1000, 2500, 5),
+            (2049, 500, 6),
+            (5000, 300, 7),
+        ],
     )
     def test_matches_one_draw_per_chunk(self, n, samples, seed):
-        # At N = 17 and 1000 the row cap (2^20 // N) does not divide 2^16.
+        # At N = 17 and 1000 the row cap (2^17 // N) does not divide 2^16.
+        # Past 2048 symbols each block is read alone, in column blocks; the
+        # reference holds all samples x N draws at once, so keep them few.
         p = satellite_scenario(0.2, 0.2, 0.15)
         ours = simulate_advantage_distillation(p, n, samples, seed)
         assert ours == oracles.simulate_advantage_distillation(p, n, samples, seed)
 
     @pytest.mark.parametrize("cells", (7, 1000, 50_000))
     def test_small_cell_caps_keep_every_draw(self, monkeypatch, cells):
-        # A tiny cap splits short blocks, where many are accepted, into
-        # many sub-draws; the counts must not change.
+        # A small cap splits short blocks, where many are accepted, into
+        # many sub-draws; below 64 cells every block is read alone, in
+        # column blocks.  The counts must not change.
         monkeypatch.setattr(distill, "_SIM_CELLS", cells)
         for p, n in ((canonical_distribution(UNIFORM), 3), (satellite_scenario(0.2, 0.2, 0.15), 2)):
             ours = simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
@@ -485,8 +496,22 @@ class TestCellBoundedSimulation:
                 tracemalloc.stop()
             assert peak < 3e6, (n, samples, peak)
 
+    def test_blocks_past_2048_symbols_are_read_alone(self):
+        # A draw would hold fewer than 64 such blocks, and most break in
+        # their first column block: read in rows of whole blocks they
+        # peaked at about 0.9 MB, and read alone at about 3.5 KB.
+        p = canonical_distribution(UNIFORM)
+        tracemalloc.start()
+        try:
+            report = simulate_advantage_distillation(p, 100_000, 200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.accepted == 0
+        assert peak < 0.1e6
+
     def test_memory_is_bounded_beyond_one_draw(self):
-        # A block longer than _SIM_CELLS is drawn in column blocks, not
+        # A block longer than 2048 symbols is drawn in column blocks, not
         # whole: one draw of its row peaked at about 86 MB here.
         p = canonical_distribution(UNIFORM)
         tracemalloc.start()
@@ -499,7 +524,7 @@ class TestCellBoundedSimulation:
         assert peak < 4e6
 
     def test_column_blocks_match_one_draw(self, monkeypatch):
-        # Blocks longer than the cap are drawn in column blocks of at most
+        # Below 64 cells every block is drawn in column blocks of at most
         # `cells` columns, and the generator skips the rest of a block once
         # a string breaks.  The honest bits of the two tables agree or
         # disagree at 0.9 of the cells, so at 8 and 13 symbols blocks are
