@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import CanonicalParams, TripartiteDistribution, _is_integer, _require_count
+from .distributions import CanonicalParams, TripartiteDistribution, _is_integer, _require_count, _unit_scale
 from .errors import (
     EmptyBlockError,
     InvalidParamsError,
@@ -373,11 +373,14 @@ def exact_block_statistics(
     pairs have closed-form probabilities, summed in log space with no
     symmetry assumptions: O(1) in ``N``, and finite at any ``N`` unless no
     pair can be accepted (then the two conditional rates are ``nan``).
-    Serves as the simulator's analytic column.
+    The table is normalized at the scale of :func:`_unit_scale`, so a
+    near-overflow table's sum does not overflow.  Serves as the
+    simulator's analytic column.
     """
     _require_binary(p.dims[:2])
     block_length = _require_count(block_length, "block length")
-    t = p.table / p.table.sum()
+    t = _unit_scale(p.table)
+    t = t / t.sum()
     pairs = _alternating_log_probs(t.sum(axis=2), block_length)
     log_accept = np.logaddexp.reduce(pairs.ravel())
     log_diff = np.logaddexp(pairs[0, 1], pairs[1, 0])

@@ -106,6 +106,17 @@ def _unit_scale(table: np.ndarray) -> np.ndarray:
     return table if exponent == 0 else np.ldexp(table, -exponent)
 
 
+def _below_overflow(table: np.ndarray, what: str) -> np.ndarray:
+    """``table`` unless an entry passed the float maximum (``inf``, or ``nan`` from ``inf * 0``).
+
+    Then one :class:`InvalidParamsError` names the overflow.  Callers make
+    ``table`` with numpy's overflow warnings off.
+    """
+    if not np.maximum.reduce(table, axis=None, initial=0.0) < math.inf:
+        raise InvalidParamsError(f"{what} overflows: an entry passes the float maximum")
+    return table
+
+
 _Table_T = TypeVar("_Table_T", bound="_Table")
 
 
@@ -157,6 +168,18 @@ class BipartiteDistribution(_Table):
     """Joint distribution ``P(a, b)`` of the honest parties, Eve decoupled."""
 
     _ndim = 2
+
+
+def _unit_scaled(p: _Table_T) -> _Table_T:
+    """``p`` at the scale of :func:`_unit_scale`; ``p`` itself when that is its scale.
+
+    Every measure is a ratio of sums of products, so a normal table gives
+    the same bits at this scale.  A subnormal table (whose products lose
+    bits) or a near-overflow one (whose sums overflow) gives them here
+    exactly and finitely.
+    """
+    table = _unit_scale(p.table)
+    return p if table is p.table else type(p)(table)
 
 
 @dataclass(frozen=True)
@@ -242,8 +265,14 @@ def bipartite_from_entries(
 
 
 def marginal_ab(p: TripartiteDistribution) -> BipartiteDistribution:
-    """Sum out Eve's symbol: ``P(a, b) = sum_e P(a, b, e)``."""
-    return BipartiteDistribution(p.table.sum(axis=2))
+    """Sum out Eve's symbol: ``P(a, b) = sum_e P(a, b, e)``.
+
+    A sum past the float maximum raises :class:`InvalidParamsError`, with
+    no numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        table = p.table.sum(axis=2)
+    return BipartiteDistribution(_below_overflow(table, "the (A, B) marginal"))
 
 
 def product_with_eve(p_ab: BipartiteDistribution, q_e) -> TripartiteDistribution:
@@ -259,28 +288,30 @@ def point_mass_eve(p_ab: BipartiteDistribution) -> TripartiteDistribution:
     return product_with_eve(p_ab, [1.0])
 
 
-def tensor_power(
-    p_ab: BipartiteDistribution,
-    copies: int,
-    max_cells: int = DEFAULT_TENSOR_CELL_CAP,
-) -> BipartiteDistribution:
+def tensor_power(p_ab: BipartiteDistribution, copies: int) -> BipartiteDistribution:
     """Joint distribution of ``copies`` independent samples.
 
     The composite index encodes the sample string positionally in base
     ``d_A`` (respectively ``d_B``) with sample 0 as the most significant
     digit, so the cell for strings ``(a_0 .. a_{N-1})``, ``(b_0 .. b_{N-1})``
-    is the product of the per-sample probabilities.
+    is the product of the per-sample probabilities.  The factors are not
+    rescaled: more than ``DEFAULT_TENSOR_CELL_CAP`` cells raise
+    :class:`DimensionOverflowError`, a product past the float maximum
+    :class:`InvalidParamsError` and one that underflows everywhere
+    :class:`ZeroMassError`, each with no numpy warning.
     """
     copies = _require_count(copies, "copies")
     d_a, d_b = p_ab.dims
-    if (d_a**copies) * (d_b**copies) > max_cells:
+    if (d_a**copies) * (d_b**copies) > DEFAULT_TENSOR_CELL_CAP:
         raise DimensionOverflowError(
-            f"{d_a}^{copies} x {d_b}^{copies} cells exceed the cap of {max_cells}"
+            f"{d_a}^{copies} x {d_b}^{copies} cells exceed the cap of {DEFAULT_TENSOR_CELL_CAP}"
         )
     table = p_ab.table
-    for _ in range(copies - 1):
-        table = np.kron(table, p_ab.table)
-    return BipartiteDistribution(table)
+    # An overflowed product times a zero entry is nan; either fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(copies - 1):
+            table = np.kron(table, p_ab.table)
+    return BipartiteDistribution(_below_overflow(table, f"the {copies}-copy power"))
 
 
 def shared_bit() -> BipartiteDistribution:

@@ -49,14 +49,13 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections import deque
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from itertools import product
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TripartiteDistribution, _require_count, _unit_scale, randomization_example
+from .distributions import TripartiteDistribution, _require_count, _unit_scaled, randomization_example
 from .errors import DimensionMismatchError, InvalidParamsError, TooLargeError, ZeroMassError
 from .filtration import Filtration, apply, is_reversible
 from .measures import MeasureResult, _outcome_pairs, _pairs, mesbf_reversible, secret_bit_fraction
@@ -149,18 +148,6 @@ def _lambda_raw(cands: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _certified_lambda(d_a: np.ndarray, j_b: np.ndarray, p: TripartiteDistribution) -> float:
     """Recompute through the real pipeline; the value actually reported."""
     return secret_bit_fraction(apply(Filtration(d_a), Filtration(j_b), p))
-
-
-def _unit_scaled(p: TripartiteDistribution) -> TripartiteDistribution:
-    """``p`` at the scale of :func:`_unit_scale`.
-
-    Every score is a ratio of sums of products, so a normal table scores
-    the same bit for bit.  A subnormal table (whose filtered products lose
-    bits) or a near-overflow one (whose sums overflow) is searched and
-    certified at a scale where neither happens.
-    """
-    table = _unit_scale(p.table)
-    return p if table is p.table else TripartiteDistribution(table)
 
 
 def _identity_projection(d: int) -> np.ndarray:
@@ -451,21 +438,10 @@ def _regauge(theta: np.ndarray, lanes: np.ndarray, n_a: int, floor: float) -> No
 # ``group`` (the entry's sweep, else one move); ``evals`` counts toward
 # ``limit``; ``spent`` is the size that a spent budget keeps.  A pass opens
 # with a family-1 run whose first batch also scores the regauged pair, in a
-# row that is no move.  Visits read the first three rows.
+# row that is no move.  A lane's generator yields its columns and is sent
+# back ``evals`` when the run ends.
 _LANE_ROWS = ("lane", "family", "evals", "lo", "end", "width", "group", "size", "limit", "spent")
 _UNCAPPED = 1 << 62
-
-
-@dataclass(slots=True)
-class _Lane:
-    """A polish in its lane: what the lockstep reads when a family run ends."""
-
-    job: int
-    limit: int
-    span: int = 0
-    count: int = 0  # moves per entry pair: the span's factor pairs and the joint switch-off
-    second: bool = False  # in the span's second pass
-    opens: tuple[int, ...] = ()  # where the pass's entry pairs of each first entry open
 
 
 def _lane_count(jobs: int, n: int, d_e: int, points: int) -> int:
@@ -530,13 +506,16 @@ def _coordinate_polish(
     a move that repeats the lane's current pair scores exactly its best
     value.
 
-    Python visits a lane only when one of its runs ends, to set up the
-    next run (the live entry pairs before the pair moves, a second pass,
-    the next span with a copy of its factor ladder), to request the last
-    score, or to record the result and admit the next job.  The lanes
-    whose pass opens in a step are then regauged and swept together, with
-    no per-lane Python.  Once a budget is spent, the window ends with its
-    open group.
+    Each lane's schedule is one generator, written as the one-at-a-time
+    climber's loops: jobs from a shared queue, spans, at most two passes
+    of a sweep, a rescale and a pair run, each run started only while the
+    budget lasts, then the last score.  It yields each run's column and is
+    sent the lane's evaluations when the run ends, so Python touches a
+    lane only then: to set up the next run (the live entry pairs before
+    the pair moves, the next span's factor ladder), or to record the
+    result and admit the next job.  The lanes whose pass opens in a step
+    are then regauged and swept together, with no per-lane Python.  Once
+    a budget is spent, the window ends with its open group.
 
     A step costs about the same up to a few hundred rows, so the first
     batch of a family run, and the first after an acceptance, has
@@ -566,70 +545,61 @@ def _coordinate_polish(
     # Flat views for one ``take`` per gather: row ``lane * stride + index``.
     grid_at, factors_at, pairs_at = grid.reshape(-1), factors.reshape(-1, 2), pairs.reshape(-1, 2)
     grid_stride, factors_stride, pairs_stride = n * sweep, factors.shape[1], pairs.shape[1]
-    waiting, results = deque(enumerate(jobs)), [None] * len(jobs)
-    polishes: list[_Lane | None] = [None] * lanes
+    queue, results = enumerate(jobs), [None] * len(jobs)
+    # Where each lane's live entry pairs of each first entry open.
+    opens: list[tuple[int, ...]] = [()] * lanes
+    # Sweeps end at the floor and 1.0; pair moves open with the factor 0,
+    # which clips both entries to the floor.
+    grid[:, :, points:] = floor, 1.0
+    factors[:, 0] = 0.0
 
-    def set_span(s: int, polish: _Lane) -> None:
-        # Pair moves by f and 1/f, then by f and f, after one that switches
-        # both entries off (factor 0 clips to the floor); rescalings skip it.
-        span_of[s] = span = spans[polish.span]
-        moves = _ladder(span, points)
-        polish.count = len(moves) + 1
-        factors[s, 0] = 0.0
-        factors[s, 1 : polish.count] = moves
+    def pair_up(s: int) -> int:
+        """Set lane ``s``'s live entry pairs; returns their number."""
+        live = np.flatnonzero(theta[:, s] > 10.0 * floor)
+        cols, opens[s] = _pairs(len(live))
+        pairs[s, : cols.shape[1]] = live[cols.T]
+        return opens[s][-1]
 
-    def open_pass(s: int, evals: int) -> list[int]:
-        return [s, 1, evals, 0, n * sweep, sweep, sweep, first, polishes[s].limit, 0]
+    def runs(s: int) -> Generator[list[int], int, None]:
+        """Lane ``s``'s runs as lane-table columns; each is sent the lane's evaluations when it ends.
 
-    def close(s: int, evals: int) -> list[int]:
-        return [s, 0, evals, 0, 1, 1, 1, first, _UNCAPPED, 0]
-
-    def admit(s: int) -> list[int]:
-        if not waiting:
-            return [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
-        k, (m_a, m_b, max_evals) = waiting.popleft()
-        theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
-        grid[s, :, points:] = floor, 1.0
-        polishes[s] = polish = _Lane(k, _UNCAPPED if max_evals is None else max_evals)
-        set_span(s, polish)
-        return open_pass(s, 0) if polish.limit > 0 else close(s, 0)
-
-    def visit(s: int, family: int, evals: int) -> list[int]:
-        polish = polishes[s]
-        if family == 0:
-            if polish is not None:
-                m_a, m_b = theta[:n_a, s].reshape(2, d_a).copy(), theta[n_a:, s].reshape(2, d_b).copy()
-                results[polish.job] = (float(best[s]), m_a, m_b, evals - 1)
-            return admit(s)
-        if evals < polish.limit:
-            if family == 1:
-                # Whole-row rescalings of one matrix against the other track
-                # the balance ridges exactly when rows are sparse.
-                return [s, 2, evals, 0, 4 * (polish.count - 1), polish.count - 1, 1, first, polish.limit, 0]
-            if family == 2:
-                # Joint switch-off first: small entries can stabilize each
-                # other so that neither can be floored alone.
-                live = np.flatnonzero(theta[:, s] > 10.0 * floor)
-                cols, polish.opens = _pairs(len(live))
-                if polish.opens[-1]:
-                    pairs[s, : cols.shape[1]] = live[cols.T]
-                    return [s, 3, evals, 0, polish.count * polish.opens[-1], polish.count, 1, first, polish.limit, 0]
-            # The pass is over; a pass that improved nothing ends its span.
-            if best[s] > start[s] and not polish.second:
-                polish.second = True
-                return open_pass(s, evals)
-            polish.span += 1
-            polish.second = False
-            if polish.span < len(spans):
-                set_span(s, polish)
-                return open_pass(s, evals)
-        return close(s, evals)
+        Started before the first step, whose visit sends it to its first job.
+        """
+        yield []
+        for k, (m_a, m_b, max_evals) in queue:
+            theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
+            limit, evals = _UNCAPPED if max_evals is None else max_evals, 0
+            for span in spans:
+                if evals >= limit:
+                    break
+                # Pair moves by f and 1/f, then by f and f, after the joint
+                # switch-off; rescalings skip it.
+                moves = _ladder(span, points)
+                count = len(moves) + 1
+                span_of[s], factors[s, 1:count] = span, moves
+                for _ in range(2):
+                    evals = yield [s, 1, evals, 0, n * sweep, sweep, sweep, first, limit, 0]
+                    if evals < limit:
+                        # Whole-row rescalings of one matrix against the other
+                        # track the balance ridges exactly when rows are sparse.
+                        evals = yield [s, 2, evals, 0, 4 * (count - 1), count - 1, 1, first, limit, 0]
+                    # Joint switch-off first: small entries can stabilize each
+                    # other so that neither can be floored alone.
+                    if evals < limit and pair_up(s):
+                        evals = yield [s, 3, evals, 0, count * opens[s][-1], count, 1, first, limit, 0]
+                    # A pass that improved nothing ends its span.
+                    if evals >= limit or not best[s] > start[s]:
+                        break
+            evals = yield [s, 0, evals, 0, 1, 1, 1, first, _UNCAPPED, 0]
+            m_a, m_b = theta[:n_a, s].reshape(2, d_a).copy(), theta[n_a:, s].reshape(2, d_b).copy()
+            results[k] = (float(best[s]), m_a, m_b, evals - 1)
+        yield [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
 
     def group_end(s: int, family: int, at: int, width: int) -> int | None:
         """End of the move group open at ``at``; None when ``at`` opens a group."""
         if family < 3:
             return None if at % width == 0 else at - at % width + width
-        starts = [width * k for k in polishes[s].opens]
+        starts = [width * k for k in opens[s]]
         nxt = bisect.bisect_right(starts, at)
         return None if starts[nxt - 1] == at else starts[nxt]
 
@@ -648,7 +618,8 @@ def _coordinate_polish(
         """Visit every ended column; returns the lanes whose pass opens."""
         gauge, opening = [], []
         for i in ended.tolist():
-            state[:, i] = column = visit(*state[:3, i].tolist())
+            s, _, evals = state[:3, i].tolist()
+            state[:, i] = column = schedules[s].send(evals)
             if column[1] <= 1:
                 gauge.append(column[0])
                 if column[1]:
@@ -659,6 +630,9 @@ def _coordinate_polish(
         set_up(np.array(gauge, dtype=np.intp), opening)
         return opening
 
+    schedules = [runs(s) for s in range(lanes)]
+    for schedule in schedules:
+        next(schedule)
     state = np.zeros((len(_LANE_ROWS), lanes), dtype=np.intp)
     state[0] = np.arange(lanes)
     lane, family, evals, lo, end, width, group, size, limit, spent = state

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BipartiteDistribution, TripartiteDistribution, _require_count, marginal_ab
+from .distributions import BipartiteDistribution, TripartiteDistribution, _require_count, _unit_scaled, marginal_ab
 from .filtration import (
     Filtration,
     apply,
@@ -169,7 +169,16 @@ def check_cross_ratio_monotonicity(
 def run_checks(
     dist: TripartiteDistribution | BipartiteDistribution, trials: int, seed: int
 ) -> list[CheckOutcome]:
-    """Run every applicable suite against the given distribution."""
+    """Run every applicable suite against the given distribution.
+
+    The suites run on the table at the scale of :func:`_unit_scale`, a power
+    of two that keeps every measure's bits and puts the largest entry in
+    [1/2, 1).  So the absolute tolerances hold for raw counts, no scaled or
+    filtered table overflows, and a subnormal table is not rounded.  A
+    table gap (``worst`` of the bilinearity and undo suites) is measured
+    at that scale.
+    """
+    dist = _unit_scaled(dist)
     if isinstance(dist, BipartiteDistribution):
         return [check_cross_ratio_monotonicity(dist, trials, seed)]
     suites = [check_scale_invariance, check_eve_monotonicity] if dist.is_binary else []

@@ -402,6 +402,16 @@ class TestExactStatistics:
         assert stats["acceptance_rate"] == 0.0
         assert math.isnan(stats["disagreement_rate"]) and math.isnan(stats["eve_blank_rate"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", (-1000, -1, 1, 1025))
+    def test_power_of_two_scales_keep_every_bit(self, k):
+        """The table is normalized at unit scale: at k = 1025 its sum passes the float maximum."""
+        table = canonical_distribution(UNIFORM).table
+        for n in (1, 8, 300):
+            assert exact_block_statistics(TripartiteDistribution(np.ldexp(table, k)), n) == exact_block_statistics(
+                TripartiteDistribution(table), n
+            )
+
 
 class TestCellBoundedSimulation:
     @pytest.mark.parametrize(

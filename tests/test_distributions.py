@@ -277,6 +277,12 @@ class TestMarginal:
                 marginal_ab(joined).table, ab.table * eve.sum(), atol=1e-12
             )
 
+    def test_overflowing_sum_raises_one_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match="marginal overflows"):
+                marginal_ab(TripartiteDistribution(np.full((2, 2, 2), 1e308)))
+
 
 class TestProductWithEve:
     def test_shared_bit_with_uniform_eve_is_secret(self):
@@ -313,6 +319,17 @@ class TestTensorPower:
                 assert tensor_power(p, copies).mass == pytest.approx(
                     p.mass**copies, abs=1e-10
                 )
+
+    def test_extreme_scales_raise_one_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match="2-copy power overflows"):
+                tensor_power(BipartiteDistribution(np.full((2, 2), 1e200)), 2)
+            # An overflowed entry times a zero one is nan, refused the same way.
+            with pytest.raises(InvalidParamsError, match="3-copy power overflows"):
+                tensor_power(BipartiteDistribution(np.diag([1e200, 1e200])), 3)
+            with pytest.raises(ZeroMassError):
+                tensor_power(BipartiteDistribution(np.full((2, 2), 1e-200)), 2)
 
     def test_cell_cap_enforced(self):
         with pytest.raises(DimensionOverflowError):

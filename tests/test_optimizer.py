@@ -515,14 +515,10 @@ def _assert_exact(table: np.ndarray, coarse: np.ndarray, top_k: int, floor: floa
 
 
 class TestJointScan:
-    """The joint scan returns the exhaustive reference's cells bit for bit.
-
-    ``test_matches_the_frozen_scan`` keeps the name it had when its
-    reference was a frozen copy of the chunked scan.
-    """
+    """The joint scan returns the exhaustive reference's cells bit for bit."""
 
     @pytest.mark.parametrize("d_a, d_b, d_e, zeros, top_k", SCAN_CASES)
-    def test_matches_the_frozen_scan(self, d_a, d_b, d_e, zeros, top_k):
+    def test_matches_the_exhaustive_reference(self, d_a, d_b, d_e, zeros, top_k):
         _assert_exact(*_scan_case(d_a, d_b, d_e, zeros), top_k)
 
     @pytest.mark.parametrize("d_e", [1, 2, 3, 9, 17])
@@ -622,14 +618,10 @@ def _scan_inputs(draw):
     return table, np.array(SCAN_LADDERS.get(max(shape[:2]), SCAN_LADDERS[4])), draw(st.integers(1, 12))
 
 
-class TestPrunedScan:
-    """The harmonic-mean bound that prunes the joint scan, and the guard that turns it off.
+class TestScanBound:
+    """The harmonic-mean bound that prunes the joint scan, and the guard that turns it off."""
 
-    ``test_matches_the_frozen_scan_on_either_path`` keeps the name it had
-    when its reference was a frozen copy of the chunked scan.
-    """
-
-    def test_matches_the_frozen_scan_on_either_path(self):
+    def test_matches_the_exhaustive_reference_on_either_path(self):
         taken = set()
 
         @given(case=_scan_inputs())
