@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file")
         sp.add_argument("--power", type=int, required=True)
 
-    with command("check-properties", _cmd_check_properties, "run randomized invariant suites on a file") as sp:
+    with command("check-properties", _cmd_check_properties, "run randomized invariant suites on a file, at unit scale") as sp:
         sp.add_argument("file")
         sp.add_argument("--trials", type=int, default=50)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)

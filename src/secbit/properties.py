@@ -4,6 +4,12 @@ Each check draws `trials` (at least one) random operations (seeded),
 applies them to the given distribution, and counts violations of the
 corresponding invariant beyond its tolerance.  The CLI's
 ``check-properties`` command is a thin wrapper around :func:`run_checks`.
+
+Every suite runs on the table at the scale of
+:func:`~secbit.distributions._unit_scale`, the power of two that puts the
+largest entry in [1/2, 1) and keeps every measure's bits.  So the absolute
+tolerances hold for raw counts, no scaled or filtered table overflows, a
+subnormal table is not rounded, and a suite reads ``ldexp(t, k)`` as ``t``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,14 @@ from .measures import secret_bit_fraction, vartheta
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """Violations of one suite over ``trials`` trials.
+
+    ``worst`` is the largest gap seen and ``tolerance`` the gap allowed.
+    The gaps of ``apply-bilinear-composition`` and ``reversible-undo`` are
+    table entries, so they are measured at the unit scale (largest entry
+    in [1/2, 1)) the suites run at, not at the caller's scale.
+    """
+
     name: str
     trials: int
     violations: int
@@ -71,6 +85,7 @@ def _suite(
 
 def check_scale_invariance(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """lambda(alpha * P) == lambda(P) for positive alpha."""
+    p = _unit_scaled(p)
     base = secret_bit_fraction(p)
 
     def trial(rng: np.random.Generator) -> float:
@@ -82,6 +97,7 @@ def check_scale_invariance(p: TripartiteDistribution, trials: int, seed: int) ->
 
 def check_eve_monotonicity(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """Eve degrading her own data never lowers lambda."""
+    p = _unit_scaled(p)
     base = secret_bit_fraction(p)
     d_e = p.dims[2]
 
@@ -94,6 +110,7 @@ def check_eve_monotonicity(p: TripartiteDistribution, trials: int, seed: int) ->
 
 def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """apply is bilinear in P and composes with matrix products."""
+    p = _unit_scaled(p)
     d_a, d_b, _ = p.dims
 
     def trial(rng: np.random.Generator) -> float:
@@ -113,6 +130,7 @@ def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> Ch
 
 def check_reversible_undo(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """A reversible filter followed by its inverse rescales P."""
+    p = _unit_scaled(p)
     d_a = p.dims[0]
     identity = Filtration.identity(p.dims[1])
 
@@ -145,7 +163,7 @@ def check_cross_ratio_monotonicity(
     p_ab: BipartiteDistribution, trials: int, seed: int
 ) -> CheckOutcome:
     """vartheta invariance/monotonicity on the enlarged marginal."""
-    enlarged = embed(p_ab)
+    enlarged = embed(_unit_scaled(p_ab))
     size = enlarged.dims[0]
     base = vartheta(enlarged)
     identity = Filtration.identity(enlarged.dims[1])
@@ -171,12 +189,8 @@ def run_checks(
 ) -> list[CheckOutcome]:
     """Run every applicable suite against the given distribution.
 
-    The suites run on the table at the scale of :func:`_unit_scale`, a power
-    of two that keeps every measure's bits and puts the largest entry in
-    [1/2, 1).  So the absolute tolerances hold for raw counts, no scaled or
-    filtered table overflows, and a subnormal table is not rounded.  A
-    table gap (``worst`` of the bilinearity and undo suites) is measured
-    at that scale.
+    The table is put at unit scale once, so Alice and Bob's marginal of a
+    near-overflow table does not overflow.
     """
     dist = _unit_scaled(dist)
     if isinstance(dist, BipartiteDistribution):

@@ -20,12 +20,10 @@ from hypothesis.extra.numpy import arrays
 from secbit import (
     BipartiteDistribution,
     MeasureResult,
-    SearchConfig,
     SecbitError,
     TripartiteDistribution,
-    brute_force_mesbf,
-    estimate_mesbf,
     exact_block_statistics,
+    marginal_ab,
     mesbf_decoupled,
     mesbf_decoupled_power,
     mesbf_reversible,
@@ -41,7 +39,6 @@ from secbit import (
 _ENTRIES = st.one_of(st.just(0.0), st.floats(2.0**-40, 1.0))
 _BINARY = st.integers(1, 3).map(lambda d_e: (2, 2, d_e))
 _BIPARTITE = st.tuples(st.integers(1, 4), st.integers(1, 4))
-_SEARCH = SearchConfig(restarts=1, iterations=30, grid_points=3)
 
 
 def _tables(shapes):
@@ -119,10 +116,6 @@ def _binary_results(p):
     ]
 
 
-def _search_results(p):
-    return [estimate_mesbf(p, _SEARCH), brute_force_mesbf(p, _SEARCH)]
-
-
 def _check_contract(make, results, table, data):
     """``results`` of ``ldexp(table, k)``: the unit-scale bits inside the normal shifts, finite or refused past them."""
     low, high = _normal_shifts(table)
@@ -152,22 +145,30 @@ def test_binary_measures_keep_their_bits(table, data):
     _check_contract(TripartiteDistribution, _binary_results, table, data)
 
 
-@given(table=_tables(_BINARY), data=st.data())
-@settings(derandomize=True, max_examples=8, database=None, deadline=None)
-def test_searches_keep_their_bits(table, data):
-    _check_contract(TripartiteDistribution, _search_results, table, data)
+def _checked_alone(p, trials, seed):
+    """:func:`properties.run_checks` of ``p``, less its marginal suite, from the public suites called one by one."""
+    suites = [properties.check_scale_invariance, properties.check_eve_monotonicity] if p.is_binary else []
+    suites += [properties.check_apply_algebra, properties.check_reversible_undo, properties.check_decompose_roundtrip]
+    return [suite(p, trials, seed) for suite in suites]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e300, 1e308, 1.5e308])
 def test_extreme_tables_pass_the_property_checks(scale):
     table = np.random.default_rng(3).uniform(0.1, 1.0, size=(2, 2, 3))
-    outcomes = properties.run_checks(TripartiteDistribution(table / table.max() * scale), 20, 1)
+    p = TripartiteDistribution(table / table.max() * scale)
+    outcomes = properties.run_checks(p, 20, 1)
     assert all(outcome.passed for outcome in outcomes)
+    assert _checked_alone(p, 20, 1) == outcomes[:-1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_raw_counts_pass_the_property_checks():
-    counts = np.random.default_rng(9).integers(100, 5001, size=(3, 3, 2)).astype(float)
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+def test_raw_counts_pass_the_property_checks(factor):
+    counts = np.random.default_rng(9).integers(100, 5001, size=(3, 3, 2)) * factor
+    p = TripartiteDistribution(counts)
     for seed in range(20):
-        assert all(outcome.passed for outcome in properties.run_checks(TripartiteDistribution(counts), 5, seed))
+        outcomes = properties.run_checks(p, 5, seed)
+        assert all(outcome.passed for outcome in outcomes)
+        assert _checked_alone(p, 5, seed) == outcomes[:-1]
+        assert properties.check_cross_ratio_monotonicity(marginal_ab(p), 5, seed) == outcomes[-1]
