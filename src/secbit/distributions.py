@@ -9,6 +9,7 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -37,10 +38,17 @@ def _is_integer(value) -> bool:
 
 
 def _require_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as a Python ``int``; raises :class:`CountError` unless it is an integer ``>= minimum``."""
-    if not _is_integer(value) or value < minimum:
-        raise CountError(f"{name} accepts integers >= {minimum} only, got {value!r}")
-    return int(value)
+    """``value`` as a Python ``int``; raises :class:`CountError` unless it is an integer ``>= minimum``.
+
+    Counts and seeds are read as floats somewhere, so one past the float
+    maximum is refused too (an int compares with a float exactly).
+    """
+    if _is_integer(value) and minimum <= value <= sys.float_info.max:
+        return int(value)
+    # Past 4300 digits an int has no repr, so one past the float maximum is shown by its size.
+    huge = _is_integer(value) and abs(value) > sys.float_info.max
+    shown = f"an integer of {int(value).bit_length()} bits" if huge else repr(value)
+    raise CountError(f"{name} accepts integers >= {minimum} up to the float maximum only, got {shown}")
 
 
 def _unconvertible(values, what: str) -> BadShapeError | InvalidParamsError:
@@ -302,7 +310,9 @@ def tensor_power(p_ab: BipartiteDistribution, copies: int) -> BipartiteDistribut
     """
     copies = _require_count(copies, "copies")
     d_a, d_b = p_ab.dims
-    if (d_a**copies) * (d_b**copies) > DEFAULT_TENSOR_CELL_CAP:
+    # Two or more cells pass the cap within 24 copies, so the exponent
+    # stops at 64 and the exact product is never built.
+    if (d_a * d_b) ** min(copies, 64) > DEFAULT_TENSOR_CELL_CAP:
         raise DimensionOverflowError(
             f"{d_a}^{copies} x {d_b}^{copies} cells exceed the cap of {DEFAULT_TENSOR_CELL_CAP}"
         )

@@ -432,15 +432,14 @@ def _regauge(theta: np.ndarray, lanes: np.ndarray, n_a: int, floor: float) -> No
 
 # Rows of the lane table of :func:`_coordinate_polish`, one column per lane.
 # Families 1, 2 and 3 are single-entry, row-rescaling and pair moves
-# (``width`` per entry, row pair or entry pair), family 0 scores the lane's
-# final pair and family 4 marks an idle lane.  The run's moves ``lo..end-1``
-# come in batches of ``size``; an acceptance uses up the rest of its
-# ``group`` (the entry's sweep, else one move); ``evals`` counts toward
-# ``limit``; ``spent`` is the size that a spent budget keeps.  A pass opens
-# with a family-1 run whose first batch also scores the regauged pair, in a
-# row that is no move.  A lane's generator yields its columns and is sent
-# back ``evals`` when the run ends.
-_LANE_ROWS = ("lane", "family", "evals", "lo", "end", "width", "group", "size", "limit", "spent")
+# (``width`` per entry, row pair or entry pair) and family 4 marks an idle
+# lane.  The run's moves ``lo..end-1`` come in batches of ``size``; an
+# acceptance uses up the rest of its ``group`` (the entry's sweep, else one
+# move); ``evals`` counts toward ``limit``.  A pass opens with a family-1
+# run whose first batch also scores the regauged pair, in a row after the
+# moves.  A lane's generator yields its columns and is sent back ``evals``
+# when the run ends.
+_LANE_ROWS = ("lane", "family", "evals", "lo", "end", "width", "group", "size", "limit")
 _UNCAPPED = 1 << 62
 
 
@@ -487,13 +486,12 @@ def _coordinate_polish(
     all lane state within ``_CHUNK`` cells and each first batch within one
     kernel call (:func:`_lane_count`).  A lane's batch window is a column
     of one integer lane table (rows ``_LANE_ROWS``), kept in family order.
-    Each step builds the candidates of all lanes (the regauged pair of
-    each lane whose pass opens, ahead of its first sweep batch; each
-    last-score lane's pair; one edit per move), scores them with one
+    Each step builds the candidates of all lanes (one edit per move, then
+    the regauged pair of each lane whose pass opens), scores them with one
     :func:`_lambda_raw` call and finds every lane's first acceptance with
     one segmented scan.  An opening lane's score row is its pass's start
-    score and the base of the sweep rows behind it, so a pass costs no
-    step of its own.  Every move of a sweep sets the same entry, so an
+    score and the base of its first sweep batch, so a pass costs no step
+    of its own.  Every move of a sweep sets the same entry, so an
     accepting sweep ends at the first maximum of its window: one argmax
     over a block of the accepting windows.  A move that equals the lane's
     current entry is no evaluation: before the first acceptance the entry
@@ -509,13 +507,15 @@ def _coordinate_polish(
     Each lane's schedule is one generator, written as the one-at-a-time
     climber's loops: jobs from a shared queue, spans, at most two passes
     of a sweep, a rescale and a pair run, each run started only while the
-    budget lasts, then the last score.  It yields each run's column and is
-    sent the lane's evaluations when the run ends, so Python touches a
-    lane only then: to set up the next run (the live entry pairs before
-    the pair moves, the next span's factor ladder), or to record the
-    result and admit the next job.  The lanes whose pass opens in a step
-    are then regauged and swept together, with no per-lane Python.  Once
-    a budget is spent, the window ends with its open group.
+    budget lasts.  It yields each run's column and is sent the lane's
+    evaluations when the run ends, so Python touches a lane only then: to
+    set up the next run (the live entry pairs before the pair moves, the
+    next span's factor ladder), or to store the job's pair and evaluations
+    and take the next job.  The lanes whose pass opens in a step are then
+    regauged and swept together, with no per-lane Python.  Once a budget
+    is spent, the window ends with its open group.  After the last step
+    every stored pair is regauged and scored, as the climber ends a job,
+    in calls of at most ``_CHUNK`` cells.
 
     A step costs about the same up to a few hundred rows, so the first
     batch of a family run, and the first after an acceptance, has
@@ -545,7 +545,8 @@ def _coordinate_polish(
     # Flat views for one ``take`` per gather: row ``lane * stride + index``.
     grid_at, factors_at, pairs_at = grid.reshape(-1), factors.reshape(-1, 2), pairs.reshape(-1, 2)
     grid_stride, factors_stride, pairs_stride = n * sweep, factors.shape[1], pairs.shape[1]
-    queue, results = enumerate(jobs), [None] * len(jobs)
+    # Each job's last pair and evaluations, regauged and scored after the loop.
+    queue, finals, job_evals = enumerate(jobs), np.empty((n, len(jobs))), [0] * len(jobs)
     # Where each lane's live entry pairs of each first entry open.
     opens: list[tuple[int, ...]] = [()] * lanes
     # Sweeps end at the floor and 1.0; pair moves open with the factor 0,
@@ -568,7 +569,8 @@ def _coordinate_polish(
         yield []
         for k, (m_a, m_b, max_evals) in queue:
             theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
-            limit, evals = _UNCAPPED if max_evals is None else max_evals, 0
+            # No lane can spend 2^62 evaluations, so a larger budget is none.
+            limit, evals = _UNCAPPED if max_evals is None else min(max_evals, _UNCAPPED), 0
             for span in spans:
                 if evals >= limit:
                     break
@@ -578,22 +580,20 @@ def _coordinate_polish(
                 count = len(moves) + 1
                 span_of[s], factors[s, 1:count] = span, moves
                 for _ in range(2):
-                    evals = yield [s, 1, evals, 0, n * sweep, sweep, sweep, first, limit, 0]
+                    evals = yield [s, 1, evals, 0, n * sweep, sweep, sweep, first, limit]
                     if evals < limit:
                         # Whole-row rescalings of one matrix against the other
                         # track the balance ridges exactly when rows are sparse.
-                        evals = yield [s, 2, evals, 0, 4 * (count - 1), count - 1, 1, first, limit, 0]
+                        evals = yield [s, 2, evals, 0, 4 * (count - 1), count - 1, 1, first, limit]
                     # Joint switch-off first: small entries can stabilize each
                     # other so that neither can be floored alone.
                     if evals < limit and pair_up(s):
-                        evals = yield [s, 3, evals, 0, count * opens[s][-1], count, 1, first, limit, 0]
+                        evals = yield [s, 3, evals, 0, count * opens[s][-1], count, 1, first, limit]
                     # A pass that improved nothing ends its span.
                     if evals >= limit or not best[s] > start[s]:
                         break
-            evals = yield [s, 0, evals, 0, 1, 1, 1, first, _UNCAPPED, 0]
-            m_a, m_b = theta[:n_a, s].reshape(2, d_a).copy(), theta[n_a:, s].reshape(2, d_b).copy()
-            results[k] = (float(best[s]), m_a, m_b, evals - 1)
-        yield [s, 4, 0, 0, 0, 1, 1, 1, 0, 0]
+            finals[:, k], job_evals[k] = theta[:, s], evals
+        yield [s, 4, 0, 0, 0, 1, 1, 1, 0]
 
     def group_end(s: int, family: int, at: int, width: int) -> int | None:
         """End of the move group open at ``at``; None when ``at`` opens a group."""
@@ -603,31 +603,21 @@ def _coordinate_polish(
         nxt = bisect.bisect_right(starts, at)
         return None if starts[nxt - 1] == at else starts[nxt]
 
-    def set_up(gauge: np.ndarray, opening: np.ndarray) -> None:
-        # Regauge every opening and closing lane, then sweep the opening lanes' entries.
-        if len(gauge):
-            _regauge(theta, gauge, n_a, floor)
-        if not len(opening):
-            return
-        center = np.maximum(theta[:, opening].T, floor)
-        ratio = span_of[opening][:, None]
-        low, high = np.maximum(center / ratio, floor), np.minimum(center * ratio, 1.0)
-        grid[opening, :, :points] = _geomspace(low, high, points).transpose(1, 2, 0)
-
     def advance(ended: np.ndarray) -> np.ndarray:
-        """Visit every ended column; returns the lanes whose pass opens."""
-        gauge, opening = [], []
+        """Visit every ended column; regauges the lanes whose pass opens, sweeps their entries and returns them."""
+        opening = []
         for i in ended.tolist():
             s, _, evals = state[:3, i].tolist()
             state[:, i] = column = schedules[s].send(evals)
-            if column[1] <= 1:
-                gauge.append(column[0])
-                if column[1]:
-                    opening.append(column[0])
-        if not gauge:
-            return ended[:0]
+            if column[1] == 1:
+                opening.append(s)
         opening = np.array(opening, dtype=np.intp)
-        set_up(np.array(gauge, dtype=np.intp), opening)
+        if len(opening):
+            _regauge(theta, opening, n_a, floor)
+            center = np.maximum(theta[:, opening].T, floor)
+            ratio = span_of[opening][:, None]
+            low, high = np.maximum(center / ratio, floor), np.minimum(center * ratio, 1.0)
+            grid[opening, :, :points] = _geomspace(low, high, points).transpose(1, 2, 0)
         return opening
 
     schedules = [runs(s) for s in range(lanes)]
@@ -635,9 +625,9 @@ def _coordinate_polish(
         next(schedule)
     state = np.zeros((len(_LANE_ROWS), lanes), dtype=np.intp)
     state[0] = np.arange(lanes)
-    lane, family, evals, lo, end, width, group, size, limit, spent = state
+    lane, family, evals, lo, end, width, group, size, limit = state
     ended, first = lane.copy(), min(max(_BASE_BATCH, _STEP_MOVES // lanes), cap)
-    families = np.arange(1, 5)
+    families = np.arange(2, 5)
 
     def scale(columns: np.ndarray, entries: np.ndarray, f: np.ndarray) -> None:
         cells = entries * stride + columns[:, None]
@@ -650,12 +640,12 @@ def _coordinate_polish(
             # Columns go back in family order; one lane is always in order.
             if len(lane) > 1:
                 state = state.take(np.argsort(family, kind="stable"), axis=1)
-            z, s1, r1, live = np.searchsorted(state[1], families).tolist()
+            s1, r1, live = np.searchsorted(state[1], families).tolist()
             if not live:
-                return results
+                break
             if len(lane) > 1:
                 state = state[:, :live]
-                lane, family, evals, lo, end, width, group, size, limit, spent = state
+                lane, family, evals, lo, end, width, group, size, limit = state
 
         count = np.minimum(end - lo, size)
         if capped:
@@ -663,50 +653,46 @@ def _coordinate_polish(
         offset = np.zeros(len(lane) + 1, dtype=np.intp)
         np.cumsum(count, out=offset[1:])
         heads = offset[:-1]
-        b1, b2, b3, total = offset.item(z), offset.item(s1), offset.item(r1), offset.item(-1)
+        b2, b3, total = offset.item(s1), offset.item(r1), offset.item(-1)
         owner = np.arange(len(lane)).repeat(count)
         rows = np.arange(total)
         pos = rows - heads[owner]
         move, at, per = lo[owner] + pos, lane[owner], width[owner]
 
-        # Candidates are columns, as the kernel reads them: the score rows of
-        # the lanes whose pass opens, then the move rows.
-        asks = len(asking)
-        cand = theta.take(np.concatenate([asking, at]) if asks else at, axis=1)
-        flat, stride, column = cand.reshape(-1), asks + total, rows + asks if asks else rows
-        if b2 > b1:
-            cells = move[b1:b2] // per[b1:b2] * stride + column[b1:b2]
-            value = grid_at.take(at[b1:b2] * grid_stride + move[b1:b2])
+        # Candidates are columns, as the kernel reads them: the move rows,
+        # then the score rows of the lanes whose pass opens.
+        cand = theta.take(np.concatenate([at, asking]) if len(asking) else at, axis=1)
+        flat, stride = cand.reshape(-1), total + len(asking)
+        if b2:
+            cells = move[:b2] // per[:b2] * stride + rows[:b2]
+            value = grid_at.take(at[:b2] * grid_stride + move[:b2])
             repeats = value == flat.take(cells)
             flat[cells] = value
         if b3 > b2:
             q, f = np.divmod(move[b2:b3], per[b2:b3])
             f = factors_at.take(at[b2:b3] * factors_stride + f + 1, axis=0)[:, side]
-            scale(column[b2:b3], rescaled.take(q, axis=0), f)
+            scale(rows[b2:b3], rescaled.take(q, axis=0), f)
         if total > b3:
             p, f = np.divmod(move[b3:], per[b3:])
             f = factors_at.take(at[b3:] * factors_stride + f, axis=0)
-            scale(column[b3:], pairs_at.take(at[b3:] * pairs_stride + p, axis=0), f)
+            scale(rows[b3:], pairs_at.take(at[b3:] * pairs_stride + p, axis=0), f)
         lam = _lambda_raw(cand.T, table)
-        if asks:
-            best[asking] = start[asking] = lam[:asks]
-            lam, asking = lam[asks:], asking[:0]
+        best[asking] = start[asking] = lam[total:]
+        lam, asking = lam[:total], asking[:0]
 
-        # Each lane accepts its first move that beats its best (a last
-        # score, its one row).  Single-entry moves run on to the end of the
-        # sweep; other families stop there.
+        # Each lane accepts its first move that beats its best.  Single-entry
+        # moves run on to the end of the sweep; other families stop there.
         base = best.take(at)
-        base[:b1] = -np.inf
         hit = np.minimum.reduceat(np.where(lam > base, pos, total), heads)
         accepted = hit < count
         # Without an acceptance ``hit`` is past the batch, so ``used`` is the batch.
         used = np.minimum(count, hit + group - (lo + hit) % group)
         last = heads + hit
         evals += used
-        if b2 > b1:
+        if b2:
             # Before the first acceptance, a move equal to the lane's entry is no evaluation.
-            evals[z:s1] -= np.add.reduceat(repeats & (pos[b1:b2] < hit.take(owner[b1:b2])), heads[z:s1] - b1)
-        swept = z + accepted[z:s1].nonzero()[0]
+            evals[:s1] -= np.add.reduceat(repeats & (pos[:b2] < hit.take(owner[:b2])), heads[:s1])
+        swept = accepted[:s1].nonzero()[0]
         if len(swept):
             # Every move of a sweep sets the same entry, so the sweep ends at
             # the first maximum of its window.
@@ -725,12 +711,12 @@ def _coordinate_polish(
                 record = np.ones(top.shape, dtype=bool)
                 np.greater(top[:, 1:], top[:, :-1], out=record[:, 1:])
                 latest = np.maximum.accumulate(np.where(record, ahead, 0), axis=1)[:, :-1]
-                values = value[idx[tied] - b1]
+                values = value[idx[tied]]
                 again = values[:, 1:] == values[np.arange(len(tied))[:, None], latest]
                 evals[swept[tied]] -= (again & (ahead[1:] < tail[tied])).sum(axis=1)
         won = accepted.nonzero()[0]
         winners, picked = lane[won], last[won]
-        theta[:, winners] = cand.take(picked + asks if asks else picked, axis=1)
+        theta[:, winners] = cand.take(picked, axis=1)
         best[winners] = lam[picked]
 
         # Advance every window.  Few live lanes make a step cheap per row,
@@ -742,15 +728,24 @@ def _coordinate_polish(
         size[accepted] = first
         over = lo >= end
         if capped:
-            # A spent budget lets the open group finish in batches of ``cap``.
-            np.maximum(size, spent, out=size)
+            # A spent budget lets the open group finish.
             for i in (evals >= limit).nonzero()[0].tolist():
                 stop = group_end(int(lane[i]), int(family[i]), int(lo[i]), int(width[i]))
                 if stop is None:
                     over[i] = True
                 else:
-                    end[i], size[i], limit[i], spent[i] = stop, cap, _UNCAPPED, cap
+                    end[i], limit[i] = stop, _UNCAPPED
         ended = over.nonzero()[0]
+
+    # Each job ends as the one-at-a-time climber's does: its pair regauged, then scored.
+    block = max(1, _CHUNK // (n + 4 * d_e))
+    scores = np.empty(len(jobs))
+    for b in range(0, len(jobs), block):
+        cols = np.arange(b, min(b + block, len(jobs)))
+        _regauge(finals, cols, n_a, floor)
+        scores[cols] = _lambda_raw(finals[:, cols].T, table)
+    return [(score, finals[:n_a, k].reshape(2, d_a).copy(), finals[n_a:, k].reshape(2, d_b).copy(), job_evals[k])
+            for k, score in enumerate(scores.tolist())]
 
 
 def _funnel(

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,15 +16,18 @@ from secbit import (
     canonical_distribution,
     estimate_mesbf,
     from_entries,
+    lower_shear,
     marginal_ab,
     mesbf_decoupled_power,
     product_with_eve,
+    row_gluing,
     satellite_scenario,
     secret_bit_fraction,
     shared_bit,
     tensor_power,
 )
 from secbit import distill, properties
+from secbit.distributions import DEFAULT_TENSOR_CELL_CAP
 from secbit.errors import (
     BadShapeError,
     CountError,
@@ -337,6 +342,41 @@ class TestTensorPower:
         with pytest.raises(OutOfRangeError):
             tensor_power(shared_bit(), 0)
 
+    def test_cell_cap_verdict_is_the_exact_products(self, monkeypatch):
+        # The size is decided without building the product: each copy past
+        # the first is one np.kron, stubbed here so that no table is built.
+        class Built(Exception):
+            pass
+
+        def kron(*args):
+            raise Built
+
+        monkeypatch.setattr(np, "kron", kron)
+        for d_a, d_b in itertools.product(range(1, 7), repeat=2):
+            p = BipartiteDistribution(np.ones((d_a, d_b)))
+            for copies in range(1, 71):
+                if (d_a**copies) * (d_b**copies) > DEFAULT_TENSOR_CELL_CAP:
+                    with pytest.raises(DimensionOverflowError):
+                        tensor_power(p, copies)
+                elif copies > 1:
+                    with pytest.raises(Built):
+                        tensor_power(p, copies)
+                else:
+                    assert tensor_power(p, copies).table.shape == (d_a, d_b)
+
+    def test_cell_cap_refuses_a_billion_copies_at_once(self):
+        # Built exactly, the cell count 3^c x 3^c took 0.8 s at a million
+        # copies and 5.1 s at three million, and grew faster than that.
+        p = BipartiteDistribution(np.arange(1.0, 10.0).reshape(3, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflowError):
+                tensor_power(p, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSharedBit:
     def test_cells(self):
@@ -480,3 +520,62 @@ def test_seeds_are_integers_at_or_above_zero(entry):
     assert _fingerprint(call(np.int64(3))) == _fingerprint(call(3))
     call(0)
     call(2**70)
+
+
+_SUITES = (
+    properties.check_scale_invariance,
+    properties.check_eve_monotonicity,
+    properties.check_apply_algebra,
+    properties.check_reversible_undo,
+    properties.check_decompose_roundtrip,
+)
+# Every entry point that takes a count or a seed: the two tables above, the
+# filter sizes and each property suite alone.
+ALL_COUNTS = {
+    **COUNT_PARAMETERS,
+    **SEED_PARAMETERS,
+    "Filtration.identity-size": lambda n: Filtration.identity(n),
+    "Filtration.coin_toss-size": lambda n: Filtration.coin_toss(n),
+    "lower_shear-size": lambda n: lower_shear(0.5, n),
+    "row_gluing-size": lambda n: row_gluing(0.5, 1, n),
+    **{f"{suite.__name__}-trials": lambda n, suite=suite: suite(satellite_scenario(0.1, 0.2, 0.3), n, 1)
+       for suite in _SUITES},
+    **{f"{suite.__name__}-seed": lambda n, suite=suite: suite(satellite_scenario(0.1, 0.2, 0.3), 1, n)
+       for suite in _SUITES},
+    "check_cross_ratio_monotonicity-trials": lambda n: properties.check_cross_ratio_monotonicity(_AB, n, 1),
+    "check_cross_ratio_monotonicity-seed": lambda n: properties.check_cross_ratio_monotonicity(_AB, 1, n),
+}
+# The entry points that answer at 2^1000 with a finite limit.
+ANSWER_AT_2_1000 = (
+    "mesbf_decoupled_power-copies",
+    "block_error_rate-N",
+    "bob_uncertainty-N",
+    "eve_uncertainty-N",
+    "protocol_report-N",
+    "exact_block_statistics-N",
+)
+
+
+def _floats(result) -> list[float]:
+    if isinstance(result, MeasureResult):
+        return [result.value]
+    if isinstance(result, dict):
+        return list(result.values())
+    if isinstance(result, distill.ProtocolReport):
+        return [result.block_error_rate, result.bob_uncertainty, result.eve_uncertainty]
+    return [result]
+
+
+@pytest.mark.parametrize("entry", ALL_COUNTS)
+def test_counts_past_the_float_maximum_raise_count_error(entry):
+    # Unchecked, 10^400 copies or blocks raised a bare OverflowError where
+    # the count met a float, and a count of 10^5000 has no repr to report.
+    call = ALL_COUNTS[entry]
+    for huge in (2**1024, 10**400, 10**5000):
+        with pytest.raises(CountError, match="float maximum"):
+            call(huge)
+    if entry in ANSWER_AT_2_1000:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _floats(call(2**1000))
+        assert all(math.isfinite(value) for value in values), values

@@ -387,17 +387,18 @@ class TestLaneTable:
 
     def test_kernel_calls_keep_their_rows(self, monkeypatch):
         # 57 jobs of mixed budgets in four calls on a coupled 2x3x4 table, in
-        # lanes that are reused, take 907 kernel calls of 321 927 rows in all:
+        # lanes that are reused, take 909 kernel calls of 315 396 rows in all:
         # the batches of polishes that request their moves one batch at a
-        # time, each pass's score in its first sweep batch.  A lockstep that
-        # keeps every value but batches moves otherwise changes these
+        # time, each pass's score in a row after the moves of its first
+        # sweep batch, and one call per call's finished pairs.  A lockstep
+        # that keeps every value but batches moves otherwise changes these
         # counts.
         table = _kernel_case(2, 3, 4, 1, 0.3)[0]
         calls = []
         monkeypatch.setattr(optimizer, "_lambda_raw", lambda cands, t: calls.append(len(cands)) or _lambda_raw(cands, t))
         found = [_coordinate_polish(table, jobs, points, spans, 1e-9) for points, spans, jobs in _lockstep_calls(table)]
         assert sum(map(len, found)) == 57
-        assert (len(calls), sum(calls)) == (907, 321_927)
+        assert (len(calls), sum(calls)) == (909, 315_396)
 
     def test_lanes_past_the_cell_bound_rejected(self):
         # A 4x4 lane holds 20 * points + 300 cells: 6538 grid points fit
@@ -953,6 +954,14 @@ def _scaled_case(scale: float) -> TripartiteDistribution:
 
 def _result_bytes(result) -> tuple:
     return (float(result.value).hex(), *(w.matrix.tobytes() for w in result.witness), repr(result.detail))
+
+
+def test_budgets_past_the_lane_table_are_none(lemur):
+    # No lane can spend 2^62 evaluations, so any larger budget reads as
+    # none; 2^63 once overflowed the lane table's integers.
+    found = [_result_bytes(estimate_mesbf(lemur, SearchConfig(restarts=1, iterations=budget)))
+             for budget in (2**62, 2**63, 2**80)]
+    assert found[0] == found[1] == found[2]
 
 
 class TestExtremeScales:
