@@ -302,9 +302,10 @@ def tensor_power(p_ab: BipartiteDistribution, copies: int) -> BipartiteDistribut
     The composite index encodes the sample string positionally in base
     ``d_A`` (respectively ``d_B``) with sample 0 as the most significant
     digit, so the cell for strings ``(a_0 .. a_{N-1})``, ``(b_0 .. b_{N-1})``
-    is the product of the per-sample probabilities.  The factors are not
-    rescaled: more than ``DEFAULT_TENSOR_CELL_CAP`` cells raise
-    :class:`DimensionOverflowError`, a product past the float maximum
+    is the product of the per-sample probabilities; a one-cell table's
+    power is its cell to the ``copies``-th power, taken in one step.  The
+    factors are not rescaled: more than ``DEFAULT_TENSOR_CELL_CAP`` cells
+    raise :class:`DimensionOverflowError`, a product past the float maximum
     :class:`InvalidParamsError` and one that underflows everywhere
     :class:`ZeroMassError`, each with no numpy warning.
     """
@@ -319,8 +320,13 @@ def tensor_power(p_ab: BipartiteDistribution, copies: int) -> BipartiteDistribut
     table = p_ab.table
     # An overflowed product times a zero entry is nan; either fails the check.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(copies - 1):
-            table = np.kron(table, p_ab.table)
+        if table.size == 1:
+            # numpy's scalar power is C pow, as Python's is; its array power
+            # may round otherwise.
+            table = np.full((1, 1), np.float64(table.item()) ** float(copies))
+        else:
+            for _ in range(copies - 1):
+                table = np.kron(table, p_ab.table)
     return BipartiteDistribution(_below_overflow(table, f"the {copies}-copy power"))
 
 

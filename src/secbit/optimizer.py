@@ -47,7 +47,6 @@ subnormal and near-overflow ones finite and exact in their sums.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from collections.abc import Generator, Sequence
 from itertools import product
@@ -393,14 +392,11 @@ _CHEAP_SPANS = (10.0, 2.0, 1.3)
 _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 
-@functools.lru_cache(maxsize=64)
 def _ladder(span: float, points: int) -> np.ndarray:
-    """Read-only factor pairs ``(f, 1/f)``, ``(f, f)`` per step ``f != 1`` of the span's log grid."""
+    """Factor pairs ``(f, 1/f)``, ``(f, f)`` per step ``f != 1`` of the span's log grid."""
     steps = np.geomspace(1.0 / span, span, points)
     steps = steps[steps != 1.0]
-    moves = np.stack([np.repeat(steps, 2), np.stack([1.0 / steps, steps], axis=1).ravel()], axis=1)
-    moves.flags.writeable = False
-    return moves
+    return np.stack([np.repeat(steps, 2), np.stack([1.0 / steps, steps], axis=1).ravel()], axis=1)
 
 
 def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
@@ -491,13 +487,13 @@ def _coordinate_polish(
     :func:`_lambda_raw` call and finds every lane's first acceptance with
     one segmented scan.  An opening lane's score row is its pass's start
     score and the base of its first sweep batch, so a pass costs no step
-    of its own.  Every move of a sweep sets the same entry, so an
-    accepting sweep ends at the first maximum of its window: one argmax
-    over a block of the accepting windows.  A move that equals the lane's
-    current entry is no evaluation: before the first acceptance the entry
-    the lane holds, after it the latest record.  Such a move scores that
-    record's value exactly, so it ties the window's running maximum, and
-    only the windows with a tie are resolved record by record.
+    of its own.  Every move of a sweep sets the same entry, so after its
+    first acceptance a lane holds the value of its latest record, a strict
+    rise of the window's running maximum.  One record pass over a block of
+    the accepting windows ends each sweep at its last record, the window's
+    first maximum.  A move that equals the lane's current entry is no
+    evaluation: before the first acceptance the entry the lane holds,
+    after it the latest record's, read off the same pass.
     Whole-table operations advance every window: a batch has ``min(size,
     cap, room)`` moves, and sizes double up to ``cap`` until an
     acceptance.  A row's score does not depend on the rest of its call, so
@@ -510,12 +506,13 @@ def _coordinate_polish(
     budget lasts.  It yields each run's column and is sent the lane's
     evaluations when the run ends, so Python touches a lane only then: to
     set up the next run (the live entry pairs before the pair moves, the
-    next span's factor ladder), or to store the job's pair and evaluations
-    and take the next job.  The lanes whose pass opens in a step are then
-    regauged and swept together, with no per-lane Python.  Once a budget
-    is spent, the window ends with its open group.  After the last step
-    every stored pair is regauged and scored, as the climber ends a job,
-    in calls of at most ``_CHUNK`` cells.
+    next span's factor ladder, built once per call), or to store the job's
+    pair and evaluations and take the next job.  The lanes whose pass
+    opens in a step are then regauged and swept together, with no
+    per-lane Python.  Once a budget is spent, the window ends with its
+    open group.  After the last step every stored pair is regauged and
+    scored, as the climber ends a job, in calls of at most ``_CHUNK``
+    cells.
 
     A step costs about the same up to a few hundred rows, so the first
     batch of a family run, and the first after an acceptance, has
@@ -549,6 +546,7 @@ def _coordinate_polish(
     queue, finals, job_evals = enumerate(jobs), np.empty((n, len(jobs))), [0] * len(jobs)
     # Where each lane's live entry pairs of each first entry open.
     opens: list[tuple[int, ...]] = [()] * lanes
+    ladders = [_ladder(span, points) for span in spans]
     # Sweeps end at the floor and 1.0; pair moves open with the factor 0,
     # which clips both entries to the floor.
     grid[:, :, points:] = floor, 1.0
@@ -571,12 +569,11 @@ def _coordinate_polish(
             theta[:, s] = np.concatenate([m_a.ravel(), m_b.ravel()])
             # No lane can spend 2^62 evaluations, so a larger budget is none.
             limit, evals = _UNCAPPED if max_evals is None else min(max_evals, _UNCAPPED), 0
-            for span in spans:
+            for span, moves in zip(spans, ladders):
                 if evals >= limit:
                     break
                 # Pair moves by f and 1/f, then by f and f, after the joint
                 # switch-off; rescalings skip it.
-                moves = _ladder(span, points)
                 count = len(moves) + 1
                 span_of[s], factors[s, 1:count] = span, moves
                 for _ in range(2):
@@ -694,26 +691,21 @@ def _coordinate_polish(
             evals[:s1] -= np.add.reduceat(repeats & (pos[:b2] < hit.take(owner[:b2])), heads[:s1])
         swept = accepted[:s1].nonzero()[0]
         if len(swept):
-            # Every move of a sweep sets the same entry, so the sweep ends at
-            # the first maximum of its window.
+            # Every move of a sweep sets the same entry, so the lane holds the
+            # value of the latest record (strict rise of the running maximum,
+            # the hit first) and the sweep ends at the window's last one.
             tail = (used - hit)[swept, None]
             ahead = np.arange(tail.max())
+            inside = ahead < tail
             idx = last[swept, None] + np.minimum(ahead, tail - 1)
-            window = np.where(ahead < tail, lam[idx], -np.inf)
-            last[swept] += window.argmax(axis=1)
-            # After the first acceptance a move that equals the latest record
-            # is no evaluation; it scores that record's value exactly, so only
-            # windows with a score tied to their running maximum can hold one.
-            top = np.maximum.accumulate(window, axis=1)
-            tied = (window[:, 1:] == top[:, :-1]).any(axis=1).nonzero()[0]
-            if len(tied):
-                top = top[tied]
-                record = np.ones(top.shape, dtype=bool)
-                np.greater(top[:, 1:], top[:, :-1], out=record[:, 1:])
-                latest = np.maximum.accumulate(np.where(record, ahead, 0), axis=1)[:, :-1]
-                values = value[idx[tied]]
-                again = values[:, 1:] == values[np.arange(len(tied))[:, None], latest]
-                evals[swept[tied]] -= (again & (ahead[1:] < tail[tied])).sum(axis=1)
+            top = np.maximum.accumulate(np.where(inside, lam.take(idx), -np.inf), axis=1)
+            record = np.ones(top.shape, dtype=bool)
+            np.greater(top[:, 1:], top[:, :-1], out=record[:, 1:])
+            latest = np.maximum.accumulate(np.where(record, ahead, 0), axis=1)
+            last[swept] += latest[:, -1]
+            # A later move that equals the latest record is no evaluation.
+            again = value.take(idx[:, 1:]) == value.take(idx[:, :1] + latest[:, :-1])
+            evals[swept] -= (again & inside[:, 1:]).sum(axis=1)
         won = accepted.nonzero()[0]
         winners, picked = lane[won], last[won]
         theta[:, winners] = cand.take(picked, axis=1)

@@ -134,7 +134,7 @@ def scalar_polish(
     floor: float,
     spans: tuple[float, ...] = _FINE_SPANS,
     max_evals: int | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Local grid refinement of a filter pair, windows shrinking per pass.
 
     Two move families: single entries swept over a local log grid (plus
@@ -147,7 +147,8 @@ def scalar_polish(
     the scale drifts toward the floor and the windows lose resolution.
     Each candidate is scored alone, as a one-row call of the library's
     kernel.  Deterministic; relies on the caller to supply candidates in
-    the right bases of attraction.
+    the right bases of attraction.  Returns the value, both filters and the
+    evaluations, the count that ``max_evals`` caps.
     """
     n_a = d_a_mat.size
     theta = np.concatenate([d_a_mat.ravel(), j_b.ravel()])
@@ -245,7 +246,7 @@ def scalar_polish(
             if not improved:
                 break
     regauge()
-    return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape)
+    return lam_of(theta), theta[:n_a].reshape(d_a_mat.shape), theta[n_a:].reshape(j_b.shape), evals
 
 
 def exhaustive_scan(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -344,7 +345,8 @@ class TestTensorPower:
 
     def test_cell_cap_verdict_is_the_exact_products(self, monkeypatch):
         # The size is decided without building the product: each copy past
-        # the first is one np.kron, stubbed here so that no table is built.
+        # the first of a table of two or more cells is one np.kron, stubbed
+        # here so that no table is built.  A one-cell power takes none.
         class Built(Exception):
             pass
 
@@ -358,11 +360,32 @@ class TestTensorPower:
                 if (d_a**copies) * (d_b**copies) > DEFAULT_TENSOR_CELL_CAP:
                     with pytest.raises(DimensionOverflowError):
                         tensor_power(p, copies)
-                elif copies > 1:
+                elif copies > 1 and d_a * d_b > 1:
                     with pytest.raises(Built):
                         tensor_power(p, copies)
                 else:
-                    assert tensor_power(p, copies).table.shape == (d_a, d_b)
+                    assert tensor_power(p, copies).table.shape == (d_a**copies, d_b**copies)
+
+    def test_one_cell_powers_take_one_step(self):
+        # One np.kron per copy took 2.4-2.8 s at 10^5 copies of these tables.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            started = time.perf_counter()
+            assert tensor_power(BipartiteDistribution(np.ones((1, 1))), 10**9).table.tolist() == [[1.0]]
+            with pytest.raises(ZeroMassError):
+                tensor_power(BipartiteDistribution(np.full((1, 1), 0.5)), 10**9)
+            with pytest.raises(InvalidParamsError, match="1000000000-copy power overflows"):
+                tensor_power(BipartiteDistribution(np.full((1, 1), 2.0)), 10**9)
+            assert time.perf_counter() - started < 1.0
+
+    def test_one_cell_powers_follow_the_per_copy_product(self):
+        for x in (0.3, 0.999, 1.7):
+            p, product = BipartiteDistribution(np.full((1, 1), x)), 1.0
+            for copies in range(1, 61):
+                product *= x
+                cell = tensor_power(p, copies).table.item()
+                assert cell == x**copies, (x, copies)
+                assert abs(cell - product) <= copies * 2**-52 * product, (x, copies)
 
     def test_cell_cap_refuses_a_billion_copies_at_once(self):
         # Built exactly, the cell count 3^c x 3^c took 0.8 s at a million

@@ -118,6 +118,29 @@ class TestBatchedPolish:
                 assert np.array_equal(found[1], expected[1]), name
                 assert np.array_equal(found[2], expected[2]), name
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+    def test_whole_polishes_count_as_the_scalar_reference(self, shape):
+        # Uncapped polishes of several starts at once: every job's evaluation
+        # count, not only its pair, is the one-at-a-time climber's.  Entries
+        # at the floor and at 1 meet repeated grid values after an acceptance.
+        d_a, d_b = shape
+        m = np.random.default_rng([2026, d_a, d_b]).uniform(0.1, 1.0, size=shape)
+        table = point_mass_eve(BipartiteDistribution(m / m.sum())).table
+        floor = 1e-9
+        sample = np.exp(np.random.default_rng([32, d_a, d_b]).uniform(math.log(floor), 0.0, size=2 * (d_a + d_b)))
+        seeds = _selecting_seeds(d_a, d_b, floor)
+        starts = [
+            (np.clip(_identity_projection(d_a), floor, 1.0), np.clip(_identity_projection(d_b), floor, 1.0)),
+            *(seeds[k][1:] for k in (1, len(seeds) // 2, -1)),
+            (sample[: 2 * d_a].reshape(2, d_a), sample[2 * d_a :].reshape(2, d_b)),
+        ]
+        for points, spans in ((6, _MICRO_SPANS), (8, _CHEAP_SPANS), (12, _CHEAP_SPANS), (24, _FINE_SPANS)):
+            found = _coordinate_polish(table, [(m_a, m_b, None) for m_a, m_b in starts], points, spans, floor)
+            for k, ((m_a, m_b), (value, f_a, f_b, evals)) in enumerate(zip(starts, found)):
+                expected = scalar_polish(table, m_a, m_b, points, floor, spans)
+                assert (value, evals) == (expected[0], expected[3]), (points, k)
+                assert np.array_equal(f_a, expected[1]) and np.array_equal(f_b, expected[2]), (points, k)
+
     @pytest.mark.parametrize("instance", BUDGET_INSTANCES)
     def test_stops_at_every_budget_boundary(self, instance):
         # Caps 1..120 cover the first sweeps' entry, row-pair and pair
