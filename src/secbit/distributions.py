@@ -77,7 +77,13 @@ def _is_complex(arr: np.ndarray) -> bool:
     return arr.dtype.kind == "c"
 
 
-def _freeze(values, ndim: int, what: str) -> np.ndarray:
+def _freeze(values, ndim: int, what: str, empty: str | None = None) -> np.ndarray:
+    """``values`` as a read-only ``ndim``-dimensional array of finite, nonnegative floats.
+
+    Given ``empty``, an array with no positive entry raises
+    :class:`ZeroMassError` with that message; the largest entry, taken
+    once, decides both that and finiteness.
+    """
     try:
         arr = np.asarray(values)
         if _is_complex(arr):
@@ -89,14 +95,14 @@ def _freeze(values, ndim: int, what: str) -> np.ndarray:
         raise BadShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     # Two reductions pass every finite nonnegative table (nan fails both);
     # only a table that fails one pays for the checks that name the fault.
-    if not (
-        np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0
-        and np.maximum.reduce(arr, axis=None, initial=0.0) < math.inf
-    ):
+    top = np.maximum.reduce(arr, axis=None, initial=0.0)
+    if not (np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0 and top < math.inf):
         if not np.isfinite(arr).all():
             raise InvalidParamsError(f"{what} contains non-finite entries")
         if (arr < 0.0).any():
             raise NegativeEntryError(f"{what} contains a negative entry")
+    if empty is not None and not top > 0.0:
+        raise ZeroMassError(empty)
     arr.setflags(write=False)
     return arr
 
@@ -140,9 +146,7 @@ class _Table:
     _ndim: ClassVar[int]
 
     def __post_init__(self) -> None:
-        table = _freeze(self.table, self._ndim, "distribution table")
-        if not np.maximum.reduce(table, axis=None, initial=0.0) > 0.0:
-            raise ZeroMassError("distribution has zero total mass")
+        table = _freeze(self.table, self._ndim, "distribution table", "distribution has zero total mass")
         object.__setattr__(self, "table", table)
 
     @property
@@ -285,9 +289,7 @@ def marginal_ab(p: TripartiteDistribution) -> BipartiteDistribution:
 
 def product_with_eve(p_ab: BipartiteDistribution, q_e) -> TripartiteDistribution:
     """Attach an independent Eve: ``P(a, b, e) = P(a, b) * Q(e)``."""
-    weights = _freeze(q_e, 1, "Eve marginal")
-    if not np.maximum.reduce(weights, axis=None, initial=0.0) > 0.0:
-        raise ZeroMassError("Eve marginal has zero total mass")
+    weights = _freeze(q_e, 1, "Eve marginal", "Eve marginal has zero total mass")
     return TripartiteDistribution(p_ab.table[:, :, None] * weights[None, None, :])
 
 

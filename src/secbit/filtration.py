@@ -33,7 +33,6 @@ from .errors import (
     NonSquareError,
     NotStochasticError,
     OutOfRangeError,
-    ZeroMassError,
 )
 
 PROPER_TOLERANCE = 1e-12
@@ -108,18 +107,16 @@ class Filtration:
 def apply(d_a: Filtration, j_b: Filtration, p: TripartiteDistribution) -> TripartiteDistribution:
     """Filter Alice's and Bob's symbols; Eve's alphabet is untouched.
 
-    Raises :class:`ZeroMassError` when the filtration fails with
-    certainty (the filtered table is identically zero); the failure is
-    reported, never silently normalized away.
+    The filtered table is checked as every table is: one that is
+    identically zero (the filtration fails with certainty) raises
+    :class:`ZeroMassError`, reported rather than normalized away, and one
+    with an entry past the float maximum raises :class:`InvalidParamsError`.
     """
     if d_a.cols != p.dims[0] or j_b.cols != p.dims[1]:
         raise DimensionMismatchError(
             f"filters with {d_a.cols} and {j_b.cols} inputs cannot act on dims {p.dims}"
         )
-    table = np.einsum("ia,jb,abe->ije", d_a.matrix, j_b.matrix, p.table)
-    if not table.sum() > 0.0:
-        raise ZeroMassError("filtration fails with certainty on this distribution")
-    return TripartiteDistribution(table)
+    return TripartiteDistribution(np.einsum("ia,jb,abe->ije", d_a.matrix, j_b.matrix, p.table))
 
 
 def apply_bipartite(
@@ -130,10 +127,7 @@ def apply_bipartite(
         raise DimensionMismatchError(
             f"filters with {d_a.cols} and {j_b.cols} inputs cannot act on dims {p_ab.dims}"
         )
-    table = d_a.matrix @ p_ab.table @ j_b.matrix.T
-    if not table.sum() > 0.0:
-        raise ZeroMassError("filtration fails with certainty on this distribution")
-    return BipartiteDistribution(table)
+    return BipartiteDistribution(d_a.matrix @ p_ab.table @ j_b.matrix.T)
 
 
 def apply_eve(y_e: Filtration, p: TripartiteDistribution) -> TripartiteDistribution:

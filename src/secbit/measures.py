@@ -20,17 +20,21 @@ witness family ("quasi-distillability").
 Every measure is scale invariant, for tables scaled anywhere from 1e-300
 to 1e300, and near the float maximum.  Every measure first divides the
 table by its largest entry (the secret-bit fraction and its oracle by the
-nearest power of two, which is exact), so no sum or product underflows or
-overflows.  The decoupled measures share one cross-ratio kernel over all
-outcome pairs, and the three exact-or-limiting witnesses share one
-balancing rule.  Everything here needs numpy only: the linear-programming
-oracle runs a small in-house simplex (:func:`_lp_max`).
+nearest power of two, which is exact), so no sum overflows.  The
+decoupled measures share one cross-ratio kernel over all outcome pairs,
+and the three exact-or-limiting witnesses share one balancing rule and
+one builder of both filters (:func:`_two_outcome_pair`).  Where a
+product of one table's entries underflows, the reversible cross term and
+the witness weights fall back to products of square roots.  Everything
+here needs numpy only: the linear-programming oracle runs a small
+in-house simplex (:func:`_lp_max`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -192,16 +196,18 @@ def _lp_max(c, a_ub, b_ub) -> tuple[float, np.ndarray]:
     raise LinearProgramError(f"the LP reached no optimum within {cap} pivots")
 
 
-def _diag_pair(q: float, phi: float) -> WitnessPair:
-    d_a = Filtration.diagonal([1.0, q]).as_proper()
-    j_b = Filtration.diagonal([1.0, phi / q]).as_proper()
-    return d_a, j_b
+def _two_outcome_pair(dims: tuple[int, int], alice, bob, x, y) -> WitnessPair:
+    """Filters keeping two outcomes per party, for the ``dims`` alphabets.
 
-
-def _anti_pair(s: float, psi: float) -> WitnessPair:
-    d_a = Filtration(np.array([[0.0, s], [1.0, 0.0]])).as_proper()
-    j_b = Filtration.diagonal([psi / s, 1.0]).as_proper()
-    return d_a, j_b
+    Alice's output ``i`` takes her input ``alice[i]`` at weight ``x[i]``,
+    Bob's takes ``bob[i]`` at ``y[i]``.  Each filter is scaled as
+    :meth:`Filtration.as_proper` scales it, and built once.
+    """
+    left = np.zeros((2, dims[0]))
+    right = np.zeros((2, dims[1]))
+    left[(0, 1), alice] = x
+    right[(0, 1), bob] = y
+    return Filtration(left / left.sum(axis=0).max()), Filtration(right / right.sum(axis=0).max())
 
 
 def _balanced_witness(
@@ -209,20 +215,34 @@ def _balanced_witness(
 ) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
     """The witness ``build(q)`` whose free weight ``q`` balances two cells.
 
-    ``build(q)`` keeps two cells at ``ratio`` to each other and weights the
-    two balancing cells ``cell0`` and ``cell1`` against each other by
-    ``q``; the optimum sits at ``q = sqrt(ratio * cell0 / cell1)``.  When
-    exactly one balancing cell is structurally zero the optimum is only
-    approached as ``q`` degenerates, giving a limiting family.
+    ``build(q)`` keeps two cells at ``ratio`` to each other, weighting one
+    party by ``q`` and the other by its partner ``ratio / q``, and weights
+    the two balancing cells ``cell0`` and ``cell1`` against each other by
+    ``q``; the optimum sits at ``q = sqrt(ratio * cell0 / cell1)``, taken
+    as a product of square roots where ``ratio * cell0`` or the quotient
+    leaves the normal floats.  When exactly one balancing cell is
+    structurally zero the optimum is only approached as ``q`` degenerates,
+    giving a limiting family.  A weight or partner that leaves the
+    positive floats raises :class:`InvalidParamsError`.
     """
+
+    def weighted(q: float) -> WitnessPair:
+        if not (0.0 < q < math.inf and 0.0 < ratio / q < math.inf):
+            raise InvalidParamsError(f"the witness weights {q!r} and {ratio!r} / {q!r} leave the float range")
+        return build(q)
+
     if cell0 > 0.0 and cell1 > 0.0:
-        return build(math.sqrt(ratio * cell0 / cell1)), "exact", None
+        product = ratio * cell0
+        balance = product / cell1
+        normal = sys.float_info.min <= min(product, balance) and balance < math.inf
+        q = math.sqrt(balance) if normal else math.sqrt(ratio) * math.sqrt(cell0) / math.sqrt(cell1)
+        return weighted(q), "exact", None
     if cell0 == 0.0 and cell1 == 0.0:
-        return build(1.0), "exact", None
+        return weighted(1.0), "exact", None
     if cell1 == 0.0:
-        family: WitnessFamily = lambda delta: build(1.0 / delta)
+        family: WitnessFamily = lambda delta: weighted(1.0 / delta)
     else:
-        family = build
+        family = weighted
     return family(FAMILY_SAMPLE), "limiting", family
 
 
@@ -246,7 +266,10 @@ def mesbf_reversible(p: TripartiteDistribution) -> MeasureResult:
     live = (s[:, 0, 0] != 0.0) & (s[:, 1, 1] != 0.0)
     ratios = np.divide(s[:, 0, 0], s[:, 1, 1], out=np.ones(live.shape), where=live)
     num = 2.0 * np.minimum(s[:, 0, 0, None, :], ratios[:, :, None] * s[:, 1, 1, None, :]).sum(axis=2)
-    cross = np.sqrt(ratios * m[:, 0, 1, None] * m[:, 1, 0, None])
+    product = ratios * m[:, 0, 1, None] * m[:, 1, 0, None]
+    # Where the product underflows, a product of square roots keeps the cross term.
+    roots = np.sqrt(ratios) * np.sqrt(m[:, 0, 1, None]) * np.sqrt(m[:, 1, 0, None])
+    cross = np.where(product < sys.float_info.min, roots, np.sqrt(product))
     den = m[:, 0, 0, None] + ratios * m[:, 1, 1, None] + 2.0 * cross
     values = np.divide(num, den, out=np.full(live.shape, -1.0), where=live)
     # Row-major argmax: the diagonal branch wins ties, then the lower symbol.
@@ -254,8 +277,11 @@ def mesbf_reversible(p: TripartiteDistribution) -> MeasureResult:
     if not live[b, e]:
         return MeasureResult(0.0, None, "none", {"branch": None})
     ratio = float(ratios[b, e])
-    witness_at = (_diag_pair, _anti_pair)[b]
-    witness, kind, family = _balanced_witness(lambda q: witness_at(q, ratio), ratio, m[b, 0, 1], m[b, 1, 0])
+    if b == 0:  # diag(1, q) and diag(1, ratio / q)
+        build = lambda q: _two_outcome_pair((2, 2), (0, 1), (0, 1), (1.0, q), (1.0, ratio / q))
+    else:  # the swap weighted (q, 1) and diag(ratio / q, 1)
+        build = lambda q: _two_outcome_pair((2, 2), (1, 0), (0, 1), (q, 1.0), (ratio / q, 1.0))
+    witness, kind, family = _balanced_witness(build, ratio, float(m[b, 0, 1]), float(m[b, 1, 0]))
     detail = {"branch": ("diagonal", "antidiagonal")[b], "eve_symbol": e, "ratio": ratio}
     return MeasureResult(float(values[b, e]), witness, kind, detail, family)
 
@@ -314,13 +340,14 @@ def _cross_ratios(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.n
     ``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)`` on the table divided by its
     largest entry, for the pairs of :func:`_outcome_pairs` in their order.
     A zero denominator is a structural zero and gives ``inf``, so the pair
-    never beats the 1/2 floor.
+    never beats the 1/2 floor; so does a ratio past the float maximum.
     """
     m = table / table.max()
     alice, bob = pairs = _outcome_pairs(*m.shape)
     cells = m.take(alice, axis=0).take(bob, axis=2)  # cells[s, :, t] = m[alice[s]][:, bob[t]]
     den = cells[0, :, 0] * cells[1, :, 1]
-    ratio = np.divide(cells[0, :, 1] * cells[1, :, 0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(cells[0, :, 1] * cells[1, :, 0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
     return ratio.ravel(), pairs
 
 
@@ -338,18 +365,7 @@ def _selecting_witness(
     m = table / table.max()
     a0, a1, b0, b1 = pair
     phi = float(m[a0, b0]) / float(m[a1, b1])
-    d_a, d_b = m.shape
-
-    def build(q: float) -> WitnessPair:
-        left = np.zeros((2, d_a))
-        right = np.zeros((2, d_b))
-        left[0, a0] = 1.0
-        left[1, a1] = q
-        right[0, b0] = 1.0
-        right[1, b1] = phi / q
-        # Scaled as ``as_proper`` scales them, with one construction each.
-        return Filtration(left / left.sum(axis=0).max()), Filtration(right / right.sum(axis=0).max())
-
+    build = lambda q: _two_outcome_pair(m.shape, (a0, a1), (b0, b1), (1.0, q), (1.0, phi / q))
     return _balanced_witness(build, phi, float(m[a0, b1]), float(m[a1, b0]))
 
 

@@ -64,6 +64,14 @@ def test_certain_failure_is_reported(lemur):
         apply(dead, Filtration.identity(2), lemur)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflow_is_not_reported_as_certain_failure():
+    # 1e200 * 1e200 overflows; einsum's inf * 0 is nan, which is no zero mass.
+    huge = Filtration([[1e200, 1e200], [1e200, 1e200]])
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        apply(huge, huge, point_mass_eve(shared_bit()))
+
+
 def test_apply_is_bilinear_and_composes(lemur):
     rng = np.random.default_rng(17)
     for _ in range(50):

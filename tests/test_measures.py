@@ -336,6 +336,52 @@ class TestReversibleDecoupled:
             assert restricted == pytest.approx(general, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+class TestWideDynamicRange:
+    """Tables whose entries span so wide a range that their products underflow."""
+
+    def test_reversible_keeps_an_underflowing_cross_term(self):
+        # ratio * M01 * M10 is about 1e-367 in the antidiagonal branch; a
+        # 60-digit mpmath evaluation of the closed form gives the reference.
+        p = point_mass_eve(BipartiteDistribution([[1e-7, 1e-182], [1.0, 1e-178]]))
+        result = mesbf_reversible(p)
+        assert result.detail["branch"] == "antidiagonal"
+        assert result.value == pytest.approx(0.969346569968284491, abs=1e-12)
+
+    def test_decoupled_witness_balances_an_underflowing_product(self):
+        # ratio * cell0 / cell1 underflows while q = 1e-100 is in range.
+        p = BipartiteDistribution([[1e-200, 1e-150], [1e-150, 1.0]])
+        result = mesbf_decoupled(p)
+        assert result.value == 1.0
+        assert result.witness_kind == "exact"
+        assert secret_bit_fraction(apply(*result.witness, point_mass_eve(p))) == 1.0
+
+    def test_witness_weights_past_the_float_range_raise_no_bare_error(self):
+        # Its phi is 1 / 5e-324, past the float maximum.
+        try:
+            result = mesbf_decoupled(BipartiteDistribution([[1.0, 0.0], [0.0, 5e-324]]))
+        except InvalidParamsError:
+            return
+        assert 0.5 <= result.value <= 1.0
+
+    def test_seeded_wide_tables_give_results_or_secbit_errors(self):
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            table = np.exp(rng.uniform(-700.0, 0.0, size=rng.integers(2, 5, size=2)))
+            try:
+                mesbf_decoupled(BipartiteDistribution(table))
+            except SecbitError:
+                pass
+        for _ in range(400):
+            p = TripartiteDistribution(np.exp(rng.uniform(-700.0, 0.0, size=(2, 2, int(rng.integers(1, 4))))))
+            try:
+                result = mesbf_reversible(p)
+            except SecbitError:
+                continue
+            if result.witness_kind == "exact":
+                assert secret_bit_fraction(apply(*result.witness, p)) == pytest.approx(result.value, abs=1e-9)
+
+
 class TestDecoupledMesbf:
     def test_uniform_is_half(self):
         result = mesbf_decoupled(BipartiteDistribution(np.full((2, 2), 0.25)))
