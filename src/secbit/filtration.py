@@ -127,7 +127,10 @@ def apply_bipartite(
         raise DimensionMismatchError(
             f"filters with {d_a.cols} and {j_b.cols} inputs cannot act on dims {p_ab.dims}"
         )
-    return BipartiteDistribution(d_a.matrix @ p_ab.table @ j_b.matrix.T)
+    # An overflowed product times a zero entry is nan; either fails the table's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = d_a.matrix @ p_ab.table @ j_b.matrix.T
+    return BipartiteDistribution(table)
 
 
 def apply_eve(y_e: Filtration, p: TripartiteDistribution) -> TripartiteDistribution:

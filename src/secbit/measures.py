@@ -20,14 +20,17 @@ witness family ("quasi-distillability").
 Every measure is scale invariant, for tables scaled anywhere from 1e-300
 to 1e300, and near the float maximum.  Every measure first divides the
 table by its largest entry (the secret-bit fraction and its oracle by the
-nearest power of two, which is exact), so no sum overflows.  The
-decoupled measures share one cross-ratio kernel over all outcome pairs,
-and the three exact-or-limiting witnesses share one balancing rule and
-one builder of both filters (:func:`_two_outcome_pair`).  Where a
-product of one table's entries underflows, the reversible cross term and
-the witness weights fall back to products of square roots.  Everything
-here needs numpy only: the linear-programming oracle runs a small
-in-house simplex (:func:`_lp_max`).
+nearest power of two, which is exact), so no sum overflows.  One kernel,
+:func:`_cross_ratios`, serves the four cross-ratio functions; it reads
+the table's mantissas and exponents only where a scaled entry, product
+or quotient would round below the normal floats, so every normal table
+keeps its bits.  The three exact-or-limiting witnesses share one
+balancing rule and one builder of both filters (:func:`_two_outcome_pair`).
+Where a product of one table's entries underflows, the reversible cross
+term and the witness weights fall back to products of square roots, and
+a reversible ratio past the float maximum scores its branch divided
+through by it.  Everything here needs numpy only: the linear-programming
+oracle runs a small in-house simplex (:func:`_lp_max`).
 """
 
 from __future__ import annotations
@@ -65,12 +68,11 @@ WitnessFamily = Callable[[float], WitnessPair]
 #: the representative pair stored on the result.
 FAMILY_SAMPLE = 1e-6
 
-# Most outcome pairs a cross-ratio scan takes on.  The scan holds the two
-# pair tables, four gathered cells per pair and three float arrays of the
-# pair count: about 77 MB at the worst shape, 2 x 1024.  32 x 32 alphabets
-# have about half as many pairs.  The largest pair table that passes this
-# cap is Bob's at 1024 symbols, about 1M ordered pairs or 16 MB; it is
-# built for its call and dropped.  Only tables of at most
+# Most outcome pairs a cross-ratio scan takes on.  At the worst shape,
+# 2 x 1024, Bob's 1M ordered pairs (16 MB, built for the call and dropped),
+# four gathered cells per pair and two products peak at 67 MB (tracemalloc),
+# on a normal table and on one that takes the mantissa path alike; 32 x 32
+# alphabets have about half as many pairs.  Only tables of at most
 # ``_CACHED_PAIR_SYMBOLS`` entries stay cached (:func:`_pairs`), at most 64
 # of them: about 2 MB when they are the 64 largest.  A cached table costs
 # 0.3 us a call, a build 13 us at 2 symbols and 55 us at 64 (2-vCPU host).
@@ -264,25 +266,33 @@ def mesbf_reversible(p: TripartiteDistribution) -> MeasureResult:
     s = np.stack([t, t[:, ::-1]])  # axis 0: diagonal branch, then antidiagonal
     m = s.sum(axis=3)
     live = (s[:, 0, 0] != 0.0) & (s[:, 1, 1] != 0.0)
-    ratios = np.divide(s[:, 0, 0], s[:, 1, 1], out=np.ones(live.shape), where=live)
-    num = 2.0 * np.minimum(s[:, 0, 0, None, :], ratios[:, :, None] * s[:, 1, 1, None, :]).sum(axis=2)
-    product = ratios * m[:, 0, 1, None] * m[:, 1, 0, None]
+    with np.errstate(over="ignore"):
+        ratios = np.divide(s[:, 0, 0], s[:, 1, 1], out=np.ones(live.shape), where=live)
+    # Diagonal cells weighted (1, ratio), or (1 / ratio, 1) where the ratio passes the float maximum.
+    huge = np.isinf(ratios)
+    w0 = np.divide(s[:, 1, 1], s[:, 0, 0], out=np.ones(live.shape), where=huge)
+    w1 = np.where(huge, 1.0, ratios)
+    num = 2.0 * np.minimum(w0[:, :, None] * s[:, 0, 0, None, :], w1[:, :, None] * s[:, 1, 1, None, :]).sum(axis=2)
+    product = w0 * w1 * m[:, 0, 1, None] * m[:, 1, 0, None]
     # Where the product underflows, a product of square roots keeps the cross term.
-    roots = np.sqrt(ratios) * np.sqrt(m[:, 0, 1, None]) * np.sqrt(m[:, 1, 0, None])
+    roots = np.sqrt(w0 * w1) * np.sqrt(m[:, 0, 1, None]) * np.sqrt(m[:, 1, 0, None])
     cross = np.where(product < sys.float_info.min, roots, np.sqrt(product))
-    den = m[:, 0, 0, None] + ratios * m[:, 1, 1, None] + 2.0 * cross
+    den = w0 * m[:, 0, 0, None] + w1 * m[:, 1, 1, None] + 2.0 * cross
     values = np.divide(num, den, out=np.full(live.shape, -1.0), where=live)
     # Row-major argmax: the diagonal branch wins ties, then the lower symbol.
     b, e = divmod(int(values.argmax()), live.shape[1])
     if not live[b, e]:
         return MeasureResult(0.0, None, "none", {"branch": None})
-    ratio = float(ratios[b, e])
-    if b == 0:  # diag(1, q) and diag(1, ratio / q)
-        build = lambda q: _two_outcome_pair((2, 2), (0, 1), (0, 1), (1.0, q), (1.0, ratio / q))
-    else:  # the swap weighted (q, 1) and diag(ratio / q, 1)
-        build = lambda q: _two_outcome_pair((2, 2), (1, 0), (0, 1), (q, 1.0), (ratio / q, 1.0))
-    witness, kind, family = _balanced_witness(build, ratio, float(m[b, 0, 1]), float(m[b, 1, 0]))
-    detail = {"branch": ("diagonal", "antidiagonal")[b], "eve_symbol": e, "ratio": ratio}
+    # diag(1, q) and diag(1, ratio / q), or the swap weighted (q, 1) and diag(ratio / q, 1);
+    # a huge ratio reverses each weight pair around 1 / ratio and swaps the balancing cells.
+    huge_be = bool(huge[b, e])
+    weight = float(w0[b, e] if huge_be else ratios[b, e])
+    step = -1 if (b == 1) != huge_be else 1
+    order = (1, 0) if b else (0, 1)
+    build = lambda q: _two_outcome_pair((2, 2), order, (0, 1), (1.0, q)[::step], (1.0, weight / q)[::step])
+    cells = (float(m[b, 0, 1]), float(m[b, 1, 0]))
+    witness, kind, family = _balanced_witness(build, weight, *(cells[::-1] if huge_be else cells))
+    detail = {"branch": ("diagonal", "antidiagonal")[b], "eve_symbol": e, "ratio": float(ratios[b, e])}
     return MeasureResult(float(values[b, e]), witness, kind, detail, family)
 
 
@@ -334,39 +344,37 @@ def _outcome_pairs(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     return _pairs(d_a)[0], _pairs(d_b, ordered=True)[0]
 
 
-def _cross_ratios(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Cross ratio of every outcome pair, flat, with the pairs' two tables.
+def _cross_ratios(table: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Cross ratios ``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)``, a grid of Alice's pairs by Bob's.
 
-    ``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)`` on the table divided by its
-    largest entry, for the pairs of :func:`_outcome_pairs` in their order.
-    A zero denominator is a structural zero and gives ``inf``, so the pair
-    never beats the 1/2 floor; so does a ratio past the float maximum.
+    Pairs are columns, as :func:`_outcome_pairs` gives them.  A structural
+    zero denominator, or a ratio past the float maximum, gives ``inf``.  Where
+    the table over its largest entry, a product or the quotient rounds below
+    the normal floats, the grid is read from the table's mantissas and exponents.
     """
-    m = table / table.max()
-    alice, bob = pairs = _outcome_pairs(*m.shape)
-    cells = m.take(alice, axis=0).take(bob, axis=2)  # cells[s, :, t] = m[alice[s]][:, bob[t]]
-    den = cells[0, :, 0] * cells[1, :, 1]
-    with np.errstate(over="ignore"):
-        ratio = np.divide(cells[0, :, 1] * cells[1, :, 0], den, out=np.full(den.shape, math.inf), where=den > 0.0)
-    return ratio.ravel(), pairs
+
+    def grid(cells: np.ndarray, product) -> tuple[np.ndarray, np.ndarray]:
+        c = cells.take(alice, axis=0).take(bob, axis=2)  # c[s, :, t] = cells[alice[s]][:, bob[t]]
+        return product(c[0, :, 1], c[1, :, 0]), product(c[0, :, 0], c[1, :, 1])
+
+    quotient = lambda num, den: np.divide(num, den, out=np.full(den.shape, math.inf), where=den > 0.0)
+    try:
+        with np.errstate(over="ignore", under="raise"):
+            return quotient(*grid(table / table.max(), np.multiply))
+    except FloatingPointError:
+        mantissa, exponent = np.frexp(table)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(quotient(*grid(mantissa, np.multiply)), np.subtract(*grid(exponent, np.add)))
 
 
-def _pair_at(pairs: tuple[np.ndarray, np.ndarray], k: int) -> tuple[int, int, int, int]:
-    """Outcome pair ``(a0, a1, b0, b1)`` at flat index ``k`` of :func:`_cross_ratios`."""
-    alice, bob = pairs
-    i, j = divmod(k, bob.shape[1])
-    return int(alice[0, i]), int(alice[1, i]), int(bob[0, j]), int(bob[1, j])
-
-
-def _selecting_witness(
-    table: np.ndarray, pair: tuple[int, int, int, int]
-) -> tuple[WitnessPair, str, Optional[WitnessFamily]]:
-    """Filters keeping only outcomes ``a0, a1`` / ``b0, b1`` with tuned weights."""
-    m = table / table.max()
-    a0, a1, b0, b1 = pair
-    phi = float(m[a0, b0]) / float(m[a1, b1])
-    build = lambda q: _two_outcome_pair(m.shape, (a0, a1), (b0, b1), (1.0, q), (1.0, phi / q))
-    return _balanced_witness(build, phi, float(m[a0, b1]), float(m[a1, b0]))
+def _least_cross_ratio(table: np.ndarray) -> tuple[float, Optional[tuple[int, int, int, int]]]:
+    """Least cross ratio and its first pair in :func:`_outcome_pairs` order; ``(inf, None)`` with no pair."""
+    alice, bob = _outcome_pairs(*table.shape)
+    ratio = _cross_ratios(table, alice, bob)
+    if not ratio.size:
+        return math.inf, None
+    i, j = divmod(int(ratio.argmin()), ratio.shape[1])
+    return float(ratio[i, j]), (int(alice[0, i]), int(alice[1, i]), int(bob[0, j]), int(bob[1, j]))
 
 
 def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
@@ -376,21 +384,22 @@ def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     orders of ``b``; the expression is invariant under swapping both
     pairs at once): 1/2 when both cell products vanish, otherwise
     ``1 / (1 + sqrt(P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)))``.  Discarding
-    everything and tossing coins always achieves 1/2, which is therefore
-    the floor.  Raises :class:`TooLargeError` beyond 2^20 outcome pairs.
+    everything and tossing coins always achieves 1/2, the floor, which a
+    pair must beat strictly.  Raises :class:`TooLargeError` beyond 2^20 pairs.
     """
-    ratio, pairs = _cross_ratios(p_ab.table)
-    # The floor comes first, so a pair must beat it strictly; ties keep
-    # the first pair in loop order.
-    values = np.append(0.5, 1.0 / (1.0 + np.sqrt(ratio)))
-    k = int(values.argmax())
-    if k == 0:
+    omega_min, pair = _least_cross_ratio(p_ab.table)
+    value = 1.0 / (1.0 + math.sqrt(omega_min))
+    if not value > 0.5:
         coins = (Filtration.coin_toss(p_ab.dims[0]), Filtration.coin_toss(p_ab.dims[1]))
         return MeasureResult(0.5, coins, "exact", {"branch": "coin-toss", "pair": None})
-    best_pair = _pair_at(pairs, k - 1)
-    witness, kind, family = _selecting_witness(p_ab.table, best_pair)
-    detail = {"branch": "cross-ratio", "pair": best_pair, "omega": float(ratio[k - 1])}
-    return MeasureResult(float(values[k]), witness, kind, detail, family)
+    # Keep only outcomes a0, a1 and b0, b1; where a scaled cell rounds to zero, the weights refuse phi.
+    a0, a1, b0, b1 = pair
+    m = p_ab.table / p_ab.table.max()
+    phi = float(m[a0, b0]) / float(m[a1, b1]) if m[a1, b1] else math.inf
+    build = lambda q: _two_outcome_pair(m.shape, (a0, a1), (b0, b1), (1.0, q), (1.0, phi / q))
+    witness, kind, family = _balanced_witness(build, phi, float(m[a0, b1]), float(m[a1, b0]))
+    detail = {"branch": "cross-ratio", "pair": pair, "omega": omega_min}
+    return MeasureResult(value, witness, kind, detail, family)
 
 
 def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureResult:
@@ -402,23 +411,19 @@ def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureRe
     power is ever materialized.
     """
     copies = _require_count(copies, "copies")
-    ratio, pairs = _cross_ratios(p_ab.table)
-    if not ratio.min(initial=math.inf) < math.inf:
+    omega_min, pair = _least_cross_ratio(p_ab.table)
+    if not omega_min < math.inf:
         return MeasureResult(0.5, None, "none", {"copies": copies, "omega_min": None, "pair": None})
-    k = int(ratio.argmin())
-    omega_min = float(ratio[k])
-    detail = {"copies": copies, "omega_min": omega_min, "pair": _pair_at(pairs, k)}
+    detail = {"copies": copies, "omega_min": omega_min, "pair": pair}
     return MeasureResult(max(0.5, 1.0 / (1.0 + omega_min ** (copies / 2.0))), None, "none", detail)
 
 
-def omega(
-    p_ab: BipartiteDistribution, a0: int, a1: int, b0: int, b1: int
-) -> float:
+def omega(p_ab: BipartiteDistribution, a0: int, a1: int, b0: int, b1: int) -> float:
     """Cross ratio ``P(a0,b1) P(a1,b0) / (P(a0,b0) P(a1,b1))``.
 
-    Returns ``inf`` when only the denominator vanishes and ``nan`` when
-    both products vanish (the undefined, coin-toss case).  An index that
-    is not an integer, a boolean included, is out of range.
+    ``inf`` when only the denominator vanishes, ``nan`` when both products
+    vanish (the undefined, coin-toss case); a product vanishes at a zero
+    cell, never by underflow.  A non-integer index, a boolean too, is out of range.
     """
     d_a, d_b = p_ab.dims
     for idx, bound in ((a0, d_a), (a1, d_a), (b0, d_b), (b1, d_b)):
@@ -426,12 +431,8 @@ def omega(
             raise IndexOutOfRangeError(f"index {idx} outside alphabet of size {bound}")
     if a0 == a1 or b0 == b1:
         raise InvalidParamsError("outcome pairs must be distinct")
-    m = p_ab.table / p_ab.table.max()
-    num = float(m[a0, b1] * m[a1, b0])
-    den = float(m[a0, b0] * m[a1, b1])
-    if den > 0.0:
-        return num / den
-    return math.inf if num > 0.0 else math.nan
+    ratio = float(_cross_ratios(p_ab.table, np.array([[a0], [a1]]), np.array([[b0], [b1]]))[0, 0])
+    return math.nan if ratio == math.inf and not min(p_ab.table[a0, b1], p_ab.table[a1, b0]) > 0.0 else ratio
 
 
 def vartheta(p_ab: BipartiteDistribution) -> float:
@@ -441,5 +442,4 @@ def vartheta(p_ab: BipartiteDistribution) -> float:
     two rows and columns need not be zero; scale invariant.  Coincident
     index pairs always realize exactly 1/2, hence the floor.
     """
-    ratio, _ = _cross_ratios(p_ab.table)
-    return max(0.5, 1.0 / (1.0 + math.sqrt(ratio.min(initial=math.inf))))
+    return max(0.5, 1.0 / (1.0 + math.sqrt(_least_cross_ratio(p_ab.table)[0])))

@@ -12,7 +12,8 @@ order, is the reference for the library's bound-pruned best-first scan.
 The two searches, each with its stages
 written out by hand, are the reference for the library's stage funnel.
 The loop forms of the closed-form measures are the reference for the
-library's vectorized ones.  The direct-product block statistics and the
+library's vectorized ones, and the exact rational cross ratios for their
+values on tables whose float products underflow.  The direct-product block statistics and the
 one-draw-per-chunk simulator at the end are the reference for the
 protocol layer's closed form and cell-bounded sampling.
 The seeded property suites at the very end, with the per-suite trial
@@ -21,6 +22,7 @@ loops they had before sharing one, are the reference for
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -710,6 +712,34 @@ def vartheta(p_ab: BipartiteDistribution) -> float:
                     if value > best:
                         best = value
     return best
+
+
+def exact_cross_ratio(table: np.ndarray, a0: int, a1: int, b0: int, b1: int) -> Optional[Fraction]:
+    """``P(a0,b1) P(a1,b0) / P(a0,b0) P(a1,b1)`` in exact rationals; None at a zero denominator cell."""
+    num, den = Fraction(table[a0, b1]) * Fraction(table[a1, b0]), Fraction(table[a0, b0]) * Fraction(table[a1, b1])
+    return num / den if den else None
+
+
+def exact_least_cross_ratio(table: np.ndarray) -> Optional[Fraction]:
+    """Least exact cross ratio over the outcome pairs ``a0 < a1``, ``b0 != b1``; None when none is defined."""
+    d_a, d_b = table.shape
+    ratios = [
+        exact_cross_ratio(table, a0, a1, b0, b1)
+        for a0 in range(d_a)
+        for a1 in range(a0 + 1, d_a)
+        for b0 in range(d_b)
+        for b1 in range(d_b)
+        if b0 != b1
+    ]
+    return min((r for r in ratios if r is not None), default=None)
+
+
+def to_float(r: Fraction) -> float:
+    """``r`` rounded to the nearest float, ``inf`` past the float maximum."""
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf
 
 
 def simulate_advantage_distillation(

@@ -367,11 +367,14 @@ class TestWideDynamicRange:
     def test_seeded_wide_tables_give_results_or_secbit_errors(self):
         rng = np.random.default_rng(3)
         for _ in range(400):
-            table = np.exp(rng.uniform(-700.0, 0.0, size=rng.integers(2, 5, size=2)))
+            p_ab = BipartiteDistribution(np.exp(rng.uniform(-700.0, 0.0, size=rng.integers(2, 5, size=2))))
             try:
-                mesbf_decoupled(BipartiteDistribution(table))
+                result = mesbf_decoupled(p_ab)
             except SecbitError:
-                pass
+                continue
+            if result.witness_kind == "exact":
+                achieved = secret_bit_fraction(apply(*result.witness, point_mass_eve(p_ab)))
+                assert achieved == pytest.approx(result.value, abs=1e-9)
         for _ in range(400):
             p = TripartiteDistribution(np.exp(rng.uniform(-700.0, 0.0, size=(2, 2, int(rng.integers(1, 4))))))
             try:
@@ -380,6 +383,98 @@ class TestWideDynamicRange:
                 continue
             if result.witness_kind == "exact":
                 assert secret_bit_fraction(apply(*result.witness, p)) == pytest.approx(result.value, abs=1e-9)
+
+    def test_cross_ratio_whose_products_underflow(self):
+        # P01 P10 = 1e-341 and P00 P11 = 1e-339 both underflow; their ratio is 0.01.
+        p = BipartiteDistribution([[1e-169, 1e-171, 1.0], [1e-170, 1e-170, 1.0]])
+        result = mesbf_decoupled(p)
+        assert result.value == pytest.approx(1 / 1.1, rel=1e-15)
+        assert result.detail["pair"] == (0, 1, 0, 1)
+        assert vartheta(p) == pytest.approx(1 / 1.1, rel=1e-15)
+        assert mesbf_decoupled_power(p, 2).value == pytest.approx(1 / 1.01, rel=1e-15)
+        assert omega(p, 0, 1, 0, 1) == pytest.approx(0.01, rel=1e-15)
+        assert omega(p, 0, 1, 1, 0) == pytest.approx(100.0, rel=1e-15)
+
+    def test_reversible_scores_a_branch_whose_ratio_overflows(self):
+        # The diagonal ratio 1 / 5e-324 passes the float maximum; the branch
+        # reaches 1 - 4.5e-139, which is 1.0 in floats.
+        p_ab = BipartiteDistribution([[1.0, 1e-300], [1e-300, 5e-324]])
+        result = mesbf_reversible_decoupled(p_ab)
+        assert result.value == 1.0
+        assert result.detail["branch"] == "diagonal"
+        try:
+            achieved = secret_bit_fraction(apply(*result.witness, point_mass_eve(p_ab)))
+        except InvalidParamsError:
+            return
+        assert achieved == pytest.approx(result.value, abs=1e-9)
+
+    def test_bipartite_overflow_raises_without_a_warning(self):
+        huge = Filtration([[1e200, 1e200], [1e200, 1e200]])
+        with pytest.raises(InvalidParamsError, match="non-finite"):
+            apply_bipartite(huge, huge, BipartiteDistribution([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_mantissa_path_peaks_no_higher_than_the_plain_one(self):
+        # At 2 x 1024 the scan peaks at about 67 MB on either path (tracemalloc);
+        # a scan that kept its gathered cells while dividing peaked at 76.5 MB.
+        normal = np.random.default_rng(61).uniform(0.1, 1.0, size=(2, 1024))
+        underflowing = normal.copy()
+        underflowing[0, 0], underflowing[1, 1] = 1e-200, 1e-170
+        for table in (normal, underflowing):
+            p = BipartiteDistribution(table)
+            tracemalloc.start()
+            try:
+                vartheta(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 72e6
+
+    @given(
+        table=st.tuples(st.integers(1, 4), st.integers(1, 4))
+        .flatmap(
+            lambda shape: arrays(
+                np.float64,
+                shape,
+                elements=st.one_of(
+                    st.just(0.0),
+                    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1070, 0)),
+                ),
+            )
+        )
+        .filter(lambda table: table.any()),
+        copies=st.integers(1, 8),
+    )
+    @example(table=np.array([[1e-169, 1e-171, 1.0], [1e-170, 1e-170, 1.0]]), copies=2)
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None)
+    def test_cross_ratio_functions_match_exact_rationals(self, table, copies):
+        """Each value is the exact one within relative 1e-12, or a ``SecbitError``.
+
+        A cross ratio below the normal floats may differ from the nearest
+        float by one subnormal step, the most it can be rounded to twice.
+        """
+        p = BipartiteDistribution(table)
+        least = oracles.exact_least_cross_ratio(table)
+        omega_min = math.inf if least is None else oracles.to_float(least)
+
+        def expected(n):
+            return max(0.5, 1.0 / (1.0 + omega_min ** (n / 2.0)))
+
+        assert vartheta(p) == pytest.approx(expected(1), rel=1e-12)
+        assert mesbf_decoupled_power(p, copies).value == pytest.approx(expected(copies), rel=1e-12)
+        try:
+            assert mesbf_decoupled(p).value == pytest.approx(expected(1), rel=1e-12)
+        except SecbitError:
+            pass
+        d_a, d_b = table.shape
+        for (a0, a1), (b0, b1) in itertools.product(
+            itertools.combinations(range(d_a), 2), itertools.permutations(range(d_b), 2)
+        ):
+            ratio = oracles.exact_cross_ratio(table, a0, a1, b0, b1)
+            if ratio is None:
+                expected_omega = math.inf if table[a0, b1] > 0.0 and table[a1, b0] > 0.0 else math.nan
+            else:
+                expected_omega = oracles.to_float(ratio)
+            assert omega(p, a0, a1, b0, b1) == pytest.approx(expected_omega, rel=1e-12, abs=5e-324, nan_ok=True)
 
 
 class TestDecoupledMesbf:
