@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import ClassVar, TypeVar
+from typing import ClassVar, Optional, TypeVar
 
 import numpy as np
 
@@ -176,10 +176,18 @@ class TripartiteDistribution(_Table):
         return self.table.shape[0] == 2 and self.table.shape[1] == 2
 
 
+@dataclass(frozen=True)
 class BipartiteDistribution(_Table):
-    """Joint distribution ``P(a, b)`` of the honest parties, Eve decoupled."""
+    """Joint distribution ``P(a, b)`` of the honest parties, Eve decoupled.
+
+    ``_least_ratio`` holds the table's least cross ratio and its pair once a
+    decoupled closed form of :mod:`secbit.measures` has scanned the table;
+    it takes no part in ``repr`` or ``==``.  Two threads may both scan a
+    fresh object and store the same value.
+    """
 
     _ndim = 2
+    _least_ratio: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 def _unit_scaled(p: _Table_T) -> _Table_T:

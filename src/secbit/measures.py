@@ -24,7 +24,9 @@ nearest power of two, which is exact), so no sum overflows.  One kernel,
 :func:`_cross_ratios`, serves the four cross-ratio functions; it reads
 the table's mantissas and exponents only where a scaled entry, product
 or quotient would round below the normal floats, so every normal table
-keeps its bits.  The three exact-or-limiting witnesses share one
+keeps its bits; it takes a stack of same-shape tables too, with each
+table's bits.  The decoupled closed forms of one table object share one
+scan, kept on the object.  The three exact-or-limiting witnesses share one
 balancing rule and one builder of both filters (:func:`_two_outcome_pair`).
 Where a product of one table's entries underflows, the reversible cross
 term and the witness weights fall back to products of square roots, and
@@ -78,6 +80,10 @@ FAMILY_SAMPLE = 1e-6
 # 0.3 us a call, a build 13 us at 2 symbols and 55 us at 64 (2-vCPU host).
 _MAX_OUTCOME_PAIRS = 1 << 20
 _CACHED_PAIR_SYMBOLS = 64
+# Most grid cells one kernel call takes on for a stack of tables
+# (:func:`_least_cross_ratios`): the four gathered cells per pair, the two
+# products and the grid then hold about 1 MB.
+_STACK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -351,6 +357,9 @@ def _cross_ratios(table: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.n
     zero denominator, or a ratio past the float maximum, gives ``inf``.  Where
     the table over its largest entry, a product or the quotient rounds below
     the normal floats, the grid is read from the table's mantissas and exponents.
+    A ``(d_a, d_b, n)`` stack of tables gives a ``(P_A, P_B, n)`` stack of
+    grids; where any table would take the mantissa path, each is read alone,
+    so every grid has the bits of its table's own call.
     """
 
     def grid(cells: np.ndarray, product) -> tuple[np.ndarray, np.ndarray]:
@@ -358,10 +367,13 @@ def _cross_ratios(table: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.n
         return product(c[0, :, 1], c[1, :, 0]), product(c[0, :, 0], c[1, :, 1])
 
     quotient = lambda num, den: np.divide(num, den, out=np.full(den.shape, math.inf), where=den > 0.0)
+    top = table.max() if table.ndim == 2 else table.max(axis=(0, 1))
     try:
         with np.errstate(over="ignore", under="raise"):
-            return quotient(*grid(table / table.max(), np.multiply))
+            return quotient(*grid(table / top, np.multiply))
     except FloatingPointError:
+        if table.ndim == 3:
+            return np.stack([_cross_ratios(table[:, :, k], alice, bob) for k in range(table.shape[2])], axis=2)
         mantissa, exponent = np.frexp(table)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(quotient(*grid(mantissa, np.multiply)), np.subtract(*grid(exponent, np.add)))
@@ -377,6 +389,34 @@ def _least_cross_ratio(table: np.ndarray) -> tuple[float, Optional[tuple[int, in
     return float(ratio[i, j]), (int(alice[0, i]), int(alice[1, i]), int(bob[0, j]), int(bob[1, j]))
 
 
+def _least_cross_ratios(tables: np.ndarray) -> np.ndarray:
+    """:func:`_least_cross_ratio`'s ratio for each table of an ``(n, d_a, d_b)`` stack, bit for bit.
+
+    The kernel takes the stack ``_STACK_CELLS // pairs`` tables a call (one
+    at least), so its temporaries stay near 1 MB however long the stack.
+    """
+    alice, bob = _outcome_pairs(*tables.shape[1:])
+    pairs = alice.shape[1] * bob.shape[1]
+    if not pairs:
+        return np.full(len(tables), math.inf)
+    step = max(1, _STACK_CELLS // pairs)
+    blocks = (np.moveaxis(tables[start : start + step], 0, 2) for start in range(0, len(tables), step))
+    return np.concatenate([_cross_ratios(block, alice, bob).min(axis=(0, 1)) for block in blocks])
+
+
+def _least_ratio_of(p_ab: BipartiteDistribution) -> tuple[float, Optional[tuple[int, int, int, int]]]:
+    """:func:`_least_cross_ratio` of ``p_ab``'s table, scanned once per table object and kept on it.
+
+    The decoupled closed forms of one object share that scan; a copy with
+    a new table (``dataclasses.replace``, :func:`_unit_scaled`) scans its own.
+    """
+    least = p_ab._least_ratio
+    if least is None:
+        least = _least_cross_ratio(p_ab.table)
+        object.__setattr__(p_ab, "_least_ratio", least)
+    return least
+
+
 def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     """Exact MESBF when Eve is decoupled, any alphabet sizes.
 
@@ -387,7 +427,7 @@ def mesbf_decoupled(p_ab: BipartiteDistribution) -> MeasureResult:
     everything and tossing coins always achieves 1/2, the floor, which a
     pair must beat strictly.  Raises :class:`TooLargeError` beyond 2^20 pairs.
     """
-    omega_min, pair = _least_cross_ratio(p_ab.table)
+    omega_min, pair = _least_ratio_of(p_ab)
     value = 1.0 / (1.0 + math.sqrt(omega_min))
     if not value > 0.5:
         coins = (Filtration.coin_toss(p_ab.dims[0]), Filtration.coin_toss(p_ab.dims[1]))
@@ -411,7 +451,7 @@ def mesbf_decoupled_power(p_ab: BipartiteDistribution, copies: int) -> MeasureRe
     power is ever materialized.
     """
     copies = _require_count(copies, "copies")
-    omega_min, pair = _least_cross_ratio(p_ab.table)
+    omega_min, pair = _least_ratio_of(p_ab)
     if not omega_min < math.inf:
         return MeasureResult(0.5, None, "none", {"copies": copies, "omega_min": None, "pair": None})
     detail = {"copies": copies, "omega_min": omega_min, "pair": pair}
@@ -442,4 +482,9 @@ def vartheta(p_ab: BipartiteDistribution) -> float:
     two rows and columns need not be zero; scale invariant.  Coincident
     index pairs always realize exactly 1/2, hence the floor.
     """
-    return max(0.5, 1.0 / (1.0 + math.sqrt(_least_cross_ratio(p_ab.table)[0])))
+    return max(0.5, 1.0 / (1.0 + math.sqrt(_least_ratio_of(p_ab)[0])))
+
+
+def _varthetas(tables: np.ndarray) -> np.ndarray:
+    """:func:`vartheta` of each table of an ``(n, d_a, d_b)`` stack, bit for bit, from one stacked reduction."""
+    return np.maximum(0.5, 1.0 / (1.0 + np.sqrt(_least_cross_ratios(tables))))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 import secbit
 from secbit import measures
+from secbit.distributions import _unit_scaled
 from conftest import random_binary_tripartite, random_stochastic
 from oracles import grid_reversible_oracle
 from secbit import (
@@ -872,6 +874,8 @@ class TestOutcomePairCache:
         try:
             for p in tables:
                 vartheta(p)
+                mesbf_decoupled(p)
+                mesbf_decoupled_power(p, 3)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -912,10 +916,11 @@ class TestOutcomePairCache:
         binary = seeded(TripartiteDistribution, 193, lambda rng: (2, 2, int(rng.integers(1, 5))))
 
         def run(cold):
-            def call(measure, *args):
+            def call(measure, p, *args):
                 if cold:
                     measures._pair_table.cache_clear()
-                return measure(*args)
+                # A fresh object: a table's scan is kept on its object.
+                return measure(type(p)(p.table), *args)
 
             results = [(call(mesbf_decoupled, p), call(mesbf_decoupled_power, p, 3)) for p in bipartite]
             results += [(call(mesbf_reversible, p),) for p in binary]
@@ -929,3 +934,115 @@ class TestOutcomePairCache:
             assert (got.witness is None) == (ref.witness is None)
             for got_filter, ref_filter in zip(got.witness or (), ref.witness or ()):
                 assert np.array_equal(got_filter.matrix, ref_filter.matrix)
+
+
+def _stack(rng, shape, count):
+    """``count`` seeded tables of one shape: uniform, 30% zeros or integers 0-3, each times ``2**k``."""
+    kind = int(rng.integers(3))
+    if kind == 2:
+        tables = rng.integers(0, 4, size=(count, *shape)).astype(float)
+    else:
+        tables = rng.uniform(0.0, 1.0, size=(count, *shape))
+        if kind == 1:
+            tables[rng.random(tables.shape) < 0.3] = 0.0
+    tables[~(tables.max(axis=(1, 2)) > 0.0), 0, 0] = 1.0
+    return tables * 2.0 ** rng.integers(-1070, 1000, size=(count, 1, 1))
+
+
+# Cross-ratio products 1e-341 and 1e-339 underflow; the least ratio is 0.01.
+UNDERFLOWING = [[1e-169, 1e-171, 1.0], [1e-170, 1e-170, 1.0]]
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedKernel:
+    """The cross-ratio kernel on a stack of tables is the single-table kernel, table by table."""
+
+    @staticmethod
+    def _assert_per_table(tables):
+        least = measures._least_cross_ratios(tables)
+        theta = measures._varthetas(tables)
+        assert least.shape == theta.shape == (len(tables),)
+        for k, table in enumerate(tables):
+            assert float(least[k]).hex() == measures._least_cross_ratio(table)[0].hex()
+            assert float(theta[k]).hex() == vartheta(BipartiteDistribution(table)).hex()
+
+    def test_seeded_stacks(self):
+        rng = np.random.default_rng(211)
+        for shape in itertools.product(range(1, 7), repeat=2):
+            for _ in range(3):
+                self._assert_per_table(_stack(rng, shape, int(rng.integers(1, 9))))
+
+    def test_an_underflowing_table_among_normal_ones(self):
+        tables = _stack(np.random.default_rng(213), (2, 3), 7)
+        tables[3] = UNDERFLOWING
+        self._assert_per_table(tables)
+        assert measures._least_cross_ratios(tables)[3] == pytest.approx(0.01, rel=1e-12)
+
+    def test_stacks_longer_than_one_block(self, monkeypatch):
+        rng = np.random.default_rng(215)
+        # One kernel call takes 36 tables of 6 x 6 (450 outcome pairs) and 136 of 5 x 4 (120 pairs).
+        for shape, count in (((6, 6), 200), ((5, 4), 600)):
+            self._assert_per_table(_stack(rng, shape, count))
+        # Blocks of 6 tables of 2 x 3 (6 pairs), one of them with an underflowing table.
+        monkeypatch.setattr(measures, "_STACK_CELLS", 40)
+        for shape in ((2, 2), (3, 2)):
+            self._assert_per_table(_stack(rng, shape, 50))
+        tables = _stack(rng, (2, 3), 50)
+        tables[29] = UNDERFLOWING
+        self._assert_per_table(tables)
+
+
+class TestOneScanPerTable:
+    """The decoupled closed forms of one table object share one scan, kept on that object."""
+
+    FORMS = {
+        "mesbf_decoupled": mesbf_decoupled,
+        "mesbf_decoupled_power": lambda p: mesbf_decoupled_power(p, 3),
+        "vartheta": vartheta,
+    }
+
+    @staticmethod
+    def _signature(result):
+        if isinstance(result, float):
+            return result.hex()
+        witness = tuple(f.matrix.tobytes() for f in result.witness or ())
+        return result.value.hex(), result.detail.get("pair"), witness, repr(result.detail)
+
+    def test_every_order_gives_the_calls_on_fresh_copies(self):
+        rng = np.random.default_rng(217)
+        for _ in range(200):
+            table = _stack(rng, tuple(int(d) for d in rng.integers(1, 7, size=2)), 1)[0]
+            fresh = {name: self._signature(form(BipartiteDistribution(table))) for name, form in self.FORMS.items()}
+            for order in itertools.permutations(self.FORMS):
+                p = BipartiteDistribution(table)
+                assert {name: self._signature(self.FORMS[name](p)) for name in order} == fresh
+
+    def test_copies_scan_their_own_table(self):
+        table = np.random.default_rng(219).uniform(0.1, 1.0, size=(3, 4)) * 3.0
+        p = BipartiteDistribution(table)
+        assert p._least_ratio is None
+        value = vartheta(p)
+        assert p._least_ratio == measures._least_cross_ratio(table)
+        # A value kept on p that no scan gives: a copy that read it would return 1.
+        object.__setattr__(p, "_least_ratio", (0.0, (0, 1, 0, 1)))
+        other = table[::-1].copy()
+        for copy, expected in (
+            (dataclasses.replace(p), value),
+            (dataclasses.replace(p, table=other), vartheta(BipartiteDistribution(other))),
+            (_unit_scaled(p), value),
+        ):
+            assert copy is not p and copy._least_ratio is None
+            assert vartheta(copy) == expected < 1.0
+            assert mesbf_decoupled(copy).value == expected
+
+    def test_repr_and_equality_are_unchanged(self):
+        one = BipartiteDistribution([[1.0]])
+        p = BipartiteDistribution([[0.4, 0.1], [0.1, 0.4]])
+        shown = (repr(one), repr(p))
+        for q in (one, p):
+            for form in self.FORMS.values():
+                form(q)
+        assert (repr(one), repr(p)) == shown
+        assert shown[1] == f"BipartiteDistribution(table={p.table!r})"
+        assert one == BipartiteDistribution([[1.0]]) and p == p
+        assert one._least_ratio is not None
