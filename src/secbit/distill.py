@@ -23,8 +23,9 @@ block longer than ``_SIM_CELLS // 64`` = 2048 symbols is read alone, in
 column blocks, and the rest of it is skipped once either string breaks.
 It never materializes the symbols:
 it keeps the uniform draws behind them and reads the honest bits off by
-comparing each draw with three cdf thresholds, and Eve's symbols only
-for the accepted blocks.
+comparing each draw with three cdf thresholds, and whether Eve's symbol
+is 0 only in the accepted blocks, by comparing each draw with one more
+threshold, that of its honest cell.
 """
 
 from __future__ import annotations
@@ -224,8 +225,23 @@ def _alternates(bits: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _eve_blank(u: np.ndarray, a_bits: np.ndarray, b_bits: np.ndarray, blank_cuts: np.ndarray) -> np.ndarray:
+    """The rows of draws ``u`` in which every Eve symbol is 0.
+
+    A draw in honest cell ``c = 2a + b`` is one of that cell's flat indices
+    ``c d_e .. c d_e + d_e - 1``, and it is the first, Eve's symbol 0,
+    exactly when it lies below ``cdf[c d_e]``; ``blank_cuts`` holds those
+    four thresholds.  A zero-probability symbol 0 leaves ``cdf[c d_e]``
+    equal to the cell's lower end, which no draw of the cell lies below.
+    """
+    return (u < blank_cuts[2 * a_bits + b_bits]).all(axis=-1)
+
+
 def _long_block(
-    rng: np.random.Generator, block_length: int, cdf: np.ndarray, d_e: int, cuts: tuple[float, float, float]
+    rng: np.random.Generator,
+    block_length: int,
+    cuts: tuple[float, float, float],
+    blank_cuts: np.ndarray,
 ) -> tuple[int, int, int]:
     """Accepted, disagreeing and Eve-blank counts, each 0 or 1, of one block read alone.
 
@@ -249,7 +265,7 @@ def _long_block(
             b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
             if b_bits[0] != last_b and (b_bits[1:] != b_bits[:-1]).all():
                 last_a, last_b = a_bits[-1], b_bits[-1]
-                blank = blank and bool((cdf.searchsorted(u, side="right") % d_e == 0).all())
+                blank = blank and bool(_eve_blank(u, a_bits, b_bits, blank_cuts))
                 continue
         rng.bit_generator.advance(block_length - done)
         return 0, 0, 0
@@ -295,8 +311,10 @@ def simulate_advantage_distillation(
     ``k`` exactly when ``u >= cdf[k-1]``, so Alice's bit is
     ``u >= cdf[2 d_e - 1]`` and Bob's is the parity of the three tests at
     ``d_e``, ``2 d_e`` and ``3 d_e``.  Bob's bits are tested only in the
-    blocks where Alice's alternate, and Eve's symbols are looked up only
-    in the blocks both accept.
+    blocks where Alice's alternate, and whether Eve's symbols are 0 only
+    in the blocks both accept: a draw in honest cell ``c = 2a + b`` gives
+    Eve's symbol 0 exactly when it is below ``cdf[c d_e]``
+    (:func:`_eve_blank`).
     """
     _require_binary(p.dims[:2])
     if abs(p.mass - 1.0) > 1e-9:
@@ -314,6 +332,7 @@ def simulate_advantage_distillation(
     cdf /= cdf[-1]
     cuts = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
     alice_cut, low_cut, high_cut = cuts
+    blank_cuts = cdf[: 4 * d_e : d_e]
     rows_per_draw = _SIM_CELLS // block_length  # at least 64 where rows are drawn
 
     accepted = disagreements = eve_blank = 0
@@ -324,19 +343,20 @@ def simulate_advantage_distillation(
         # the sub-blocks reproduce the chunk's single (count, N) draw.
         if block_length > _SIM_CELLS // 64:
             for _ in range(count):
-                ok, differ, blank = _long_block(rng, block_length, cdf, d_e, cuts)
+                ok, differ, blank = _long_block(rng, block_length, cuts, blank_cuts)
                 accepted, disagreements, eve_blank = accepted + ok, disagreements + differ, eve_blank + blank
             continue
         for done in range(0, count, rows_per_draw):
             u = rng.random((min(rows_per_draw, count - done), block_length))
             # Bob's bits are needed only where Alice's alternate.
-            u = u[_alternates(u >= alice_cut)]
+            u = u.compress(_alternates(u >= alice_cut), axis=0)
             a_bits = u >= alice_cut
             b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
             ok = _alternates(b_bits)
-            accepted += int(ok.sum())
-            disagreements += int((a_bits[ok, -1] != b_bits[ok, -1]).sum())
-            eve_blank += int((cdf.searchsorted(u[ok], side="right") % d_e == 0).all(axis=1).sum())
+            accepted += int(np.count_nonzero(ok))
+            disagreements += int(np.count_nonzero((a_bits[:, -1] ^ b_bits[:, -1]) & ok))
+            blank = _eve_blank(*(x.compress(ok, axis=0) for x in (u, a_bits, b_bits)), blank_cuts)
+            eve_blank += int(np.count_nonzero(blank))
 
     return SimulationReport(
         block_length=block_length,

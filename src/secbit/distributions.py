@@ -30,6 +30,8 @@ from .errors import (
 
 DEFAULT_TENSOR_CELL_CAP = 10_000_000
 _BOOLS = frozenset((bool, np.bool_))
+# The float maximum's bit pattern: that of every finite float at least +0.0 is at most this.
+_FLOAT_MAX_BITS = np.float64(sys.float_info.max).view(np.uint64)
 
 
 def _is_integer(value) -> bool:
@@ -81,8 +83,8 @@ def _freeze(values, ndim: int, what: str, empty: str | None = None) -> np.ndarra
     """``values`` as a read-only ``ndim``-dimensional array of finite, nonnegative floats.
 
     Given ``empty``, an array with no positive entry raises
-    :class:`ZeroMassError` with that message; the largest entry, taken
-    once, decides both that and finiteness.
+    :class:`ZeroMassError` with that message.  One maximum of the entries'
+    bit patterns decides both that and finiteness.
     """
     try:
         arr = np.asarray(values)
@@ -93,15 +95,20 @@ def _freeze(values, ndim: int, what: str, empty: str | None = None) -> np.ndarra
         raise _unconvertible(values, what) from exc
     if arr.ndim != ndim:
         raise BadShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    # Two reductions pass every finite nonnegative table (nan fails both);
-    # only a table that fails one pays for the checks that name the fault.
-    top = np.maximum.reduce(arr, axis=None, initial=0.0)
-    if not (np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0 and top < math.inf):
+    # The finite entries from +0.0 up are the bit patterns 0 to that of the
+    # float maximum, in the same order, so one integer maximum passes every
+    # such table and tells whether it has a positive entry.  A negative
+    # entry, -0.0, inf or nan lies above; only such a table pays for the
+    # checks that name the fault, which -0.0 passes.
+    top = np.maximum.reduce(arr.view(np.uint64), axis=None, initial=0)
+    positive = top > 0
+    if top > _FLOAT_MAX_BITS:
         if not np.isfinite(arr).all():
             raise InvalidParamsError(f"{what} contains non-finite entries")
         if (arr < 0.0).any():
             raise NegativeEntryError(f"{what} contains a negative entry")
-    if empty is not None and not top > 0.0:
+        positive = np.maximum.reduce(arr, axis=None, initial=0.0) > 0.0
+    if empty is not None and not positive:
         raise ZeroMassError(empty)
     arr.setflags(write=False)
     return arr

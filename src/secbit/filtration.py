@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +82,16 @@ class Filtration:
 
     @classmethod
     def identity(cls, d: int) -> "Filtration":
-        return cls(np.eye(_require_count(d, "size", minimum=0)))
+        """The ``d x d`` identity.
+
+        A filtration is read-only, so up to 64 symbols this is one shared
+        instance per class and size; a larger one is built afresh, so the
+        shared ones hold under 1 MB.  The size is checked first: a bool is
+        refused, never served the identity of size 1 that ``True`` would
+        hash to.
+        """
+        d = _require_count(d, "size", minimum=0)
+        return _identity(cls, d) if d <= 64 else cls(np.eye(d))
 
     @classmethod
     def diagonal(cls, weights: Sequence[float]) -> "Filtration":
@@ -102,6 +112,12 @@ class Filtration:
     def coin_toss(cls, d: int) -> "Filtration":
         """Discard the input and output a uniform bit."""
         return cls(np.full((2, _require_count(d, "size", minimum=0)), 0.5))
+
+
+@lru_cache(maxsize=64)
+def _identity(cls: type[Filtration], d: int) -> Filtration:
+    """The shared identities of :meth:`Filtration.identity`, by class and size."""
+    return cls(np.eye(d))
 
 
 def apply(d_a: Filtration, j_b: Filtration, p: TripartiteDistribution) -> TripartiteDistribution:
@@ -172,14 +188,20 @@ def is_reversible(d: Filtration) -> bool:
     return reversible_inverse(d) is not None
 
 
+def _mixing_column(mu: float) -> tuple[float, float]:
+    """Column 0 of :func:`mixing_matrix`, ``(1 - mu, mu)``, with its range check."""
+    if not (0.0 <= mu <= 0.5):
+        raise OutOfRangeError(f"mixing parameter must lie in [0, 1/2], got {mu}")
+    return 1.0 - mu, mu
+
+
 def mixing_matrix(mu: float) -> Filtration:
     """The symmetric bit-noise matrix ``[[1-mu, mu], [mu, 1-mu]]``.
 
     Composition law: ``M(x) M(y) = M(x + y - 2xy)``.
     """
-    if not (0.0 <= mu <= 0.5):
-        raise OutOfRangeError(f"mixing parameter must lie in [0, 1/2], got {mu}")
-    return Filtration(np.array([[1.0 - mu, mu], [mu, 1.0 - mu]]))
+    stay, flip = _mixing_column(mu)
+    return Filtration(np.array([[stay, flip], [flip, stay]]))
 
 
 @dataclass(frozen=True)
@@ -294,12 +316,14 @@ def recompose(factors: DecompositionFactors) -> Filtration:
     """Rebuild the ``2 x d`` filtration from its factor data.
 
     Column ``c`` is its weight times the mixing matrix applied to the unit
-    vector of its bias: ``weight * M(mu) e_omega``.
+    vector of its bias: ``weight * M(mu) e_omega``, that is
+    ``weight * (1 - mu, mu)``, swapped when ``omega = 1``.
     """
     matrix = np.zeros((2, factors.input_dim))
     for step in factors.steps:
-        column = mixing_matrix(step.mu).matrix[:, step.omega] * step.weight
-        matrix[:, step.source_column] = column
+        stay, flip = _mixing_column(step.mu)
+        top, bottom = ((stay, flip), (flip, stay))[step.omega]
+        matrix[:, step.source_column] = top * step.weight, bottom * step.weight
     return Filtration(matrix)
 
 

@@ -11,27 +11,31 @@ largest entry in [1/2, 1) and keeps every measure's bits.  So the absolute
 tolerances hold for raw counts, no scaled or filtered table overflows, a
 subnormal table is not rounded, and a suite reads ``ldexp(t, k)`` as ``t``.
 
-Two suites score their trials as stacks, with the outcomes of one trial at
-a time.  The cross-ratio suite's permutation, diagonal, shear and gluing
+Three suites score their trials as stacks, with the outcomes of one trial
+at a time.  The cross-ratio suite's permutation, diagonal, shear and gluing
 filters leave at most two nonzero terms in each entry of ``F @ T``, so one
 stacked product gives :func:`~secbit.filtration.apply_bipartite`'s tables,
 and one stacked reduction of the cross-ratio kernel their ``vartheta``.  The
 undo suite's scaled permutation and its inverse leave one term in each
 entry, so one einsum with a trial axis gives :func:`~secbit.filtration.apply`'s
-tables.  Both take their trials in blocks whose temporaries stay near 1 MB.  The algebra suite
-stays one trial at a time: its dense random filters sum many terms in each
-entry, and a stacked product may add them in another order.
+tables.  The algebra suite's dense random filters sum many terms in each
+entry, so its stack keeps :func:`~secbit.filtration.apply`'s bits another
+way: each of its einsums is ``apply``'s own, operands in the same order,
+with a trial axis in front, and each compose one stacked ``f2 @ f1``; a
+trial's sums then run in ``apply``'s order, which tests pin byte for byte.
+The stacks take their trials in blocks whose temporaries stay near 1 MB.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import BipartiteDistribution, TripartiteDistribution, _require_count, _unit_scaled, marginal_ab
-from .filtration import Filtration, apply, apply_eve, decompose, embed, recompose
+from .filtration import Filtration, apply_eve, decompose, embed, recompose
 from .measures import _varthetas, secret_bit_fraction, vartheta
 
 
@@ -61,11 +65,15 @@ def _random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> Filtra
     return Filtration(matrix / matrix.sum(axis=0, keepdims=True))
 
 
-def _random_filter(rng: np.random.Generator, cols: int) -> Filtration:
+def _filter_matrix(rng: np.random.Generator, cols: int) -> np.ndarray:
     matrix = rng.uniform(0.0, 1.0, size=(2, cols))
     sums = matrix.sum(axis=0)
     sums[sums == 0.0] = 1.0
-    return Filtration(matrix / sums * rng.uniform(0.2, 1.0, size=cols))
+    return matrix / sums * rng.uniform(0.2, 1.0, size=cols)
+
+
+def _random_filter(rng: np.random.Generator, cols: int) -> Filtration:
+    return Filtration(_filter_matrix(rng, cols))
 
 
 # Most filter or table cells one block of a stacked suite's trials holds.
@@ -86,10 +94,10 @@ def _suite(
 ) -> CheckOutcome:
     """Draw trials on the streams ``[seed, salt, k]``; a gap above ``tol`` is a violation.
 
-    ``draw(rng)`` makes one trial: its gap, or the array of its operations
-    holding ``cells`` cells, which ``score`` takes as a stack of trials and
-    turns into their gaps.  A stack holds at most ``_BLOCK_CELLS`` cells,
-    one trial at least.
+    ``draw(rng)`` makes one trial: its gap, or the array of its operations,
+    which ``score`` takes as a stack of trials and turns into their gaps.
+    A trial of a stack holds ``cells`` filter or table cells, and a stack
+    at most ``_BLOCK_CELLS``, one trial at least.
     """
     trials = _require_count(trials, "trials")
     seed = _require_count(seed, "seed", minimum=0)
@@ -129,24 +137,57 @@ def check_eve_monotonicity(p: TripartiteDistribution, trials: int, seed: int) ->
     return _suite("eve-monotonicity", 1e-12, 13, trials, seed, trial)
 
 
+def _algebra_ops(rng: np.random.Generator, d_a: int, d_b: int) -> np.ndarray:
+    """One algebra trial: the filters f1, g1, f2 and g2 of two rows side by side, then alpha over beta.
+
+    They are drawn in that order, the filters as :func:`_random_filter` draws them.
+    """
+    filters = [_filter_matrix(rng, cols) for cols in (d_a, d_b, 2, 2)]
+    return np.hstack(filters + [rng.uniform(0.1, 2.0, size=(2, 1))])
+
+
+def _algebra_tables(ops: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The filtered, once, composed and mixed tables of a stack of algebra trials, and its alphas and betas.
+
+    :func:`~secbit.filtration.apply`'s einsum with a trial axis, and one
+    ``f2 @ f1`` per :meth:`~secbit.filtration.Filtration.compose`, give
+    their bits: each trial's sums run in the same order.  A trial's table
+    with no positive entry, or one past the float maximum, raises the
+    error ``apply`` raises.
+    """
+    d_a, d_b = table.shape[:2]
+    f1, g1, f2, g2, weights = map(np.ascontiguousarray, np.split(ops, np.cumsum((d_a, d_b, 2, 2)), axis=2))
+    alpha, beta = weights[:, 0, :, None, None], weights[:, 1, :, None, None]
+    filtered = np.einsum("nia,njb,abe->nije", f1, g1, table)
+    once = np.einsum("nia,njb,nabe->nije", f2, g2, filtered)
+    composed = np.einsum("nia,njb,abe->nije", f2 @ f1, g2 @ g1, table)
+    # The mixed input passes its own check: at unit scale alpha * P + beta * P
+    # is below 4 and holds a positive entry.
+    mixed = np.einsum("nia,njb,nabe->nije", f1, g1, alpha * table + beta * table)
+    tables = filtered, once, composed, mixed
+    tops = np.stack([stack.reshape(len(stack), -1).max(axis=1) for stack in tables])
+    if not (tops.min() > 0.0 and tops.max() < math.inf):
+        # The first trial with such a table checks its tables in apply's order.
+        first = int(np.argmin(((tops > 0.0) & (tops < math.inf)).all(axis=0)))
+        for stack in tables:
+            TripartiteDistribution(stack[first])
+    return filtered, once, composed, mixed, alpha, beta
+
+
 def check_apply_algebra(p: TripartiteDistribution, trials: int, seed: int) -> CheckOutcome:
     """apply is bilinear in P and composes with matrix products."""
     p = _unit_scaled(p)
     d_a, d_b, _ = p.dims
 
-    def trial(rng: np.random.Generator) -> float:
-        f1, g1 = _random_filter(rng, d_a), _random_filter(rng, d_b)
-        f2, g2 = _random_filter(rng, 2), _random_filter(rng, 2)
-        filtered = apply(f1, g1, p)
-        once = apply(f2, g2, filtered)
-        composed = apply(f2.compose(f1), g2.compose(g1), p)
-        gap = float(np.abs(once.table - composed.table).max())
-        alpha, beta = rng.uniform(0.1, 2.0, size=2)
-        mixed = apply(f1, g1, TripartiteDistribution(alpha * p.table + beta * p.table))
-        linear = (alpha + beta) * filtered.table
-        return max(gap, float(np.abs(mixed.table - linear).max()))
+    def score(ops: np.ndarray) -> np.ndarray:
+        filtered, once, composed, mixed, alpha, beta = _algebra_tables(ops, p.table)
+        gap = np.abs(once - composed).max(axis=(1, 2, 3))
+        return np.maximum(gap, np.abs(mixed - (alpha + beta) * filtered).max(axis=(1, 2, 3)))
 
-    return _suite("apply-bilinear-composition", 1e-12, 17, trials, seed, trial)
+    draw = lambda rng: _algebra_ops(rng, d_a, d_b)
+    # A trial holds four 2 x 2 x d_e tables and its mixed input.
+    cells = 16 * p.dims[2] + p.table.size
+    return _suite("apply-bilinear-composition", 1e-12, 17, trials, seed, draw, score, cells)
 
 
 def _reversible_pair(rng: np.random.Generator, d_a: int) -> np.ndarray:
@@ -164,10 +205,10 @@ def _reversible_pair(rng: np.random.Generator, d_a: int) -> np.ndarray:
 
 
 def _undone(pairs: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`apply` of each pair's filter to ``table``, then of its inverse to that.
+    """:func:`~secbit.filtration.apply` of each pair's filter to ``table``, then of its inverse to that.
 
     Bob's and Eve's symbols stay untouched.  Each entry is one product, so
-    leaving out :func:`apply`'s identity on Bob's symbol keeps its bits.
+    leaving out :func:`~secbit.filtration.apply`'s identity on Bob's symbol keeps its bits.
     """
     there = np.einsum("nia,abe->nibe", pairs[:, 0], table)
     return there, np.einsum("nia,nabe->nibe", pairs[:, 1], there)

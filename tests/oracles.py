@@ -16,9 +16,10 @@ library's vectorized ones, and the exact rational cross ratios for their
 values on tables whose float products underflow.  The direct-product block statistics and the
 one-draw-per-chunk simulator at the end are the reference for the
 protocol layer's closed form and cell-bounded sampling.
-The seeded property suites at the very end, with the per-suite trial
+The seeded property suites near the end, with the per-suite trial
 loops they had before sharing one, are the reference for
-``secbit.properties``.
+``secbit.properties``.  The two-reduction table check at the very end is
+the reference for the one-pass check of every table.
 """
 
 import math
@@ -30,10 +31,19 @@ import numpy as np
 
 from secbit import optimizer
 from secbit.distill import _SIM_CHUNK, SimulationReport
-from secbit.distributions import BipartiteDistribution, TripartiteDistribution, _require_count, marginal_ab
+from secbit.distributions import (
+    BipartiteDistribution,
+    TripartiteDistribution,
+    _is_complex,
+    _require_count,
+    _unconvertible,
+    marginal_ab,
+)
 from secbit.errors import (
+    BadShapeError,
     DimensionMismatchError,
     InvalidParamsError,
+    NegativeEntryError,
     NotBinaryError,
     NotNormalizedError,
     OutOfRangeError,
@@ -993,3 +1003,26 @@ def run_checks(
     else:
         outcomes.append(check_cross_ratio_monotonicity(dist, trials, seed))
     return outcomes
+
+
+def freeze(values, ndim: int, what: str, empty: Optional[str] = None) -> np.ndarray:
+    """``values`` as a read-only array of finite, nonnegative floats, checked by two float reductions."""
+    try:
+        arr = np.asarray(values)
+        if _is_complex(arr):
+            raise TypeError("complex entries")
+        arr = arr.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise _unconvertible(values, what) from exc
+    if arr.ndim != ndim:
+        raise BadShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    top = np.maximum.reduce(arr, axis=None, initial=0.0)
+    if not (np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0 and top < math.inf):
+        if not np.isfinite(arr).all():
+            raise InvalidParamsError(f"{what} contains non-finite entries")
+        if (arr < 0.0).any():
+            raise NegativeEntryError(f"{what} contains a negative entry")
+    if empty is not None and not top > 0.0:
+        raise ZeroMassError(empty)
+    arr.setflags(write=False)
+    return arr

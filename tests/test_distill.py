@@ -480,6 +480,28 @@ class TestCellBoundedSimulation:
                 if zero[2] == 0:
                     assert ours.eve_blank_blocks == 0
 
+    @pytest.mark.parametrize("d_e", (1, 2, 3, 4))
+    def test_eve_blank_test_across_flat_cdf_stretches(self, d_e):
+        # Zero cells leave flat stretches in the cdf: Eve's symbol 0 missing
+        # from some honest cells (its threshold is the cell's lower end), a
+        # whole honest cell missing, and Eve's last symbols missing.
+        rng = np.random.default_rng(60 + d_e)
+        zeros = (
+            [(0, 0, 0), (1, 1, 0)],
+            [(0, 1, 0), (1, 0, 0)],
+            [(0, 1, slice(None))],
+            [(slice(None), slice(None), slice(1, None))],
+            [(0, 0, slice(0, d_e - 1)), (1, 1, slice(1, None))],
+        )
+        for cells in zeros:
+            table = random_binary_tripartite(rng, d_e, low=0.05)
+            for cell in cells:
+                table[cell] = 0.0
+            p = TripartiteDistribution(table / table.sum())
+            for n, samples in ((1, 3000), (2, 5000), (3, 20_000), (8, 20_000), (100, 3000)):
+                ours = simulate_advantage_distillation(p, n, samples, 3)
+                assert ours == oracles.simulate_advantage_distillation(p, n, samples, 3)
+
     def test_nothing_accepted(self):
         # Alice's bit is always 0, so no string of two or more bits alternates.
         p = TripartiteDistribution(np.array([[[0.3, 0.2], [0.4, 0.1]], [[0.0, 0.0], [0.0, 0.0]]]))

@@ -1,10 +1,12 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from secbit import (
@@ -28,7 +30,7 @@ from secbit import (
     tensor_power,
 )
 from secbit import distill, properties
-from secbit.distributions import DEFAULT_TENSOR_CELL_CAP
+from secbit.distributions import DEFAULT_TENSOR_CELL_CAP, _freeze
 from secbit.errors import (
     BadShapeError,
     CountError,
@@ -218,6 +220,49 @@ class TestTableEntryChecks:
         built = cls(_nest([1.0, -0.0], ndim))
         entries = (built.matrix if cls is Filtration else built.table).ravel()
         assert entries.tolist() == [1.0, 0.0] and math.copysign(1.0, entries[1]) == -1.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, -0.0],
+            [-0.0, -0.0],
+            [0.0, 0.0],
+            [1.0, math.inf],
+            [-0.0, math.inf],
+            [1.0, -math.inf],
+            [1.0, math.nan],
+            [1.0, -math.nan],
+            [-math.nan, -1.0],
+            [2.0, -1.0],
+            [-5e-324, 1.0],
+            [5e-324, 2.2e-308],
+            [5e-324, 0.0],
+            [sys.float_info.max, 0.0],
+            [True, False],
+            [False, False],
+            [3, 0],
+            [[1.0, -0.0], [0.0, 2.0]],
+            np.zeros((2, 0)),
+            np.array([[1.0, 0.0]], dtype=np.float32),
+            np.asfortranarray(np.arange(12.0).reshape(3, 4) - 0.0),
+            np.arange(48.0).reshape(6, 8)[::2, ::-3],
+            np.array([[1.0, -0.0, math.nan]])[:, ::2],
+        ],
+        ids=lambda v: repr(v).replace(" ", "")[:40],
+    )
+    @pytest.mark.parametrize("empty", [None, "no mass"])
+    def test_one_pass_check_matches_two_reductions(self, values, empty):
+        ndim = np.ndim(values)
+        try:
+            expected = oracles.freeze(values, ndim, "t", empty)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                _freeze(values, ndim, "t", empty)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            ours = _freeze(values, ndim, "t", empty)
+            assert (ours.shape, ours.strides, ours.tobytes()) == (expected.shape, expected.strides, expected.tobytes())
+            assert not ours.flags.writeable
 
     def test_empty_filtration_accepted(self):
         assert Filtration(np.zeros((2, 0))).matrix.shape == (2, 0)

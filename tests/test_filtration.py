@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_proper_filter
+from secbit import filtration
 from secbit import (
     Filtration,
     TripartiteDistribution,
@@ -198,6 +201,23 @@ class TestDecomposition:
         factors = decompose(Filtration(np.array([[0.5], [0.5]])))
         np.testing.assert_allclose(recompose(factors).matrix, [[0.5], [0.5]], atol=1e-15)
 
+    def test_recompose_writes_the_mixing_columns(self):
+        # Each column is weight * M(mu) e_omega, bit for bit.
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            cols = int(rng.integers(1, 7))
+            matrix = random_proper_filter(rng, cols)
+            matrix[:, rng.random(cols) < 0.2] = 0.0
+            matrix[:, rng.random(cols) < 0.1] = 0.25
+            factors = decompose(Filtration(matrix))
+            expected = np.zeros((2, cols))
+            for step in factors.steps:
+                expected[:, step.source_column] = mixing_matrix(step.mu).matrix[:, step.omega] * step.weight
+            assert recompose(factors).matrix.tobytes() == expected.tobytes()
+        steps = (replace(factors.steps[0], mu=0.75),) + factors.steps[1:]
+        with pytest.raises(OutOfRangeError, match=r"mixing parameter must lie in \[0, 1/2\], got 0.75"):
+            recompose(replace(factors, steps=steps))
+
     def test_bad_shape_rejected(self):
         with pytest.raises(BadShapeError):
             decompose(Filtration(np.zeros((3, 2))))
@@ -307,6 +327,32 @@ class TestConstructorArguments:
     def test_permutation_order_is_a_permutation(self, order):
         with pytest.raises(InvalidParamsError):
             Filtration.permutation(order)
+
+    def test_identities_are_shared_and_read_only(self):
+        for size in (True, 2.5, -1, 2**1024):
+            with pytest.raises(CountError):
+                Filtration.identity(size)
+        assert Filtration.identity(1).matrix.tolist() == [[1.0]]
+        assert Filtration.identity(np.int64(3)) is Filtration.identity(3)
+        matrix = Filtration.identity(3).matrix
+        assert matrix.tobytes() == np.eye(3).tobytes() and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 1.0
+
+        class Sub(Filtration):
+            pass
+
+        assert type(Sub.identity(3)) is Sub and Sub.identity(3) is not Filtration.identity(3)
+        assert Sub.identity(3) is Sub.identity(3)
+
+    def test_shared_identities_stay_bounded(self):
+        shared = filtration._identity
+        for size in range(2 * shared.cache_info().maxsize):
+            assert Filtration.identity(size).matrix.shape == (size, size)
+        assert shared.cache_info().currsize <= shared.cache_info().maxsize
+        # A large identity is built afresh, not kept.
+        assert Filtration.identity(65) is not Filtration.identity(65)
+        assert Filtration.identity(65).matrix.tobytes() == np.eye(65).tobytes()
 
     def test_integer_arguments_accepted(self):
         order = np.array([2, 0, 1])

@@ -21,7 +21,7 @@ from secbit import (
     row_gluing,
 )
 from secbit.distributions import _unit_scaled
-from secbit.errors import InvalidParamsError
+from secbit.errors import InvalidParamsError, ZeroMassError
 
 SEEDS = (1, 3, 7)
 
@@ -40,6 +40,8 @@ def _inputs(seed):
         "wide-bipartite": BipartiteDistribution(wide),
         # 400 trials of a 5 x 5 enlarged table take five blocks of at most 81.
         "many-trials": BipartiteDistribution(rng.uniform(0.05, 1.0, size=(3, 3))),
+        # 400 trials of each tripartite suite; the algebra suite's take several blocks.
+        "many-trials-tripartite": TripartiteDistribution(random_binary_tripartite(rng, 3, zero_fraction=0.2)),
     }
 
 
@@ -49,11 +51,19 @@ def _fields(outcomes):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "kind", ["binary-tripartite", "non-binary-tripartite", "bipartite", "wide-bipartite", "many-trials"]
+    "kind",
+    [
+        "binary-tripartite",
+        "non-binary-tripartite",
+        "bipartite",
+        "wide-bipartite",
+        "many-trials",
+        "many-trials-tripartite",
+    ],
 )
 def test_shared_trial_loop_matches_per_suite_loops(kind, seed, monkeypatch):
     dist = _inputs(seed)[kind]
-    trials = 400 if kind == "many-trials" else 10
+    trials = 400 if kind.startswith("many-trials") else 10
     # Record the kernel's one-table calls made inside a call on a stack: a block read table by table.
     inside, single = [0], []
     kernel = measures._cross_ratios
@@ -69,15 +79,27 @@ def test_shared_trial_loop_matches_per_suite_loops(kind, seed, monkeypatch):
             inside[0] -= 1
 
     monkeypatch.setattr(measures, "_cross_ratios", spy)
+    algebra_blocks = []
+    tables = properties._algebra_tables
+
+    def count_blocks(ops, table):
+        algebra_blocks.append(len(ops))
+        return tables(ops, table)
+
+    monkeypatch.setattr(properties, "_algebra_tables", count_blocks)
     ours = properties.run_checks(dist, trials, seed)
     # run_checks runs the suites at the power-of-two scale that puts the largest entry in [1/2, 1).
     unit = type(dist)(np.ldexp(dist.table, -math.frexp(dist.table.max())[1]))
     reference = oracles.run_checks(unit, trials, seed)
     assert _fields(ours) == _fields(reference)
-    assert len(ours) == {"binary-tripartite": 6, "non-binary-tripartite": 4}.get(kind, 1)
+    tripartite = {"binary-tripartite": 6, "non-binary-tripartite": 4, "many-trials-tripartite": 6}
+    assert len(ours) == tripartite.get(kind, 1)
     assert any(single) == (kind == "wide-bipartite")
+    assert sum(algebra_blocks) == (trials if kind in tripartite else 0)
     if kind == "many-trials":
         assert trials > properties._BLOCK_CELLS // (4 * 5 * 5)
+    if kind == "many-trials-tripartite":
+        assert len(algebra_blocks) > 1
 
 
 # The six tripartite shapes of the analytics benchmark's property trials.
@@ -122,6 +144,45 @@ def test_stacked_trials_apply_the_operations_they_name(shape):
         assert back[0].tobytes() == apply(inverse, identity, expected).table.tobytes()
 
 
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES)
+def test_stacked_algebra_trials_apply_the_operations_they_name(shape):
+    rng = np.random.default_rng([len(shape), *shape])
+    unit = _unit_scaled(TripartiteDistribution(rng.uniform(0.1, 1.0, size=shape) / 7.0))
+    d_a, d_b, _ = shape
+    ops = np.stack([properties._algebra_ops(np.random.default_rng([3, 17, k]), d_a, d_b) for k in range(20)])
+    filtered, once, composed, mixed, alpha, beta = properties._algebra_tables(ops, unit.table)
+    for k in range(20):
+        draws = np.random.default_rng([3, 17, k])
+        f1, g1 = properties._random_filter(draws, d_a), properties._random_filter(draws, d_b)
+        f2, g2 = properties._random_filter(draws, 2), properties._random_filter(draws, 2)
+        weights = draws.uniform(0.1, 2.0, size=2)
+        drawn = np.hstack([f1.matrix, g1.matrix, f2.matrix, g2.matrix, weights[:, None]])
+        assert ops[k].tobytes() == drawn.tobytes()
+        assert (alpha[k].item(), beta[k].item()) == tuple(weights)
+        expected = apply(f1, g1, unit)
+        assert filtered[k].tobytes() == expected.table.tobytes()
+        assert once[k].tobytes() == apply(f2, g2, expected).table.tobytes()
+        assert composed[k].tobytes() == apply(f2.compose(f1), g2.compose(g1), unit).table.tobytes()
+        mixed_input = TripartiteDistribution(weights[0] * unit.table + weights[1] * unit.table)
+        assert mixed[k].tobytes() == apply(f1, g1, mixed_input).table.tobytes()
+
+
+def test_stacked_algebra_tables_raise_the_errors_of_apply():
+    # A filter with a dead row kills the whole table; the first bad trial raises.
+    unit = _unit_scaled(TripartiteDistribution(np.random.default_rng(2).uniform(0.1, 1.0, size=(2, 3, 2))))
+    ops = np.stack([properties._algebra_ops(np.random.default_rng([4, 17, k]), 2, 3) for k in range(5)])
+    dead = ops.copy()
+    dead[3, :, :2] = 0.0
+    with pytest.raises(ZeroMassError, match="distribution has zero total mass"):
+        properties._algebra_tables(dead, unit.table)
+    huge = ops.copy()
+    huge[1, :, :2] = 1e300
+    huge[2, :, :2] = 0.0
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        with np.errstate(over="ignore"):
+            properties._algebra_tables(huge, unit.table * 1e300)
+
+
 def test_many_trials_stay_in_small_blocks():
     p = BipartiteDistribution(np.random.default_rng(31).uniform(0.05, 1.0, size=(6, 6)))
     tracemalloc.start()
@@ -131,6 +192,18 @@ def test_many_trials_stay_in_small_blocks():
     finally:
         tracemalloc.stop()
     assert [(o.name, o.trials, o.violations) for o in outcomes] == [("cross-ratio-monotonicity", 10**4, 0)]
+    assert peak < 2e6
+
+
+def test_many_algebra_trials_stay_in_small_blocks():
+    p = TripartiteDistribution(np.random.default_rng(37).uniform(0.05, 1.0, size=(6, 6, 2)))
+    tracemalloc.start()
+    try:
+        outcome = properties.check_apply_algebra(p, 10**4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.trials, outcome.violations) == (10**4, 0)
     assert peak < 2e6
 
 
