@@ -206,13 +206,17 @@ def mixing_matrix(mu: float) -> Filtration:
 
 @dataclass(frozen=True)
 class DecompositionStep:
-    """Per-input factor data: bias, target mixing and solved increment."""
+    """Per-input factor data: bias (the favored output row, 0 or 1), target mixing and solved increment."""
 
     source_column: int
     weight: float
     omega: int
     mu: float
     nu: float
+
+    def __post_init__(self) -> None:
+        if not (_is_integer(self.omega) and self.omega in (0, 1)):
+            raise InvalidParamsError(f"bias omega must be the integer 0 or 1, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -317,10 +321,13 @@ def recompose(factors: DecompositionFactors) -> Filtration:
 
     Column ``c`` is its weight times the mixing matrix applied to the unit
     vector of its bias: ``weight * M(mu) e_omega``, that is
-    ``weight * (1 - mu, mu)``, swapped when ``omega = 1``.
+    ``weight * (1 - mu, mu)``, swapped when ``omega = 1``.  A step whose
+    source column is not one of ``0 .. input_dim - 1`` is refused.
     """
     matrix = np.zeros((2, factors.input_dim))
     for step in factors.steps:
+        if not (_is_integer(step.source_column) and 0 <= step.source_column < factors.input_dim):
+            raise InvalidParamsError(f"source column {step.source_column!r} outside 0..{factors.input_dim - 1}")
         stay, flip = _mixing_column(step.mu)
         top, bottom = ((stay, flip), (flip, stay))[step.omega]
         matrix[:, step.source_column] = top * step.weight, bottom * step.weight

@@ -394,19 +394,19 @@ _FINE_SPANS = (2.0, 1.2, 1.05, 1.01, 1.003, 1.001)
 
 def _ladder(span: float, points: int) -> np.ndarray:
     """Factor pairs ``(f, 1/f)``, ``(f, f)`` per step ``f != 1`` of the span's log grid."""
-    steps = np.geomspace(1.0 / span, span, points)
+    steps = _geomspace(1.0 / span, span, points)
     steps = steps[steps != 1.0]
     return np.stack([np.repeat(steps, 2), np.stack([1.0 / steps, steps], axis=1).ravel()], axis=1)
 
 
-def _geomspace(low: np.ndarray, high: np.ndarray, points: int) -> np.ndarray:
-    """Log grids between positive ends, one per entry of ``low`` and ``high``, points on axis 0.
+def _geomspace(low: np.ndarray | float, high: np.ndarray | float, points: int) -> np.ndarray:
+    """Log grids between positive ends, one per entry of ``low`` and ``high`` (or scalars), points on axis 0.
 
     Each entry's grid is a scalar ``np.geomspace(low, high, points)`` call's,
     bit for bit: the step is zero only for equal ends, where both of numpy's
     formulas give the same grid.
     """
-    log_low, y = np.log10(low), np.arange(points, dtype=float).reshape(-1, *[1] * low.ndim)
+    log_low, y = np.log10(low), np.arange(points, dtype=float).reshape(-1, *[1] * np.ndim(low))
     if points > 1:
         y = y * ((np.log10(high) - log_low) / (points - 1))
     grid = np.power(10.0, y + log_low)

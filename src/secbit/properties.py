@@ -1,8 +1,9 @@
 """Randomized invariant suites runnable against a user-supplied distribution.
 
-Each check draws `trials` (at least one) random operations (seeded),
-applies them to the given distribution, and counts violations of the
-corresponding invariant beyond its tolerance.  The CLI's
+Each check draws `trials` (at least one) random operations (seeded) in
+blocks of at most ``_BLOCK_CELLS`` cells, so memory does not grow with
+``trials``; it applies them to the given distribution and counts violations
+of the corresponding invariant beyond its tolerance.  The CLI's
 ``check-properties`` command is a thin wrapper around :func:`run_checks`.
 
 Every suite runs on the table at the scale of
@@ -23,7 +24,6 @@ entry, so its stack keeps :func:`~secbit.filtration.apply`'s bits another
 way: each of its einsums is ``apply``'s own, operands in the same order,
 with a trial axis in front, and each compose one stacked ``f2 @ f1``; a
 trial's sums then run in ``apply``'s order, which tests pin byte for byte.
-The stacks take their trials in blocks whose temporaries stay near 1 MB.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _random_filter(rng: np.random.Generator, cols: int) -> Filtration:
     return Filtration(_filter_matrix(rng, cols))
 
 
-# Most filter or table cells one block of a stacked suite's trials holds.
+# Most filter or table cells one block of a suite's trials holds.
 # With the kernel's own blocks, 10^4 cross-ratio trials on an 8 x 8 enlarged
 # table peak near 1.1 MB (tracemalloc); larger blocks gain no speed.
 _BLOCK_CELLS = 1 << 13
@@ -90,18 +90,18 @@ def _suite(
     seed: int,
     draw: Callable[[np.random.Generator], object],
     score: Callable[[np.ndarray], np.ndarray] = np.asarray,
-    cells: int = 0,
+    cells: int = 1,
 ) -> CheckOutcome:
     """Draw trials on the streams ``[seed, salt, k]``; a gap above ``tol`` is a violation.
 
     ``draw(rng)`` makes one trial: its gap, or the array of its operations,
     which ``score`` takes as a stack of trials and turns into their gaps.
-    A trial of a stack holds ``cells`` filter or table cells, and a stack
-    at most ``_BLOCK_CELLS``, one trial at least.
+    A trial holds ``cells`` filter or table cells (a gap is one), and a
+    block of trials at most ``_BLOCK_CELLS``, one trial at least.
     """
     trials = _require_count(trials, "trials")
     seed = _require_count(seed, "seed", minimum=0)
-    block = max(1, _BLOCK_CELLS // cells) if cells else trials
+    block = max(1, _BLOCK_CELLS // cells)
     worst = 0.0
     violations = 0
     for start in range(0, trials, block):

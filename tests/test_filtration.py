@@ -218,6 +218,29 @@ class TestDecomposition:
         with pytest.raises(OutOfRangeError, match=r"mixing parameter must lie in \[0, 1/2\], got 0.75"):
             recompose(replace(factors, steps=steps))
 
+    @pytest.mark.parametrize("omega", [2, -1, True, False, 1.0, np.float64(0.0)])
+    def test_bias_other_than_zero_or_one_refused(self, omega):
+        factors = decompose(Filtration(np.array([[0.6, 0.1, 0.3], [0.2, 0.5, 0.3]])))
+        with pytest.raises(InvalidParamsError, match=r"bias omega must be the integer 0 or 1"):
+            replace(factors.steps[0], omega=omega)
+
+    def test_integer_biases_accepted(self):
+        factors = decompose(Filtration(np.array([[0.6, 0.1], [0.2, 0.5]])))
+        assert [type(s.omega) for s in factors.steps] == [int, int]
+        numpy_steps = tuple(replace(s, omega=np.int64(s.omega)) for s in factors.steps)
+        rebuilt = recompose(replace(factors, steps=numpy_steps))
+        assert rebuilt.matrix.tobytes() == recompose(factors).matrix.tobytes()
+        numpy_glue = replace(factors, steps=numpy_steps).gluing_matrix(0)
+        assert numpy_glue.tobytes() == factors.gluing_matrix(0).tobytes()
+
+    @pytest.mark.parametrize("column", [3, 5, -1, True, 1.0])
+    def test_source_column_outside_the_inputs_refused(self, column):
+        matrix = np.array([[0.6, 0.1, 0.3], [0.2, 0.5, 0.3]])
+        factors = decompose(Filtration(matrix))
+        steps = (replace(factors.steps[0], source_column=column),) + factors.steps[1:]
+        with pytest.raises(InvalidParamsError, match=rf"source column {column!r} outside 0\.\.2"):
+            recompose(replace(factors, steps=steps))
+
     def test_bad_shape_rejected(self):
         with pytest.raises(BadShapeError):
             decompose(Filtration(np.zeros((3, 2))))

@@ -38,6 +38,7 @@ from secbit.optimizer import (
     _geomspace,
     _identity_projection,
     _joint_scan,
+    _ladder,
     _lambda_raw,
     _lane_count,
     _selecting_seeds,
@@ -472,6 +473,15 @@ class TestPassTables:
             high = np.where(rng.random(n) < 0.5, low, np.minimum(2.0 * low, 1.0))
             expected = np.array([np.geomspace(a, b, points) for a, b in zip(low, high)])
             assert np.array_equal(_as_bits(_geomspace(low, high, points).T), _as_bits(expected))
+
+    def test_ladder_matches_geomspace(self):
+        # The scalar polish's factor pairs: (f, 1/f), then (f, f), for each step
+        # f != 1 of np.geomspace(1 / span, span, points).
+        for span in (*_MICRO_SPANS, *_CHEAP_SPANS, *_FINE_SPANS):
+            for points in (*range(1, 41), 1000):
+                steps = np.geomspace(1.0 / span, span, points)
+                expected = np.array([(f, g) for f in steps[steps != 1.0] for g in (1.0 / f, f)]).reshape(-1, 2)
+                assert np.array_equal(_as_bits(_ladder(span, points)), _as_bits(expected))
 
     def test_pair_table_matches_triu_indices(self):
         rng = np.random.default_rng(53)

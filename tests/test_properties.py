@@ -42,11 +42,17 @@ def _inputs(seed):
         "many-trials": BipartiteDistribution(rng.uniform(0.05, 1.0, size=(3, 3))),
         # 400 trials of each tripartite suite; the algebra suite's take several blocks.
         "many-trials-tripartite": TripartiteDistribution(random_binary_tripartite(rng, 3, zero_fraction=0.2)),
+        # 400 trials in blocks of 64 cells: every suite, the per-trial ones too, takes several blocks.
+        "many-trials-small-blocks": TripartiteDistribution(random_binary_tripartite(rng, 3, zero_fraction=0.2)),
     }
 
 
 def _fields(outcomes):
     return [(o.name, o.trials, o.violations, o.worst, o.tolerance) for o in outcomes]
+
+
+# The suites that score one gap a trial.
+PER_TRIAL_SUITES = ("lambda-scale-invariance", "eve-monotonicity", "decompose-roundtrip")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -59,11 +65,14 @@ def _fields(outcomes):
         "wide-bipartite",
         "many-trials",
         "many-trials-tripartite",
+        "many-trials-small-blocks",
     ],
 )
 def test_shared_trial_loop_matches_per_suite_loops(kind, seed, monkeypatch):
     dist = _inputs(seed)[kind]
     trials = 400 if kind.startswith("many-trials") else 10
+    if kind == "many-trials-small-blocks":
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", 64)
     # Record the kernel's one-table calls made inside a call on a stack: a block read table by table.
     inside, single = [0], []
     kernel = measures._cross_ratios
@@ -87,19 +96,41 @@ def test_shared_trial_loop_matches_per_suite_loops(kind, seed, monkeypatch):
         return tables(ops, table)
 
     monkeypatch.setattr(properties, "_algebra_tables", count_blocks)
+    # Count the blocks each suite scores.
+    suite_blocks = {}
+    suite = properties._suite
+
+    def count_suite_blocks(name, tol, salt, trials, seed, draw, score=np.asarray, *cells):
+        suite_blocks[name] = 0
+
+        def counted(stack):
+            suite_blocks[name] += 1
+            return score(stack)
+
+        return suite(name, tol, salt, trials, seed, draw, counted, *cells)
+
+    monkeypatch.setattr(properties, "_suite", count_suite_blocks)
     ours = properties.run_checks(dist, trials, seed)
     # run_checks runs the suites at the power-of-two scale that puts the largest entry in [1/2, 1).
     unit = type(dist)(np.ldexp(dist.table, -math.frexp(dist.table.max())[1]))
     reference = oracles.run_checks(unit, trials, seed)
     assert _fields(ours) == _fields(reference)
-    tripartite = {"binary-tripartite": 6, "non-binary-tripartite": 4, "many-trials-tripartite": 6}
+    tripartite = {
+        "binary-tripartite": 6,
+        "non-binary-tripartite": 4,
+        "many-trials-tripartite": 6,
+        "many-trials-small-blocks": 6,
+    }
     assert len(ours) == tripartite.get(kind, 1)
     assert any(single) == (kind == "wide-bipartite")
     assert sum(algebra_blocks) == (trials if kind in tripartite else 0)
     if kind == "many-trials":
         assert trials > properties._BLOCK_CELLS // (4 * 5 * 5)
-    if kind == "many-trials-tripartite":
+    if kind in ("many-trials-tripartite", "many-trials-small-blocks"):
         assert len(algebra_blocks) > 1
+    for name in set(suite_blocks) & set(PER_TRIAL_SUITES):
+        # A per-trial gap is one cell: 400 trials fit one block of 8192 cells, and take 7 of 64.
+        assert suite_blocks[name] == (7 if kind == "many-trials-small-blocks" else 1)
 
 
 # The six tripartite shapes of the analytics benchmark's property trials.
@@ -205,6 +236,26 @@ def test_many_algebra_trials_stay_in_small_blocks():
         tracemalloc.stop()
     assert (outcome.trials, outcome.violations) == (10**4, 0)
     assert peak < 2e6
+
+
+@pytest.mark.parametrize(
+    "check",
+    [properties.check_scale_invariance, properties.check_eve_monotonicity, properties.check_decompose_roundtrip],
+)
+def test_per_trial_suites_stay_in_bounded_blocks(check):
+    # Memory does not grow with the trial count: a gap a trial, 8192 gaps a block.
+    p = TripartiteDistribution(random_binary_tripartite(np.random.default_rng(43), 2))
+    peaks = []
+    for trials in (10**4, 4 * 10**4):
+        tracemalloc.start()
+        try:
+            outcome = check(p, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (outcome.trials, outcome.violations) == (trials, 0)
+    assert peaks[1] < 3e6
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("trials", [0, -1])
