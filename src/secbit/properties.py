@@ -105,8 +105,8 @@ def _suite(
     worst = 0.0
     violations = 0
     for start in range(0, trials, block):
-        draws = [draw(np.random.default_rng([seed, salt, k])) for k in range(start, min(start + block, trials))]
-        gaps = score(np.stack(draws))
+        stop = min(start + block, trials)
+        gaps = score(np.array([draw(np.random.default_rng([seed, salt, k])) for k in range(start, stop)]))
         worst = max(worst, float(gaps.max()))
         violations += int(np.count_nonzero(gaps > tol))
     return CheckOutcome(name, trials, violations, worst, tol)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -29,9 +31,14 @@ def uniform_file(tmp_path):
 
 
 def run(capsys, *argv):
+    capsys.readouterr()
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
 
 
 def test_sbf_human_output(capsys, lemur_file):
@@ -119,9 +126,12 @@ def test_mesbf_decoupled_power(capsys, tmp_path):
         ("distill", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--sweep", "-2"),
         ("check-properties", "{file}", "--trials", "-1"),
         ("check-properties", "{file}", "--trials", "0"),
+        # Counts past the float maximum.
+        ("distill", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--N", str(10**400)),
+        ("mesbf-decoupled", "{file}", "--power", str(2**1100)),
     ],
 )
-def test_count_arguments_below_one_rejected(capsys, tmp_path, argv):
+def test_count_arguments_out_of_range_rejected(capsys, tmp_path, argv):
     from secbit import bipartite_from_entries
 
     path = tmp_path / "p.json"
@@ -170,12 +180,11 @@ def test_mesbf_opt_runs(capsys, lemur_file):
     assert doc["Lambda_lower_bound"] > 0.5
     assert doc["coin_toss_baseline"] == 0.5
     assert "oracle_trace" not in doc
-    _assert_trace(doc["search_trace"])
+    assert _is_trace(doc["search_trace"])
 
 
-def _assert_trace(trace):
-    assert len(trace) == 3
-    assert all(set(stage) == {"points", "candidates", "kept", "evals", "best"} for stage in trace)
+def _is_trace(trace):
+    return len(trace) == 3 and all(set(stage) == {"points", "candidates", "kept", "evals", "best"} for stage in trace)
 
 
 def test_mesbf_opt_oracle_reports_the_grid_oracle(capsys, lemur_file):
@@ -186,8 +195,8 @@ def test_mesbf_opt_oracle_reports_the_grid_oracle(capsys, lemur_file):
     assert doc["oracle_value"] == expected.value
     assert doc["oracle_grid_points"] == 12
     assert doc["oracle_trace"] == expected.detail["trace"]
-    _assert_trace(doc["search_trace"])
-    _assert_trace(doc["oracle_trace"])
+    assert _is_trace(doc["search_trace"])
+    assert _is_trace(doc["oracle_trace"])
 
 
 def test_mesbf_opt_oracle_rejects_large_alphabets(capsys, tmp_path):
@@ -291,30 +300,8 @@ def test_distill_sweep_csv(capsys):
 
 
 def test_distill_sim(capsys, tmp_path):
-    code, out, _ = run(
-        capsys,
-        "gen-canonical",
-        "--mu",
-        "0.6",
-        "--eta",
-        "0.25,0.25,0.25,0.25",
-        "--out",
-        str(tmp_path / "canon.json"),
-    )
-    assert code == 0
-    code, out, _ = run(
-        capsys,
-        "distill-sim",
-        str(tmp_path / "canon.json"),
-        "--N",
-        "3",
-        "--samples",
-        "20000",
-        "--seed",
-        "4",
-        "--format",
-        "json",
-    )
+    path = str(_Inputs(tmp_path)["canon"])
+    code, out, _ = run(capsys, "distill-sim", path, "--N", "3", "--samples", "20000", "--seed", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["empirical_disagreement_rate"] - doc["analytic_disagreement_rate"]) < 0.01
@@ -350,16 +337,10 @@ def test_distill_sim_formula_is_null_for_an_asymmetric_file(capsys, tmp_path):
 
 
 def test_distill_sim_json_is_strict_at_long_blocks(capsys, tmp_path):
-    path = str(tmp_path / "canon.json")
-    code, _, _ = run(capsys, "gen-canonical", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--out", path)
-    assert code == 0
+    path = str(_Inputs(tmp_path)["canon"])
     code, out, _ = run(capsys, "distill-sim", path, "--N", "2000", "--samples", "500", "--format", "json")
     assert code == 0
-
-    def reject(constant):
-        raise ValueError(f"non-finite JSON constant {constant}")
-
-    doc = json.loads(out, parse_constant=reject)
+    doc = json.loads(out, parse_constant=_reject)
     assert doc["accepted"] == 0
     assert doc["empirical_disagreement_rate"] is None and doc["empirical_eve_blank_rate"] is None
     assert doc["analytic_disagreement_rate"] == 0.0  # below the smallest double
@@ -490,3 +471,172 @@ def test_distill_refuses_asymmetric_eta(capsys):
     code, out, _ = run(capsys, "distill", "--mu", "1", "--eta", "0.1,0.3,0.05,0.55", "--N", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["block_error_rate"] == 0.0
+
+
+# The console contract: each row is an argv, its exit code and one check.
+# ``{name}`` is an input file that ``INPUTS`` describes, written to the
+# row's own directory, and ``{out}`` a destination there.  A row exiting
+# 0 writes nothing to stderr and, with ``--format json``, strict JSON; a
+# row exiting 1 writes only an ``error:`` line.  Timed rows run as
+# ``python -W error -m secbit.cli`` with a 60 s timeout, so a slow path
+# fails rather than hangs; the rest run in process, warnings as errors.
+
+
+def _table_doc(m):
+    """A table file's document: axes a, b and e for a 2-d or 3-d array, cells in index order."""
+    dims = dict(zip("abe", m.shape))
+    return {"dims": dims, "entries": [{**dict(zip(dims, i)), "p": m[i].item()} for i in np.ndindex(m.shape)]}
+
+
+def _span_ab():
+    rng = np.random.default_rng(5)
+    m = rng.uniform(1.0, 2.0, (3, 3)) * 10.0 ** rng.choice([0.0, -170.0], size=(3, 3))
+    m[0, 0], m[1, 1] = 1.0, 1e-170
+    return m
+
+
+def _subnormal():
+    m = np.random.default_rng(1).uniform(0.1, 1, (2, 2, 3))
+    return m / m.sum() * 1e-320
+
+
+INPUTS = {
+    "canon": ("gen-canonical", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25"),
+    "sat": ("gen-satellite", "--err-a", "0.1", "--err-b", "0.2", "--err-e", "0.3"),
+    "ab2": ("tensor-power", "{ab}", "--power", "2"),
+    # Raw counts: the property suites run at a power-of-two scale, so rounding
+    # stays within their absolute tolerances.
+    "counts": lambda: np.random.default_rng(9).integers(100, 5001, (3, 3, 2)),
+    "pab": lambda: np.random.default_rng(3).uniform(0.05, 1.0, (4, 5)),
+    # Entries spanning 1e-170..1: cross-ratio products underflow, so the
+    # stacked trials are read table by table.
+    "span_ab": _span_ab,
+    # The algebra suite's stacked einsums run in several blocks at 400 trials,
+    # and every per-trial suite crosses three 8192-cell blocks at 20000.
+    "bin3": lambda: np.random.default_rng(8).uniform(0.05, 1.0, (2, 2, 3)),
+    "bin1": lambda: np.random.default_rng(8).uniform(0.05, 1.0, (2, 2, 1)),
+    # The searches rescale a subnormal table by a power of two, so the bound keeps the coin toss.
+    "tiny": _subnormal,
+    "ab": lambda: np.array([[0.3, 0.1, 0.05], [0.05, 0.1, 0.4]]),
+    "wide": lambda: np.full((1, 2000), 1 / 2000),
+    # Entries spanning 1e-200 and 1e-182 of the largest: the witness weight
+    # and the reversible cross term are products that underflow.
+    "span": lambda: np.array([[1e-200, 1e-150], [1e-150, 1.0]]),
+    "rev": lambda: np.array([[1e-7, 1e-182], [1.0, 1e-178]])[..., None],
+    # Cross-ratio products that underflow (P01 P10 = 1e-341, P00 P11 = 1e-339;
+    # the ratio is 0.01), and a diagonal ratio 1 / 5e-324 past the float maximum.
+    "under": lambda: np.array([[1e-169, 1e-171, 1.0], [1e-170, 1e-170, 1.0]]),
+    "huge": lambda: np.array([[1.0, 1e-300], [1e-300, 5e-324]])[..., None],
+    # A one-cell table's power is its cell's power, taken in one step.
+    "one": lambda: np.ones((1, 1)),
+    "half": lambda: np.full((1, 1), 0.5),
+}
+
+
+class _Inputs(dict):
+    """Input paths by name; each file is written the first time a row names it."""
+
+    def __init__(self, tmp_path):
+        super().__init__(out=tmp_path / "out.json")
+        self.tmp_path = tmp_path
+
+    def __missing__(self, name):
+        path = self.tmp_path / f"{name}.json"
+        source = INPUTS[name]
+        if callable(source):
+            path.write_text(json.dumps(_table_doc(source())))
+        else:
+            assert main([arg.format_map(self) for arg in source] + ["--out", str(path)]) == 0
+        self[name] = path
+        return path
+
+
+def fields(**expected):
+    return lambda doc, out: {key: doc[key] for key in expected} == expected
+
+
+def near(key, value):
+    return lambda doc, out: abs(doc[key] - value) <= 1e-12
+
+
+def traces(doc, out):
+    return _is_trace(doc["search_trace"]) and _is_trace(doc["oracle_trace"])
+
+
+def above_coin_toss(doc, out):
+    return doc["Lambda_lower_bound"] >= 0.5
+
+
+def unwritten(doc, out):
+    return not out.exists()
+
+
+def wrote_one(doc, out):
+    return [entry["p"] for entry in json.loads(out.read_text())["entries"]] == [1.0]
+
+
+SIM = ("distill-sim", "{canon}", "--format", "json", "--samples")
+PROPERTIES = ("check-properties", "--format", "json")
+BILLION = ("tensor-power", "--power", "1000000000", "--out", "{out}")
+DECOUPLED = ("mesbf-decoupled", "--format", "json")
+OPT = ("mesbf-opt", "--format", "json")
+# (argv, exit code, check, timed)
+CONSOLE = [
+    (("distill", "--mu", "0.6", "--eta", "0.25,0.25,0.25,0.25", "--auto"), 0, None, False),
+    ((*SIM, "1000", "--N", "2000"), 0, None, False),
+    # One-symbol blocks have no pair to test, so every block is accepted; 6
+    # blocks of 9 is the count at the default seed.  Blocks longer than 2048
+    # symbols are read alone, in column blocks, and none of 10^9 is held whole.
+    ((*SIM, "2000", "--N", "1"), 0, fields(accepted=2000), True),
+    ((*SIM, "20000", "--N", "9"), 0, fields(accepted=6), True),
+    ((*SIM, "65536", "--N", "131072"), 0, fields(accepted=0), True),
+    ((*SIM, "1000", "--N", "1000000000"), 0, fields(accepted=0), True),
+    ((*PROPERTIES, "{sat}", "--trials", "5"), 0, fields(failed=0), False),
+    ((*OPT, "{sat}", "--restarts", "4", "--iters", "300", "--oracle"), 0, traces, False),
+    # 10^8 random starts are refused before any is built.
+    (("mesbf-opt", "{canon}", "--restarts", "100000000"), 1, None, True),
+    ((*PROPERTIES, "{counts}", "--trials", "20"), 0, fields(failed=0), False),
+    ((*PROPERTIES, "{pab}"), 0, fields(failed=0), True),
+    ((*PROPERTIES, "{span_ab}"), 0, fields(failed=0), True),
+    ((*PROPERTIES, "{bin3}", "--trials", "400"), 0, fields(failed=0), True),
+    ((*PROPERTIES, "{bin1}", "--trials", "20000"), 0, fields(failed=0), True),
+    # A billion copies are refused before any exact cell count is built; of
+    # one cell they end at once, and one that underflows writes no file.
+    ((*BILLION, "{ab}"), 1, unwritten, True),
+    ((*BILLION, "{one}"), 0, wrote_one, True),
+    ((*BILLION, "{half}"), 1, unwritten, True),
+    # A budget of 2^63 evaluations reads as none.
+    ((*OPT, "{sat}", "--restarts", "2", "--iters", str(2**63)), 0, None, False),
+    ((*DECOUPLED, "{ab}", "--power", "2"), 0, near("Lambda", 48 / 49), False),
+    ((*DECOUPLED, "{ab2}"), 0, near("Lambda", 48 / 49), False),
+    ((*DECOUPLED, "{wide}"), 0, fields(Lambda=0.5, branch="coin-toss"), False),
+    ((*DECOUPLED, "{span}"), 0, fields(Lambda=1.0), False),
+    (("mesbf-r", "{rev}", "--format", "json"), 0, near("Lambda_R", 0.9693465699682845), False),
+    ((*DECOUPLED, "{under}"), 0, near("Lambda", 1 / 1.1), False),
+    ((*DECOUPLED, "{under}", "--power", "2"), 0, near("Lambda", 1 / 1.01), False),
+    (("mesbf-r", "{huge}", "--format", "json"), 0, fields(Lambda_R=1.0), False),
+    ((*OPT, "{tiny}", "--restarts", "2", "--iters", "50", "--oracle"), 0, above_coin_toss, False),
+]
+
+
+def test_console_rows_name_distinct_argvs():
+    assert len({row[0] for row in CONSOLE}) == len(CONSOLE)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, check, timed", CONSOLE, ids=[" ".join(row[0]) for row in CONSOLE])
+def test_console_contract(capsys, tmp_path, argv, code, check, timed):
+    inputs = _Inputs(tmp_path)
+    argv = [arg.format_map(inputs) for arg in argv]
+    if timed:
+        command = [sys.executable, "-W", "error", "-m", "secbit.cli", *argv]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        status, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        status, out, err = run(capsys, *argv)
+    if code == 1:
+        _assert_domain_error(status, out, err)
+    else:
+        assert (status, err) == (0, "")
+    doc = json.loads(out, parse_constant=_reject) if "json" in argv else None
+    assert check is None or check(doc, inputs["out"])

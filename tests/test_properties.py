@@ -214,6 +214,18 @@ def test_stacked_algebra_tables_raise_the_errors_of_apply():
             properties._algebra_tables(huge, unit.table * 1e300)
 
 
+def _peak(check, p, trials):
+    """One suite's tracemalloc peak in bytes; the suite must find no violation."""
+    tracemalloc.start()
+    try:
+        outcome = check(p, trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.trials, outcome.violations) == (trials, 0)
+    return peak
+
+
 def test_many_trials_stay_in_small_blocks():
     p = BipartiteDistribution(np.random.default_rng(31).uniform(0.05, 1.0, size=(6, 6)))
     tracemalloc.start()
@@ -228,34 +240,34 @@ def test_many_trials_stay_in_small_blocks():
 
 def test_many_algebra_trials_stay_in_small_blocks():
     p = TripartiteDistribution(np.random.default_rng(37).uniform(0.05, 1.0, size=(6, 6, 2)))
-    tracemalloc.start()
-    try:
-        outcome = properties.check_apply_algebra(p, 10**4, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (outcome.trials, outcome.violations) == (10**4, 0)
-    assert peak < 2e6
+    assert _peak(properties.check_apply_algebra, p, 10**4) < 2e6
 
 
-@pytest.mark.parametrize(
-    "check",
-    [properties.check_scale_invariance, properties.check_eve_monotonicity, properties.check_decompose_roundtrip],
-)
-def test_per_trial_suites_stay_in_bounded_blocks(check):
-    # Memory does not grow with the trial count: a gap a trial, 8192 gaps a block.
+PER_TRIAL_SUITES = [
+    properties.check_scale_invariance,
+    properties.check_eve_monotonicity,
+    properties.check_decompose_roundtrip,
+]
+
+
+@pytest.mark.parametrize("check", PER_TRIAL_SUITES)
+def test_per_trial_suites_stay_in_bounded_blocks(monkeypatch, check):
+    # Memory does not grow with the trial count: at 256 gaps a block, 10^3 and
+    # 4 * 10^3 trials run in 4 and 16 blocks.  A suite's first call peaks
+    # higher than later ones (decompose's by 5x), so each is run once first.
+    monkeypatch.setattr(properties, "_BLOCK_CELLS", 256)
     p = TripartiteDistribution(random_binary_tripartite(np.random.default_rng(43), 2))
-    peaks = []
-    for trials in (10**4, 4 * 10**4):
-        tracemalloc.start()
-        try:
-            outcome = check(p, trials, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert (outcome.trials, outcome.violations) == (trials, 0)
-    assert peaks[1] < 3e6
+    check(p, 10, 1)
+    peaks = [_peak(check, p, trials) for trials in (10**3, 4 * 10**3)]
     assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("check", PER_TRIAL_SUITES)
+def test_per_trial_suite_block_is_one_float_array(check):
+    # One default block of 8192 gaps plus one trial: a block of gaps held as
+    # 8192 zero-dimensional arrays peaked at 2.5 MB.
+    p = TripartiteDistribution(random_binary_tripartite(np.random.default_rng(43), 2))
+    assert _peak(check, p, 8193) < 1e6
 
 
 @pytest.mark.parametrize("trials", [0, -1])
