@@ -102,8 +102,7 @@ class Filtration:
         """Matrix sending input ``order[i]`` to output ``i``; ``order`` holds each of ``0 .. d-1`` once."""
         order = list(order)
         d = len(order)
-        if not all(map(_is_integer, order)) or sorted(order) != list(range(d)):
-            raise InvalidParamsError(f"order must hold each integer 0..{d - 1} once, got {order}")
+        _require_order(order, d, "order")
         matrix = np.zeros((d, d))
         matrix[np.arange(d), order] = 1.0
         return cls(matrix)
@@ -112,6 +111,12 @@ class Filtration:
     def coin_toss(cls, d: int) -> "Filtration":
         """Discard the input and output a uniform bit."""
         return cls(np.full((2, _require_count(d, "size", minimum=0)), 0.5))
+
+
+def _require_order(order: list, d: int, name: str) -> None:
+    """Refuse ``order`` unless it holds each integer ``0 .. d-1`` exactly once."""
+    if not all(map(_is_integer, order)) or sorted(order) != list(range(d)):
+        raise InvalidParamsError(f"{name} must hold each integer 0..{d - 1} once, got {order}")
 
 
 @lru_cache(maxsize=64)
@@ -225,13 +230,24 @@ class DecompositionFactors:
 
     Relabeled input slot ``k`` (``k = 0`` carries the most mixed input)
     lives at coordinate ``k + 2`` of the enlarged ``(d+2)``-dimensional
-    space; coordinates 0 and 1 carry the output bit.  ``permutation[k]``
-    is the original column stored at slot ``k``.
+    space; coordinates 0 and 1 carry the output bit.  The steps' source
+    columns hold each input column exactly once; ``permutation[k]`` is the
+    original column stored at slot ``k``.
     """
 
     input_dim: int
-    permutation: tuple[int, ...]
     steps: tuple[DecompositionStep, ...]
+
+    def __post_init__(self) -> None:
+        columns, d = list(self.permutation), self.input_dim
+        for c in columns:
+            if not (_is_integer(c) and 0 <= c < d):
+                raise InvalidParamsError(f"source column {c!r} outside 0..{d - 1}")
+        _require_order(columns, d, "source columns")
+
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return tuple(step.source_column for step in self.steps)
 
     @property
     def size(self) -> int:
@@ -309,11 +325,7 @@ def decompose(d: Filtration) -> DecompositionFactors:
         steps.append(DecompositionStep(c, weight, omega, mu, nu))
     steps.reverse()
 
-    return DecompositionFactors(
-        input_dim=d.cols,
-        permutation=tuple(s.source_column for s in steps),
-        steps=tuple(steps),
-    )
+    return DecompositionFactors(input_dim=d.cols, steps=tuple(steps))
 
 
 def recompose(factors: DecompositionFactors) -> Filtration:
@@ -321,13 +333,10 @@ def recompose(factors: DecompositionFactors) -> Filtration:
 
     Column ``c`` is its weight times the mixing matrix applied to the unit
     vector of its bias: ``weight * M(mu) e_omega``, that is
-    ``weight * (1 - mu, mu)``, swapped when ``omega = 1``.  A step whose
-    source column is not one of ``0 .. input_dim - 1`` is refused.
+    ``weight * (1 - mu, mu)``, swapped when ``omega = 1``.
     """
     matrix = np.zeros((2, factors.input_dim))
     for step in factors.steps:
-        if not (_is_integer(step.source_column) and 0 <= step.source_column < factors.input_dim):
-            raise InvalidParamsError(f"source column {step.source_column!r} outside 0..{factors.input_dim - 1}")
         stay, flip = _mixing_column(step.mu)
         top, bottom = ((stay, flip), (flip, stay))[step.omega]
         matrix[:, step.source_column] = top * step.weight, bottom * step.weight

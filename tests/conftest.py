@@ -1,10 +1,13 @@
 import tempfile
+import tracemalloc
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from secbit import randomization_example
+from secbit import BipartiteDistribution, MeasureResult, TripartiteDistribution, randomization_example
 
 
 def pytest_configure(config):
@@ -19,6 +22,41 @@ def lemur():
     return randomization_example()
 
 
+@dataclass
+class Allocations:
+    """Bytes of Python allocations traced over a block: their peak, and what the block kept."""
+
+    peak: int = 0
+    retained: int = 0
+
+
+@contextmanager
+def traced_memory():
+    """Trace the block's Python allocations; the yielded record is filled when the block ends."""
+    record = Allocations()
+    tracemalloc.start()
+    try:
+        yield record
+        record.retained, record.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def result_bits(result):
+    """A comparable form of a result that differs whenever one of its bits does."""
+    if isinstance(result, MeasureResult):
+        pairs = [result.witness] + ([result.witness_family(1e-3)] if result.witness_family else [])
+        matrices = [f.matrix.tobytes() for pair in pairs if pair is not None for f in pair]
+        return float(result.value).hex(), result.witness_kind, repr(result.detail), matrices
+    if isinstance(result, (BipartiteDistribution, TripartiteDistribution)):
+        return type(result).__name__, result.table.shape, result.table.tobytes()
+    if isinstance(result, (list, tuple)):
+        return [result_bits(r) for r in result]
+    if isinstance(result, float):
+        return result.hex()
+    return repr(result)
+
+
 def random_binary_tripartite(rng, d_e, zero_fraction=0.0, low=0.0, high=1.0):
     """Random 2x2xd_e distribution; optionally with structural zeros."""
     table = rng.uniform(low, high, size=(2, 2, d_e))
@@ -28,6 +66,17 @@ def random_binary_tripartite(rng, d_e, zero_fraction=0.0, low=0.0, high=1.0):
     if not table.sum() > 0.0:
         table[0, 0, 0] = 1.0
     return table / table.sum()
+
+
+def random_enlarged(rng):
+    """Random unnormalized (d_a+2)x(d_b+2) distribution, d_a and d_b in 1..4, with structural zeros."""
+    d_a = int(rng.integers(1, 5))
+    d_b = int(rng.integers(1, 5))
+    table = rng.uniform(0.0, 1.0, size=(d_a + 2, d_b + 2))
+    table[rng.random(size=table.shape) < 0.3] = 0.0
+    if not table.sum() > 0.0:
+        table[0, 0] = 1.0
+    return BipartiteDistribution(table)
 
 
 def random_stochastic(rng, rows, cols):

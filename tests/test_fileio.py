@@ -1,10 +1,10 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from secbit import BipartiteDistribution, Filtration, TripartiteDistribution, randomization_example, shared_bit
 from secbit.errors import (
     DimensionOverflowError,
@@ -60,14 +60,10 @@ def test_written_text_is_pinned(tmp_path):
 def test_declared_dims_over_the_cell_cap_rejected_before_allocating(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dims": {"a": 400, "b": 400, "e": 100}, "entries": []}))
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         with pytest.raises(DimensionOverflowError):
             read_tripartite(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    assert memory.peak < 5e6
 
 
 def test_omitted_cells_are_zero(tmp_path):

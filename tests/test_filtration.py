@@ -67,7 +67,6 @@ def test_certain_failure_is_reported(lemur):
         apply(dead, Filtration.identity(2), lemur)
 
 
-@pytest.mark.filterwarnings("error")
 def test_overflow_is_not_reported_as_certain_failure():
     # 1e200 * 1e200 overflows; einsum's inf * 0 is nan, which is no zero mass.
     huge = Filtration([[1e200, 1e200], [1e200, 1e200]])
@@ -240,6 +239,16 @@ class TestDecomposition:
         steps = (replace(factors.steps[0], source_column=column),) + factors.steps[1:]
         with pytest.raises(InvalidParamsError, match=rf"source column {column!r} outside 0\.\.2"):
             recompose(replace(factors, steps=steps))
+
+    @pytest.mark.parametrize("columns", [(0, 0, 1), (0, 1)], ids=["repeated", "missing"])
+    def test_source_columns_name_each_input_once(self, columns):
+        # Unchecked, step 0 moved onto step 1's column recomposed a zero last
+        # column, and a stored permutation still read (2, 0, 1).
+        factors = decompose(Filtration(np.array([[0.6, 0.1, 0.3], [0.2, 0.5, 0.3]])))
+        assert factors.permutation == (2, 0, 1)
+        steps = tuple(replace(step, source_column=c) for step, c in zip(factors.steps, columns))
+        with pytest.raises(InvalidParamsError, match=r"source columns must hold each integer 0\.\.2 once"):
+            replace(factors, steps=steps)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(BadShapeError):

@@ -4,8 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +16,7 @@ import oracles
 import secbit
 from secbit import measures
 from secbit.distributions import _unit_scaled
-from conftest import random_binary_tripartite, random_stochastic
+from conftest import random_binary_tripartite, random_enlarged, random_stochastic, result_bits, traced_memory
 from oracles import grid_reversible_oracle
 from secbit import (
     BipartiteDistribution,
@@ -122,12 +120,10 @@ class TestSecretBitFraction:
     @pytest.mark.parametrize("measure", [secret_bit_fraction, secret_bit_fraction_oracle])
     def test_near_overflow_table(self, measure):
         # The plain sum of these entries is inf; both routes sum a rescaled table.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert measure(TripartiteDistribution(np.full((2, 2, 2), 1e308))) == 0.5
-            assert measure(from_entries((2, 2, 2), {(0, 0, 0): 1e308, (1, 1, 0): 1e308, (0, 1, 1): 1.7e308})) == (
-                pytest.approx(20 / 37, abs=1e-15)
-            )
+        assert measure(TripartiteDistribution(np.full((2, 2, 2), 1e308))) == 0.5
+        assert measure(from_entries((2, 2, 2), {(0, 0, 0): 1e308, (1, 1, 0): 1e308, (0, 1, 1): 1.7e308})) == (
+            pytest.approx(20 / 37, abs=1e-15)
+        )
 
     def test_oracle_degenerate_cases(self):
         assert secret_bit_fraction_oracle(point_mass_eve(shared_bit())) == pytest.approx(
@@ -338,7 +334,6 @@ class TestReversibleDecoupled:
             assert restricted == pytest.approx(general, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("error")
 class TestWideDynamicRange:
     """Tables whose entries span so wide a range that their products underflow."""
 
@@ -423,13 +418,9 @@ class TestWideDynamicRange:
         underflowing[0, 0], underflowing[1, 1] = 1e-200, 1e-170
         for table in (normal, underflowing):
             p = BipartiteDistribution(table)
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 vartheta(p)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 72e6
+            assert memory.peak < 72e6
 
     @given(
         table=st.tuples(st.integers(1, 4), st.integers(1, 4))
@@ -668,24 +659,13 @@ class TestVartheta:
         assert vartheta(shared_bit()) == 1.0
 
 
-def _random_enlarged(rng):
-    d_a = int(rng.integers(1, 5))
-    d_b = int(rng.integers(1, 5))
-    table = rng.uniform(0.0, 1.0, size=(d_a + 2, d_b + 2))
-    mask = rng.random(size=table.shape) < 0.3
-    table[mask] = 0.0
-    if not table.sum() > 0.0:
-        table[0, 0] = 1.0
-    return BipartiteDistribution(table)
-
-
 class TestCrossRatioMonotonicity:
     """Invariance and monotonicity of the cross-ratio maximization."""
 
     def test_reversible_operations_leave_it_unchanged(self):
         rng = np.random.default_rng(167)
         for _ in range(100):
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             base = vartheta(p)
             perm = Filtration.permutation(rng.permutation(size_a))
@@ -701,7 +681,7 @@ class TestCrossRatioMonotonicity:
     def test_shear_cannot_increase_it(self):
         rng = np.random.default_rng(173)
         for _ in range(100):
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             r = float(rng.uniform(0.05, 10.0))
             sheared = apply_bipartite(lower_shear(r, size_a), Filtration.identity(size_b), p)
@@ -712,7 +692,7 @@ class TestCrossRatioMonotonicity:
     def test_gluing_cannot_increase_it(self):
         rng = np.random.default_rng(179)
         for _ in range(100):
-            p = _random_enlarged(rng)
+            p = random_enlarged(rng)
             size_a, size_b = p.dims
             column = int(rng.integers(2, size_a))
             glued = apply_bipartite(
@@ -870,27 +850,19 @@ class TestOutcomePairCache:
         shapes = ((2, 1024), (2, 1023), (2, 1022))
         tables = [BipartiteDistribution(np.random.default_rng(61).uniform(0.1, 1.0, size=shape)) for shape in shapes]
         measures._pair_table.cache_clear()
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             for p in tables:
                 vartheta(p)
                 mesbf_decoupled(p)
                 mesbf_decoupled_power(p, 3)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert retained < 1e6
+        assert memory.retained < 1e6
 
     def test_pair_cap_raises_before_allocating(self):
         # 46 x 46 alphabets have about 2 million pairs: 64 MB of indices.
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             with pytest.raises(TooLargeError):
                 measures._outcome_pairs(46, 46)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+        assert memory.peak < 1e6
 
     def test_one_symbol_alphabets_build_no_pairs(self):
         # One symbol has no outcome pair, so the other alphabet's table of
@@ -899,13 +871,9 @@ class TestOutcomePairCache:
             p = BipartiteDistribution(np.random.default_rng(59).uniform(0.1, 1.0, size=shape))
             for measure in (vartheta, lambda p: mesbf_decoupled(p).value, lambda p: mesbf_decoupled_power(p, 2).value):
                 measures._pair_table.cache_clear()
-                tracemalloc.start()
-                try:
+                with traced_memory() as memory:
                     value = measure(p)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert value == 0.5 and peak < 1e6
+                assert value == 0.5 and memory.peak < 1e6
 
     def test_measures_identical_with_a_cold_cache(self):
         def seeded(cls, seed, shape_of):
@@ -953,7 +921,6 @@ def _stack(rng, shape, count):
 UNDERFLOWING = [[1e-169, 1e-171, 1.0], [1e-170, 1e-170, 1.0]]
 
 
-@pytest.mark.filterwarnings("error")
 class TestStackedKernel:
     """The cross-ratio kernel on a stack of tables is the single-table kernel, table by table."""
 
@@ -1001,21 +968,14 @@ class TestOneScanPerTable:
         "vartheta": vartheta,
     }
 
-    @staticmethod
-    def _signature(result):
-        if isinstance(result, float):
-            return result.hex()
-        witness = tuple(f.matrix.tobytes() for f in result.witness or ())
-        return result.value.hex(), result.detail.get("pair"), witness, repr(result.detail)
-
     def test_every_order_gives_the_calls_on_fresh_copies(self):
         rng = np.random.default_rng(217)
         for _ in range(200):
             table = _stack(rng, tuple(int(d) for d in rng.integers(1, 7, size=2)), 1)[0]
-            fresh = {name: self._signature(form(BipartiteDistribution(table))) for name, form in self.FORMS.items()}
+            fresh = {name: result_bits(form(BipartiteDistribution(table))) for name, form in self.FORMS.items()}
             for order in itertools.permutations(self.FORMS):
                 p = BipartiteDistribution(table)
-                assert {name: self._signature(self.FORMS[name](p)) for name in order} == fresh
+                assert {name: result_bits(self.FORMS[name](p)) for name in order} == fresh
 
     def test_copies_scan_their_own_table(self):
         table = np.random.default_rng(219).uniform(0.1, 1.0, size=(3, 4)) * 3.0

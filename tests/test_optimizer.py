@@ -1,6 +1,4 @@
 import math
-import tracemalloc
-import warnings
 from itertools import product
 
 import numpy as np
@@ -46,6 +44,7 @@ from secbit.optimizer import (
 from secbit.measures import _pair_table
 
 import oracles
+from conftest import result_bits, traced_memory
 from oracles import exhaustive_scan, scalar_polish
 
 FAST = SearchConfig(restarts=8, iterations=600, seed=7)
@@ -192,14 +191,10 @@ class TestBatchedPolish:
         table = _decoupled_table(4)
         rng = np.random.default_rng(5)
         m_a, m_b = rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4))
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             value = _coordinate_polish(table, [(m_a, m_b, None)], 1000, _MICRO_SPANS, 1e-9)[0][0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert 0.5 <= value <= 1.0
-        assert peak < 16 * 2**20
+        assert memory.peak < 16 * 2**20
 
     def test_lockstep_batches_have_bounded_memory(self):
         # Only the lanes that _lane_count admits hold grids and batches at
@@ -208,14 +203,10 @@ class TestBatchedPolish:
         table = _decoupled_table(4)
         rng = np.random.default_rng(5)
         jobs = [(rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(2, 4)), 2000) for _ in range(200)]
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             results = _coordinate_polish(table, jobs, 1000, _MICRO_SPANS, 1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert all(0.0 <= value <= 1.0 for value, _, _, _ in results)
-        assert peak < 16 * 2**20
+        assert memory.peak < 16 * 2**20
 
 
 def _kernel_case(d_a: int, d_b: int, d_e: int, rows: int, zeros: float) -> tuple[np.ndarray, np.ndarray]:
@@ -368,12 +359,10 @@ class TestLockstep:
         # A run's last line of standard output is its result, so library
         # code must write nothing, warnings included.
         half = np.full((2, 2), 0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimate_mesbf(lemur, FAST)
-            brute_force_mesbf(lemur, FAST)
-            for points in (8, 24):
-                _coordinate_polish(lemur.table, [(half, half, 200)], points, _CHEAP_SPANS, 1e-9)
+        estimate_mesbf(lemur, FAST)
+        brute_force_mesbf(lemur, FAST)
+        for points in (8, 24):
+            _coordinate_polish(lemur.table, [(half, half, 200)], points, _CHEAP_SPANS, 1e-9)
         assert capsys.readouterr() == ("", "")
 
 
@@ -431,14 +420,10 @@ class TestLaneTable:
         p = point_mass_eve(BipartiteDistribution(np.full((4, 4), 1 / 16)))
         assert _lane_count(1, 16, 1, 6538) == 1
         for points in (6539, 10**7):
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 with pytest.raises(TooLargeError, match="polish lane"):
                     brute_force_mesbf(p, SearchConfig(grid_points=points))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
+            assert memory.peak < 2**20
         # The largest lane still polishes; a budget of one evaluation keeps it short.
         table = _decoupled_table(4)
         start = np.clip(_identity_projection(4), 1e-9, 1.0)
@@ -596,40 +581,28 @@ class TestJointScan:
         # took 69 MB at 2x2x64.
         for shape in [(2, 2, 64), (4, 4, 64)]:
             table, coarse = _scan_case(*shape, 0.0)
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 seeds = _joint_scan(table, coarse, 1e-9, 12)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             assert len(seeds) == 12
-            assert peak < 16 * 2**20
+            assert memory.peak < 16 * 2**20
 
     @pytest.mark.parametrize("shape", [(3, 3, 1), (4, 4, 1)])
     def test_passes_hold_a_quarter_chunk(self, shape):
         # Pair bounds and row values built a full _CHUNK at a time peaked at
         # 2.16 MB (3x3x1) and 2.11 MB (4x4x1); a quarter at 0.67 and 1.02 MB.
         table, coarse = _scan_case(*shape, 0.0)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             seeds = _joint_scan(table, coarse, 1e-9, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(seeds) == 12
-        assert peak < 1.5 * 2**20
+        assert memory.peak < 1.5 * 2**20
 
     def test_too_many_pair_values_rejected_before_allocation(self):
         # 6561 row pairs over 200 symbols are 10.5 MB of pair values alone.
         table, coarse = _scan_case(4, 4, 200, 0.0)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             with pytest.raises(TooLargeError, match="Eve symbols"):
                 _joint_scan(table, coarse, 1e-9, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert memory.peak < 5 * 2**20
         with pytest.raises(TooLargeError):
             brute_force_mesbf(TripartiteDistribution(table), FAST)
 
@@ -698,9 +671,7 @@ class TestScanBound:
         coarse = np.array([1e-200, *SCAN_LADDERS[2][1:]])
         pair2, mass = _scan_sums(table, coarse)
         assert mass.min() == 0.0 and not optimizer._bounds_hold(pair2, mass)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            found = _assert_exact(table, coarse, 12, 1e-200)
+        found = _assert_exact(table, coarse, 12, 1e-200)
         assert all(0.5 <= value <= 1.0 for value, _, _ in found)
 
     @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -731,21 +702,14 @@ class TestScanBound:
 
     def test_memory_of_a_4x4_scan(self):
         table, coarse = _scan_case(4, 4, 1, 0.0)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             found = _joint_scan(table, coarse, 1e-9, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(found) == 12 and optimizer._bounds_hold(*_scan_sums(table, coarse))
-        assert peak < 8 * 2**20
+        assert memory.peak < 8 * 2**20
 
 
 def _seeded_table(shape: tuple[int, ...], zeros: float = 0.0) -> np.ndarray:
-    rng = np.random.default_rng([61, *shape, round(100 * zeros)])
-    table = rng.uniform(0.1, 1.0, size=shape)
-    table[rng.random(size=shape) < zeros] = 0.0
-    table.flat[0] += 0.1
+    table = _raw_table(shape, zeros, [61, *shape, round(100 * zeros)])
     return table / table.sum()
 
 
@@ -931,14 +895,10 @@ class TestEstimate:
         monkeypatch.setattr(optimizer, "_coordinate_polish", no_polish)
         wide = TripartiteDistribution(np.full((32, 32, 1), 1 / 1024))
         for p, cfg in [(wide, FAST), (lemur, SearchConfig(restarts=10**8))]:
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 with pytest.raises(TooLargeError, match="start pool"):
                     estimate_mesbf(p, cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 5 * 2**20
+            assert memory.peak < 5 * 2**20
 
     def test_start_pool_bound_admits_the_16x16_defaults(self, monkeypatch):
         # 28 800 selecting seeds and 2 + restarts more, each counted as 256
@@ -985,26 +945,16 @@ def _scaled_case(scale: float) -> TripartiteDistribution:
     return TripartiteDistribution(m / m.sum() * scale)
 
 
-def _result_bytes(result) -> tuple:
-    return (float(result.value).hex(), *(w.matrix.tobytes() for w in result.witness), repr(result.detail))
-
-
 def test_budgets_past_the_lane_table_are_none(lemur):
     # No lane can spend 2^62 evaluations, so any larger budget reads as
     # none; 2^63 once overflowed the lane table's integers.
-    found = [_result_bytes(estimate_mesbf(lemur, SearchConfig(restarts=1, iterations=budget)))
+    found = [result_bits(estimate_mesbf(lemur, SearchConfig(restarts=1, iterations=budget)))
              for budget in (2**62, 2**63, 2**80)]
     assert found[0] == found[1] == found[2]
 
 
 class TestExtremeScales:
     """Both searches run on the table rescaled by a power of two, so its scale never changes a result."""
-
-    @pytest.fixture(autouse=True)
-    def _warnings_are_errors(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            yield
 
     def test_subnormal_search_keeps_the_coin_toss(self):
         # At the table's own scale the filtered products went subnormal and
@@ -1035,12 +985,12 @@ class TestExtremeScales:
         # scale filtered products went subnormal and the results moved.
         table = _kernel_case(2, 3, 4, 1, 0.3)[0]
         search = [estimate_mesbf(TripartiteDistribution(np.ldexp(table, k)), FAST) for k in (0, -1010)]
-        assert _result_bytes(search[0]) == _result_bytes(search[1])
+        assert result_bits(search[0]) == result_bits(search[1])
         m = np.random.default_rng(13).uniform(0.1, 1.0, size=(3, 3))
         p_ab = BipartiteDistribution(m / m.sum())
         oracle = [brute_force_mesbf(point_mass_eve(BipartiteDistribution(np.ldexp(p_ab.table, k))), FAST)
                   for k in (0, -1010)]
-        assert _result_bytes(oracle[0]) == _result_bytes(oracle[1])
+        assert result_bits(oracle[0]) == result_bits(oracle[1])
 
 
 class TestRandomizationDemo:

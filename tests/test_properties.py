@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import oracles
 import pytest
-from conftest import random_binary_tripartite
+from conftest import random_binary_tripartite, traced_memory
 
 from secbit import (
     BipartiteDistribution,
@@ -214,33 +213,19 @@ def test_stacked_algebra_tables_raise_the_errors_of_apply():
             properties._algebra_tables(huge, unit.table * 1e300)
 
 
-def _peak(check, p, trials):
-    """One suite's tracemalloc peak in bytes; the suite must find no violation."""
-    tracemalloc.start()
-    try:
-        outcome = check(p, trials, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (outcome.trials, outcome.violations) == (trials, 0)
-    return peak
-
-
 def test_many_trials_stay_in_small_blocks():
     p = BipartiteDistribution(np.random.default_rng(31).uniform(0.05, 1.0, size=(6, 6)))
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         outcomes = properties.run_checks(p, 10**4, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert [(o.name, o.trials, o.violations) for o in outcomes] == [("cross-ratio-monotonicity", 10**4, 0)]
-    assert peak < 2e6
+    assert memory.peak < 2e6
 
 
 def test_many_algebra_trials_stay_in_small_blocks():
     p = TripartiteDistribution(np.random.default_rng(37).uniform(0.05, 1.0, size=(6, 6, 2)))
-    assert _peak(properties.check_apply_algebra, p, 10**4) < 2e6
+    with traced_memory() as memory:
+        outcome = properties.check_apply_algebra(p, 10**4, 1)
+    assert (outcome.trials, outcome.violations) == (10**4, 0) and memory.peak < 2e6
 
 
 PER_TRIAL_SUITES = [
@@ -258,8 +243,12 @@ def test_per_trial_suites_stay_in_bounded_blocks(monkeypatch, check):
     monkeypatch.setattr(properties, "_BLOCK_CELLS", 256)
     p = TripartiteDistribution(random_binary_tripartite(np.random.default_rng(43), 2))
     check(p, 10, 1)
-    peaks = [_peak(check, p, trials) for trials in (10**3, 4 * 10**3)]
-    assert peaks[1] < 1.1 * peaks[0]
+    with traced_memory() as few:
+        outcomes = [check(p, 10**3, 1)]
+    with traced_memory() as many:
+        outcomes.append(check(p, 4 * 10**3, 1))
+    assert [(o.trials, o.violations) for o in outcomes] == [(10**3, 0), (4 * 10**3, 0)]
+    assert many.peak < 1.1 * few.peak
 
 
 @pytest.mark.parametrize("check", PER_TRIAL_SUITES)
@@ -267,7 +256,9 @@ def test_per_trial_suite_block_is_one_float_array(check):
     # One default block of 8192 gaps plus one trial: a block of gaps held as
     # 8192 zero-dimensional arrays peaked at 2.5 MB.
     p = TripartiteDistribution(random_binary_tripartite(np.random.default_rng(43), 2))
-    assert _peak(check, p, 8193) < 1e6
+    with traced_memory() as memory:
+        outcome = check(p, 8193, 1)
+    assert (outcome.trials, outcome.violations) == (8193, 0) and memory.peak < 1e6
 
 
 @pytest.mark.parametrize("trials", [0, -1])

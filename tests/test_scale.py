@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import result_bits
 from secbit import (
     BipartiteDistribution,
     MeasureResult,
@@ -53,25 +54,10 @@ def _normal_shifts(table):
 
 
 def _results_at(make, results, table, k):
-    """``results`` of ``make(ldexp(table, k))``, with every warning raised as an error."""
+    """``results`` of ``make(ldexp(table, k))``."""
     with np.errstate(over="ignore", under="ignore"):
         shifted = np.ldexp(table, k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return results(make(shifted))
-
-
-def _bits(result):
-    """A comparable form of a result that differs whenever one of its bits does."""
-    if isinstance(result, MeasureResult):
-        pairs = [result.witness] + ([result.witness_family(1e-3)] if result.witness_family else [])
-        matrices = [f.matrix.tobytes() for pair in pairs if pair is not None for f in pair]
-        return float(result.value).hex(), result.witness_kind, repr(result.detail), matrices
-    if isinstance(result, (list, tuple)):
-        return [_bits(r) for r in result]
-    if isinstance(result, float):
-        return result.hex()
-    return repr(result)
+    return results(make(shifted))
 
 
 class _CrossRatios(tuple):
@@ -119,9 +105,9 @@ def _binary_results(p):
 def _check_contract(make, results, table, data):
     """``results`` of ``ldexp(table, k)``: the unit-scale bits inside the normal shifts, finite or refused past them."""
     low, high = _normal_shifts(table)
-    unit = _bits(_results_at(make, results, table, -math.frexp(table.max())[1]))
+    unit = result_bits(_results_at(make, results, table, -math.frexp(table.max())[1]))
     k = data.draw(st.integers(low, high), label="k")
-    assert _bits(_results_at(make, results, table, k)) == unit
+    assert result_bits(_results_at(make, results, table, k)) == unit
     far = data.draw(st.one_of(st.integers(-1100, low - 1), st.integers(high + 1, high + 60)), label="far")
     try:
         outside = _results_at(make, results, table, far)
@@ -152,7 +138,6 @@ def _checked_alone(p, trials, seed):
     return [suite(p, trials, seed) for suite in suites]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e300, 1e308, 1.5e308])
 def test_extreme_tables_pass_the_property_checks(scale):
     table = np.random.default_rng(3).uniform(0.1, 1.0, size=(2, 2, 3))
@@ -162,7 +147,6 @@ def test_extreme_tables_pass_the_property_checks(scale):
     assert _checked_alone(p, 20, 1) == outcomes[:-1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("factor", [1.0, 1e6])
 def test_raw_counts_pass_the_property_checks(factor):
     counts = np.random.default_rng(9).integers(100, 5001, size=(3, 3, 2)) * factor
@@ -172,3 +156,10 @@ def test_raw_counts_pass_the_property_checks(factor):
         assert all(outcome.passed for outcome in outcomes)
         assert _checked_alone(p, 5, seed) == outcomes[:-1]
         assert properties.check_cross_ratio_monotonicity(marginal_ab(p), 5, seed) == outcomes[-1]
+
+
+def test_a_warning_fails_the_test():
+    # pyproject.toml's filterwarnings makes every warning an error in every
+    # test, so the never-warns promise above needs no block of its own.
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("overflow encountered", RuntimeWarning)
