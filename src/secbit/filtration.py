@@ -239,7 +239,7 @@ class DecompositionFactors:
     steps: tuple[DecompositionStep, ...]
 
     def __post_init__(self) -> None:
-        columns, d = list(self.permutation), self.input_dim
+        columns, d = list(self.permutation), _require_count(self.input_dim, "input_dim", minimum=0)
         for c in columns:
             if not (_is_integer(c) and 0 <= c < d):
                 raise InvalidParamsError(f"source column {c!r} outside 0..{d - 1}")

@@ -43,17 +43,18 @@ def traced_memory():
 
 
 def result_bits(result):
-    """A comparable form of a result that differs whenever one of its bits does."""
+    """A comparable form of a result that differs whenever one of its bits or types does."""
     if isinstance(result, MeasureResult):
         pairs = [result.witness] + ([result.witness_family(1e-3)] if result.witness_family else [])
         matrices = [f.matrix.tobytes() for pair in pairs if pair is not None for f in pair]
-        return float(result.value).hex(), result.witness_kind, repr(result.detail), matrices
+        value = type(result.value).__name__, float(result.value).hex()
+        return value, result.witness_kind, repr(result.detail), matrices
     if isinstance(result, (BipartiteDistribution, TripartiteDistribution)):
         return type(result).__name__, result.table.shape, result.table.tobytes()
     if isinstance(result, (list, tuple)):
-        return [result_bits(r) for r in result]
+        return type(result).__name__, [result_bits(r) for r in result]
     if isinstance(result, float):
-        return result.hex()
+        return type(result).__name__, result.hex()
     return repr(result)
 
 

@@ -250,6 +250,13 @@ class TestDecomposition:
         with pytest.raises(InvalidParamsError, match=r"source columns must hold each integer 0\.\.2 once"):
             replace(factors, steps=steps)
 
+    @pytest.mark.parametrize("input_dim", [-1, True, 2.0])
+    def test_input_dim_is_a_count(self, input_dim):
+        # Unchecked, input_dim=-1 built and recomposed into numpy's bare
+        # ValueError, True read as 1 and 2.0 failed in range().
+        with pytest.raises(CountError, match="input_dim"):
+            filtration.DecompositionFactors(input_dim=input_dim, steps=())
+
     def test_bad_shape_rejected(self):
         with pytest.raises(BadShapeError):
             decompose(Filtration(np.zeros((3, 2))))
