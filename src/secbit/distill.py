@@ -17,15 +17,12 @@ entropy condition is evaluated here, never the coding itself.
 All N-th powers are computed in log space (plain ``eps**N`` underflows
 near ``N ~ 500``), the exact statistics of any binary input included:
 they have a closed form, since an accepted string pair is fixed by its
-two starting bits.  The simulator draws at most ``_SIM_CELLS`` symbols at
-a time, so its memory does not grow with ``N``, however long a block: a
-block longer than ``_SIM_CELLS // 64`` = 2048 symbols is read alone, in
-column blocks, and the rest of it is skipped once either string breaks.
-It never materializes the symbols:
-it keeps the uniform draws behind them and reads the honest bits off by
-comparing each draw with three cdf thresholds, and whether Eve's symbol
-is 0 only in the accepted blocks, by comparing each draw with one more
-threshold, that of its honest cell.
+two starting bits.  The simulator draws the blocks column by column, one
+uniform draw per block still alive, so a block costs at most 3 draws in
+expectation at any ``N`` and the memory is that of one column of a chunk.
+It never materializes the symbols: it reads each draw's honest cell off
+by comparing it with three cdf thresholds, and whether Eve's symbol is 0
+by comparing it with four more.
 """
 
 from __future__ import annotations
@@ -53,11 +50,6 @@ from .measures import _require_binary
 STRICTNESS_MARGIN = 1e-12
 
 _SIM_CHUNK = 1 << 16
-# Symbols per draw, at any block length: 9-15 bytes each at the peak.
-# A draw of 1 MB and its boolean temporaries fit a 2 MB L2 cache together;
-# 2^15 or 2^16 symbols cost more calls than they save.  A block longer than
-# a 64th of this, 2048 symbols, is read alone, in column blocks.
-_SIM_CELLS = 1 << 17
 
 
 def binary_entropy(r: float) -> float:
@@ -209,67 +201,12 @@ def string_filter(block: Sequence[int] | str) -> Optional[tuple[int, int]]:
     return start, bits[-1]
 
 
-def _alternates(bits: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D bit array in which every adjacent pair differs.
-
-    Equals ``np.diff(bits, axis=1).all(axis=1)``, which is slow on rows of
-    a few entries: the rows are tested one column pair at a time, and every
-    fourth pair the test stops once no row survives.  A single column has
-    no pair, so every row alternates.
-    """
-    ok = np.ones(len(bits), dtype=bool)
-    for k in range(bits.shape[1] - 1):
-        if k % 4 == 3 and not ok.any():
-            break
-        ok &= bits[:, k] != bits[:, k + 1]
-    return ok
-
-
-def _eve_blank(u: np.ndarray, a_bits: np.ndarray, b_bits: np.ndarray, blank_cuts: np.ndarray) -> np.ndarray:
-    """The rows of draws ``u`` in which every Eve symbol is 0.
-
-    A draw in honest cell ``c = 2a + b`` is one of that cell's flat indices
-    ``c d_e .. c d_e + d_e - 1``, and it is the first, Eve's symbol 0,
-    exactly when it lies below ``cdf[c d_e]``; ``blank_cuts`` holds those
-    four thresholds.  A zero-probability symbol 0 leaves ``cdf[c d_e]``
-    equal to the cell's lower end, which no draw of the cell lies below.
-    """
-    return (u < blank_cuts[2 * a_bits + b_bits]).all(axis=-1)
-
-
-def _long_block(
-    rng: np.random.Generator,
-    block_length: int,
-    cuts: tuple[float, float, float],
-    blank_cuts: np.ndarray,
-) -> tuple[int, int, int]:
-    """Accepted, disagreeing and Eve-blank counts, each 0 or 1, of one block read alone.
-
-    A block longer than ``_SIM_CELLS // 64`` = 2048 symbols, of which a
-    draw would hold fewer than 64, is read alone, in column blocks of 64
-    columns, doubling up to ``_SIM_CELLS``: a block that breaks early then
-    costs one small draw.  Each honest party's last bit and whether Eve's
-    symbols are all 0 carry from one column block to the next.  At the
-    first column block where either string breaks, the generator skips the
-    rest of the block, so the stream is that of one draw of the whole block.
-    """
-    alice_cut, low_cut, high_cut = cuts
-    last_a = last_b = -1  # no bit equals -1, so the first column block has no predecessor to match
-    blank, done, width = True, 0, 64
-    while done < block_length:
-        u = rng.random(min(width, _SIM_CELLS, block_length - done))
-        done, width = done + len(u), 2 * width
-        a_bits = u >= alice_cut
-        # Bob's bits are needed only where Alice's alternate.
-        if a_bits[0] != last_a and (a_bits[1:] != a_bits[:-1]).all():
-            b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
-            if b_bits[0] != last_b and (b_bits[1:] != b_bits[:-1]).all():
-                last_a, last_b = a_bits[-1], b_bits[-1]
-                blank = blank and bool(_eve_blank(u, a_bits, b_bits, blank_cuts))
-                continue
-        rng.bit_generator.advance(block_length - done)
-        return 0, 0, 0
-    return 1, int(last_a != last_b), int(blank)
+def _cuts_at_or_below(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """How many of ``cuts`` lie at or below each uniform draw in ``u``, as ``int8``."""
+    count = (u >= cuts[0]).view(np.int8)
+    for cut in cuts[1:]:
+        count += (u >= cut).view(np.int8)
+    return count
 
 
 @dataclass(frozen=True)
@@ -300,21 +237,25 @@ def simulate_advantage_distillation(
     rate, the disagreement rate of the kept bits among accepted blocks,
     and the fraction of accepted blocks in which every Eve symbol was 0
     (for canonical-form inputs: the blocks where Eve knows nothing).
-    Deterministic given the seed; samples are drawn in fixed-size chunks
-    with one generator per chunk, so aggregates are order-independent,
-    and each chunk in sub-blocks of at most ``_SIM_CELLS`` symbols.  A
-    block longer than ``_SIM_CELLS // 64`` = 2048 symbols is read alone,
-    in column blocks (:func:`_long_block`).
+    Deterministic given the seed; samples are drawn in chunks of 2^16
+    blocks with one generator per chunk, so aggregates are order-independent.
 
-    The blocks are those of ``Generator.choice`` over the flattened table,
-    but filtered from its uniform draws ``u``: the symbol is at least
-    ``k`` exactly when ``u >= cdf[k-1]``, so Alice's bit is
-    ``u >= cdf[2 d_e - 1]`` and Bob's is the parity of the three tests at
-    ``d_e``, ``2 d_e`` and ``3 d_e``.  Bob's bits are tested only in the
-    blocks where Alice's alternate, and whether Eve's symbols are 0 only
-    in the blocks both accept: a draw in honest cell ``c = 2a + b`` gives
-    Eve's symbol 0 exactly when it is below ``cdf[c d_e]``
-    (:func:`_eve_blank`).
+    A chunk is drawn column by column: the first column holds one uniform
+    draw ``u`` for every block, and each later column one for every block
+    still alive, in block order, until no block is alive or ``N`` columns
+    are drawn.  A block is alive while both strings have alternated so
+    far.  The symbol of a draw is that of ``Generator.choice`` over the
+    flattened table: it is at least ``k`` exactly when ``u >= cdf[k-1]``.
+    So the honest cell ``c = 2a + b`` is the number of the three cell ends
+    ``cdf[c d_e + d_e - 1]`` at or below ``u``, and a block stays alive
+    exactly when the new cell is ``c ^ 3``, both bits flipped.  The four
+    symbol-0 ends ``cdf[c d_e]`` interleave the cell ends, so as many of
+    them lie at or below ``u`` as cell ends do, plus one when Eve's symbol
+    is not 0 (the count of all seven cuts is odd); that test is made only
+    on blocks that stay alive.  Alice's string survives two more columns
+    with probability ``q (1 - q) <= 1/4``, ``q`` the probability of her
+    bit 1, so a block takes at most 3 draws in expectation at any ``N``,
+    and the memory is that of one column of a chunk.
     """
     _require_binary(p.dims[:2])
     if abs(p.mass - 1.0) > 1e-9:
@@ -330,33 +271,30 @@ def simulate_advantage_distillation(
     # thresholds split the uniform draws exactly as its ``searchsorted`` does.
     cdf = flat.cumsum()
     cdf /= cdf[-1]
-    cuts = cdf[2 * d_e - 1], cdf[d_e - 1], cdf[3 * d_e - 1]
-    alice_cut, low_cut, high_cut = cuts
-    blank_cuts = cdf[: 4 * d_e : d_e]
-    rows_per_draw = _SIM_CELLS // block_length  # at least 64 where rows are drawn
+    cell_ends = cdf[d_e - 1 : 3 * d_e : d_e]
+    blank_ends = cdf[: 4 * d_e : d_e]
 
+    # Every column is drawn into one buffer.  A fresh 512 KB array per
+    # column let malloc hand the heap back after each call, and the next
+    # call took hundreds of page faults to map it again.
+    draws = np.empty(min(_SIM_CHUNK, samples))
     accepted = disagreements = eve_blank = 0
     for chunk_index, start in enumerate(range(0, samples, _SIM_CHUNK)):
         rng = np.random.default_rng([seed, chunk_index])
-        count = min(_SIM_CHUNK, samples - start)
-        # Consecutive draws from one generator continue its stream, so
-        # the sub-blocks reproduce the chunk's single (count, N) draw.
-        if block_length > _SIM_CELLS // 64:
-            for _ in range(count):
-                ok, differ, blank = _long_block(rng, block_length, cuts, blank_cuts)
-                accepted, disagreements, eve_blank = accepted + ok, disagreements + differ, eve_blank + blank
-            continue
-        for done in range(0, count, rows_per_draw):
-            u = rng.random((min(rows_per_draw, count - done), block_length))
-            # Bob's bits are needed only where Alice's alternate.
-            u = u.compress(_alternates(u >= alice_cut), axis=0)
-            a_bits = u >= alice_cut
-            b_bits = (u >= low_cut) ^ (u >= high_cut) ^ a_bits
-            ok = _alternates(b_bits)
-            accepted += int(np.count_nonzero(ok))
-            disagreements += int(np.count_nonzero((a_bits[:, -1] ^ b_bits[:, -1]) & ok))
-            blank = _eve_blank(*(x.compress(ok, axis=0) for x in (u, a_bits, b_bits)), blank_cuts)
-            eve_blank += int(np.count_nonzero(blank))
+        u = rng.random(out=draws[: min(_SIM_CHUNK, samples - start)])
+        last = _cuts_at_or_below(u, cell_ends)  # the last honest cell of each live block
+        blank = _cuts_at_or_below(u, blank_ends) == last
+        for _ in range(1, block_length):
+            if not len(last):
+                break
+            u = rng.random(out=draws[: len(last)])
+            cells = _cuts_at_or_below(u, cell_ends)
+            stay = np.flatnonzero((cells ^ last) == 3)
+            last, u = cells.take(stay), u.take(stay)
+            blank = blank.take(stay) & (_cuts_at_or_below(u, blank_ends) == last)
+        accepted += len(last)
+        disagreements += int(np.count_nonzero((last >> 1) != (last & 1)))
+        eve_blank += int(np.count_nonzero(blank))
 
     return SimulationReport(
         block_length=block_length,

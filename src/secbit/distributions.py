@@ -9,6 +9,7 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -209,6 +210,17 @@ def _unit_scaled(p: _Table_T) -> _Table_T:
     return p if table is p.table else type(p)(table)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; raises :class:`InvalidParamsError` unless it is a real number.
+
+    ``float`` would read a numeric string, and a numpy complex with only a
+    warning, dropping its imaginary part.
+    """
+    if not isinstance(value, numbers.Real):
+        raise InvalidParamsError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CanonicalParams:
     """Parameters of the canonical partially secret distribution.
@@ -222,8 +234,10 @@ class CanonicalParams:
     eta: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        eta = tuple(float(x) for x in self.eta)
+        mu = _real(self.mu, "mu")
+        if not np.iterable(self.eta):
+            raise InvalidParamsError(f"eta must be a sequence of four real numbers, got {self.eta!r}")
+        eta = tuple(_real(x, "each eta component") for x in self.eta)
         if len(eta) != 4:
             raise InvalidParamsError("eta must have exactly four components")
         if not (0.5 < mu <= 1.0):

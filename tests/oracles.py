@@ -14,8 +14,8 @@ written out by hand, are the reference for the library's stage funnel.
 The loop forms of the closed-form measures are the reference for the
 library's vectorized ones, and the exact rational cross ratios for their
 values on tables whose float products underflow.  The direct-product block statistics and the
-one-draw-per-chunk simulator at the end are the reference for the
-protocol layer's closed form and cell-bounded sampling.
+column-by-column simulator at the end are the reference for the
+protocol layer's closed form and its sampling from uniform draws.
 The seeded property suites near the end, with the per-suite trial
 loops they had before sharing one, are the reference for
 ``secbit.properties``.  The two-reduction table check at the very end is
@@ -767,6 +767,10 @@ def simulate_advantage_distillation(
     (for canonical-form inputs: the blocks where Eve knows nothing).
     Deterministic given the seed; samples are drawn in fixed-size chunks
     with one generator per chunk, so aggregates are order-independent.
+    Each chunk is drawn column by column with ``Generator.choice``, one
+    symbol for every block whose strings both still alternate, until none
+    does or the blocks are complete; each symbol is split into its
+    ``(a, b, e)`` parts and tested against the alternating patterns.
     """
     if p.dims[0] != 2 or p.dims[1] != 2:
         raise NotBinaryError(f"simulation needs binary honest alphabets, got {p.dims}")
@@ -779,7 +783,6 @@ def simulate_advantage_distillation(
     d_a, d_b, d_e = p.dims
     flat = p.table.ravel()
     flat = flat / flat.sum()
-    pattern = np.arange(block_length) % 2
 
     accepted = disagreements = eve_blank = 0
     done = 0
@@ -787,18 +790,26 @@ def simulate_advantage_distillation(
     while done < samples:
         count = min(_SIM_CHUNK, samples - done)
         rng = np.random.default_rng([seed, chunk_index])
-        draws = rng.choice(len(flat), size=(count, block_length), p=flat)
-        e_sym = draws % d_e
-        ab = draws // d_e
-        b_sym = ab % d_b
-        a_sym = ab // d_b
-
-        accept_a = ((a_sym == pattern).all(axis=1)) | ((a_sym == 1 - pattern).all(axis=1))
-        accept_b = ((b_sym == pattern).all(axis=1)) | ((b_sym == 1 - pattern).all(axis=1))
-        ok = accept_a & accept_b
-        accepted += int(ok.sum())
-        disagreements += int((a_sym[ok, -1] != b_sym[ok, -1]).sum())
-        eve_blank += int((e_sym[ok] == 0).all(axis=1).sum())
+        # One symbol per column for every block still alive, in block order.
+        first_a = first_b = last_a = last_b = None
+        blank = np.ones(count, dtype=bool)
+        for column in range(block_length):
+            if not len(blank):
+                break
+            draws = rng.choice(len(flat), size=len(blank), p=flat)
+            e_sym = draws % d_e
+            ab = draws // d_e
+            b_sym = ab % d_b
+            a_sym = ab // d_b
+            if column == 0:
+                first_a, first_b = a_sym, b_sym
+            # Column k of an alternating string is its first bit flipped k times.
+            keep = (a_sym == (first_a + column) % 2) & (b_sym == (first_b + column) % 2)
+            first_a, first_b, last_a, last_b = first_a[keep], first_b[keep], a_sym[keep], b_sym[keep]
+            blank = blank[keep] & (e_sym[keep] == 0)
+        accepted += len(blank)
+        disagreements += int((last_a != last_b).sum())
+        eve_blank += int(blank.sum())
         done += count
         chunk_index += 1
 

@@ -241,26 +241,23 @@ class TestSimulation:
     def test_matches_string_filter_semantics(self):
         p = canonical_distribution(UNIFORM)
         sim = simulate_advantage_distillation(p, 4, 2000, seed=8)
-        # re-derive the acceptance count with the scalar filter
-        rng_draws = []
-        chunk = 0
-        remaining = 2000
+        # Re-derive the counts with the scalar filter: each column draws one
+        # symbol for every block whose drawn strings both pass it.
         flat = p.table.ravel()
-        while remaining > 0:
-            take = min(1 << 16, remaining)
-            rng = np.random.default_rng([8, chunk])
-            rng_draws.append(rng.choice(flat.size, size=(take, 4), p=flat / flat.sum()))
-            remaining -= take
-            chunk += 1
-        draws = np.concatenate(rng_draws)
-        accepted = 0
-        for row in draws:
-            e = row % 5
-            ab = row // 5
-            a, b = ab // 2, ab % 2
-            if string_filter(a.tolist()) is not None and string_filter(b.tolist()) is not None:
-                accepted += 1
-        assert accepted == sim.accepted
+        d_e = p.dims[2]
+        rng = np.random.default_rng([8, 0])
+        live = [([], []) for _ in range(2000)]
+        for _ in range(4):
+            for (a, b), symbol in zip(live, rng.choice(flat.size, size=len(live), p=flat / flat.sum())):
+                a.append(symbol // d_e // 2)
+                b.append(symbol // d_e % 2)
+            live = [(a, b) for a, b in live if string_filter(a) is not None and string_filter(b) is not None]
+        assert len(live) == sim.accepted
+        assert sum(string_filter(a)[1] != string_filter(b)[1] for a, b in live) == sim.disagreements
+
+    def test_one_column_always_alternates(self):
+        sim = simulate_advantage_distillation(canonical_distribution(UNIFORM), 1, 2000, seed=1729)
+        assert sim.accepted == 2000
 
     def test_determinism(self):
         p = canonical_distribution(UNIFORM)
@@ -282,43 +279,6 @@ class TestSimulation:
             simulate_advantage_distillation(
                 TripartiteDistribution(np.ones((3, 2, 2))), 3, 10, seed=1
             )
-
-
-
-class TestAlternationTest:
-    @staticmethod
-    def crafted(n):
-        """Rows that alternate throughout, from either bit, and rows that fail only at one pair."""
-        alternating = np.arange(n) % 2 == 1
-        rows = [alternating, ~alternating]
-        for bad in range(n - 1):
-            row = alternating.copy()
-            row[bad + 1 :] = ~row[bad + 1 :]  # pair (bad, bad + 1) agrees, every other pair differs
-            rows.append(row)
-        return np.array(rows, dtype=bool).reshape(len(rows), n)
-
-    @pytest.mark.parametrize("n", (1, 2, 3, 8, 9, 16, 17, 64, 100))
-    def test_equals_the_row_reduction(self, n):
-        rng = np.random.default_rng(n)
-        crafted = self.crafted(n)
-        no_survivor = crafted[2:] if n > 1 else crafted[:0]
-        dead = rng.random((3000, n)) < 0.5
-        dead[:, :2] = True  # no random row survives the first pair
-        blocks = (
-            rng.random((5000, n)) < 0.5,
-            crafted,
-            no_survivor,
-            np.concatenate([dead, crafted[:1]]),  # one survivor among rows that fail early
-            np.concatenate([dead, no_survivor]),
-            np.concatenate([rng.random((2000, n)) < 0.5, crafted])[rng.permutation(2000 + len(crafted))],
-        )
-        for bits in blocks:
-            np.testing.assert_array_equal(distill._alternates(bits), np.diff(bits, axis=1).all(axis=1))
-
-    def test_one_column_always_alternates(self):
-        assert distill._alternates(np.zeros((5, 1), dtype=bool)).all()
-        sim = simulate_advantage_distillation(canonical_distribution(UNIFORM), 1, 2000, seed=1729)
-        assert sim.accepted == 2000
 
 
 @pytest.mark.parametrize(
@@ -424,20 +384,15 @@ class TestCellBoundedSimulation:
             (5000, 300, 7),
         ],
     )
-    def test_matches_one_draw_per_chunk(self, n, samples, seed):
-        # At N = 17 and 1000 the row cap (2^17 // N) does not divide 2^16.
-        # Past 2048 symbols each block is read alone, in column blocks; the
-        # reference holds all samples x N draws at once, so keep them few.
+    def test_matches_the_column_reference(self, n, samples, seed):
+        # Short blocks, many accepted; the samples crossing a chunk boundary;
+        # and long blocks, all of which break within their first columns.
         p = satellite_scenario(0.2, 0.2, 0.15)
         ours = simulate_advantage_distillation(p, n, samples, seed)
         assert ours == oracles.simulate_advantage_distillation(p, n, samples, seed)
 
-    @pytest.mark.parametrize("cells", (7, 1000, 50_000))
-    def test_small_cell_caps_keep_every_draw(self, monkeypatch, cells):
-        # A small cap splits short blocks, where many are accepted, into
-        # many sub-draws; below 64 cells every block is read alone, in
-        # column blocks.  The counts must not change.
-        monkeypatch.setattr(distill, "_SIM_CELLS", cells)
+    def test_many_accepted_blocks_match_the_reference(self):
+        # Short blocks, where many survive every column, across a chunk boundary.
         for p, n in ((canonical_distribution(UNIFORM), 3), (satellite_scenario(0.2, 0.2, 0.15), 2)):
             ours = simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
             assert ours.accepted > 1000
@@ -511,21 +466,19 @@ class TestCellBoundedSimulation:
 
     def test_long_blocks_have_bounded_memory(self):
         # 2^14 blocks of 200, and then the benchmark's three simulator calls.
-        # Under tracemalloc, one draw per chunk (the oracle) peaks at about
-        # 134 MB on the first, and a cap of 2^20 symbols on the symbols
-        # themselves at about 28 MB.  The uniform draws, with Bob's bits
-        # kept only where Alice's alternate, peaked at 9.7 MB with 2^20
-        # draws at a time, and peak near 1.9 MB with 2^17.
+        # Under tracemalloc, one draw of all a chunk's symbols peaked at
+        # about 134 MB on the first, and a cap of 2^20 symbols on the
+        # symbols themselves at about 28 MB.  One column of uniform draws
+        # for a full chunk holds 512 KB.
         p = canonical_distribution(UNIFORM)
         for n, samples in ((200, 1 << 14), (3, 100_000), (8, 100_000), (100, 1 << 16)):
             with traced_memory() as memory:
                 simulate_advantage_distillation(p, n, samples, seed=3)
             assert memory.peak < 3e6, (n, samples, memory.peak)
 
-    def test_blocks_past_2048_symbols_are_read_alone(self):
-        # A draw would hold fewer than 64 such blocks, and most break in
-        # their first column block: read in rows of whole blocks they
-        # peaked at about 0.9 MB, and read alone at about 3.5 KB.
+    def test_few_long_blocks_hold_a_few_columns(self):
+        # Read in rows of whole blocks these peaked at about 0.9 MB; each
+        # column holds one draw per live block, and all break within a few.
         p = canonical_distribution(UNIFORM)
         with traced_memory() as memory:
             report = simulate_advantage_distillation(p, 100_000, 200, seed=3)
@@ -533,26 +486,23 @@ class TestCellBoundedSimulation:
         assert memory.peak < 0.1e6
 
     def test_memory_is_bounded_beyond_one_draw(self):
-        # A block longer than 2048 symbols is drawn in column blocks, not
-        # whole: one draw of its row peaked at about 86 MB here.
+        # Blocks are drawn column by column, never whole: one draw of a
+        # block's row peaked at about 86 MB here.
         p = canonical_distribution(UNIFORM)
         with traced_memory() as memory:
             report = simulate_advantage_distillation(p, 10**7, 50, seed=3)
         assert report.accepted == 0
         assert memory.peak < 4e6
 
-    def test_column_blocks_match_one_draw(self, monkeypatch):
-        # Below 64 cells every block is drawn in column blocks of at most
-        # `cells` columns, and the generator skips the rest of a block once
-        # a string breaks.  The honest bits of the two tables agree or
-        # disagree at 0.9 of the cells, so at 8 and 13 symbols blocks are
-        # accepted across column blocks; at 40 none is, and one table is
-        # enough.  The samples cross a chunk boundary.
+    def test_agreeing_tables_match_the_reference(self):
+        # The honest bits of the two tables agree or disagree at 0.9 of the
+        # cells, so at 8 and 13 symbols blocks survive many columns and are
+        # accepted; at 40 none is, and one table is enough.  The samples
+        # cross a chunk boundary.
         agreeing = np.zeros((2, 2, 2))
         agreeing[0, 0], agreeing[1, 1], agreeing[0, 1], agreeing[1, 0] = (0.3, 0.15), (0.3, 0.15), 0.025, 0.025
         accepted = disagreements = blank = 0
-        for cells, n in ((5, 8), (5, 13), (5, 40), (16, 40)):
-            monkeypatch.setattr(distill, "_SIM_CELLS", cells)
+        for n in (8, 13, 40):
             for table in (agreeing, agreeing[:, ::-1])[: 1 if n == 40 else 2]:
                 p = TripartiteDistribution(table)
                 ours = simulate_advantage_distillation(p, n, (1 << 16) + 777, 12)
@@ -561,3 +511,32 @@ class TestCellBoundedSimulation:
                 disagreements += ours.disagreements
                 blank += ours.eve_blank_blocks
         assert accepted > 400 and disagreements > 200 and blank > 0
+
+    @pytest.mark.parametrize("table", ("canonical", "satellite"))
+    @pytest.mark.parametrize("n", (100, 10**6))
+    def test_draws_per_block_stay_bounded(self, monkeypatch, table, n):
+        # Each column draws only for the blocks still alive, so a block takes
+        # at most 3 draws in expectation (2.55 on the canonical table) at any
+        # N; drawing whole blocks would take N.
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def random(self, *args, **kwargs):
+                drawn = self.rng.random(*args, **kwargs)
+                self.drawn += drawn.size
+                return drawn
+
+        generators = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            generators.append(Counting(default_rng(seed)))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        p = canonical_distribution(UNIFORM) if table == "canonical" else satellite_scenario(0.2, 0.2, 0.15)
+        samples = (1 << 16) + 777
+        simulate_advantage_distillation(p, n, samples, seed=3)
+        assert len(generators) == 2
+        assert sum(g.drawn for g in generators) < 3 * samples

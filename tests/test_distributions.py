@@ -505,6 +505,46 @@ class TestCanonicalDistribution:
         with pytest.raises(InvalidParamsError):
             CanonicalParams(mu, eta)
 
+    @pytest.mark.parametrize(
+        "mu,eta",
+        [
+            (np.complex128(0.6 + 0.5j), (0.25, 0.25, 0.25, 0.25)),
+            (0.6 + 0j, (0.25, 0.25, 0.25, 0.25)),
+            (0.6, (0.25, np.complex128(0.25 + 0.5j), 0.25, 0.25)),
+            (0.6, (0.25, 0.25 + 0j, 0.25, 0.25)),
+            ("x", (0.25, 0.25, 0.25, 0.25)),
+            ("0.6", (0.25, 0.25, 0.25, 0.25)),
+            (None, (0.25, 0.25, 0.25, 0.25)),
+            (0.6, "abcd"),
+            (0.6, "1000"),
+            (0.6, None),
+            (0.6, 0.25),
+        ],
+        ids=[
+            "numpy-complex-mu",
+            "complex-mu",
+            "numpy-complex-eta",
+            "complex-eta",
+            "string-mu",
+            "numeric-string-mu",
+            "none-mu",
+            "string-eta",
+            "numeric-string-eta",
+            "none-eta",
+            "scalar-eta",
+        ],
+    )
+    def test_non_real_params_rejected(self, mu, eta):
+        # float() read a numpy complex with only a warning, dropping its
+        # imaginary part, and failed on the rest with a bare error.
+        with pytest.raises(InvalidParamsError):
+            CanonicalParams(mu, eta)
+
+    def test_numpy_reals_are_read_as_floats(self):
+        params = CanonicalParams(np.float32(0.75), (np.int64(1), np.float64(0.0), 0, False))
+        assert params == CanonicalParams(0.75, (1.0, 0.0, 0.0, 0.0))
+        assert type(params.mu) is float and all(type(x) is float for x in params.eta)
+
 
 _AB = bipartite_from_entries((2, 3), {(0, 0): 0.3, (0, 1): 0.1, (0, 2): 0.05, (1, 0): 0.05, (1, 1): 0.1, (1, 2): 0.4})
 _CANON = CanonicalParams(0.6, (0.25, 0.25, 0.25, 0.25))
